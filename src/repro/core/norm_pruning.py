@@ -29,6 +29,13 @@ from repro.errors import ParameterError
 from repro.obs.trace import span
 from repro.utils.validation import check_matrix, check_vector
 
+#: Relative slack on the Cauchy-Schwarz cutoff and stop bounds.  The
+#: computed ``t / |q|`` and ``|p| |q|`` can land an ulp or two on the
+#: wrong side of the exact values, which would prune a pair whose
+#: ``p . q`` reaches the threshold exactly; a few ulps of slack keep it,
+#: and the final ``>= threshold`` test keeps results exact.
+_BOUND_SLACK = 8 * np.finfo(np.float64).eps
+
 
 class NormScanIndex:
     """Data sorted by decreasing norm, with prefix-pruned exact queries."""
@@ -47,7 +54,7 @@ class NormScanIndex:
             return self.n
         if query_norm <= 0:
             return 0
-        cutoff = threshold / query_norm
+        cutoff = threshold / query_norm * (1.0 - _BOUND_SLACK)
         # norms are descending; count entries >= cutoff.
         return int(np.searchsorted(-self.norms, -cutoff, side="right"))
 
@@ -72,7 +79,7 @@ class NormScanIndex:
         for start in range(0, limit, block):
             stop = min(start + block, limit)
             # Upper bound for everything from `start` on.
-            bound = self.norms[start] * q_norm
+            bound = self.norms[start] * q_norm * (1.0 + _BOUND_SLACK)
             if best_value >= threshold and best_value >= bound:
                 break
             values = self.P_sorted[start:stop] @ q
@@ -122,7 +129,7 @@ class NormScanIndex:
         while start < max_limit and active.any():
             stop = min(start + block, max_limit)
             # The scalar scan checks its stopping rule *before* this step.
-            bound = self.norms[start] * q_norms
+            bound = self.norms[start] * q_norms * (1.0 + _BOUND_SLACK)
             active &= ~((best_values >= threshold) & (best_values >= bound))
             active &= limits > start
             qidx = np.flatnonzero(active)
@@ -211,7 +218,7 @@ class NormScanIndex:
         max_limit = int(limits.max())
         while start < max_limit and active.any():
             stop = min(start + block, max_limit)
-            bound = self.norms[start] * q_norms
+            bound = self.norms[start] * q_norms * (1.0 + _BOUND_SLACK)
             active &= ~(kth_best >= bound)
             active &= limits > start
             qidx = np.flatnonzero(active)

@@ -8,15 +8,18 @@ chunk contract expects, with the same determinism guarantees — strict
 improvement / stable ranking keeps the lowest-index maximizer, so block
 size, chunking, and worker count never change results.
 
-The exact scan inverts ``P`` into element postings once and intersects a
-query against *all* overlapping rows with one gather + ``bincount``
-(cost per query = total posting length of its members, the set analogue
-of one GEMV row).  The MinHash index partitions ``P`` by set size (the
-``MinHashLSHEnsemble`` idea: a size-incompatible partition cannot reach
-the threshold, so it is never probed), banding ``n_tables`` fused
-MinHash keys per row into per-partition sorted bucket tables; candidates
-are verified exactly, so the filter only affects recall, never
-precision.
+Both kernels work on a whole query block at a time; no step loops over
+queries in Python.  The exact scan keeps ``P`` transposed as a sparse
+element x row matrix (the inverted postings) and gets every
+intersection size of a block from one sparse product
+``CSR(Q_block) x CSR(P^T)`` (cost = total posting length of the block's
+members, the set analogue of one GEMM).  The MinHash index partitions
+``P`` by set size (the ``MinHashLSHEnsemble`` idea: a size-incompatible
+partition cannot reach the threshold, so it is never probed) and fuses
+all ``partitions x tables`` bucket tables into one sorted composite-key
+array, so probing a block is one pair of binary searches; candidates
+are verified exactly against a bitmap of the block, so the filter only
+affects recall, never precision.
 """
 
 from __future__ import annotations
@@ -24,10 +27,13 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.problems import QueryStats
 from repro.datasets.sets import SetCollection
 from repro.errors import ParameterError
+from repro.lsh.batch_hash import CHUNK_ELEMS
+from repro.lsh.csr import budget_blocks, sorted_unique
 from repro.lsh.minhash import MinHash
 from repro.obs.trace import span
 
@@ -38,9 +44,9 @@ DEFAULT_MINHASH_TABLES = 32
 DEFAULT_MINHASH_HASHES = 4
 DEFAULT_MINHASH_PARTITIONS = 8
 
-#: Rows densified per hashing step (bounds the ``rows x universe``
-#: intermediate the batch MinHash kernel consumes).
-HASH_CHUNK_ROWS = 2048
+#: Relative margin under ``cs |q|`` kept by the scan's score filter, so
+#: rounding in the float Jaccard can never drop a pair scoring ``>= cs``.
+_SCORE_SLACK = 1.0 - 1e-12
 
 
 def _multi_arange(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -57,53 +63,155 @@ def _multi_arange(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.cumsum(out)
 
 
-class SetPostings:
-    """Inverted index of a :class:`SetCollection`: element -> member rows.
+def _searchsorted(sorted_values: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.searchsorted`` with the keys visited in ascending order.
 
-    ``rows[indptr[e]:indptr[e+1]]`` lists (ascending) the rows whose sets
-    contain element ``e`` — the transpose of the collection's CSR, built
-    once per join and shared read-only across workers.
+    Each binary search then starts from the previous hit, which on a
+    large array is several times faster than searching in key order.
     """
-
-    __slots__ = ("indptr", "rows", "sizes", "n", "universe")
-
-    def __init__(self, sets: SetCollection):
-        n, universe = sets.shape
-        counts = np.bincount(sets.indices, minlength=universe)
-        indptr = np.zeros(universe + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        order = np.argsort(sets.indices, kind="stable")
-        self.rows = np.repeat(np.arange(n, dtype=np.int64), sets.sizes)[order]
-        self.indptr = indptr
-        self.sizes = sets.sizes.astype(np.int64)
-        self.n = int(n)
-        self.universe = int(universe)
-
-    def overlaps(self, members: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
-        """``(rows, intersection_sizes, pairs_gathered)`` for one query.
-
-        ``rows`` is the ascending array of data rows sharing at least one
-        element with the query; ``pairs_gathered`` counts posting entries
-        touched (candidate pairs with multiplicity).
-        """
-        gathered = self.rows[
-            _multi_arange(self.indptr[members], self.indptr[members + 1]
-                          - self.indptr[members])
-        ]
-        if gathered.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, 0
-        counts = np.bincount(gathered)
-        rows = np.flatnonzero(counts)
-        return rows, counts[rows], int(gathered.size)
+    ascending = np.argsort(keys, axis=None)
+    out = np.empty(keys.size, dtype=np.int64)
+    out[ascending] = np.searchsorted(sorted_values, keys.ravel()[ascending])
+    return out.reshape(keys.shape)
 
 
 def _jaccard_scores(
-    inter: np.ndarray, sizes_p: np.ndarray, q_size: int
+    inter: np.ndarray, sizes_p: np.ndarray, sizes_q: np.ndarray
 ) -> np.ndarray:
-    union = sizes_p + q_size - inter
+    union = sizes_p + sizes_q - inter
     # union == 0 only for empty-vs-empty pairs, defined as similarity 0.
     return np.where(union > 0, inter / np.maximum(union, 1), 0.0)
+
+
+def _answers(
+    qids: np.ndarray,
+    rows: np.ndarray,
+    scores: np.ndarray,
+    n_queries: int,
+    cs: float,
+    k: Optional[int],
+) -> list:
+    """Per-query answers from scored ``(query, row)`` pairs.
+
+    Pairs are grouped by ascending query, in any row order inside a
+    group.  Without ``k``: the lowest-index best row if it scores at
+    least ``cs``, else ``None``.  With ``k``: the rows scoring at least
+    ``cs``, best first, ties to the lower index, cut to ``k``.
+    """
+    if k is not None:
+        keep = scores >= cs
+        qids, rows, scores = qids[keep], rows[keep], scores[keep]
+        order = np.lexsort((rows, -scores, qids))
+        qids, rows = qids[order], rows[order]
+        first = np.searchsorted(qids, qids, side="left")
+        keep = np.arange(qids.size) - first < k
+        qids, rows = qids[keep], rows[keep]
+        bounds = np.searchsorted(qids, np.arange(n_queries + 1))
+        rows = rows.tolist()
+        return [rows[bounds[i]:bounds[i + 1]] for i in range(n_queries)]
+    best = np.full(n_queries, -1, dtype=np.int64)
+    if qids.size:
+        starts = np.flatnonzero(np.diff(qids, prepend=-1))
+        top = np.maximum.reduceat(scores, starts)
+        lens = np.diff(starts, append=qids.size)
+        # Lowest row per group holding the group's maximum.
+        at_top = scores == np.repeat(top, lens)
+        lowest = np.minimum.reduceat(
+            np.where(at_top, rows, np.iinfo(rows.dtype).max), starts
+        )
+        hit = top >= cs
+        best[qids[starts[hit]]] = lowest[hit]
+    return [int(r) if r >= 0 else None for r in best.tolist()]
+
+
+def _record(
+    stats: QueryStats, generated: np.ndarray, evaluated: np.ndarray
+) -> Tuple[int, int]:
+    """Fold per-query work counts into ``stats``; returns their totals."""
+    total_generated, total_evaluated = int(generated.sum()), int(evaluated.sum())
+    stats.record_batch(generated.size, total_generated, total_evaluated)
+    return total_generated, total_evaluated
+
+
+class SetPostings:
+    """Inverted index of a :class:`SetCollection`: element -> member rows.
+
+    ``matrix`` is ``P^T`` as a sparse ``(universe, n)`` CSR matrix of
+    ones: row ``e`` lists (ascending) the rows whose sets contain element
+    ``e``.  Built once per join and shared read-only across workers.
+    """
+
+    __slots__ = ("matrix", "sizes")
+
+    def __init__(self, sets: SetCollection):
+        self.matrix = sparse.csr_matrix(sets.to_scipy().T)
+        self.sizes = sets.sizes.astype(np.int64)
+
+    def arrays(self) -> List[np.ndarray]:
+        m = self.matrix
+        return [m.indptr, m.indices, m.data, self.sizes]
+
+    def gathered(self, Q: SetCollection) -> np.ndarray:
+        """Running posting-entry count over ``Q``'s rows, ``(len(Q) + 1,)``:
+        each query's pairs gathered with multiplicity, cumulated."""
+        df = np.diff(self.matrix.indptr)
+        cum = np.zeros(Q.indices.size + 1, dtype=np.int64)
+        np.cumsum(df[Q.indices], out=cum[1:])
+        return cum[Q.indptr]
+
+    def overlaps(self, Q: SetCollection):
+        """``(indptr, rows, intersection_sizes)``: every overlapping pair
+        in CSR form, from one sparse product ``Q x P^T``.
+
+        Pairs come grouped by query; rows inside a group are unordered.
+        """
+        product = Q.to_scipy() @ self.matrix
+        return product.indptr, product.indices, product.data
+
+
+def _scan(
+    postings: SetPostings,
+    Q_chunk: SetCollection,
+    cs: float,
+    *,
+    k: Optional[int] = None,
+    self_start: Optional[int] = None,
+    match_duplicates: bool = True,
+):
+    """The exact scan behind every ``set_scan`` variant.
+
+    Every overlapping row counts as evaluated, but only pairs that can
+    reach ``cs`` are scored: Jaccard is at most ``|p & q| / |q|``, so a
+    pair with ``|p & q| < cs |q|`` (less a rounding margin) can neither
+    match nor enter a top-k list.  Query blocks are sized so each product
+    gathers at most ``CHUNK_ELEMS`` posting entries.  A query's pairs
+    generated are its posting entries gathered, but 0 when no row is
+    left to evaluate (a self-join query overlapping only itself).
+    """
+    out: list = []
+    stats = QueryStats()
+    cum = postings.gathered(Q_chunk)
+    for lo, hi in budget_blocks(cum, CHUNK_ELEMS):
+        Q = Q_chunk[lo:hi]
+        indptr, rows, inter = postings.overlaps(Q)
+        overlapping = np.diff(indptr)
+        need = np.ceil(cs * Q.sizes * _SCORE_SLACK).astype(inter.dtype)
+        pos = np.flatnonzero(inter >= np.repeat(need, overlapping))
+        qids = np.searchsorted(indptr, pos, side="right") - 1
+        rows, inter = rows[pos].astype(np.int64), inter[pos]
+        if self_start is not None:
+            # The self pair (Jaccard 1) always clears the filter, so it
+            # is dropped here and from the evaluated counts.
+            own = rows == self_start + lo + qids
+            overlapping = overlapping - np.bincount(qids[own], minlength=hi - lo)
+            qids, rows, inter = qids[~own], rows[~own], inter[~own]
+        scores = _jaccard_scores(inter, postings.sizes[rows], Q.sizes[qids])
+        if self_start is not None and not match_duplicates:
+            scores[scores >= 1.0] = -np.inf
+        out.extend(_answers(qids, rows, scores, hi - lo, cs, k))
+        _record(stats, np.where(overlapping > 0, np.diff(cum[lo:hi + 1]), 0),
+                overlapping)
+    return out, stats.unique_candidates, stats.candidates, stats
 
 
 def jaccard_scan_chunk(
@@ -117,23 +225,8 @@ def jaccard_scan_chunk(
     lowest-index maximizer is reported, so results are chunking- and
     worker-independent.
     """
-    matches: List[Optional[int]] = []
-    evaluated = generated = 0
-    stats = QueryStats()
     with span("set_scan", n_queries=len(Q_chunk)):
-        for members in Q_chunk:
-            rows, inter, gathered = postings.overlaps(members)
-            if rows.size == 0:
-                matches.append(None)
-                stats.record(0, 0)
-                continue
-            scores = _jaccard_scores(inter, postings.sizes[rows], members.size)
-            best = int(np.argmax(scores))
-            matches.append(int(rows[best]) if scores[best] >= cs else None)
-            evaluated += rows.size
-            generated += gathered
-            stats.record(gathered, rows.size)
-    return matches, evaluated, generated, stats
+        return _scan(postings, Q_chunk, cs)
 
 
 def jaccard_topk_chunk(
@@ -143,30 +236,12 @@ def jaccard_topk_chunk(
     k: int,
 ) -> Tuple[List[List[int]], int, int, QueryStats]:
     """Exact Jaccard top-k lists (ranked by score, ties to lower index)."""
-    out: List[List[int]] = []
-    evaluated = generated = 0
-    stats = QueryStats()
     with span("set_scan_topk", n_queries=len(Q_chunk)):
-        for members in Q_chunk:
-            rows, inter, gathered = postings.overlaps(members)
-            if rows.size == 0:
-                out.append([])
-                stats.record(0, 0)
-                continue
-            scores = _jaccard_scores(inter, postings.sizes[rows], members.size)
-            keep = scores >= cs
-            rows_k, scores_k = rows[keep], scores[keep]
-            order = np.argsort(-scores_k, kind="stable")[:k]
-            out.append(rows_k[order].tolist())
-            evaluated += rows.size
-            generated += gathered
-            stats.record(gathered, rows.size)
-    return out, evaluated, generated, stats
+        return _scan(postings, Q_chunk, cs, k=k)
 
 
 def jaccard_self_chunk(
     postings: SetPostings,
-    P: SetCollection,
     Q_chunk: SetCollection,
     start: int,
     cs: float,
@@ -178,40 +253,15 @@ def jaccard_self_chunk(
     ``match_duplicates`` off, rows whose sets equal the query set
     (Jaccard exactly 1) are masked too.
     """
-    matches: List[Optional[int]] = []
-    evaluated = generated = 0
-    stats = QueryStats()
     with span("set_scan_self", n_queries=len(Q_chunk)):
-        for qi, members in enumerate(Q_chunk):
-            rows, inter, gathered = postings.overlaps(members)
-            keep = rows != (start + qi)
-            rows, inter = rows[keep], inter[keep]
-            if rows.size == 0:
-                matches.append(None)
-                stats.record(0, 0)
-                continue
-            scores = _jaccard_scores(inter, postings.sizes[rows], members.size)
-            if not match_duplicates:
-                scores = np.where(scores >= 1.0, -np.inf, scores)
-            best = int(np.argmax(scores))
-            matches.append(int(rows[best]) if scores[best] >= cs else None)
-            evaluated += rows.size
-            generated += gathered
-            stats.record(gathered, rows.size)
-    return matches, evaluated, generated, stats
+        return _scan(postings, Q_chunk, cs, self_start=start,
+                     match_duplicates=match_duplicates)
 
 
 def hash_sets(tables, sets: SetCollection, side: str = "data") -> np.ndarray:
-    """Fused MinHash keys ``(n, n_tables)`` of a collection, densified in
-    bounded row chunks so the ``rows x universe`` intermediate stays small."""
-    n = len(sets)
-    keys = np.empty((n, tables.n_tables), dtype=np.int64)
-    for lo in range(0, n, HASH_CHUNK_ROWS):
-        chunk = sets[lo:lo + HASH_CHUNK_ROWS]
-        keys[lo:lo + HASH_CHUNK_ROWS] = tables.hash_matrix(
-            chunk.to_dense(dtype=np.int64), side=side
-        )
-    return keys
+    """Fused MinHash keys ``(n, n_tables)`` of a collection, hashed
+    straight from its CSR arrays."""
+    return tables.hash_csr(sets.indptr, sets.indices, side=side)
 
 
 class MinHashSetIndex:
@@ -221,8 +271,13 @@ class MinHashSetIndex:
     (the ensemble trick): a partition whose size range ``[lo, hi]``
     cannot reach Jaccard ``t`` against a query of size ``q`` — i.e.
     ``hi < t*q`` or ``lo > q/t`` — is skipped entirely at query time.
-    Within a partition each of the ``n_tables`` fused keys indexes a
-    sorted ``(key, row)`` bucket table; lookups are two binary searches.
+
+    The ``num_part x n_tables`` bucket tables are fused into one sorted
+    array of composite keys ``slot * n_codes + code`` (``slot`` =
+    partition x table, ``code`` = the rank of the fused MinHash key among
+    the data's distinct keys) with a parallel array of row ids, the
+    :mod:`repro.lsh.csr` layout: every lookup of a query block is one
+    pair of binary searches.
     """
 
     def __init__(
@@ -248,56 +303,90 @@ class MinHashSetIndex:
         )
         keys = hash_sets(self.tables, P, side="data")
         order = np.argsort(self.sizes, kind="stable")
-        num_part = min(int(num_part), max(1, n))
+        num_part = min(int(num_part), n)
         bounds = np.linspace(0, n, num_part + 1).astype(np.int64)
-        self.partitions = []
-        for p in range(num_part):
-            rows = order[bounds[p]:bounds[p + 1]]
-            if rows.size == 0:
-                continue
-            lo, hi = int(self.sizes[rows[0]]), int(self.sizes[rows[-1]])
-            buckets = []
-            for t in range(self.n_tables):
-                part_keys = keys[rows, t]
-                key_order = np.argsort(part_keys, kind="stable")
-                buckets.append(
-                    (part_keys[key_order], rows[key_order].astype(np.int64))
-                )
-            self.partitions.append((lo, hi, buckets))
+        part = np.empty(n, dtype=np.int64)
+        part[order] = np.repeat(np.arange(num_part), np.diff(bounds))
+        self.part_lo = self.sizes[order[bounds[:-1]]]
+        self.part_hi = self.sizes[order[bounds[1:] - 1]]
+        flat = keys.ravel()
+        by_key = np.argsort(flat, kind="stable")
+        distinct = np.ones(flat.size, dtype=bool)
+        np.not_equal(flat[by_key[1:]], flat[by_key[:-1]], out=distinct[1:])
+        self.codes = flat[by_key[distinct]]
+        code = np.empty(flat.size, dtype=np.int64)
+        code[by_key] = np.cumsum(distinct) - 1
+        slots = part[:, None] * self.n_tables + np.arange(self.n_tables)
+        fused = slots.ravel() * self.codes.size + code
+        key_order = np.argsort(fused, kind="stable")
+        self.fused_keys = fused[key_order]
+        self.fused_rows = key_order // self.n_tables
+
+    def arrays(self) -> List[np.ndarray]:
+        return [self.fused_keys, self.fused_rows, self.codes,
+                self.tables.order_keys, self.sizes]
 
     def candidates(
-        self, q_keys: np.ndarray, q_size: int, threshold: float
-    ) -> Tuple[np.ndarray, int]:
-        """``(unique_rows, pairs_with_multiplicity)`` colliding with a query."""
-        if q_size == 0:
-            return np.empty(0, dtype=np.int64), 0
-        hits = []
-        total = 0
-        for lo, hi, buckets in self.partitions:
-            if hi < threshold * q_size or lo * threshold > q_size:
-                continue
-            for t in range(self.n_tables):
-                keys_sorted, rows_sorted = buckets[t]
-                left = np.searchsorted(keys_sorted, q_keys[t], side="left")
-                right = np.searchsorted(keys_sorted, q_keys[t], side="right")
-                if right > left:
-                    hits.append(rows_sorted[left:right])
-                    total += right - left
-        if not hits:
-            return np.empty(0, dtype=np.int64), 0
-        return np.unique(np.concatenate(hits)), total
+        self, q_keys: np.ndarray, q_sizes: np.ndarray, threshold: float
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Colliding pairs of a query block: ``(qids, rows, multiplicity)``.
 
-    def verify(self, members: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Exact Jaccard of the query against each candidate row."""
+        ``qids`` / ``rows`` list each distinct ``(query, row)`` pair once,
+        grouped by query with rows ascending; ``multiplicity[i]`` counts
+        query ``i``'s bucket hits across all probed tables.
+        """
+        n_queries = q_keys.shape[0]
+        multiplicity = np.zeros(n_queries, dtype=np.int64)
+        if self.codes.size == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, multiplicity
+        code = np.minimum(_searchsorted(self.codes, q_keys), self.codes.size - 1)
+        known = self.codes[code] == q_keys                          # (B, T)
+        q_sizes = np.asarray(q_sizes)[:, None]
+        fits = (q_sizes > 0) & ~(
+            (self.part_hi < threshold * q_sizes)
+            | (self.part_lo * threshold > q_sizes)
+        )                                                           # (B, parts)
+        probe = fits[:, :, None] & known[:, None, :]                # (B, parts, T)
+        qid, part, table = np.nonzero(probe)
+        slot = part * self.n_tables + table
+        composite = slot * self.codes.size + code[qid, table]
+        ascending = np.argsort(composite)
+        qid, composite = qid[ascending], composite[ascending]
+        left = np.searchsorted(self.fused_keys, composite, side="left")
+        hits = np.searchsorted(self.fused_keys, composite, side="right") - left
+        np.add.at(multiplicity, qid, hits)
+        rows = self.fused_rows[_multi_arange(left, hits)]
+        n = len(self.P)
+        pairs = sorted_unique(np.repeat(qid, hits) * n + rows)
+        return pairs // n, pairs % n, multiplicity
+
+    def verify(
+        self, Q: SetCollection, qids: np.ndarray, rows: np.ndarray
+    ) -> np.ndarray:
+        """Exact Jaccard of each ``(query, row)`` pair of a query block.
+
+        The block's members go into a ``(queries, universe)`` bitmap; the
+        candidate rows' members are gathered against it and the hits
+        summed per pair with one ``bincount``.  Queries are taken
+        ``CHUNK_ELEMS // universe`` at a time to bound the bitmap.
+        """
+        universe = self.P.universe
         scores = np.empty(rows.size, dtype=np.float64)
-        q_size = members.size
-        for j, r in enumerate(rows):
-            p_members = self.P.row(int(r))
-            inter = int(
-                np.isin(p_members, members, assume_unique=True).sum()
-            )
-            union = p_members.size + q_size - inter
-            scores[j] = inter / union if union else 0.0
+        step = max(1, CHUNK_ELEMS // universe)
+        for lo in range(0, len(Q), step):
+            Qb = Q[lo:lo + step]
+            a, b = np.searchsorted(qids, [lo, lo + len(Qb)])
+            q, r = qids[a:b] - lo, rows[a:b]
+            bitmap = np.zeros(len(Qb) * universe, dtype=bool)
+            bitmap[np.repeat(np.arange(len(Qb)) * universe, Qb.sizes)
+                   + Qb.indices] = True
+            lens = self.sizes[r]
+            members = self.P.indices[_multi_arange(self.P.indptr[r], lens)]
+            pair = np.repeat(np.arange(r.size), lens)
+            hit = bitmap[np.repeat(q * universe, lens) + members]
+            inter = np.bincount(pair[hit], minlength=r.size)
+            scores[a:b] = _jaccard_scores(inter, lens, Qb.sizes[q])
         return scores
 
 
@@ -316,34 +405,18 @@ def minhash_join_chunk(
     and self-join (``self_start`` set to the chunk's global offset into
     ``P``).  Returns ``(matches_or_topk, evaluated, generated, stats)``.
     """
-    out: list = []
-    evaluated = generated = 0
     stats = QueryStats()
     q_keys = hash_sets(index.tables, Q_chunk, side="query")
     with span("minhash_probe", n_queries=len(Q_chunk)):
-        for qi, members in enumerate(Q_chunk):
-            rows, multiplicity = index.candidates(
-                q_keys[qi], members.size, cs
-            )
-            if self_start is not None:
-                rows = rows[rows != (self_start + qi)]
-            if rows.size == 0:
-                out.append([] if k is not None else None)
-                stats.record(multiplicity, 0)
-                generated += multiplicity
-                continue
-            scores = index.verify(members, rows)
-            if self_start is not None and not match_duplicates:
-                scores = np.where(scores >= 1.0, -np.inf, scores)
-            evaluated += rows.size
-            generated += multiplicity
-            stats.record(multiplicity, rows.size)
-            if k is not None:
-                keep = scores >= cs
-                rows_k, scores_k = rows[keep], scores[keep]
-                order = np.argsort(-scores_k, kind="stable")[:k]
-                out.append(rows_k[order].tolist())
-            else:
-                best = int(np.argmax(scores))
-                out.append(int(rows[best]) if scores[best] >= cs else None)
+        qids, rows, multiplicity = index.candidates(q_keys, Q_chunk.sizes, cs)
+        if self_start is not None:
+            keep = rows != self_start + qids
+            qids, rows = qids[keep], rows[keep]
+        scores = index.verify(Q_chunk, qids, rows)
+        if self_start is not None and not match_duplicates:
+            scores[scores >= 1.0] = -np.inf
+        out = _answers(qids, rows, scores, len(Q_chunk), cs, k)
+        generated, evaluated = _record(
+            stats, multiplicity, np.bincount(qids, minlength=len(Q_chunk))
+        )
     return out, evaluated, generated, stats

@@ -133,6 +133,13 @@ class SetCollection:
         out[rows, self.indices] = 1
         return out
 
+    def to_scipy(self):
+        """``scipy.sparse`` CSR matrix of int32 ones, ``shape`` ``(n, universe)``."""
+        from scipy import sparse
+
+        ones = np.ones(self.indices.size, dtype=np.int32)
+        return sparse.csr_matrix((ones, self.indices, self.indptr), shape=self.shape)
+
     @classmethod
     def from_dense(cls, X: np.ndarray) -> "SetCollection":
         """CSR form of a dense binary matrix (any numeric dtype)."""

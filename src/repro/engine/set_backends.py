@@ -77,9 +77,7 @@ class SetScanStructure:
         return self
 
     def arrays(self):
-        if self.postings is None:
-            return []
-        return [self.postings.indptr, self.postings.rows, self.postings.sizes]
+        return [] if self.postings is None else self.postings.arrays()
 
 
 class SetScanBackend(JoinBackend):
@@ -109,8 +107,7 @@ class SetScanBackend(JoinBackend):
             return ChunkResult(matches, evaluated, generated, stats, topk=lists)
         if spec.is_self:
             matches, evaluated, generated, stats = jaccard_self_chunk(
-                postings, _as_sets(P, "P"), Q_chunk, start, spec.cs,
-                spec.match_duplicates,
+                postings, Q_chunk, start, spec.cs, spec.match_duplicates,
             )
         else:
             matches, evaluated, generated, stats = jaccard_scan_chunk(
@@ -168,6 +165,11 @@ class MinHashStructure:
                 seed=self.seed,
             )
         return self
+
+    def arrays(self):
+        """The fused bucket arrays and the MinHash order keys, so pools
+        pin the index instead of pickling it into every call."""
+        return [] if self.index is None else self.index.arrays()
 
 
 class MinHashLSHBackend(JoinBackend):

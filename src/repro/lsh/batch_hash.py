@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.errors import DomainError, ParameterError, ValidationError
 from repro.lsh.base import BatchHashTables, MISS_KEY
-from repro.lsh.csr import sorted_unique
+from repro.lsh.csr import budget_blocks, sorted_unique
 from repro.utils.validation import check_matrix
 
 #: Largest fused key product handled by the fixed mixed-radix pack.
@@ -381,11 +381,70 @@ def _binary_rows(X) -> np.ndarray:
     return arr != 0
 
 
-class MinHashTables(ComponentHashTables):
-    """Minwise components: masked argmin over all permutations at once.
+def _binary_csr(X, universe: int):
+    """``(indptr, indices)`` of a validated dense binary matrix."""
+    B = _binary_rows(X)
+    if B.shape[1] != universe:
+        raise ValidationError(f"X must have {universe} columns, got {B.shape[1]}")
+    rows, cols = np.nonzero(B)
+    indptr = np.zeros(B.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=B.shape[0]), out=indptr[1:])
+    return indptr, cols.astype(np.int64)
 
-    Component values are the minimizing *element index* shifted by one so
-    the empty-set sentinel packs as ``0`` (radix ``universe + 1``).
+
+def _order_keys(priorities: np.ndarray, universe: int) -> np.ndarray:
+    """``(count, universe)`` keys ``priority * universe + element``.
+
+    Comparing keys compares ``(priority, element)`` lexicographically, so
+    the smallest key over a set names its member with the smallest
+    priority, ties to the lowest element (``argmin``'s first occurrence),
+    and ``key % universe`` is that member.  Keys are int32 when they fit,
+    which halves the memory traffic of the hashing gather.
+    """
+    top = int(priorities.max()) + 1 if priorities.size else 1
+    if priorities.size and (priorities.min() < 0 or top > MAX_PACKED_KEY // universe):
+        raise ValidationError("priorities must lie in [0, 2**62 / universe)")
+    dtype = np.int32 if top * universe <= np.iinfo(np.int32).max else np.int64
+    keys = priorities * np.int64(universe) + np.arange(universe, dtype=np.int64)
+    return keys.astype(dtype)
+
+
+def _csr_min_keys(keys: np.ndarray, indptr, indices, empty: int) -> np.ndarray:
+    """``(n, count)`` row minima of ``keys[:, element]`` over CSR rows.
+
+    One gather at ``indices`` and one flat ``np.minimum.reduceat`` whose
+    segments are every (function, non-empty row) pair: ``nnz x count``
+    work.  Rows are gathered in blocks of at most ``CHUNK_ELEMS`` keys;
+    empty rows get ``empty``.
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    count = keys.shape[0]
+    out = np.full((indptr.size - 1, count), empty, dtype=np.int64)
+    for lo, hi in budget_blocks(indptr, max(1, CHUNK_ELEMS // count)):
+        first, last = indptr[lo], indptr[hi]
+        if first == last:
+            continue
+        filled = indptr[lo + 1:hi + 1] > indptr[lo:hi]
+        # The first non-empty row starts at 0, so each function's last
+        # segment ends exactly where the next function's keys begin.
+        starts = (np.arange(count)[:, None] * (last - first)
+                  + (indptr[lo:hi] - first)[filled])
+        gathered = np.take(keys, indices[first:last], axis=1)
+        mins = np.minimum.reduceat(gathered.ravel(), starts.ravel())
+        out[lo:hi][filled] = mins.reshape(count, -1).T
+    return out
+
+
+class MinHashTables(ComponentHashTables):
+    """Minwise components from CSR rows: one gather + segmented minimum.
+
+    Every function's priorities are folded into lexicographic
+    ``(priority, element)`` keys (:func:`_order_keys`), so hashing a block
+    of sets is a gather of their members' keys and one segmented minimum
+    per row: ``nnz x functions`` work.  Dense input goes through the same
+    kernel via its nonzeros.  Component values are the minimizing
+    *element index* shifted by one so the empty-set sentinel packs as
+    ``0`` (radix ``universe + 1``).
     """
 
     def __init__(self, priorities: np.ndarray, n_tables: int, hashes_per_table: int):
@@ -396,35 +455,29 @@ class MinHashTables(ComponentHashTables):
                 f"priorities must be ({count}, universe), got {priorities.shape}"
             )
         super().__init__(n_tables, hashes_per_table, radices=priorities.shape[1] + 1)
-        self._priorities = priorities
         self._universe = priorities.shape[1]
+        #: ``(count, universe)`` order keys; the only copy of the priorities.
+        self.order_keys = _order_keys(priorities, self._universe)
+
+    @property
+    def _priorities(self) -> np.ndarray:
+        return self.order_keys // self._universe
 
     def _as_rows(self, X):
         return _binary_rows(X)
 
-    def _check_universe(self, B: np.ndarray) -> None:
-        if B.shape[1] != self._universe:
-            raise ValidationError(
-                f"X must have {self._universe} columns, got {B.shape[1]}"
-            )
+    def hash_csr(self, indptr, indices, side: str = "data") -> np.ndarray:
+        """Fused keys ``(n, n_tables)`` of the sets ``indices[indptr[i]:indptr[i+1]]``."""
+        side = self._check_side(side)
+        return self._fuse(self._csr_components(indptr, indices), side)
+
+    def _csr_components(self, indptr, indices) -> np.ndarray:
+        keys = _csr_min_keys(self.order_keys, indptr, indices, empty=-1)
+        comps = np.where(keys >= 0, keys % self._universe + 1, 0)
+        return comps.reshape(-1, self.n_tables, self.hashes_per_table)
 
     def _components(self, X, side):
-        B = _binary_rows(X)
-        self._check_universe(B)
-        n = B.shape[0]
-        count = self.n_tables * self.hashes_per_table
-        comps = np.empty((n, count), dtype=np.int64)
-        # The universe size dominates all priorities, so argmin of the
-        # masked array is the member with the smallest priority.
-        sentinel = np.int64(self._universe)
-        step = max(1, CHUNK_ELEMS // max(1, count * self._universe))
-        for start in range(0, n, step):
-            block = B[start:start + step]
-            masked = np.where(block[:, None, :], self._priorities[None, :, :], sentinel)
-            chunk = np.argmin(masked, axis=2).astype(np.int64)
-            chunk[~block.any(axis=1), :] = -1  # EMPTY_SET
-            comps[start:start + step] = chunk
-        return (comps + 1).reshape(n, self.n_tables, self.hashes_per_table)
+        return self._csr_components(*_binary_csr(X, self._universe))
 
     def _component_row(self, x, side):
         from repro.lsh.minhash import _min_under, _support
@@ -465,6 +518,7 @@ class AsymmetricMinHashTables(ComponentHashTables):
         self._priorities = priorities
         self._universe = int(universe)
         self._max_norm = int(max_norm)
+        self._real_keys = _order_keys(priorities[:, :universe], self._universe)
         # Prefix minima over the dummy block: entry j is the min (and its
         # in-block argmin) of the first j+1 dummy priorities, so padding a
         # weight-w vector is an O(1) lookup at j = (M - w) - 1.
@@ -479,48 +533,32 @@ class AsymmetricMinHashTables(ComponentHashTables):
         return _binary_rows(X)
 
     def _components(self, X, side):
-        B = _binary_rows(X)
-        if B.shape[1] != self._universe:
-            raise ValidationError(
-                f"X must have {self._universe} columns, got {B.shape[1]}"
-            )
-        n = B.shape[0]
-        count = self.n_tables * self.hashes_per_table
-        real = self._priorities[:, : self._universe]
+        indptr, indices = _binary_csr(X, self._universe)
+        shape = (indptr.size - 1, self.n_tables, self.hashes_per_table)
         sentinel = np.int64(self._universe + self._max_norm)  # > every priority
-        comps = np.empty((n, count), dtype=np.int64)
-        step = max(1, CHUNK_ELEMS // max(1, count * self._universe))
+        keys = _csr_min_keys(
+            self._real_keys, indptr, indices, empty=sentinel * self._universe
+        )
+        real_min, real_arg = np.divmod(keys, self._universe)
+        weights = np.diff(indptr)
         if side == "query":
-            for start in range(0, n, step):
-                block = B[start:start + step]
-                masked = np.where(block[:, None, :], real[None, :, :], sentinel)
-                chunk = np.argmin(masked, axis=2).astype(np.int64)
-                chunk[~block.any(axis=1), :] = -1  # EMPTY_SET
-                comps[start:start + step] = chunk
-            return (comps + 1).reshape(n, self.n_tables, self.hashes_per_table)
+            comps = np.where(weights[:, None] > 0, real_arg + 1, 0)
+            return comps.reshape(shape)
 
-        weights = B.sum(axis=1)
         if (weights > self._max_norm).any():
             worst = int(weights[np.argmax(weights > self._max_norm)])
             raise DomainError(
                 f"data vector weight {worst} exceeds max_norm {self._max_norm}"
             )
-        for start in range(0, n, step):
-            block = B[start:start + step]
-            masked = np.where(block[:, None, :], real[None, :, :], sentinel)
-            real_arg = np.argmin(masked, axis=2).astype(np.int64)
-            real_min = np.min(masked, axis=2)
-            dummy_count = self._max_norm - weights[start:start + step]
-            last = np.maximum(dummy_count - 1, 0)
-            dummy_min = self._dummy_min[:, last].T
-            dummy_arg = self._universe + self._dummy_argmin[:, last].T
-            # Weight-M vectors get no dummies; priorities are distinct so
-            # the real/dummy comparison never ties.
-            dummy_min = np.where(dummy_count[:, None] > 0, dummy_min, sentinel)
-            comps[start:start + step] = np.where(
-                real_min < dummy_min, real_arg, dummy_arg
-            )
-        return (comps + 1).reshape(n, self.n_tables, self.hashes_per_table)
+        dummy_count = self._max_norm - weights
+        last = np.maximum(dummy_count - 1, 0)
+        dummy_min = self._dummy_min[:, last].T
+        dummy_arg = self._universe + self._dummy_argmin[:, last].T
+        # Weight-M vectors get no dummies; priorities are distinct so
+        # the real/dummy comparison never ties.
+        dummy_min = np.where(dummy_count[:, None] > 0, dummy_min, sentinel)
+        comps = np.where(real_min < dummy_min, real_arg, dummy_arg)
+        return (comps + 1).reshape(shape)
 
     def _component_row(self, x, side):
         from repro.lsh.minhash import _min_under, _support

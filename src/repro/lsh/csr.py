@@ -47,6 +47,22 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
+def budget_blocks(cum: np.ndarray, budget: int):
+    """Split rows into consecutive ``[lo, hi)`` blocks of bounded cost.
+
+    ``cum`` is the ``(n + 1,)`` running cost of the rows (a CSR
+    ``indptr`` when the cost is the row length).  Each block's cost stays
+    within ``budget``, except that a block always holds at least one row.
+    """
+    n = cum.size - 1
+    lo = 0
+    while lo < n:
+        hi = int(np.searchsorted(cum, cum[lo] + budget, side="right")) - 1
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
 @dataclass(frozen=True)
 class CSRBucketTable:
     """One hash table in CSR layout.  Build with :meth:`from_keys`."""

@@ -147,3 +147,30 @@ class TestQueryBlock:
         index = NormScanIndex(model.items)
         with pytest.raises(ParameterError):
             index.query_block(np.ones((2, index.d + 1)), threshold=0.5)
+
+
+class TestBoundaryPair:
+    """``P = Q = 0.1 e1`` at ``s = c = 0.1``: ``p . q == cs`` exactly, but
+    the cutoff ``cs / |q|`` rounds one ulp above ``|p|``.  The pair must
+    survive pruning, as it does in the brute-force join."""
+
+    P = np.array([[0.1, 0.0]])
+    SPEC = JoinSpec(s=0.1, c=0.1)
+
+    def test_instance_sits_on_the_boundary(self):
+        assert float(self.P[0] @ self.P[0]) == self.SPEC.cs
+        assert self.SPEC.cs / 0.1 > 0.1
+
+    @pytest.mark.parametrize("signed", [True, False])
+    def test_join_matches_brute_force(self, signed):
+        spec = JoinSpec(s=0.1, c=0.1, signed=signed)
+        expected = brute_force_join(self.P, self.P, spec).matches
+        assert expected == [0]
+        assert norm_pruned_join(self.P, self.P, spec).matches == expected
+
+    def test_scalar_block_and_topk_scans_keep_the_pair(self):
+        index = NormScanIndex(self.P)
+        cs = self.SPEC.cs
+        assert index.query(self.P[0], threshold=cs)[0] == 0
+        assert index.query_block(self.P, threshold=cs)[0].tolist() == [0]
+        assert index.topk_block(self.P, threshold=cs, k=1)[0] == [[0]]
