@@ -11,8 +11,9 @@ a verification that its matches coincide with brute force.
 import numpy as np
 
 from benchmarks.conftest import emit, format_table
-from repro.core import JoinSpec, brute_force_join, norm_pruned_join
+from repro.core import JoinSpec, brute_force_join
 from repro.datasets import latent_factor_model
+from repro.engine import join as engine_join
 
 
 def test_norm_pruning_vs_skew(benchmark):
@@ -24,7 +25,8 @@ def test_norm_pruning_vs_skew(benchmark):
             )
             spec = JoinSpec(s=0.4, c=0.8)
             exact = brute_force_join(model.items, model.users, spec)
-            pruned = norm_pruned_join(model.items, model.users, spec)
+            pruned = engine_join(model.items, model.users, spec,
+                                 backend="norm_pruned")
             agree = all(
                 (a is None) == (b is None)
                 for a, b in zip(pruned.matches, exact.matches)
@@ -52,7 +54,8 @@ def test_norm_pruned_join_timing(benchmark):
     model = latent_factor_model(32, 2000, rank=16, popularity_skew=0.8, seed=1)
     spec = JoinSpec(s=0.4, c=0.8)
     benchmark.pedantic(
-        lambda: norm_pruned_join(model.items, model.users, spec),
+        lambda: engine_join(model.items, model.users, spec,
+                            backend="norm_pruned"),
         rounds=3, iterations=1,
     )
 

@@ -14,14 +14,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import emit, format_table
-from repro.core import (
-    BatchIndexSpec,
-    JoinSpec,
-    brute_force_join,
-    lsh_join,
-    parallel_lsh_join,
-    sketch_unsigned_join,
-)
+from repro.core import BatchIndexSpec, JoinSpec, brute_force_join
 from repro.datasets import adversarial_maxip, planted_mips
 from repro.engine import join as engine_join
 from repro.lsh import DataDepALSH
@@ -69,25 +62,26 @@ def test_join_crossover_table(benchmark):
 
             family = DataDepALSH(d, sphere="hyperplane")
             start = time.perf_counter()
-            approx = lsh_join(inst.P, inst.Q, spec, family,
-                              n_tables=12, hashes_per_table=7, seed=1)
+            approx = engine_join(inst.P, inst.Q, spec, backend="lsh",
+                                 family=family, n_tables=12,
+                                 hashes_per_table=7, seed=1)
             timings["lsh"] = time.perf_counter() - start
 
-            # Same scheme through the CSR batch index + blocked verify
-            # (the executor's serial path; n_workers=1 is exact).
+            # Same scheme through the CSR batch index + blocked verify.
             start = time.perf_counter()
-            batch = parallel_lsh_join(
-                inst.P, inst.Q, spec,
+            batch = engine_join(
+                inst.P, inst.Q, spec, backend="lsh",
                 index_spec=BatchIndexSpec(
                     d=d, scheme="datadep", n_tables=12, bits_per_table=7, seed=1,
                 ),
-                n_workers=1,
             )
             timings["lsh-csr"] = time.perf_counter() - start
 
             start = time.perf_counter()
-            sketched = sketch_unsigned_join(inst.P, inst.Q, s=inst.s,
-                                            kappa=3.0, copies=5, seed=2)
+            sketched = engine_join(inst.P, inst.Q,
+                                   JoinSpec(s=inst.s, signed=False),
+                                   backend="sketch", kappa=3.0, copies=5,
+                                   seed=2)
             timings["sketch"] = time.perf_counter() - start
 
             for name, result in (("exact", exact), ("lsh", approx),
@@ -194,8 +188,8 @@ def test_lsh_join_n1024(benchmark):
     spec = JoinSpec(s=inst.s, c=0.4)
     family = DataDepALSH(24, sphere="hyperplane")
     benchmark.pedantic(
-        lambda: lsh_join(inst.P, inst.Q, spec, family,
-                         n_tables=8, hashes_per_table=7, seed=1),
+        lambda: engine_join(inst.P, inst.Q, spec, backend="lsh", family=family,
+                            n_tables=8, hashes_per_table=7, seed=1),
         rounds=3, iterations=1,
     )
 
@@ -203,8 +197,8 @@ def test_lsh_join_n1024(benchmark):
 def test_sketch_join_n1024(benchmark):
     inst = planted_mips(1024, 16, 24, s=0.85, c=0.4, seed=0)
     benchmark.pedantic(
-        lambda: sketch_unsigned_join(inst.P, inst.Q, s=inst.s,
-                                     kappa=3.0, copies=5, seed=2),
+        lambda: engine_join(inst.P, inst.Q, JoinSpec(s=inst.s, signed=False),
+                            backend="sketch", kappa=3.0, copies=5, seed=2),
         rounds=3, iterations=1,
     )
 
@@ -216,7 +210,7 @@ def test_batch_lsh_join_n1024(benchmark):
         d=24, scheme="datadep", n_tables=8, bits_per_table=7, seed=1
     )
     benchmark.pedantic(
-        lambda: parallel_lsh_join(inst.P, inst.Q, spec,
-                                  index_spec=index_spec, n_workers=1),
+        lambda: engine_join(inst.P, inst.Q, spec, backend="lsh",
+                            index_spec=index_spec),
         rounds=3, iterations=1,
     )

@@ -13,7 +13,7 @@ Run:  python examples/correlation_mining.py
 import numpy as np
 
 from repro.core import JoinSpec, brute_force_join, chebyshev_expand_join
-from repro.core.join import unsigned_join
+from repro.core.join import unsigned_via_signed
 from repro.datasets import random_sign
 
 
@@ -46,7 +46,7 @@ def main():
         print(f"  query {qi:>2} ~ data {pi:>3}  correlation {value:+d} "
               f"({'anti' if value < 0 else 'pos'})")
 
-    via = unsigned_join(P, Q, s=spec.s, c=spec.c, algorithm="via-signed")
+    via = unsigned_via_signed(P, Q, spec, backend="brute_force")
     print(f"\nunsigned-via-signed reduction: recall "
           f"{via.recall_against(exact):.2f} (joins P with Q and -Q)")
 

@@ -9,7 +9,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import signed_join, unsigned_join
+from repro import JoinSpec, engine
 from repro.datasets import planted_mips
 from repro.lsh import DataDepALSH
 
@@ -21,14 +21,15 @@ def main():
     print(f"data: {inst.n} vectors, {inst.d} dims; queries: 32; "
           f"threshold s = {inst.s}, gap cs = {inst.cs}")
 
-    exact = signed_join(inst.P, inst.Q, s=inst.s)
+    exact = engine.join(inst.P, inst.Q, JoinSpec(s=inst.s),
+                        backend="brute_force")
     print(f"\nexact join:   {exact.matched_count}/32 matched, "
           f"{exact.inner_products_evaluated} inner products")
 
     family = DataDepALSH(inst.d, sphere="hyperplane")
-    approx = signed_join(
-        inst.P, inst.Q, s=inst.s, c=0.4,
-        algorithm="lsh", family=family, seed=1,
+    approx = engine.join(
+        inst.P, inst.Q, JoinSpec(s=inst.s, c=0.4),
+        backend="lsh", family=family, seed=1,
         n_tables=14, hashes_per_table=7,
     )
     print(f"LSH join:     {approx.matched_count}/32 matched, "
@@ -36,8 +37,8 @@ def main():
           f"({approx.inner_products_evaluated / exact.inner_products_evaluated:.1%} "
           f"of exact), recall {approx.recall_against(exact):.2f}")
 
-    sketched = unsigned_join(inst.P, inst.Q, s=inst.s,
-                             algorithm="sketch", kappa=3.0, seed=2)
+    sketched = engine.join(inst.P, inst.Q, JoinSpec(s=inst.s, signed=False),
+                           backend="sketch", kappa=3.0, seed=2)
     print(f"sketch join:  {sketched.matched_count}/32 matched "
           f"(own approximation c = {sketched.spec.c:.3f}), "
           f"recall {sketched.recall_against(exact):.2f}")

@@ -12,7 +12,8 @@ Run:  python examples/set_similarity.py
 
 import numpy as np
 
-from repro.core import JoinSpec, brute_force_join, lsh_join
+from repro import engine
+from repro.core import JoinSpec, brute_force_join
 from repro.datasets import zipfian_sets
 from repro.lsh import AsymmetricMinHash
 
@@ -39,7 +40,8 @@ def main():
           f"({exact.inner_products_evaluated} pair evaluations)")
 
     family = AsymmetricMinHash(universe, max_norm=max_weight)
-    approx = lsh_join(P, Q, spec, family, n_tables=24, hashes_per_table=2, seed=3)
+    approx = engine.join(P, Q, spec, backend="lsh", family=family,
+                         n_tables=24, hashes_per_table=2, seed=3)
     print(f"MH-ALSH join: {approx.matched_count}/{m} matched, "
           f"recall {approx.recall_against(exact):.2f}, "
           f"{approx.inner_products_evaluated} pair evaluations "

@@ -5,8 +5,11 @@ Ahle, Pagh, Razenshteyn, Silvestri — PODS 2016 (arXiv:1510.02824).
 The package implements every constructive object in the paper and the
 substrates they depend on:
 
-* ``repro.core`` — signed/unsigned ``(cs, s)`` IPS joins and MIPS search
-  (exact, LSH-based, sketch-based, and an embed-and-multiply baseline).
+* ``repro.engine`` — the one entry point for every ``(cs, s)`` join
+  variant (signed/unsigned, threshold, top-k, self; exact, LSH-based,
+  sketch-based), with a cost-model planner and prepared sessions.
+* ``repro.core`` — the problem records, the join kernels, MIPS search,
+  and an embed-and-multiply baseline.
 * ``repro.ovp`` — the Orthogonal Vectors Problem, its solvers, and the
   generalized unbalanced variant (Lemma 1).
 * ``repro.embeddings`` — the three gap embeddings of Lemma 3 and the MIPS
@@ -24,15 +27,15 @@ substrates they depend on:
 
 Quickstart::
 
-    import numpy as np
-    from repro import signed_join, unsigned_join
+    from repro import JoinSpec, engine
     from repro.datasets import planted_mips
     from repro.lsh import DataDepALSH
 
-    inst = planted_mips(n=1000, m=32, d=32, s=0.8, c=0.5, seed=0)
-    exact = signed_join(inst.P, inst.Q, s=inst.s)
-    approx = signed_join(inst.P, inst.Q, s=inst.s, c=0.5, algorithm="lsh",
-                         family=DataDepALSH(32), seed=0)
+    inst = planted_mips(n=1000, m=16, d=32, s=0.8, c=0.5, seed=0)
+    exact = engine.join(inst.P, inst.Q, JoinSpec(s=inst.s),
+                        backend="brute_force")
+    approx = engine.join(inst.P, inst.Q, JoinSpec(s=inst.s, c=0.5),
+                         backend="lsh", family=DataDepALSH(32), seed=0)
     print(approx.recall_against(exact))
 """
 
@@ -42,8 +45,6 @@ from repro.core import (
     MIPSResult,
     brute_force_join,
     brute_force_mips,
-    signed_join,
-    unsigned_join,
 )
 from repro import engine
 from repro.errors import (
@@ -63,8 +64,6 @@ __all__ = [
     "JoinSpec",
     "JoinResult",
     "MIPSResult",
-    "signed_join",
-    "unsigned_join",
     "brute_force_join",
     "brute_force_mips",
     "ReproError",

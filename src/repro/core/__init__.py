@@ -1,11 +1,12 @@
-"""The paper's primary problem API: signed/unsigned IPS joins and MIPS.
+"""The paper's primary problem records, kernels and exact baselines.
 
 ``problems`` defines the problem records; ``brute_force`` the exact
-quadratic baselines; ``lsh_join`` the (A)LSH-driven ``(cs, s)`` join;
-``sketch_join`` the Section 4.3 sketch join; ``algebraic`` the
-embed-and-multiply baseline in the spirit of Valiant/Karppa et al.;
-``scaling`` the c-MIPS <-> (cs,s)-search reductions; ``join`` the
-top-level dispatch.
+quadratic baselines; ``lsh_join``, ``sketch_join``, ``norm_pruning``,
+``topk``, ``self_join`` and ``set_join`` the chunk kernels the engine's
+backends run; ``algebraic`` the embed-and-multiply baseline in the
+spirit of Valiant/Karppa et al.; ``scaling`` the c-MIPS <-> (cs,s)-search
+reductions; ``join`` the unsigned-to-signed reduction.  Joins themselves
+are answered by :func:`repro.engine.join`.
 """
 
 from repro.core.problems import JoinResult, JoinSpec, MIPSResult, QueryStats
@@ -17,22 +18,16 @@ from repro.core.brute_force import (
 )
 from repro.core.executor import (
     BatchIndexSpec,
-    SketchStructureSpec,
     WorkerPool,
     close_pools,
     get_pool,
     map_query_chunks,
-    parallel_lsh_join,
-    parallel_sketch_join,
     resolve_workers,
 )
-from repro.core.join import signed_join, unsigned_join
-from repro.core.lsh_join import lsh_join
-from repro.core.norm_pruning import NormScanIndex, norm_pruned_join
+from repro.core.join import unsigned_via_signed
+from repro.core.norm_pruning import NormScanIndex
 from repro.core.scaling import cmips_via_search
-from repro.core.self_join import lsh_self_join, self_join
-from repro.core.sketch_join import sketch_unsigned_join
-from repro.core.topk import join_topk, lsh_join_topk, topk_recall
+from repro.core.topk import topk_recall
 from repro.core.verify import BlockVerification, verify_block, verify_candidates
 
 __all__ = [
@@ -43,27 +38,16 @@ __all__ = [
     "brute_force_join",
     "brute_force_mips",
     "brute_force_search",
-    "lsh_join",
-    "sketch_unsigned_join",
     "chebyshev_expand_join",
     "cmips_via_search",
-    "signed_join",
-    "unsigned_join",
-    "join_topk",
-    "lsh_join_topk",
+    "unsigned_via_signed",
     "topk_recall",
     "NormScanIndex",
-    "norm_pruned_join",
-    "self_join",
-    "lsh_self_join",
     "BatchIndexSpec",
-    "SketchStructureSpec",
     "WorkerPool",
     "close_pools",
     "get_pool",
     "map_query_chunks",
-    "parallel_lsh_join",
-    "parallel_sketch_join",
     "resolve_workers",
     "BlockVerification",
     "verify_block",

@@ -72,12 +72,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 import numpy as np
 
 from repro.core.arena import SharedArena, clone_shell, freeze, thaw
-from repro.core.problems import (
-    JoinResult,
-    JoinSpec,
-    QueryStats,
-    validate_join_inputs,
-)
+from repro.core.problems import JoinResult, JoinSpec, QueryStats
 from repro.core.verify import DEFAULT_BLOCK
 from repro.errors import ParameterError
 from repro.lsh.batch import BatchSignIndex
@@ -143,40 +138,6 @@ class BatchIndexSpec:
         else:
             index = BatchSignIndex.for_symmetric(self.d, eps=self.eps, **common)
         return index.build(P)
-
-
-@dataclass(frozen=True)
-class SketchStructureSpec:
-    """Picklable recipe for a :class:`~repro.sketches.cmips.SketchCMIPS`.
-
-    Pure data like :class:`BatchIndexSpec`: a concrete integer seed makes
-    every worker rebuild bit-identical sketches, so sharding the query
-    set cannot change which data vector a query's descent proposes.
-    """
-
-    kappa: float = 4.0
-    copies: int = 7
-    leaf_size: int = 8
-    seed: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ParameterError(
-                f"seed must be a concrete integer for reproducible worker "
-                f"rebuilds, got {type(self.seed).__name__}"
-            )
-
-    def build(self, P):
-        """Construct the c-MIPS structure over ``P``."""
-        from repro.sketches.cmips import SketchCMIPS
-
-        return SketchCMIPS(
-            P,
-            kappa=self.kappa,
-            copies=self.copies,
-            leaf_size=self.leaf_size,
-            seed=int(self.seed),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -435,24 +396,6 @@ def _run_thread_stream_chunk(structure, P, Q_chunk, start: int, runner, args):
     """Thread-pool task for streamed ``Q``: shell-clone, run one chunk."""
     local = clone_shell(structure)
     return runner(local, P, Q_chunk, start, args)
-
-
-# Legacy pickle-per-worker path, kept for the bench baseline comparison
-# (tools/bench_perf.py measures zero-copy against exactly this) and for
-# any external caller that wired the old initializer directly.
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(payload, P) -> None:
-    structure = payload.build(P) if hasattr(payload, "build") else payload
-    _WORKER_STATE["structure"] = structure
-    _WORKER_STATE["P"] = P
-
-
-def _run_worker_chunk(runner, Q_chunk, start, args):
-    return runner(
-        _WORKER_STATE["structure"], _WORKER_STATE["P"], Q_chunk, start, args
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -742,11 +685,10 @@ def map_query_chunks(
 
     Args:
         payload: either a built structure or a recipe exposing
-            ``build(P) -> structure`` (:class:`BatchIndexSpec`,
-            :class:`SketchStructureSpec`, an engine structure with a
-            lazy ``build``).  Built ONCE in the parent; workers receive
-            shared-memory views (process pools) or shell clones (thread
-            pools) of the same built structure.
+            ``build(P) -> structure`` (:class:`BatchIndexSpec`, an
+            engine structure with a lazy ``build``).  Built ONCE in the
+            parent; workers receive shared-memory views (process pools)
+            or shell clones (thread pools) of the same built structure.
         P, Q: data and query matrices (already validated by the caller).
             ``Q`` may also be a :class:`QuerySource`: array-kind sources
             (including memmapped files) run the normal chunked path;
@@ -956,22 +898,6 @@ def _map_stream_chunks(
         scratch.close()
 
 
-def _lsh_runner(index, P, Q_chunk, start, args):
-    """Chunk runner for LSH filter-then-verify joins."""
-    from repro.core.lsh_join import lsh_filter_verify_chunk
-
-    signed, cs, n_probes, block = args
-    return lsh_filter_verify_chunk(index, P, Q_chunk, signed, cs, n_probes, block)
-
-
-def _sketch_runner(structure, P, Q_chunk, start, args):
-    """Chunk runner for the Section 4.3 sketch join."""
-    from repro.core.sketch_join import sketch_filter_verify_chunk
-
-    cs, block = args
-    return sketch_filter_verify_chunk(structure, P, Q_chunk, cs, block)
-
-
 def _engine_runner(structure, P, Q_chunk, start, args):
     """Chunk runner for the unified engine: dispatch to a named backend.
 
@@ -1049,84 +975,3 @@ def merge_join_chunks(
         backend=backend,
         stats=stats,
     )
-
-
-def parallel_lsh_join(
-    P,
-    Q,
-    spec: JoinSpec,
-    index_spec: Optional[BatchIndexSpec] = None,
-    index=None,
-    n_workers: Union[int, str] = 1,
-    n_probes: int = 0,
-    block: int = DEFAULT_BLOCK,
-    pool: str = "process",
-    executor: Optional[WorkerPool] = None,
-    blas_threads: Optional[int] = None,
-) -> JoinResult:
-    """Filter-then-verify ``(cs, s)`` join sharded over query blocks.
-
-    Args:
-        P, Q: data and query matrices.
-        spec: the ``(cs, s)`` parameters.
-        index_spec: a :class:`BatchIndexSpec` (or any picklable object
-            with ``build(P) -> index``); built once in the parent.
-        index: alternatively a pre-built index over ``P``; shared with
-            workers zero-copy.  Exactly one of ``index_spec`` /
-            ``index`` must be given.
-        n_workers: worker count or ``"auto"``.  ``1`` runs in-process
-            and reproduces the serial join exactly, seed for seed.
-        n_probes: multiprobe width (indexes that support it).
-        block: verification block size; chunk boundaries align to it so
-            worker-count changes never change results.
-        pool, executor, blas_threads: see :func:`map_query_chunks`.
-    """
-    P, Q = validate_join_inputs(P, Q)
-    if (index_spec is None) == (index is None):
-        raise ParameterError("provide exactly one of index_spec or index")
-    payload = index_spec if index_spec is not None else index
-    chunks = map_query_chunks(
-        payload, P, Q, _lsh_runner, (spec.signed, spec.cs, n_probes, block),
-        n_workers=n_workers, block=block, pool=pool, executor=executor,
-        blas_threads=blas_threads,
-    )
-    return merge_join_chunks(chunks, spec)
-
-
-def parallel_sketch_join(
-    P,
-    Q,
-    s: float,
-    structure_spec: Optional[SketchStructureSpec] = None,
-    structure=None,
-    n_workers: Union[int, str] = 1,
-    block: int = DEFAULT_BLOCK,
-    pool: str = "process",
-    executor: Optional[WorkerPool] = None,
-    blas_threads: Optional[int] = None,
-) -> JoinResult:
-    """The Section 4.3 sketch join sharded over query blocks.
-
-    The blocked sketch kernel is block-local in the queries, so the same
-    chunking contract as :func:`parallel_lsh_join` applies: chunk
-    boundaries align to ``block`` multiples, the structure is built once
-    in the parent and shared, and ``n_workers=1`` reproduces the serial
-    join exactly.
-    """
-    P, Q = validate_join_inputs(P, Q)
-    if (structure_spec is None) == (structure is None):
-        raise ParameterError("provide exactly one of structure_spec or structure")
-    payload = structure_spec if structure_spec is not None else structure
-    if structure_spec is not None:
-        from repro.sketches.stable import norm_ratio_bound
-
-        c = 1.0 / norm_ratio_bound(P.shape[0], float(structure_spec.kappa))
-    else:
-        c = structure.approximation_factor
-    spec = JoinSpec(s=s, c=c, signed=False)
-    chunks = map_query_chunks(
-        payload, P, Q, _sketch_runner, (spec.cs, block),
-        n_workers=n_workers, block=block, pool=pool, executor=executor,
-        blas_threads=blas_threads,
-    )
-    return merge_join_chunks(chunks, spec)

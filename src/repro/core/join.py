@@ -1,131 +1,37 @@
-"""Top-level join dispatch: the one-call public API.
+"""The paper's reduction of unsigned to signed join.
 
-``signed_join`` and ``unsigned_join`` select an algorithm by name and
-normalize the plumbing; the unsigned variant also exposes the paper's
-reduction of unsigned to signed join (run against ``Q`` and ``-Q``,
-keep pairs clearing the absolute threshold).
-
-Both are now thin shims over the unified engine
-(:func:`repro.engine.join`): the ``algorithm`` names map onto registered
-engine backends (``exact`` → ``brute_force``, ``lsh`` → ``lsh``,
-``sketch`` → ``sketch``), while ``via-signed`` composes two engine calls
-and stays here — it is a *reduction*, not a backend.
+A pair with ``|p.q| >= cs`` either has ``p.q >= cs`` or ``p.(-q) >= cs``,
+so an unsigned join is two signed joins — against ``Q`` and ``-Q`` —
+whose answers are merged by absolute value.  It is a *reduction*, not a
+backend: both signed joins run through :func:`repro.engine.join`, with
+whatever backend and options the caller forwards.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.core.problems import JoinResult, JoinSpec, validate_join_inputs
-from repro.errors import ParameterError
-from repro.lsh.base import AsymmetricLSHFamily
-from repro.utils.rng import SeedLike
-
-#: Legacy ``algorithm=`` names and the engine backend each maps to.
-ALGORITHM_BACKENDS = {
-    "exact": "brute_force",
-    "lsh": "lsh",
-    "sketch": "sketch",
-}
 
 
-def _engine_call(P, Q, spec, algorithm, family, seed, **kwargs) -> JoinResult:
-    from repro.engine.api import join as engine_join
-
-    backend = ALGORITHM_BACKENDS[algorithm]
-    if algorithm == "lsh":
-        if family is None and "index" not in kwargs:
-            raise ParameterError("algorithm='lsh' requires a hash family")
-        kwargs = dict(kwargs, family=family)
-    return engine_join(P, Q, spec, backend=backend, seed=seed, **kwargs)
-
-
-def signed_join(
-    P,
-    Q,
-    s: float,
-    c: float = 1.0,
-    algorithm: str = "exact",
-    family: Optional[AsymmetricLSHFamily] = None,
-    seed: SeedLike = None,
-    **kwargs,
-) -> JoinResult:
-    """Signed ``(cs, s)`` join with a selectable algorithm.
-
-    Args:
-        algorithm: ``"exact"`` (brute force) or ``"lsh"`` (requires
-            ``family``).
-        kwargs: forwarded to the selected engine backend.
-    """
-    spec = JoinSpec(s=s, c=c, signed=True)
-    if algorithm not in ("exact", "lsh"):
-        raise ParameterError(f"unknown signed join algorithm {algorithm!r}")
-    return _engine_call(P, Q, spec, algorithm, family, seed, **kwargs)
-
-
-def unsigned_join(
-    P,
-    Q,
-    s: float,
-    c: float = 1.0,
-    algorithm: str = "exact",
-    family: Optional[AsymmetricLSHFamily] = None,
-    seed: SeedLike = None,
-    **kwargs,
-) -> JoinResult:
-    """Unsigned ``(cs, s)`` join with a selectable algorithm.
-
-    Args:
-        algorithm: ``"exact"``, ``"lsh"``, ``"sketch"`` (Section 4.3;
-            ignores ``c`` and uses the structure's own ``n^{-1/kappa}``),
-            or ``"via-signed"`` (the paper's reduction: signed join
-            against ``Q`` and ``-Q``).
-    """
-    spec = JoinSpec(s=s, c=c, signed=False)
-    if algorithm == "via-signed":
-        return _unsigned_via_signed(P, Q, spec, family=family, seed=seed, **kwargs)
-    if algorithm == "sketch":
-        from repro.core.sketch_join import sketch_unsigned_join
-
-        return sketch_unsigned_join(P, Q, s, seed=seed, **kwargs)
-    if algorithm not in ("exact", "lsh"):
-        raise ParameterError(f"unknown unsigned join algorithm {algorithm!r}")
-    return _engine_call(P, Q, spec, algorithm, family, seed, **kwargs)
-
-
-def _unsigned_via_signed(
-    P,
-    Q,
-    spec: JoinSpec,
-    family: Optional[AsymmetricLSHFamily] = None,
-    seed: SeedLike = None,
-    **kwargs,
-) -> JoinResult:
+def unsigned_via_signed(P, Q, spec: JoinSpec, **engine_options) -> JoinResult:
     """Unsigned join by two signed joins: against ``Q`` and against ``-Q``.
 
-    The observation from the paper's problem-definition section: a pair
-    with ``|p.q| >= cs`` either has ``p.q >= cs`` or ``p.(-q) >= cs``.
-    Uses brute force when no family is given, LSH otherwise, and merges
-    the two signed results keeping the better verified value per query.
+    ``engine_options`` (``backend=``, ``family=``, ``seed=``, ...) are
+    forwarded to both :func:`repro.engine.join` calls.  The two signed
+    results merge keeping the better verified absolute value per query.
     """
+    from repro.engine.api import join as engine_join
+
     P, Q = validate_join_inputs(P, Q)
     signed_spec = JoinSpec(s=spec.s, c=spec.c, signed=True)
-    algorithm = "exact" if family is None else "lsh"
-
-    def run(queries):
-        return _engine_call(
-            P, queries, signed_spec, algorithm, family, seed, **kwargs
-        )
-
-    positive = run(Q)
-    negative = run(-Q)
+    positive = engine_join(P, Q, signed_spec, **engine_options)
+    negative = engine_join(P, -Q, signed_spec, **engine_options)
     matches = []
     for i in range(Q.shape[0]):
         best = None
         best_value = -np.inf
-        for result, sign in ((positive, 1.0), (negative, -1.0)):
+        for result in (positive, negative):
             match = result.matches[i]
             if match is None:
                 continue

@@ -4,13 +4,12 @@
 generation through the index's fastest API
 (:func:`repro.lsh.index.block_candidates`) and verification through the
 one-GEMM-per-block kernel in :mod:`repro.core.verify`, one query block
-at a time.  The serial engine path, every parallel worker, and the
-legacy entry points all execute this exact function, which is what makes
-results bit-identical across call paths and worker counts.
+at a time.  The serial engine path and every parallel worker execute
+this exact function, which is what makes results bit-identical across
+worker counts.  Callers reach it through :func:`repro.engine.join` with
+``backend="lsh"``.
 
-:func:`lsh_join` is the legacy entry point, now a thin shim over the
-unified engine (:func:`repro.engine.join` with ``backend="lsh"``).  An
-index may be reused across calls: the chunk snapshots the index's
+An index may be reused across calls: the chunk snapshots the index's
 :class:`~repro.core.problems.QueryStats` counters and reports only this
 call's delta, so ``candidates_generated`` never over-counts on reuse.
 """
@@ -19,13 +18,11 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.core.problems import JoinResult, JoinSpec, QueryStats
-from repro.core.verify import DEFAULT_BLOCK, verify_block
+from repro.core.problems import QueryStats
+from repro.core.verify import verify_block
 from repro.errors import ParameterError
-from repro.lsh.base import AsymmetricLSHFamily
 from repro.lsh.index import block_candidates
 from repro.obs.trace import span
-from repro.utils.rng import SeedLike
 
 
 def lsh_filter_verify_chunk(
@@ -62,52 +59,3 @@ def lsh_filter_verify_chunk(
         )
     delta = index.stats.diff(before)
     return matches, verified, delta.candidates, delta
-
-
-def lsh_join(
-    P,
-    Q,
-    spec: JoinSpec,
-    family: Optional[AsymmetricLSHFamily],
-    n_tables: int = 16,
-    hashes_per_table: int = 4,
-    seed: SeedLike = None,
-    index=None,
-    n_probes: int = 0,
-    block: int = DEFAULT_BLOCK,
-) -> JoinResult:
-    """Approximate join through an LSH index (engine shim).
-
-    Args:
-        P, Q: data and query matrices.
-        spec: the ``(cs, s)`` parameters; candidates are verified against
-            ``spec.cs`` exactly.
-        family: the (A)LSH family to index with; must match the data
-            domain (e.g. :class:`~repro.lsh.datadep.DataDepALSH` for
-            unit-ball data).  Ignored (may be ``None``) when ``index``
-            is given.
-        n_tables / hashes_per_table / seed: index shape.
-        index: optionally a pre-built index over ``P`` (reused across
-            specs); when given, the other index parameters are ignored.
-            Anything exposing ``candidates_batch(Q)`` or ``candidates(q)``
-            works (:class:`~repro.lsh.index.LSHIndex`,
-            :class:`~repro.lsh.batch.BatchSignIndex`).
-        n_probes: multiprobe width per table, forwarded to indexes that
-            support it (:class:`~repro.lsh.batch.BatchSignIndex`).
-        block: query block size for candidate generation + verification.
-    """
-    from repro.engine.api import join as engine_join
-
-    return engine_join(
-        P,
-        Q,
-        spec,
-        backend="lsh",
-        seed=seed,
-        block=block,
-        family=family,
-        index=index,
-        n_tables=n_tables,
-        hashes_per_table=hashes_per_table,
-        n_probes=n_probes,
-    )

@@ -23,7 +23,7 @@ import numpy as np
 
 from typing import Tuple
 
-from repro.core.problems import JoinResult, JoinSpec, QueryStats
+from repro.core.problems import QueryStats
 from repro.core.verify import GEMM_ADVANTAGE
 from repro.errors import ParameterError
 from repro.obs.trace import span
@@ -321,27 +321,3 @@ def norm_scan_chunk(
         queries=len(matches), candidates=work, unique_candidates=work
     )
     return matches, work, work, stats
-
-
-def norm_pruned_join(
-    P,
-    Q,
-    spec: JoinSpec,
-    block: int = 256,
-    query_block: int = 256,
-) -> JoinResult:
-    """Exact ``(cs, s)`` join with Cauchy-Schwarz norm pruning.
-
-    Produces exactly the matches of :func:`repro.core.brute_force.
-    brute_force_join` (same best-partner convention) while evaluating only
-    the norm-qualified prefixes.  A thin shim over the unified engine
-    (``backend="norm_pruned"``): queries are processed ``query_block`` at
-    a time through :meth:`NormScanIndex.query_block`, turning the
-    per-query GEMV stream into shared prefix GEMMs without changing
-    matches or work counts.
-    """
-    from repro.engine.api import join as engine_join
-
-    return engine_join(
-        P, Q, spec, backend="norm_pruned", block=query_block, scan_block=block
-    )

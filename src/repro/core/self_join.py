@@ -3,7 +3,7 @@
 The classic database similarity self-join ("find all near-duplicate
 pairs in one table"), and the setting where Section 4.2's identical-pair
 caveat bites: ``p . p`` can exceed any threshold without telling us
-anything about *similar-but-distinct* pairs.  ``self_join`` therefore
+anything about *similar-but-distinct* pairs.  A self-join therefore
 reports, per vector, the best *other* vector — with an option to also
 treat exact duplicates (equal rows at distinct indices) as matches or
 not.
@@ -13,8 +13,8 @@ The inner loops live in :func:`self_scan_chunk` (exact) and
 *query* chunk of ``P`` plus its global ``start`` offset, so the engine
 can shard a self-join over query blocks exactly like a two-set join —
 the self pair is masked by global index, which a chunk knows from its
-offset.  ``self_join`` / ``lsh_self_join`` are the legacy entry points,
-now thin shims over :func:`repro.engine.join` with a ``self_join`` spec.
+offset.  Callers reach them through :func:`repro.engine.join` with
+``Q=None`` (a ``self_join`` spec).
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.problems import JoinResult, JoinSpec, QueryStats
-from repro.errors import ParameterError
-from repro.utils.validation import check_matrix
+from repro.core.problems import QueryStats
 
 
 def self_scan_chunk(
@@ -124,74 +122,3 @@ def lsh_self_chunk(
         )
     delta = index.stats.diff(before)
     return matches, verified, verified, delta
-
-
-def _self_spec(spec: JoinSpec, match_duplicates: bool) -> JoinSpec:
-    """The engine-level spec for a legacy self-join call."""
-    return JoinSpec(
-        s=spec.s,
-        c=spec.c,
-        signed=spec.signed,
-        self_join=True,
-        match_duplicates=match_duplicates,
-    )
-
-
-def self_join(
-    P,
-    spec: JoinSpec,
-    match_duplicates: bool = True,
-    block: int = 512,
-) -> JoinResult:
-    """Exact self-join: best above-``cs`` partner per vector, self excluded.
-
-    A thin shim over the unified engine (``backend="brute_force"`` with a
-    ``self_join`` spec).
-
-    Args:
-        P: the set, shape (n, d); each row is both data and query.
-        spec: the ``(cs, s)`` parameters.
-        match_duplicates: when False, rows identical to the query row are
-            excluded along with the query itself (the strict reading of
-            "distinct vectors"; Section 4.2's guarantee covers only
-            ``p != q`` as *vectors*, not as indices).
-        block: matmul block size.
-    """
-    from repro.engine.api import join as engine_join
-
-    P = check_matrix(P, "P")
-    if P.shape[0] < 2:
-        raise ParameterError("self-join needs at least two vectors")
-    return engine_join(
-        P, None, _self_spec(spec, match_duplicates),
-        backend="brute_force", block=block,
-    )
-
-
-def lsh_self_join(
-    P,
-    spec: JoinSpec,
-    index,
-    match_duplicates: bool = True,
-    block: int = 256,
-) -> JoinResult:
-    """Approximate self-join through any candidates-providing index.
-
-    ``index`` must be built over ``P`` and expose ``candidates(q)`` or
-    ``candidates_batch(Q)`` (an :class:`~repro.lsh.index.LSHIndex` or
-    :class:`~repro.lsh.batch.BatchSignIndex`).  A symmetric index built
-    with :class:`~repro.lsh.symmetric.SymmetricIPSHash` is the natural
-    choice — the self pair it cannot rank is excluded here anyway.
-
-    A thin shim over the unified engine (``backend="lsh"`` with a
-    ``self_join`` spec).
-    """
-    from repro.engine.api import join as engine_join
-
-    P = check_matrix(P, "P")
-    if P.shape[0] < 2:
-        raise ParameterError("self-join needs at least two vectors")
-    return engine_join(
-        P, None, _self_spec(spec, match_duplicates),
-        backend="lsh", index=index, block=block,
-    )

@@ -13,10 +13,8 @@ GEMVs), its proposals are verified exactly through the blocked kernel
 (:mod:`repro.core.verify`), and matches are reported when they clear
 ``c * s``.  Because every stage is block-local, the query set can be
 sharded across processes without changing results; the engine's serial
-path, every parallel worker, and the legacy entry point all run this
-exact function.  :func:`sketch_unsigned_join` is the legacy entry
-point, now a thin shim over :func:`repro.engine.join` with
-``backend="sketch"``.
+path and every parallel worker run this exact function.  Callers reach
+it through :func:`repro.engine.join` with ``backend="sketch"``.
 """
 
 from __future__ import annotations
@@ -25,12 +23,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.problems import JoinResult, QueryStats
-from repro.core.verify import DEFAULT_BLOCK, verify_candidates
+from repro.core.problems import QueryStats
+from repro.core.verify import verify_candidates
 from repro.errors import ParameterError
 from repro.obs.trace import span
 from repro.sketches.cmips import SketchCMIPS
-from repro.utils.rng import SeedLike
 
 
 def sketch_filter_verify_chunk(
@@ -122,35 +119,3 @@ def sketch_self_chunk(
         unique_candidates=generated,
     )
     return matches, evaluated, generated, stats
-
-
-def sketch_unsigned_join(
-    P,
-    Q,
-    s: float,
-    kappa: float = 4.0,
-    copies: int = 7,
-    seed: SeedLike = None,
-    structure: SketchCMIPS = None,
-    block: int = DEFAULT_BLOCK,
-) -> JoinResult:
-    """Unsigned ``(cs, s)`` join with the sketch's own ``c = n^{-1/kappa}``.
-
-    A thin shim over the unified engine (``backend="sketch"``); the
-    returned spec carries the structure's own approximation factor.
-    """
-    from repro.core.problems import JoinSpec
-    from repro.engine.api import join as engine_join
-
-    spec = JoinSpec(s=s, signed=False)
-    return engine_join(
-        P,
-        Q,
-        spec,
-        backend="sketch",
-        seed=seed,
-        block=block,
-        kappa=kappa,
-        copies=copies,
-        structure=structure,
-    )

@@ -9,23 +9,19 @@ product — exact or through an LSH index.
 The inner loops are :func:`topk_chunk` (exact) and
 :func:`lsh_topk_chunk` (filter-then-verify); both operate on a
 contiguous query chunk, so the unified engine shards top-k joins through
-the same executor path as threshold joins.  :func:`join_topk` and
-:func:`lsh_join_topk` are the legacy entry points, now thin shims over
+the same executor path as threshold joins.  Callers reach them through
 :func:`repro.engine.join` with ``spec.k`` set.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.problems import JoinSpec, QueryStats
-from repro.core.verify import DEFAULT_BLOCK, candidate_values_block
+from repro.core.problems import QueryStats
+from repro.core.verify import candidate_values_block
 from repro.errors import ParameterError
-from repro.lsh.base import AsymmetricLSHFamily
-from repro.utils.rng import SeedLike
 
 
 def _rank_above(values: np.ndarray, indices: np.ndarray, signed: bool, cs: float, k: int):
@@ -97,68 +93,6 @@ def lsh_topk_chunk(
         )
     delta = index.stats.diff(before)
     return out, scored, delta.candidates, delta
-
-
-def join_topk(
-    P,
-    Q,
-    spec: JoinSpec,
-    k: int,
-    block: int = 1024,
-) -> List[List[int]]:
-    """Exact top-k join: the k best above-``cs`` partners per query.
-
-    A thin shim over the unified engine (``backend="brute_force"`` with
-    ``spec.k`` set).
-    """
-    from repro.engine.api import join as engine_join
-
-    result = engine_join(
-        P, Q, replace(spec, k=k), backend="brute_force", block=block
-    )
-    return result.topk
-
-
-def lsh_join_topk(
-    P,
-    Q,
-    spec: JoinSpec,
-    k: int,
-    family: Optional[AsymmetricLSHFamily] = None,
-    index=None,
-    n_tables: int = 16,
-    hashes_per_table: int = 4,
-    seed: SeedLike = None,
-    block: int = DEFAULT_BLOCK,
-) -> List[List[int]]:
-    """Approximate top-k join through an LSH index (generic or batch).
-
-    ``index`` may be any object exposing ``candidates(q)`` over ``P``
-    (an :class:`~repro.lsh.index.LSHIndex` or a
-    :class:`~repro.lsh.batch.BatchSignIndex`); indexes with
-    ``candidates_batch`` generate a whole query block's candidates at
-    once, and scoring runs through the blocked verification kernel
-    (:func:`repro.core.verify.candidate_values_block`) instead of one
-    GEMV per query.  A thin shim over the unified engine
-    (``backend="lsh"`` with ``spec.k`` set).
-    """
-    from repro.engine.api import join as engine_join
-
-    if index is None and family is None:
-        raise ParameterError("either an index or a family is required")
-    result = engine_join(
-        P,
-        Q,
-        replace(spec, k=k),
-        backend="lsh",
-        seed=seed,
-        block=block,
-        family=family,
-        index=index,
-        n_tables=n_tables,
-        hashes_per_table=hashes_per_table,
-    )
-    return result.topk
 
 
 def topk_recall(approx: List[List[int]], exact: List[List[int]]) -> float:

@@ -61,7 +61,6 @@ from repro.engine.measures import (
 from repro.engine.registry import (
     available_backends,
     backends_for,
-    backends_for_variant,
     capability_matrix,
     get_backend,
     register,
@@ -114,7 +113,6 @@ __all__ = [
     "get_backend",
     "available_backends",
     "backends_for",
-    "backends_for_variant",
     "capability_matrix",
     "MeasureDescriptor",
     "register_measure",

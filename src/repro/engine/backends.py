@@ -257,8 +257,8 @@ class LSHBackend(JoinBackend):
             raise ParameterError(
                 "multiprobe (n_probes) is only supported for threshold joins"
             )
-        # Precedence mirrors the legacy entry points: a prebuilt index
-        # wins, then a rebuildable recipe, then a family to index with.
+        # Precedence: a prebuilt index wins, then a rebuildable recipe,
+        # then a family to index with.
         common = dict(spec=spec, n_probes=n_probes, block=block)
         if index is not None:
             return LSHStructure(index=index, **common), spec

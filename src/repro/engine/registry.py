@@ -10,7 +10,6 @@ for the planner's ``backend="auto"`` ranking.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Tuple
 
 from repro.engine.protocol import JoinBackend
@@ -76,21 +75,3 @@ def capability_matrix() -> Dict[Tuple[str, str], List[str]]:
             for variant in getattr(backend, "variants", ()):
                 matrix.setdefault((measure, variant), []).append(name)
     return matrix
-
-
-def backends_for_variant(variant: str) -> List[str]:
-    """Deprecated: names of backends answering ``variant`` for the
-    inner-product measure.
-
-    The pre-measure-layer capability lookup; it aliases
-    ``backends_for("ip", variant)`` bit-identically (every backend it
-    ever reported is an IP backend).  Use :func:`backends_for`.
-    """
-    warnings.warn(
-        "backends_for_variant(variant) is deprecated; use "
-        "backends_for(measure, variant) — this alias reports the "
-        "measure='ip' column only",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return backends_for("ip", variant)

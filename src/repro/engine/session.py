@@ -229,7 +229,8 @@ class JoinSession:
     def _lazy(cls, P, spec, **kw) -> "JoinSession":
         """A session that plans and prepares inside the first query call.
 
-        This is what ``engine.join()`` runs on: with
+        This is what ``engine.join()`` and each shard of
+        ``engine.sharded_join()`` run on: with
         ``expected_queries=1`` the planner ranking, the span tree, and
         the planner-log record are exactly the historical one-shot ones.
         """

@@ -4,9 +4,13 @@ The executor (:mod:`repro.core.executor`) parallelizes over *queries*;
 this module parallelizes over *data* — the first step toward the
 ROADMAP's multi-machine sharding, where each shard's join would run on a
 different box.  ``P`` is split into ``n_shards`` contiguous row shards,
-each shard answers the full query set through the normal engine dispatch
-(:func:`repro.engine.join`, so any backend, any worker count, any pool
-kind applies per shard), and the per-shard answers are merged per query:
+each shard answers the full query set through its own
+:class:`~repro.engine.session.JoinSession` (so any backend, any worker
+count, any pool kind applies per shard), and the per-shard answers are
+merged per query by :class:`ShardedSession`.  :func:`open_sharded`
+prepares the shard sessions eagerly; :func:`sharded_join` is the
+one-shot form over lazy ones, as :func:`repro.engine.join` is over one
+lazy session:
 
 * **threshold joins** — each shard reports at most one above-threshold
   partner per query; the merge recomputes the shard winners' scores and
@@ -36,63 +40,16 @@ the kernels.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.problems import JoinResult, JoinSpec, QueryStats
 from repro.engine.measures import get_measure
-from repro.engine.session import open_session
+from repro.engine.session import JoinSession, open_session
 from repro.errors import ParameterError
 from repro.obs import MetricsRegistry
 from repro.obs.sink import EventSink
-
-# Engine-level keywords of repro.engine.join; everything else in
-# ``join_options`` is a backend option that prepare() must accept.
-_ENGINE_KWARGS = frozenset(
-    {"backend", "n_workers", "block", "model", "trace", "pool",
-     "executor", "blas_threads"}
-)
-
-
-def _preflight_options(P, spec: JoinSpec, seed, join_options) -> None:
-    """Validate engine/backend options ONCE, before any shard runs.
-
-    Per-shard joins would re-raise the same error on shard 0 anyway, but
-    only after re-validating per shard; a bad option must fail fast and
-    must never leave a partial run where some shards executed.  Mirrors
-    the checks :func:`repro.engine.join` performs up front: worker
-    resolution, pool kind, backend lookup, and a discarded dry-run of
-    the backend's ``prepare`` (structures build lazily, so this costs a
-    dictionary's worth of work, not an index build).
-    """
-    from repro.core.executor import DEFAULT_BLOCK, POOL_KINDS, resolve_workers
-    from repro.engine.plan import Plan
-    from repro.engine.registry import get_backend
-
-    n_workers = resolve_workers(join_options.get("n_workers", 1))
-    pool = join_options.get("pool", "process")
-    if join_options.get("executor") is None and pool not in POOL_KINDS:
-        raise ParameterError(f"pool must be one of {POOL_KINDS}, got {pool!r}")
-    backend = join_options.get("backend", "auto")
-    backend_options = {
-        k: v for k, v in join_options.items() if k not in _ENGINE_KWARGS
-    }
-    if isinstance(backend, Plan):
-        if backend_options:
-            raise ParameterError(
-                f"an explicit Plan carries per-stage options; got "
-                f"engine-level options {sorted(backend_options)}"
-            )
-        return
-    if backend == "auto":
-        return
-    impl = get_backend(backend)  # raises on unknown names
-    block = join_options.get("block", DEFAULT_BLOCK)
-    impl.prepare(
-        P, spec, seed=seed, block=block, n_workers=n_workers,
-        **backend_options,
-    )
 
 
 def shard_bounds(n: int, n_shards: int) -> List[Tuple[int, int]]:
@@ -192,90 +149,45 @@ def sharded_join(
 ) -> JoinResult:
     """Split ``P`` into shards, join each, merge per-query bests.
 
+    A lazy :class:`ShardedSession`, the way :func:`repro.engine.join` is
+    a lazy :class:`~repro.engine.session.JoinSession`: one lazy session
+    per shard, queried once through the sharded merge, then closed.
+
     Args:
         P, Q: data and query matrices.
         spec: the problem record; ``join`` and ``topk`` variants only
             (self-joins cannot be sharded — see module docs).
         n_shards: contiguous row shards of ``P`` (capped at ``n``).
-        join_options: forwarded verbatim to :func:`repro.engine.join`
-            for every shard — ``backend=``, ``n_workers=``, ``pool=``,
-            ``seed=`` (shard ``i`` runs with ``seed + i``), ...
-            Validated once up front: invalid options raise before any
-            shard executes, never mid-run.
+        join_options: forwarded verbatim to every shard, as to
+            :func:`repro.engine.join` — ``backend=``, ``n_workers=``,
+            ``pool=``, ``trace=``, ``seed=`` (shard ``i`` runs with
+            ``seed + i``), ...  Every shard gets the same options, so an
+            invalid one raises in shard 0's constructor or its first
+            prepare, before any chunk runs.
 
     Returns:
         A merged :class:`~repro.core.problems.JoinResult` whose
         ``backend`` is the shard backend tagged ``@{n_shards}shards``.
     """
-    from repro.engine.api import join
-
-    measure = get_measure(spec.measure)
-    P = measure.validate(P, "P")
-    Q = measure.validate(Q, "Q")
-    measure.check_compatible(P, Q)
-    if spec.variant not in ("join", "topk"):
-        raise ParameterError(
-            f"sharded_join answers the 'join' and 'topk' variants, "
-            f"not {spec.variant!r}"
-        )
-    bounds = shard_bounds(P.shape[0], n_shards)
-    seed = join_options.pop("seed", None)
-    _preflight_options(P, spec, seed, join_options)
-    shard_results: List[JoinResult] = []
-    offsets: List[int] = []
-    for i, (start, end) in enumerate(bounds):
-        shard_seed = None if seed is None else seed + i
-        shard_results.append(
-            join(P[start:end], Q, spec, seed=shard_seed, **join_options)
-        )
-        offsets.append(start)
-    return _merge_shard_results(shard_results, offsets, P, Q, spec, len(bounds))
-
-
-def _merge_shard_results(
-    shard_results: List[JoinResult],
-    offsets: List[int],
-    P,
-    Q,
-    spec: JoinSpec,
-    n_shards: int,
-) -> JoinResult:
-    """The shared merge tail of sharded one-shots and sharded sessions."""
-    evaluated = sum(r.inner_products_evaluated for r in shard_results)
-    generated = sum(r.candidates_generated for r in shard_results)
-    stats = QueryStats()
-    for r in shard_results:
-        if r.stats is not None:
-            stats = stats.merge(r.stats)
-    if spec.is_topk:
-        matches, topk, extra = _merge_topk(shard_results, offsets, P, Q, spec)
-    else:
-        topk = None
-        matches, extra = _merge_threshold(shard_results, offsets, P, Q, spec)
-    backend = shard_results[0].backend or "?"
-    return JoinResult(
-        matches=matches,
-        spec=shard_results[0].spec,
-        inner_products_evaluated=evaluated + extra,
-        candidates_generated=generated,
-        topk=topk,
-        backend=f"{backend}@{n_shards}shards",
-        stats=stats,
-    )
+    trace = join_options.pop("trace", False)
+    with _open_shards(
+        P, spec, n_shards, JoinSession._lazy, join_options
+    ) as sharded:
+        return sharded.query(Q, trace=trace)
 
 
 class ShardedSession:
     """``n_shards`` prepared :class:`~repro.engine.session.JoinSession`\\ s
     behind one query surface.
 
-    Each shard's structures are built once at :func:`open_sharded`
-    (shard ``i`` with seed ``seed + i``, matching :func:`sharded_join`);
-    every :meth:`query` then runs the batch through each shard's session
-    and merges the per-shard answers with the exact merge
-    :func:`sharded_join` uses — so for exact backends a sharded session
-    matches the unsharded result, and for any backend it matches the
-    one-shot ``sharded_join`` with the same seed and shard count.
-    ``close()`` closes every shard session (and their owned pools).
+    Shard ``i`` runs with seed ``seed + i``.  Every :meth:`query` runs
+    the batch through each shard's session and merges the per-shard
+    answers (module docs) — so for exact backends a sharded session
+    matches the unsharded result, and for any backend an
+    :func:`open_sharded` session matches the one-shot
+    :func:`sharded_join` (the same class over lazy shard sessions) with
+    the same seed and shard count.  ``close()`` closes every shard
+    session (and their owned pools).
     """
 
     def __init__(self, sessions, bounds, P, spec: JoinSpec):
@@ -307,8 +219,27 @@ class ShardedSession:
             session.query(Q, trace=trace) for session in self._sessions
         ]
         offsets = [start for start, _ in self._bounds]
-        return _merge_shard_results(
-            shard_results, offsets, self._P, Q, self.spec, self.n_shards
+        P, spec = self._P, self.spec
+        evaluated = sum(r.inner_products_evaluated for r in shard_results)
+        generated = sum(r.candidates_generated for r in shard_results)
+        stats = QueryStats()
+        for r in shard_results:
+            if r.stats is not None:
+                stats = stats.merge(r.stats)
+        if spec.is_topk:
+            matches, topk, extra = _merge_topk(shard_results, offsets, P, Q, spec)
+        else:
+            topk = None
+            matches, extra = _merge_threshold(shard_results, offsets, P, Q, spec)
+        backend = shard_results[0].backend or "?"
+        return JoinResult(
+            matches=matches,
+            spec=shard_results[0].spec,
+            inner_products_evaluated=evaluated + extra,
+            candidates_generated=generated,
+            topk=topk,
+            backend=f"{backend}@{self.n_shards}shards",
+            stats=stats,
         )
 
     def metrics_snapshot(self) -> dict:
@@ -389,25 +320,29 @@ def open_sharded(
     ``open_options`` forward to :func:`repro.engine.session.open_session`
     for every shard (``backend=``, ``n_workers=``, ``pool=``,
     ``expected_queries=``, ...); shard ``i`` opens with ``seed + i``.
-    Self-join specs are rejected for the same reason
-    :func:`sharded_join` rejects them.
+    Self-join specs are rejected: see the module docs.
     """
+    return _open_shards(P, spec, n_shards, open_session, open_options)
+
+
+def _open_shards(
+    P, spec: JoinSpec, n_shards: int, open_shard, options
+) -> ShardedSession:
+    """One ``open_shard(P_shard, spec, seed=...)`` session per shard of ``P``."""
     P = get_measure(spec.measure).validate(P, "P")
     if spec.self_join or spec.variant not in ("join", "topk"):
         raise ParameterError(
-            f"sharded sessions answer the 'join' and 'topk' variants, "
+            f"sharded joins answer the 'join' and 'topk' variants, "
             f"not {spec.variant!r}"
         )
     bounds = shard_bounds(P.shape[0], n_shards)
-    seed = open_options.pop("seed", None)
+    seed = options.pop("seed", None)
     sessions = []
     try:
         for i, (start, end) in enumerate(bounds):
             shard_seed = None if seed is None else seed + i
             sessions.append(
-                open_session(
-                    P[start:end], spec, seed=shard_seed, **open_options
-                )
+                open_shard(P[start:end], spec, seed=shard_seed, **options)
             )
     except BaseException:
         for session in sessions:

@@ -131,7 +131,7 @@ class BatchSignIndex:
         self._dense: Optional[tuple] = None
         self._data: Optional[np.ndarray] = None
         #: Same work accounting as :class:`repro.lsh.index.LSHIndex`, so a
-        #: batch index slots into :func:`repro.core.lsh_join.lsh_join`.
+        #: batch index slots into the ``lsh`` backend's chunk kernels.
         self.stats = QueryStats()
 
     def _projections_of(self, transformed: np.ndarray) -> np.ndarray:

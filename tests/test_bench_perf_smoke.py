@@ -154,9 +154,6 @@ def test_pr6_artifact_when_present():
     assert report["meta"]["parallel_suite"]["n"] == 40_000
     assert report["checks"]["parallel_modes_identical"]
     scaling = report["speedups"]["parallel_scaling_vs_serial"]
-    legacy_ratio = report["speedups"]["parallel_zero_copy_vs_legacy"]
-    for workers, ratio in legacy_ratio.items():
-        assert ratio >= 1.0, f"zero-copy lost to legacy at {workers}w"
     # Wall-clock scaling assertions are cores-aware: the artifact may
     # have been recorded on a small container, so only enforce the 4w
     # floor when the recording machine actually had >= 4 cores.

@@ -1,16 +1,14 @@
-"""Tests for lsh_join, sketch_join, algebraic join and the dispatch API."""
+"""Tests for the LSH, sketch and algebraic joins and the unsigned reduction."""
 
 import numpy as np
 import pytest
 
+from repro import engine
 from repro.core import (
     JoinSpec,
     brute_force_join,
     chebyshev_expand_join,
-    lsh_join,
-    signed_join,
-    sketch_unsigned_join,
-    unsigned_join,
+    unsigned_via_signed,
 )
 from repro.datasets import planted_mips, random_sign
 from repro.errors import CapacityError, DomainError, ParameterError
@@ -31,23 +29,26 @@ class TestLSHJoin:
     def test_recall_against_exact(self, instance, family):
         spec = JoinSpec(s=instance.s, c=0.4)
         exact = brute_force_join(instance.P, instance.Q, spec)
-        approx = lsh_join(
-            instance.P, instance.Q, spec, family,
+        assert exact.matched_count > 0
+        approx = engine.join(
+            instance.P, instance.Q, spec, backend="lsh", family=family,
             n_tables=16, hashes_per_table=6, seed=1,
         )
         assert approx.recall_against(exact) >= 0.8
 
     def test_matches_verified(self, instance, family):
         spec = JoinSpec(s=instance.s, c=0.4)
-        result = lsh_join(instance.P, instance.Q, spec, family, seed=2)
+        result = engine.join(
+            instance.P, instance.Q, spec, backend="lsh", family=family, seed=2
+        )
         for qi, match in enumerate(result.matches):
             if match is not None:
                 assert float(instance.P[match] @ instance.Q[qi]) >= spec.cs
 
     def test_subquadratic_work(self, instance, family):
         spec = JoinSpec(s=instance.s, c=0.4)
-        result = lsh_join(
-            instance.P, instance.Q, spec, family,
+        result = engine.join(
+            instance.P, instance.Q, spec, backend="lsh", family=family,
             n_tables=12, hashes_per_table=6, seed=3,
         )
         assert result.inner_products_evaluated < instance.n * 16
@@ -56,20 +57,28 @@ class TestLSHJoin:
         from repro.lsh import LSHIndex
         index = LSHIndex(family, n_tables=8, hashes_per_table=5, seed=4).build(instance.P)
         spec = JoinSpec(s=instance.s, c=0.4)
-        result = lsh_join(instance.P, instance.Q, spec, family, index=index)
+        result = engine.join(
+            instance.P, instance.Q, spec, backend="lsh", index=index
+        )
         assert len(result.matches) == 16
+
+
+def _sketch_join(P, Q, s, **options):
+    return engine.join(
+        P, Q, JoinSpec(s=s, signed=False), backend="sketch", **options
+    )
 
 
 class TestSketchJoin:
     def test_planted_matches_found(self, instance):
-        result = sketch_unsigned_join(instance.P, instance.Q, s=instance.s,
-                                      kappa=4.0, seed=5)
+        result = _sketch_join(instance.P, instance.Q, instance.s,
+                              kappa=4.0, seed=5)
         assert result.matched_count >= 14
         assert result.spec.c == pytest.approx(instance.n ** -0.25)
 
     def test_matches_clear_relaxed_threshold(self, instance):
-        result = sketch_unsigned_join(instance.P, instance.Q, s=instance.s,
-                                      kappa=3.0, seed=6)
+        result = _sketch_join(instance.P, instance.Q, instance.s,
+                              kappa=3.0, seed=6)
         for qi, match in enumerate(result.matches):
             if match is not None:
                 value = abs(float(instance.P[match] @ instance.Q[qi]))
@@ -77,7 +86,7 @@ class TestSketchJoin:
 
     def test_bad_s(self, instance):
         with pytest.raises(ParameterError):
-            sketch_unsigned_join(instance.P, instance.Q, s=-1.0)
+            _sketch_join(instance.P, instance.Q, -1.0)
 
 
 class TestAlgebraicJoin:
@@ -116,47 +125,56 @@ class TestAlgebraicJoin:
 
 class TestDispatch:
     def test_signed_exact(self, instance):
-        result = signed_join(instance.P, instance.Q, s=instance.s)
+        result = engine.join(
+            instance.P, instance.Q, JoinSpec(s=instance.s),
+            backend="brute_force",
+        )
         assert result.matched_count == 16
 
     def test_signed_lsh(self, instance, family):
-        result = signed_join(instance.P, instance.Q, s=instance.s, c=0.4,
-                             algorithm="lsh", family=family, seed=13)
+        result = engine.join(
+            instance.P, instance.Q, JoinSpec(s=instance.s, c=0.4),
+            backend="lsh", family=family, seed=13,
+        )
         assert result.matched_count >= 12
 
-    def test_signed_lsh_needs_family(self, instance):
-        with pytest.raises(ParameterError):
-            signed_join(instance.P, instance.Q, s=1.0, algorithm="lsh")
-
-    def test_unknown_algorithm(self, instance):
-        with pytest.raises(ParameterError):
-            signed_join(instance.P, instance.Q, s=1.0, algorithm="magic")
-        with pytest.raises(ParameterError):
-            unsigned_join(instance.P, instance.Q, s=1.0, algorithm="magic")
+    def test_unknown_backend(self, instance):
+        with pytest.raises(ParameterError, match="unknown backend"):
+            engine.join(instance.P, instance.Q, JoinSpec(s=1.0), backend="magic")
 
     def test_unsigned_exact(self, instance):
-        result = unsigned_join(instance.P, instance.Q, s=instance.s)
+        result = engine.join(
+            instance.P, instance.Q, JoinSpec(s=instance.s, signed=False),
+            backend="brute_force",
+        )
         assert result.matched_count == 16
 
     def test_unsigned_sketch(self, instance):
-        result = unsigned_join(instance.P, instance.Q, s=instance.s,
-                               algorithm="sketch", kappa=4.0, seed=14)
+        result = _sketch_join(instance.P, instance.Q, instance.s,
+                              kappa=4.0, seed=14)
         assert result.matched_count >= 14
 
     def test_unsigned_via_signed_exact(self, instance):
-        direct = unsigned_join(instance.P, instance.Q, s=instance.s, c=0.9)
-        via = unsigned_join(instance.P, instance.Q, s=instance.s, c=0.9,
-                            algorithm="via-signed")
+        spec = JoinSpec(s=instance.s, c=0.9, signed=False)
+        direct = engine.join(instance.P, instance.Q, spec, backend="brute_force")
+        assert direct.matched_count > 0
+        via = unsigned_via_signed(
+            instance.P, instance.Q, spec, backend="brute_force"
+        )
         assert via.recall_against(direct) == 1.0
 
     def test_via_signed_catches_negative_matches(self):
         # A pair visible only through -q.
         P = np.array([[-0.9, 0.0], [0.0, 0.1]])
         Q = np.array([[0.9, 0.0]])
-        result = unsigned_join(P, Q, s=0.5, c=0.9, algorithm="via-signed")
+        result = unsigned_via_signed(
+            P, Q, JoinSpec(s=0.5, c=0.9, signed=False), backend="brute_force"
+        )
         assert result.matches[0] == 0
 
     def test_via_signed_with_lsh(self, instance, family):
-        result = unsigned_join(instance.P, instance.Q, s=instance.s, c=0.4,
-                               algorithm="via-signed", family=family, seed=15)
+        result = unsigned_via_signed(
+            instance.P, instance.Q, JoinSpec(s=instance.s, c=0.4, signed=False),
+            backend="lsh", family=family, seed=15,
+        )
         assert result.matched_count >= 10

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from repro.core import JoinSpec, NormScanIndex, brute_force_join, norm_pruned_join
+from repro import engine
+from repro.core import JoinSpec, NormScanIndex, brute_force_join
 from repro.datasets import latent_factor_model
 from repro.errors import ParameterError
+
+
+def norm_pruned(P, Q, spec, **options):
+    return engine.join(P, Q, spec, backend="norm_pruned", **options)
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +60,9 @@ class TestNormScanIndex:
 class TestNormPrunedJoin:
     def test_matches_brute_force_values(self, model):
         spec = JoinSpec(s=0.4, c=0.8)
-        pruned = norm_pruned_join(model.items, model.users, spec)
+        pruned = norm_pruned(model.items, model.users, spec)
         exact = brute_force_join(model.items, model.users, spec)
+        assert exact.matched_count > 0
         # Compare matched values, not indices, to be robust to exact ties.
         for qi in range(model.n_users):
             a, b = pruned.matches[qi], exact.matches[qi]
@@ -68,7 +74,7 @@ class TestNormPrunedJoin:
 
     def test_prunes_on_skewed_norms(self, model):
         spec = JoinSpec(s=0.4, c=0.8)
-        pruned = norm_pruned_join(model.items, model.users, spec)
+        pruned = norm_pruned(model.items, model.users, spec)
         exact = brute_force_join(model.items, model.users, spec)
         assert pruned.inner_products_evaluated < exact.inner_products_evaluated / 2
 
@@ -76,8 +82,9 @@ class TestNormPrunedJoin:
         P = rng.normal(size=(100, 6))
         Q = rng.normal(size=(10, 6))
         spec = JoinSpec(s=0.5, signed=False)
-        pruned = norm_pruned_join(P, Q, spec)
+        pruned = norm_pruned(P, Q, spec)
         exact = brute_force_join(P, Q, spec)
+        assert exact.matched_count > 0
         for qi in range(10):
             a, b = pruned.matches[qi], exact.matches[qi]
             assert (a is None) == (b is None)
@@ -91,7 +98,7 @@ class TestNormPrunedJoin:
         Q = rng.normal(size=(5, 6))
         Q /= np.linalg.norm(Q, axis=1, keepdims=True)
         spec = JoinSpec(s=0.05)
-        pruned = norm_pruned_join(P, Q, spec, block=1000)
+        pruned = norm_pruned(P, Q, spec, scan_block=1000)
         # Some queries find an early best that cuts the scan; the prefix
         # itself is the full set.
         index = NormScanIndex(P)
@@ -99,8 +106,8 @@ class TestNormPrunedJoin:
 
     def test_small_blocks_consistent(self, model):
         spec = JoinSpec(s=0.4, c=0.8)
-        a = norm_pruned_join(model.items, model.users, spec, block=7)
-        b = norm_pruned_join(model.items, model.users, spec, block=1000)
+        a = norm_pruned(model.items, model.users, spec, scan_block=7)
+        b = norm_pruned(model.items, model.users, spec, scan_block=1000)
         for qi in range(model.n_users):
             x, y = a.matches[qi], b.matches[qi]
             assert (x is None) == (y is None)
@@ -125,7 +132,9 @@ class TestQueryBlock:
 
     def test_blocked_join_preserves_matches_and_work(self, model):
         spec = JoinSpec(s=0.4, c=0.8)
-        blocked = norm_pruned_join(model.items, model.users, spec, block=32, query_block=7)
+        blocked = norm_pruned(
+            model.items, model.users, spec, scan_block=32, block=7
+        )
         index = NormScanIndex(model.items)
         work = 0
         matches = []
@@ -133,6 +142,7 @@ class TestQueryBlock:
             found, _, evaluated = index.query(q, threshold=spec.cs, signed=True, block=32)
             matches.append(found)
             work += evaluated
+        assert any(m is not None for m in matches)
         assert blocked.matches == matches
         assert blocked.inner_products_evaluated == work
 
@@ -166,7 +176,7 @@ class TestBoundaryPair:
         spec = JoinSpec(s=0.1, c=0.1, signed=signed)
         expected = brute_force_join(self.P, self.P, spec).matches
         assert expected == [0]
-        assert norm_pruned_join(self.P, self.P, spec).matches == expected
+        assert norm_pruned(self.P, self.P, spec).matches == expected
 
     def test_scalar_block_and_topk_scans_keep_the_pair(self):
         index = NormScanIndex(self.P)

@@ -1,10 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.core import JoinSpec, join_topk, lsh_join_topk, topk_recall
+from repro import engine
+from repro.core import JoinSpec, topk_recall
 from repro.datasets import planted_mips
 from repro.errors import ParameterError
 from repro.lsh import BatchSignIndex, DataDepALSH
+
+
+def exact_topk(P, Q, spec, k, block=1024):
+    return engine.join(
+        P, Q, replace(spec, k=k), backend="brute_force", block=block
+    ).topk
+
+
+def lsh_topk(P, Q, spec, k, **options):
+    return engine.join(P, Q, replace(spec, k=k), backend="lsh", **options).topk
 
 
 class TestJoinTopK:
@@ -12,7 +25,8 @@ class TestJoinTopK:
         P = rng.normal(size=(30, 6))
         Q = rng.normal(size=(5, 6))
         spec = JoinSpec(s=0.5, c=0.5)
-        results = join_topk(P, Q, spec, k=3)
+        results = exact_topk(P, Q, spec, k=3)
+        assert any(results)
         for qi, matches in enumerate(results):
             assert len(matches) <= 3
             values = [float(P[m] @ Q[qi]) for m in matches]
@@ -23,7 +37,8 @@ class TestJoinTopK:
         P = rng.normal(size=(30, 6))
         Q = rng.normal(size=(4, 6))
         spec = JoinSpec(s=0.01)
-        results = join_topk(P, Q, spec, k=1)
+        results = exact_topk(P, Q, spec, k=1)
+        assert any(results)
         ips = Q @ P.T
         for qi, matches in enumerate(results):
             if matches:
@@ -33,27 +48,30 @@ class TestJoinTopK:
         P = np.array([[1.0, 0.0], [-2.0, 0.0], [0.0, 1.0]])
         Q = np.array([[1.0, 0.0]])
         spec = JoinSpec(s=0.5, signed=False)
-        results = join_topk(P, Q, spec, k=5)
+        results = exact_topk(P, Q, spec, k=5)
         assert results[0] == [1, 0]  # |-2| > |1|, 0.0 excluded
 
     def test_blocked_matches_unblocked(self, rng):
         P = rng.normal(size=(25, 5))
         Q = rng.normal(size=(9, 5))
         spec = JoinSpec(s=0.2, c=0.7)
-        assert join_topk(P, Q, spec, 4, block=3) == join_topk(P, Q, spec, 4)
+        unblocked = exact_topk(P, Q, spec, 4)
+        assert any(unblocked)
+        assert exact_topk(P, Q, spec, 4, block=3) == unblocked
 
     def test_bad_k(self, rng):
         P = rng.normal(size=(5, 3))
         with pytest.raises(ParameterError):
-            join_topk(P, P, JoinSpec(s=1.0), k=0)
+            exact_topk(P, P, JoinSpec(s=1.0), k=0)
 
 
 class TestLSHJoinTopK:
     def test_with_generic_family(self):
         inst = planted_mips(300, 10, 24, s=0.85, c=0.4, seed=0)
         spec = JoinSpec(s=inst.s, c=0.4)
-        exact = join_topk(inst.P, inst.Q, spec, k=3)
-        approx = lsh_join_topk(
+        exact = exact_topk(inst.P, inst.Q, spec, k=3)
+        assert any(exact)
+        approx = lsh_topk(
             inst.P, inst.Q, spec, k=3,
             family=DataDepALSH(24, sphere="hyperplane"),
             n_tables=14, hashes_per_table=6, seed=1,
@@ -66,14 +84,10 @@ class TestLSHJoinTopK:
         idx = BatchSignIndex.for_datadep(
             24, n_tables=16, bits_per_table=8, seed=3
         ).build(inst.P)
-        exact = join_topk(inst.P, inst.Q, spec, k=3)
-        approx = lsh_join_topk(inst.P, inst.Q, spec, k=3, index=idx)
+        exact = exact_topk(inst.P, inst.Q, spec, k=3)
+        assert any(exact)
+        approx = lsh_topk(inst.P, inst.Q, spec, k=3, index=idx)
         assert topk_recall(approx, exact) >= 0.6
-
-    def test_requires_family_or_index(self, rng):
-        P = rng.normal(size=(5, 3))
-        with pytest.raises(ParameterError):
-            lsh_join_topk(P, P, JoinSpec(s=1.0), k=2)
 
 
 class TestTopKRecall:
@@ -101,7 +115,10 @@ class TestBlockedTopK:
         Q /= np.linalg.norm(Q, axis=1, keepdims=True)
         spec = JoinSpec(s=0.5, c=0.6)
         family = HyperplaneLSH(12)
-        blocked = lsh_join_topk(P, Q, spec, k=4, family=family, seed=11, block=16)
+        blocked = lsh_topk(
+            P, Q, spec, k=4, family=family, n_tables=16, hashes_per_table=4,
+            seed=11, block=16,
+        )
         index = LSHIndex(family, n_tables=16, hashes_per_table=4, seed=11).build(P)
         reference = []
         for q in Q:
@@ -114,6 +131,7 @@ class TestBlockedTopK:
             kept, scores = candidates[keep], values[keep]
             order = np.argsort(-scores)[:4]
             reference.append(kept[order].tolist())
+        assert any(reference)
         assert blocked == reference
 
     def test_candidate_values_block_alignment(self, rng):

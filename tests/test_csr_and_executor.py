@@ -9,18 +9,20 @@ the process-parallel executor at any worker count.
 import numpy as np
 import pytest
 
+from repro import engine
 from repro.core import (
     BatchIndexSpec,
     JoinSpec,
-    lsh_join,
-    lsh_self_join,
-    parallel_lsh_join,
     verify_block,
     verify_candidates,
 )
 from repro.datasets import planted_mips, random_unit
 from repro.errors import ParameterError
 from repro.lsh import BatchSignIndex, CSRBucketTable, DataDepALSH, LSHIndex
+
+
+def lsh(P, Q, spec, **options):
+    return engine.join(P, Q, spec, backend="lsh", **options)
 
 
 @pytest.fixture(scope="module")
@@ -146,8 +148,9 @@ class TestQueryStats:
         QueryStats-pollution regression)."""
         _, idx = _pair(instance)
         spec = JoinSpec(s=instance.s, c=0.4)
-        first = lsh_join(instance.P, instance.Q, spec, family=None, index=idx)
-        second = lsh_join(instance.P, instance.Q, spec, family=None, index=idx)
+        first = lsh(instance.P, instance.Q, spec, index=idx)
+        second = lsh(instance.P, instance.Q, spec, index=idx)
+        assert first.matched_count > 0
         assert first.matches == second.matches
         assert first.candidates_generated == second.candidates_generated
         assert first.inner_products_evaluated == second.inner_products_evaluated
@@ -221,42 +224,42 @@ class TestExecutor:
         )
         return P, Q, spec, index_spec
 
-    def test_serial_equals_lsh_join(self, workload):
+    def test_index_spec_equals_prebuilt_index(self, workload):
         P, Q, spec, index_spec = workload
-        serial = parallel_lsh_join(P, Q, spec, index_spec=index_spec, n_workers=1)
-        via_join = lsh_join(P, Q, spec, family=None, index=index_spec.build(P))
+        serial = lsh(P, Q, spec, index_spec=index_spec, n_workers=1)
+        via_join = lsh(P, Q, spec, index=index_spec.build(P))
+        assert serial.matched_count > 0
         assert serial.matches == via_join.matches
         assert serial.inner_products_evaluated == via_join.inner_products_evaluated
         assert serial.candidates_generated == via_join.candidates_generated
 
     def test_four_workers_identical_to_serial(self, workload):
         P, Q, spec, index_spec = workload
-        serial = parallel_lsh_join(P, Q, spec, index_spec=index_spec, n_workers=1)
-        parallel = parallel_lsh_join(P, Q, spec, index_spec=index_spec, n_workers=4)
+        serial = lsh(P, Q, spec, index_spec=index_spec, n_workers=1)
+        parallel = lsh(P, Q, spec, index_spec=index_spec, n_workers=4)
+        assert serial.matched_count > 0
         assert serial.matches == parallel.matches
         assert serial.inner_products_evaluated == parallel.inner_products_evaluated
         assert serial.candidates_generated == parallel.candidates_generated
 
     def test_multiprobe_parallel_identical(self, workload):
         P, Q, spec, index_spec = workload
-        serial = parallel_lsh_join(
-            P, Q, spec, index_spec=index_spec, n_workers=1, n_probes=2
-        )
-        parallel = parallel_lsh_join(
+        serial = lsh(P, Q, spec, index_spec=index_spec, n_workers=1, n_probes=2)
+        parallel = lsh(
             P, Q, spec, index_spec=index_spec, n_workers=2, n_probes=2
         )
+        assert serial.matched_count > 0
         assert serial.matches == parallel.matches
         # Multiprobe inspects strictly more candidates than exact-only.
-        exact_only = parallel_lsh_join(
-            P, Q, spec, index_spec=index_spec, n_workers=1
-        )
+        exact_only = lsh(P, Q, spec, index_spec=index_spec, n_workers=1)
         assert serial.candidates_generated >= exact_only.candidates_generated
 
     def test_prebuilt_index_shipped_to_workers(self, workload):
         P, Q, spec, index_spec = workload
         index = index_spec.build(P)
-        parallel = parallel_lsh_join(P, Q, spec, index=index, n_workers=2)
-        serial = parallel_lsh_join(P, Q, spec, index_spec=index_spec, n_workers=1)
+        parallel = lsh(P, Q, spec, index=index, n_workers=2)
+        serial = lsh(P, Q, spec, index_spec=index_spec, n_workers=1)
+        assert serial.matched_count > 0
         assert parallel.matches == serial.matches
 
     def test_block_alignment_worker_count_invariance(self, workload):
@@ -264,11 +267,10 @@ class TestExecutor:
         block alignment keeps every GEMM identical."""
         P, Q, spec, index_spec = workload
         results = [
-            parallel_lsh_join(
-                P, Q, spec, index_spec=index_spec, n_workers=w, block=64
-            )
+            lsh(P, Q, spec, index_spec=index_spec, n_workers=w, block=64)
             for w in (1, 2, 3)
         ]
+        assert results[0].matched_count > 0
         assert results[0].matches == results[1].matches == results[2].matches
 
     def test_spec_validation(self):
@@ -276,15 +278,6 @@ class TestExecutor:
             BatchIndexSpec(d=8, scheme="nope")
         with pytest.raises(ParameterError, match="seed"):
             BatchIndexSpec(d=8, seed=None)
-
-    def test_exactly_one_index_source(self, workload):
-        P, Q, spec, index_spec = workload
-        with pytest.raises(ParameterError, match="exactly one"):
-            parallel_lsh_join(P, Q, spec)
-        with pytest.raises(ParameterError, match="exactly one"):
-            parallel_lsh_join(
-                P, Q, spec, index_spec=index_spec, index=index_spec.build(P)
-            )
 
 
 class TestSelfJoinBlockedPath:
@@ -294,7 +287,8 @@ class TestSelfJoinBlockedPath:
         idx = BatchSignIndex.for_symmetric(
             16, n_tables=12, bits_per_table=6, seed=4
         ).build(P)
-        blocked = lsh_self_join(P, spec, idx, block=64)
+        blocked = lsh(P, None, spec, index=idx, block=64)
+        assert blocked.matched_count > 0
         # Per-query reference: candidates + verify one row at a time.
         for qi in [0, 17, 399]:
             cands = idx.candidates(P[qi])

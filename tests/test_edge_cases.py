@@ -8,14 +8,8 @@ vectors, and boundary approximation factors.
 import numpy as np
 import pytest
 
-from repro.core import (
-    JoinSpec,
-    brute_force_join,
-    lsh_join,
-    signed_join,
-    sketch_unsigned_join,
-    unsigned_join,
-)
+from repro import engine
+from repro.core import JoinSpec, brute_force_join
 from repro.datasets import planted_mips
 from repro.errors import ParameterError
 from repro.lsh import BatchSignIndex, DataDepALSH, HyperplaneLSH, LSHIndex
@@ -33,16 +27,19 @@ class TestUnreachableThresholds:
     def test_lsh_join_all_none(self, rng):
         P = rng.normal(size=(30, 4)); P /= 2 * np.linalg.norm(P, axis=1, keepdims=True)
         Q = rng.normal(size=(4, 4)); Q /= np.linalg.norm(Q, axis=1, keepdims=True)
-        result = lsh_join(
-            P, Q, JoinSpec(s=100.0, c=0.5), DataDepALSH(4, sphere="hyperplane"),
-            seed=0,
+        result = engine.join(
+            P, Q, JoinSpec(s=100.0, c=0.5), backend="lsh",
+            family=DataDepALSH(4, sphere="hyperplane"), seed=0,
         )
         assert result.matches == [None] * 4
 
     def test_sketch_join_all_none(self, rng):
         P = rng.normal(size=(40, 4))
         Q = rng.normal(size=(4, 4))
-        result = sketch_unsigned_join(P, Q, s=1e9, kappa=3.0, seed=1)
+        result = engine.join(
+            P, Q, JoinSpec(s=1e9, signed=False), backend="sketch",
+            kappa=3.0, seed=1,
+        )
         assert result.matches == [None] * 4
 
 
@@ -60,8 +57,8 @@ class TestDegenerateShapes:
         assert len(result.matches) == 3
 
     def test_one_point_cone_tree(self):
-        engine = ConeTreeMIPS(np.array([[2.0, 0.0]]), seed=0)
-        assert engine.query(np.array([1.0, 1.0])).value == 2.0
+        tree = ConeTreeMIPS(np.array([[2.0, 0.0]]), seed=0)
+        assert tree.query(np.array([1.0, 1.0])).value == 2.0
 
     def test_sketch_on_tiny_dataset(self):
         P = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -110,7 +107,10 @@ class TestAdversarialDuplicates:
     def test_query_equals_data_vector_unsigned(self):
         # The p == q pair in the unsigned join; must behave like any pair.
         P = np.array([[0.9, 0.0], [0.0, 0.1]])
-        result = unsigned_join(P, np.array([[0.9, 0.0]]), s=0.5)
+        result = engine.join(
+            P, np.array([[0.9, 0.0]]), JoinSpec(s=0.5, signed=False),
+            backend="brute_force",
+        )
         assert result.matches[0] == 0
 
 
@@ -118,8 +118,9 @@ class TestBoundaryApproximationFactors:
     def test_c_exactly_one_is_exact(self, rng):
         P = rng.normal(size=(10, 4))
         Q = rng.normal(size=(3, 4))
-        a = signed_join(P, Q, s=0.5, c=1.0)
+        a = engine.join(P, Q, JoinSpec(s=0.5, c=1.0), backend="brute_force")
         b = brute_force_join(P, Q, JoinSpec(s=0.5))
+        assert b.matched_count > 0
         assert a.matches == b.matches
 
     @pytest.mark.parametrize("c", [0.0, -0.5, 1.0001])
@@ -159,5 +160,5 @@ class TestBatchIndexEdges:
             24, n_tables=12, bits_per_table=8, seed=3
         ).build(inst.P)
         spec = JoinSpec(s=inst.s, c=0.4)
-        result = lsh_join(inst.P, inst.Q, spec, family=None, index=idx)
+        result = engine.join(inst.P, inst.Q, spec, backend="lsh", index=idx)
         assert result.matched_count >= 6

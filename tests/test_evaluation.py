@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from repro.core import JoinSpec, brute_force_join, norm_pruned_join
+from repro import engine
+from repro.core import JoinSpec, brute_force_join
 from repro.datasets import planted_mips
 from repro.errors import ParameterError
 from repro.evaluation import EvaluationRecord, evaluate_joins, evaluation_table
@@ -19,9 +20,12 @@ class TestEvaluateJoins:
             instance.P, instance.Q, spec,
             {
                 "brute force": brute_force_join,
-                "norm pruned": norm_pruned_join,
+                "norm pruned": lambda P, Q, spec_: engine.join(
+                    P, Q, spec_, backend="norm_pruned"
+                ),
             },
         )
+        assert records[0].matched > 0
         for record in records:
             assert record.recall == 1.0
             assert record.sound

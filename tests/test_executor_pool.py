@@ -26,7 +26,6 @@ from repro.core import (
     close_pools,
     get_pool,
     map_query_chunks,
-    parallel_lsh_join,
     resolve_workers,
 )
 from repro.core.arena import (
@@ -384,10 +383,12 @@ class TestExecutionModeEquivalence:
         index_spec = BatchIndexSpec(
             d=24, scheme="hyperplane", n_tables=6, bits_per_table=7, seed=2
         )
-        serial = parallel_lsh_join(P, Q, spec, index_spec=index_spec)
+        serial = join(P, Q, spec, backend="lsh", index_spec=index_spec)
+        assert serial.matched_count > 0
         with WorkerPool(2, kind="process", mp_context="spawn") as pool:
-            spawned = parallel_lsh_join(
-                P, Q, spec, index_spec=index_spec, n_workers=2, executor=pool
+            spawned = join(
+                P, Q, spec, backend="lsh", index_spec=index_spec,
+                n_workers=2, executor=pool,
             )
         assert _result_key(serial) == _result_key(spawned)
 
@@ -515,26 +516,30 @@ class TestShardedJoin:
     def test_invalid_options_fail_before_any_shard(
         self, instance, monkeypatch, bad_options, match
     ):
-        """Option validation is hoisted: no shard may run before it.
+        """An invalid option fails before any shard runs a chunk.
 
         A mid-loop failure would leave a partial run (some shards
         joined, work billed, pools warmed) for an error that was knowable
-        up front.  The inner engine join is replaced with a counter to
-        prove it is never reached.
+        up front.  Every shard gets the same options, so shard 0 raises
+        in its constructor or its first prepare; the executor entry
+        point is replaced with a counter to prove it is never reached.
         """
-        import repro.engine.api as engine_api
+        import repro.engine.execute as execute
 
         P, Q = instance
         spec = JoinSpec(s=0.5, c=0.8, signed=True)
         calls = []
-        real_join = engine_api.join
+        real_map = execute.map_query_chunks
         monkeypatch.setattr(
-            engine_api, "join",
-            lambda *a, **kw: calls.append(1) or real_join(*a, **kw),
+            execute, "map_query_chunks",
+            lambda *a, **kw: calls.append(1) or real_map(*a, **kw),
         )
         with pytest.raises(ParameterError, match=match):
             sharded_join(P, Q, spec, n_shards=3, **bad_options)
         assert calls == []
+        # The counter does see the chunks of a valid sharded join.
+        sharded_join(P, Q, spec, n_shards=3, backend="brute_force")
+        assert len(calls) == 3
 
 
 class TestBlasControl:

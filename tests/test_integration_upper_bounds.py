@@ -9,7 +9,8 @@ test file.
 import numpy as np
 import pytest
 
-from repro.core import JoinSpec, brute_force_join, lsh_join, sketch_unsigned_join
+from repro import engine
+from repro.core import JoinSpec, brute_force_join
 from repro.datasets import planted_mips
 from repro.evaluation import evaluate_joins
 from repro.lsh import (
@@ -30,6 +31,7 @@ def instance():
 class TestAllUpperBoundsOnOneWorkload:
     def test_three_structures_through_evaluation_harness(self, instance):
         spec = JoinSpec(s=instance.s, c=0.4)
+        assert brute_force_join(instance.P, instance.Q, spec).matched_count > 0
         config = plan_datadep(n=instance.n, s=instance.s, c=0.4, delta=0.15)
 
         def datadep(P, Q, spec_):
@@ -37,17 +39,20 @@ class TestAllUpperBoundsOnOneWorkload:
                 32, n_tables=config.n_tables,
                 bits_per_table=config.k, seed=1,
             ).build(P)
-            return lsh_join(P, Q, spec_, family=None, index=idx)
+            return engine.join(P, Q, spec_, backend="lsh", index=idx)
 
         def symmetric(P, Q, spec_):
             idx = BatchSignIndex.for_symmetric(
                 32, eps=0.05, n_tables=config.n_tables,
                 bits_per_table=config.k, seed=2,
             ).build(P)
-            return lsh_join(P, Q, spec_, family=None, index=idx)
+            return engine.join(P, Q, spec_, backend="lsh", index=idx)
 
         def sketch(P, Q, spec_):
-            return sketch_unsigned_join(P, Q, s=spec_.s, kappa=3.0, seed=3)
+            return engine.join(
+                P, Q, JoinSpec(s=spec_.s, signed=False), backend="sketch",
+                kappa=3.0, seed=3,
+            )
 
         records = evaluate_joins(
             instance.P, instance.Q, spec,

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core import JoinSpec, brute_force_join, norm_pruned_join, self_join
+from repro import engine
+from repro.core import JoinSpec, brute_force_join
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 
@@ -44,7 +45,7 @@ class TestJoinInvariants:
     @settings(max_examples=40, deadline=None)
     def test_norm_pruned_agrees_with_brute_force(self, P, Q, s, c):
         spec = JoinSpec(s=s, c=c, signed=False)
-        a = norm_pruned_join(P, Q, spec)
+        a = engine.join(P, Q, spec, backend="norm_pruned")
         b = brute_force_join(P, Q, spec)
         for qi in range(Q.shape[0]):
             x, y = a.matches[qi], b.matches[qi]
@@ -55,7 +56,9 @@ class TestJoinInvariants:
     @given(P=matrix(6, 3), s=st.floats(0.1, 5.0))
     @settings(max_examples=40, deadline=None)
     def test_self_join_never_matches_self(self, P, s):
-        result = self_join(P, JoinSpec(s=s, signed=False))
+        result = engine.join(
+            P, None, JoinSpec(s=s, signed=False), backend="brute_force", block=512
+        )
         for i, match in enumerate(result.matches):
             assert match != i
 

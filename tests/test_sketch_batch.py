@@ -10,9 +10,8 @@ tight tolerance.
 import numpy as np
 import pytest
 
-from repro.core.executor import SketchStructureSpec, parallel_sketch_join
+from repro import engine
 from repro.core.problems import JoinSpec
-from repro.core.sketch_join import sketch_unsigned_join
 from repro.core.verify import verify_candidates
 from repro.errors import ParameterError
 from repro.mips.sketch_engine import SketchMIPS
@@ -109,9 +108,15 @@ def test_cmips_query_batch_matches_looped_query(data):
         assert batch[j].norm_estimate == pytest.approx(answer.norm_estimate, rel=1e-9)
 
 
+def _sketch_join(A, Q, s, **options):
+    return engine.join(
+        A, Q, JoinSpec(s=s, signed=False), backend="sketch", **options
+    )
+
+
 def test_sketch_join_blocked_equals_per_query_reference(data):
     A, Q = data
-    result = sketch_unsigned_join(A, Q, s=2.0, kappa=4.0, copies=5, seed=29, block=32)
+    result = _sketch_join(A, Q, 2.0, kappa=4.0, copies=5, seed=29, block=32)
     structure = SketchCMIPS(A, kappa=4.0, copies=5, seed=29)
     per_query = structure.recovery.query_cost() // max(1, A.shape[1])
     proposals = []
@@ -124,6 +129,7 @@ def test_sketch_join_blocked_equals_per_query_reference(data):
     ref_matches, _ = verify_candidates(
         A, Q, proposals, threshold=result.spec.cs, signed=False, block=32
     )
+    assert any(m is not None for m in ref_matches)
     assert result.matches == ref_matches
     assert result.inner_products_evaluated == per_query * Q.shape[0]
     assert result.candidates_generated == Q.shape[0]
@@ -131,9 +137,9 @@ def test_sketch_join_blocked_equals_per_query_reference(data):
 
 def test_sketch_mips_query_batch(data):
     A, Q = data
-    engine = SketchMIPS(A, kappa=4.0, copies=5, seed=31)
-    batched = engine.query_batch(Q, block=40)
-    looped = [engine.query(q) for q in Q]
+    mips = SketchMIPS(A, kappa=4.0, copies=5, seed=31)
+    batched = mips.query_batch(Q, block=40)
+    looped = [mips.query(q) for q in Q]
     assert [a.index for a in batched] == [a.index for a in looped]
     assert [a.work for a in batched] == [a.work for a in looped]
     assert np.allclose(
@@ -141,12 +147,16 @@ def test_sketch_mips_query_batch(data):
     )
 
 
-def test_parallel_sketch_join_worker_invariance(data):
+def test_sketch_join_worker_invariance(data):
     A, Q = data
-    spec = SketchStructureSpec(kappa=4.0, copies=5, seed=37)
-    serial = sketch_unsigned_join(A, Q, s=2.0, structure=spec.build(A), block=32)
-    one = parallel_sketch_join(A, Q, s=2.0, structure_spec=spec, n_workers=1, block=32)
-    multi = parallel_sketch_join(A, Q, s=2.0, structure_spec=spec, n_workers=2, block=32)
+    options = dict(kappa=4.0, copies=5, seed=37, block=32)
+    serial = _sketch_join(
+        A, Q, 2.0, structure=SketchCMIPS(A, kappa=4.0, copies=5, seed=37),
+        block=32,
+    )
+    one = _sketch_join(A, Q, 2.0, n_workers=1, **options)
+    multi = _sketch_join(A, Q, 2.0, n_workers=2, **options)
+    assert serial.matched_count > 0
     assert serial.matches == one.matches == multi.matches
     assert (
         serial.inner_products_evaluated
@@ -156,12 +166,10 @@ def test_parallel_sketch_join_worker_invariance(data):
     assert one.spec.cs == pytest.approx(multi.spec.cs)
 
 
-def test_parallel_sketch_join_validates_payload(data):
+def test_parallel_sketch_join_needs_concrete_seed(data):
     A, Q = data
-    with pytest.raises(ParameterError):
-        parallel_sketch_join(A, Q, s=1.0)
-    with pytest.raises(ParameterError):
-        SketchStructureSpec(seed=None)
+    with pytest.raises(ParameterError, match="seed"):
+        _sketch_join(A, Q, 1.0, n_workers=2)
 
 
 def test_mips_engine_default_query_batch(data):
@@ -177,5 +185,5 @@ def test_mips_engine_default_query_batch(data):
             j = int(np.argmax(values))
             return MIPSAnswer(index=j, value=float(values[j]), work=self.n)
 
-    engine = Exact(A)
-    assert engine.query_batch(Q) == [engine.query(q) for q in Q]
+    exact = Exact(A)
+    assert exact.query_batch(Q) == [exact.query(q) for q in Q]
