@@ -3,8 +3,9 @@
 Python's per-query overhead disappears into GEMMs with the blocked
 verification kernel, but one process still drives one core.  This module
 shards a filter-then-verify join over contiguous *query block* ranges
-and fans them out to a persistent worker pool.  Three execution paths,
-one dispatch helper (:func:`map_query_chunks`), identical results:
+and fans them out to a persistent worker pool.  One dispatch helper
+(:func:`map_query_chunks`) maps an in-memory ``Q`` in one of three
+execution modes, with identical results:
 
 * **Serial** (``n_workers=1``): build the structure in-process, run one
   chunk.  Never touches a pool; an explicit ``blas_threads=`` pin is
@@ -31,7 +32,11 @@ everything, and an ``atexit`` sweep so ``/dev/shm`` never leaks — also
 not on worker crashes, where the broken pool is torn down and its
 segments unlinked before the error propagates.
 
-BLAS oversubscription is handled in both parallel paths: process-pool
+Streamed query sets arrive one window at a time: :class:`QuerySource`
+re-blocks a chunk stream into ``block``-aligned windows, and the session
+runs each window through :func:`map_query_chunks` as an ordinary batch.
+
+BLAS oversubscription is handled in both parallel modes: process-pool
 workers pin their BLAS pool to ``cpu_count // n_workers`` threads (via
 :mod:`repro.utils.blasctl`, plus inherited ``OMP_NUM_THREADS``-family
 env vars so spawn-context children never start wide), and the thread
@@ -57,7 +62,6 @@ import atexit
 import math
 import os
 import time
-from collections import deque
 from concurrent.futures import (
     FIRST_EXCEPTION,
     ProcessPoolExecutor,
@@ -65,7 +69,6 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -177,31 +180,33 @@ def resolve_workers(n_workers: Union[int, str]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Query sources: one contract for in-memory, streamed, and memmapped Q
+# Query sources: the input adapter of session.query_stream
 
 
 class QuerySource:
-    """A query matrix by any name: in-memory array, chunk iterator, or memmap.
+    """A query set by any name: in-memory array, chunk iterator, or memmap.
 
-    :func:`map_query_chunks` consumes any of the three through one
-    contract, so streaming and out-of-core joins ride the exact code
-    path in-memory joins do:
+    The input adapter of
+    :meth:`~repro.engine.session.JoinSession.query_stream`: whatever
+    the producer hands over, :meth:`blocks` yields fixed-size row
+    windows, and the session answers each window as one ordinary query
+    batch.
 
     * ``kind="array"`` — a materialized ``(m, d)`` ndarray.  This is also
       how memmapped files enter (:meth:`from_memmap` maps the file and
-      wraps the read-only view), so an out-of-core ``Q`` gets the normal
-      worker-count chunking and the OS pages rows in on demand.
+      wraps the read-only view), so the OS pages rows in as windows
+      touch them.
     * ``kind="stream"`` — an iterator of ``(k_i, d)`` row chunks whose
-      total length need not be known up front.  The executor re-blocks
-      the incoming chunks to multiples of the verification ``block``
-      size (:meth:`blocks`), which is exactly the determinism contract
-      parallel chunking already obeys — so a streamed join is
-      bit-identical to the in-memory join over the concatenated rows,
-      for every worker count and pool kind.
+      total length need not be known up front.  :meth:`blocks`
+      re-blocks them to the requested window size; the session asks for
+      multiples of the verification ``block``, the alignment parallel
+      chunking already obeys, so a streamed join is bit-identical to
+      the in-memory join over the concatenated rows, for every worker
+      count and pool kind.
 
-    ``chunk_rows`` is a hint for the re-blocked chunk size (rounded to a
-    ``block`` multiple by the consumer); ``d`` pins the expected width
-    so a malformed producer fails with a named error, not a GEMM shape
+    ``chunk_rows`` is a hint for the window size (rounded to a ``block``
+    multiple by the session); ``d`` pins the expected width so a
+    malformed producer fails with a named error, not a GEMM shape
     mismatch.
     """
 
@@ -378,24 +383,6 @@ def _run_thread_chunk(structure, P, Q, start: int, end: int, runner, args):
     """
     local = clone_shell(structure)
     return runner(local, P, Q[start:end], start, args)
-
-
-def _run_frozen_stream_chunk(blob: bytes, Q_chunk, start: int, runner, args):
-    """Process-pool task for streamed ``Q``: thaw (structure, P), run one chunk.
-
-    Unlike :func:`_run_frozen_chunk`, the query chunk itself crosses the
-    pipe (it is the one piece of data that did not exist when the call
-    started), so shared memory holds only the long-lived structure and
-    ``P`` — total shm stays bounded no matter how long the stream runs.
-    """
-    structure, P = thaw(blob)
-    return runner(structure, P, Q_chunk, start, args)
-
-
-def _run_thread_stream_chunk(structure, P, Q_chunk, start: int, runner, args):
-    """Thread-pool task for streamed ``Q``: shell-clone, run one chunk."""
-    local = clone_shell(structure)
-    return runner(local, P, Q_chunk, start, args)
 
 
 # ---------------------------------------------------------------------------
@@ -690,13 +677,10 @@ def map_query_chunks(
             parent; workers receive shared-memory views (process pools)
             or shell clones (thread pools) of the same built structure.
         P, Q: data and query matrices (already validated by the caller).
-            ``Q`` may also be a :class:`QuerySource`: array-kind sources
-            (including memmapped files) run the normal chunked path;
-            stream-kind sources are consumed chunk by chunk with a
-            bounded in-flight window, never materializing the full query
-            set — results still return in stream order and match the
-            in-memory run bit for bit (chunks are re-blocked to ``block``
-            multiples, the same alignment parallel chunking uses).
+            ``Q`` is in memory: an ndarray, a memmap view or a set
+            collection.  Streams reach the executor one re-blocked
+            window at a time, as ordinary ``Q`` batches
+            (:meth:`repro.engine.session.JoinSession.query_stream`).
         runner: a **module-level** (hence picklable-by-reference)
             function ``runner(structure, P, Q_chunk, start, args)``
             where ``start`` is the chunk's global query offset; it is
@@ -733,25 +717,7 @@ def map_query_chunks(
         raise ParameterError(
             f"pool must be one of {POOL_KINDS}, got {pool!r}"
         )
-    source: Optional[QuerySource] = None
-    if isinstance(Q, QuerySource):
-        if Q.kind == "array":
-            Q = Q.array
-        else:
-            source = Q
     structure = payload.build(P) if hasattr(payload, "build") else payload
-    if source is not None:
-        # Same precedence as the array path: serial never touches a
-        # pool; otherwise a caller-managed executor wins over the
-        # persistent registry pool.
-        wp = None
-        if workers > 1:
-            wp = executor if executor is not None else get_pool(
-                workers, kind=pool, blas_threads=blas_threads
-            )
-        return _map_stream_chunks(
-            structure, P, source, runner, args, wp, block, blas_threads
-        )
     if workers == 1:
         if blas_threads is None:
             return [runner(structure, P, Q, 0, args)]
@@ -804,106 +770,12 @@ def map_query_chunks(
         scratch.close()
 
 
-def _stream_rows(source: QuerySource, block: int) -> int:
-    """The re-blocked chunk size for a stream: a ``block`` multiple >= block."""
-    rows = source.chunk_rows if source.chunk_rows is not None else 8 * block
-    return max(block, (rows // block) * block)
-
-
-def _map_stream_chunks(
-    structure,
-    P,
-    source: QuerySource,
-    runner: Callable,
-    args: tuple,
-    wp: Optional[WorkerPool],
-    block: int,
-    blas_threads: Optional[int],
-) -> List[Any]:
-    """Run a stream-kind :class:`QuerySource` through the chunk runner.
-
-    Chunks are consumed as the producer yields them and dispatched with a
-    bounded in-flight window (``2 x n_workers``), so memory stays at
-    O(window x chunk) regardless of stream length; results are collected
-    oldest-first, which both preserves stream order and applies
-    backpressure to the producer.  Only the long-lived ``(structure, P)``
-    pair is frozen into shared memory — each query chunk crosses the
-    pipe once and is never retained, unlike the array path where the
-    whole ``Q`` is placed in the per-call scratch arena.
-    """
-    rows = _stream_rows(source, block)
-    results: List[Any] = []
-    if wp is None:
-        pin = (
-            blasctl.blas_threads(blasctl.worker_blas_threads(1, blas_threads))
-            if blas_threads is not None
-            else nullcontext()
-        )
-        offset = 0
-        with pin:
-            for chunk in source.blocks(rows):
-                results.append(runner(structure, P, chunk, offset, args))
-                offset += chunk.shape[0]
-        return results
-
-    window = 2 * wp.n_workers
-    futures: deque = deque()
-    if wp.kind == "thread":
-        ex = wp._ensure_executor()
-        try:
-            with blasctl.blas_threads(wp.blas_threads):
-                offset = 0
-                for chunk in source.blocks(rows):
-                    if len(futures) >= window:
-                        results.append(futures.popleft().result())
-                    futures.append(ex.submit(
-                        _run_thread_stream_chunk, structure, P, chunk,
-                        offset, runner, args,
-                    ))
-                    offset += chunk.shape[0]
-                while futures:
-                    results.append(futures.popleft().result())
-            return results
-        except Exception:
-            for future in futures:
-                future.cancel()
-            raise
-
-    ex = wp._ensure_executor()
-    lookup = (wp._arena,) if wp._arena is not None else ()
-    scratch = SharedArena()
-    try:
-        blob = freeze((structure, P), scratch, lookup=lookup)
-        offset = 0
-        for chunk in source.blocks(rows):
-            if len(futures) >= window:
-                results.append(futures.popleft().result())
-            futures.append(ex.submit(
-                _run_frozen_stream_chunk, blob, chunk, offset, runner, args,
-            ))
-            offset += chunk.shape[0]
-        while futures:
-            results.append(futures.popleft().result())
-        return results
-    except BrokenProcessPool:
-        wp._abandon()
-        raise
-    except Exception:
-        for future in futures:
-            future.cancel()
-        raise
-    finally:
-        for future in futures:
-            future.cancel()
-        scratch.close()
-
-
 def _engine_runner(structure, P, Q_chunk, start, args):
     """Chunk runner for the unified engine: dispatch to a named backend.
 
-    ``args`` is ``(backend_name,)``, ``(backend_name, observe)`` or
-    ``(backend_name, observe, stage_label)``.  With ``observe`` set, the
-    chunk runs under a fresh tracer + metrics registry — in *every*
+    ``args`` is ``(backend_name, observe, stage_label)``.  With
+    ``observe`` set, the chunk runs under a fresh tracer + metrics
+    registry — in *every*
     execution mode, so a serial join and each parallel worker produce
     the same detached per-chunk span tree — and ships them back on the
     :class:`~repro.engine.protocol.ChunkResult` (spans as plain
@@ -912,16 +784,14 @@ def _engine_runner(structure, P, Q_chunk, start, args):
     snapshots in chunk order, which keeps parallel totals bit-identical
     to serial ones.  Thread-pool workers can do this concurrently
     because the current tracer/registry are context variables, not
-    process globals.  ``stage_label`` (multi-stage plans) is stamped on
-    the ``run_chunk`` span so detached chunk trees stay attributable to
-    their stage; one-stage joins omit it and keep the pre-Plan-IR span
-    shape.
+    process globals.  A non-empty ``stage_label`` (multi-stage plans) is
+    stamped on the ``run_chunk`` span so detached chunk trees stay
+    attributable to their stage; one-stage joins pass ``""`` and keep
+    the pre-Plan-IR span shape.
     """
     from repro.engine.registry import get_backend
 
-    backend_name = args[0]
-    observe = args[1] if len(args) > 1 else False
-    stage_label = args[2] if len(args) > 2 else ""
+    backend_name, observe, stage_label = args
     backend = get_backend(backend_name)
     if not observe:
         t0 = time.perf_counter_ns()

@@ -66,6 +66,49 @@ class BlockVerification:
     n_evaluated: int
 
 
+def _union_gather(
+    P: np.ndarray,
+    Q_block: np.ndarray,
+    cand_lists: Sequence[np.ndarray],
+    sizes: np.ndarray,
+    total: int,
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """The union GEMM behind both block kernels, or ``None`` when the
+    block fails the cost test (the caller then runs one GEMV per list).
+
+    Returns ``(qidx, all_cands, values, union_rows)``: the queries with
+    candidates, their lists concatenated, each pair's signed inner
+    product, and ``|union|``.  Every test reads only the block's
+    candidate lists (and ``n``), so every process picks the same path.
+    """
+    b = Q_block.shape[0]
+    # The union can never be smaller than the largest single list, so a
+    # block that fails the cost test at that lower bound skips the union
+    # computation entirely.
+    if int(sizes.max()) * b > GEMM_ADVANTAGE * total:
+        return None
+    qidx = np.flatnonzero(sizes)
+    all_cands = np.concatenate([cand_lists[i] for i in qidx])
+    if P.shape[0] <= 16 * total:
+        # Presence scatter + flatnonzero: sorted union without a sort;
+        # the O(n) scan is cheaper below this density.
+        present = np.zeros(P.shape[0], dtype=bool)
+        present[all_cands] = True
+        union = np.flatnonzero(present)
+    else:
+        union = sorted_unique(all_cands)
+    if union.size * b > GEMM_ADVANTAGE * total:
+        return None
+    gram = P[union] @ Q_block.T  # (|union|, b)
+    qrep = np.repeat(qidx, sizes[qidx])
+    # Candidate id -> gram row via a scatter map; binary-searching the
+    # union instead costs more than the GEMM on slow cores.
+    inverse = np.empty(P.shape[0], dtype=np.int64)
+    inverse[union] = np.arange(union.size, dtype=np.int64)
+    values = gram.ravel()[inverse[all_cands] * b + qrep]
+    return qidx, all_cands, values, int(union.size)
+
+
 def verify_block(
     P: np.ndarray,
     Q_block: np.ndarray,
@@ -89,40 +132,18 @@ def verify_block(
     evaluated = int(sizes.sum())
     if evaluated == 0:
         return BlockVerification(best_index, best_score, 0)
-    qidx = np.flatnonzero(sizes)
-    # The union can never be smaller than the largest single list, so a
-    # block that fails the cost test at that lower bound skips the union
-    # computation entirely.  Every test below reads only the block's
-    # candidate lists (and n), preserving process-independence.
-    union = None
-    all_cands = None
-    if int(sizes.max()) * b <= GEMM_ADVANTAGE * evaluated:
-        all_cands = np.concatenate([cand_lists[i] for i in qidx])
-        if P.shape[0] <= 16 * evaluated:
-            # Presence scatter + flatnonzero: sorted union without a
-            # sort; the O(n) scan is cheaper below this density.
-            present = np.zeros(P.shape[0], dtype=bool)
-            present[all_cands] = True
-            union = np.flatnonzero(present)
-        else:
-            union = sorted_unique(all_cands)
     metrics = current_metrics()
     if metrics.enabled:
         metrics.counter("verify.pairs_evaluated").inc(evaluated)
-    if union is not None and union.size * b <= GEMM_ADVANTAGE * evaluated:
+    gathered = _union_gather(P, Q_block, cand_lists, sizes, evaluated)
+    if gathered is not None:
+        qidx, all_cands, values, union_rows = gathered
         if metrics.enabled:
             metrics.counter("verify.gemm_blocks").inc()
-            metrics.histogram("verify.gemm_union_rows").observe(int(union.size))
-        # Overlapping block: one GEMM covers every (query, candidate)
+            metrics.histogram("verify.gemm_union_rows").observe(union_rows)
+        # Overlapping block: one GEMM covered every (query, candidate)
         # pair, and the per-query maxima come out of one segmented
         # reduction — no Python executes per query.
-        gram = P[union] @ Q_block.T  # (|union|, b)
-        qrep = np.repeat(qidx, sizes[qidx])
-        # Candidate id -> gram row via a scatter map; binary-searching
-        # the union instead costs more than the GEMM on slow cores.
-        inverse = np.empty(P.shape[0], dtype=np.int64)
-        inverse[union] = np.arange(union.size, dtype=np.int64)
-        values = gram.ravel()[inverse[all_cands] * b + qrep]
         scores = values if signed else np.abs(values)
         seg = np.cumsum(sizes[qidx]) - sizes[qidx]
         seg_max = np.maximum.reduceat(scores, seg)
@@ -161,7 +182,7 @@ def candidate_values_block(
 
     The sibling of :func:`verify_block` for callers that need *all* the
     values (top-k ranking, recall audits) rather than the per-query best.
-    Applies the same union-GEMM cost test, so the BLAS call pattern is a
+    Shares its union GEMM and cost test, so the BLAS call pattern is a
     pure function of the block's candidate lists.  ``out[i]`` has the
     same length and order as ``cand_lists[i]``.
     """
@@ -171,30 +192,16 @@ def candidate_values_block(
     out: List[np.ndarray] = [np.empty(0, dtype=np.float64)] * b
     if total == 0:
         return out
-    qidx = np.flatnonzero(sizes)
-    union = None
-    all_cands = None
-    if int(sizes.max()) * b <= GEMM_ADVANTAGE * total:
-        all_cands = np.concatenate([cand_lists[i] for i in qidx])
-        if P.shape[0] <= 16 * total:
-            present = np.zeros(P.shape[0], dtype=bool)
-            present[all_cands] = True
-            union = np.flatnonzero(present)
-        else:
-            union = sorted_unique(all_cands)
-    if union is not None and union.size * b <= GEMM_ADVANTAGE * total:
-        gram = P[union] @ Q_block.T  # (|union|, b)
-        qrep = np.repeat(qidx, sizes[qidx])
-        inverse = np.empty(P.shape[0], dtype=np.int64)
-        inverse[union] = np.arange(union.size, dtype=np.int64)
-        values = gram.ravel()[inverse[all_cands] * b + qrep]
+    gathered = _union_gather(P, Q_block, cand_lists, sizes, total)
+    if gathered is not None:
+        qidx, _, values, _ = gathered
         if not signed:
             values = np.abs(values)
         seg = np.cumsum(sizes[qidx]) - sizes[qidx]
         for pos, i in enumerate(qidx):
             out[i] = values[seg[pos] : seg[pos] + sizes[i]]
     else:
-        for i in qidx:
+        for i in np.flatnonzero(sizes):
             values = P[cand_lists[i]] @ Q_block[i]
             out[i] = values if signed else np.abs(values)
     return out

@@ -1,21 +1,29 @@
-"""The engine's stage-walk: prepare/run/merge machinery behind every join.
+"""The engine's stage walk: one stage body behind every join.
 
-This module is the execution half of what used to be the ``join()``
-monolith in :mod:`repro.engine.api`, split out so that one-shot joins
-and long-lived sessions (:mod:`repro.engine.session`) drive the *same*
-code with one difference: where the prepared stage structures come from.
+One-shot joins and long-lived sessions (:mod:`repro.engine.session`)
+drive the same three functions; they differ only in where a stage's
+prepared structure comes from.
 
-* A one-shot ``engine.join()`` passes no :class:`PreparedStage` objects;
-  every stage prepares (and, under tracing, builds) inline inside its
-  span — the historical behavior, bit for bit, spans included.
-* A session prepares every stage once at ``open()`` via
-  :func:`prepare_stage` and passes the results back in on each
-  ``query()``; the walk then reuses the built payloads (and the
-  materialized point-partition copies) instead of re-preparing.  Stages
-  that consume a filter stage's per-query ``proposals``
-  (:meth:`~repro.engine.plan.Plan.consumes_proposals`) are the one
-  exception: they are *deferred* — re-prepared on every query with that
-  batch's proposals, which costs no quantization or index build.
+* :func:`prepare_stage` is the one caller of ``backend.prepare``: it
+  merges stage options, checks the stage kind, and resolves the point
+  partition, the stage seed and any filter proposals.  It never builds.
+* :func:`run_single_stage` is THE stage body: prepare (or reuse), the
+  trace's ``build`` span, ``run`` through the executor, ``merge``.
+  A one-stage plan is this one call.
+* :func:`run_stage_plan` walks a multi-stage plan, one
+  :func:`run_single_stage` call per stage inside its ``stage`` span,
+  and folds each stage's answers into the global result.
+
+A one-shot ``engine.join()`` passes no :class:`PreparedStage` objects:
+every stage prepares inline inside its span, and the executor builds
+the payload.  A session prepares and builds every stage once at
+``open()`` and passes the results back in on each query; stages then
+reuse the built payloads (and the point-partition copies).  Stages that
+consume a filter stage's per-query ``proposals``
+(:meth:`~repro.engine.plan.Plan.consumes_proposals`) are the one
+exception: they are *deferred*, and every query prepares a fresh
+:class:`PreparedStage` with that batch's proposals, which costs no
+quantization or index build.
 
 Determinism: reuse never changes results, because prepare/build are
 idempotent for every backend (structures build lazily and cache), and
@@ -32,14 +40,13 @@ from typing import Any, Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.core.executor import (
-    QuerySource,
     WorkerPool,
     _engine_runner,
     map_query_chunks,
     merge_join_chunks,
 )
 from repro.core.problems import JoinResult, JoinSpec, QueryStats
-from repro.engine.plan import Plan, Stage, stage_point_indices
+from repro.engine.plan import Plan, Stage, norm_split_size, stage_point_indices
 from repro.engine.registry import get_backend
 from repro.errors import ParameterError
 from repro.obs import MetricsRegistry, Tracer
@@ -47,11 +54,11 @@ from repro.obs import MetricsRegistry, Tracer
 
 @dataclass
 class PreparedStage:
-    """One plan stage's ready-to-run state, prepared once per session.
+    """One plan stage's ready-to-run state.
 
-    ``payload`` is the *built* structure (sessions build eagerly at
-    ``open()`` so queries never pay construction); ``None`` marks a
-    deferred stage whose ``prepare`` needs per-query proposals.
+    ``payload`` is what ``backend.prepare`` returned; a session builds
+    it at ``open()`` so queries never pay construction.  ``None`` marks
+    a deferred stage whose ``prepare`` needs per-query proposals.
     ``P_stage`` is the stage's point subset — kept so partitioned stages
     don't re-slice ``P`` per query, and so the worker-pool arena can pin
     the exact array object the runner will reference.
@@ -66,21 +73,22 @@ class PreparedStage:
     deferred: bool = False
 
 
-def _standalone_filter_error(backend_name: str) -> ParameterError:
-    return ParameterError(
-        f"backend {backend_name!r} is a filter stage: it only "
-        "proposes candidates and cannot answer a join on its "
-        "own (see quantized_filter_plan)"
-    )
+def _one_stage(the_plan: Plan) -> bool:
+    """Is this the one-stage fast path: one stage over all points and queries?
+
+    Such a plan runs without a ``stage`` span, takes engine-level
+    options, and rejects filter backends; anything else walks its
+    stages through :func:`run_stage_plan`.
+    """
+    return len(the_plan.stages) == 1 and not the_plan.stages[0].is_partitioned
 
 
-def _stage_kind_error(stage: Stage, is_filter: bool) -> ParameterError:
-    return ParameterError(
-        f"backend {stage.backend!r} "
-        + ("is a filter stage and needs kind='filter'"
-           if is_filter else
-           f"cannot run as a kind={stage.kind!r} stage")
-    )
+def _stage_rows(stage: Stage, n: int) -> int:
+    """Rows of the stage's point subset, without computing the partition."""
+    if stage.points == "all":
+        return int(n)
+    top = norm_split_size(n, stage.fraction)
+    return top if stage.points == "norm_top" else int(n) - top
 
 
 def prepare_stage(
@@ -94,31 +102,40 @@ def prepare_stage(
     n_workers: int,
     options: dict,
 ) -> PreparedStage:
-    """Prepare (and build) stage ``index`` of a plan, session-style.
+    """Prepare stage ``index`` of a plan: the one caller of ``backend.prepare``.
 
-    Runs the same validation the inline walk performs — standalone
-    filters rejected for one-stage plans, stage kind matched against the
-    backend's ``is_filter`` — then resolves the point partition,
-    prepares the payload, and builds it eagerly.  Stages consuming a
-    filter's proposals come back deferred (``payload=None``): their
-    prepare is per-query by construction.
+    Merges the stage's options with ``options`` (engine-level options
+    for one-stage plans; a filter's ``proposals`` for the stage that
+    consumes them), rejects standalone filters and stage kinds that do
+    not match the backend, resolves the point partition and the stage
+    seed (``seed + index``), and prepares the payload.  It never builds:
+    a session builds its payloads at open, a one-shot join in the
+    executor (or the trace's ``build`` span).  A stage that consumes a
+    filter's proposals comes back deferred (``payload=None``) unless
+    ``options`` carries them: its prepare is per-query by construction.
     """
     stage = the_plan.stages[index]
     impl = get_backend(stage.backend)
     is_filter = bool(getattr(impl, "is_filter", False))
-    single_fast = len(the_plan.stages) == 1 and not stage.is_partitioned
-    if single_fast:
+    if _one_stage(the_plan):
         if is_filter:
-            raise _standalone_filter_error(stage.backend)
-        stage_options = {**stage.options, **options}
-    else:
-        if is_filter != (stage.kind == "filter"):
-            raise _stage_kind_error(stage, is_filter)
-        stage_options = dict(stage.options)
+            raise ParameterError(
+                f"backend {stage.backend!r} is a filter stage: it only "
+                "proposes candidates and cannot answer a join on its "
+                "own (see quantized_filter_plan)"
+            )
+    elif is_filter != (stage.kind == "filter"):
+        raise ParameterError(
+            f"backend {stage.backend!r} "
+            + ("is a filter stage and needs kind='filter'"
+               if is_filter else
+               f"cannot run as a kind={stage.kind!r} stage")
+        )
+    stage_options = {**stage.options, **options}
     point_idx = stage_point_indices(stage, P)
     P_stage = P if point_idx is None else P[point_idx]
-    stage_seed = None if seed is None else seed + index
-    if the_plan.consumes_proposals(index):
+    stage_seed = seed + index if index and seed is not None else seed
+    if the_plan.consumes_proposals(index) and "proposals" not in stage_options:
         return PreparedStage(
             stage=stage, payload=None, final_spec=None,
             point_idx=point_idx, P_stage=P_stage, seed=stage_seed,
@@ -128,8 +145,6 @@ def prepare_stage(
         P_stage, spec, seed=stage_seed, block=block,
         n_workers=n_workers, **stage_options,
     )
-    if hasattr(payload, "build"):
-        payload = payload.build(P_stage)
     return PreparedStage(
         stage=stage, payload=payload, final_spec=final_spec,
         point_idx=point_idx, P_stage=P_stage, seed=stage_seed,
@@ -221,6 +236,7 @@ def _fold_stage_matches(
 
 def run_single_stage(
     the_plan: Plan,
+    index: int,
     P,
     Q,
     spec: JoinSpec,
@@ -237,37 +253,37 @@ def run_single_stage(
     prep: Optional[PreparedStage] = None,
     on_prepare: Optional[Callable[[str], None]] = None,
 ):
-    """The one-stage fast path: the pre-Plan-IR dispatch, bit for bit.
+    """Run stage ``index`` of a plan on the query rows ``Q``: THE stage body.
 
-    Same spans, same payload flow, result spec = the backend's final
-    spec.  With a session's ``prep`` the prepare span reuses the built
-    payload instead of re-preparing (the span still appears, marked
-    ``reused``, so traced session queries keep the familiar skeleton).
-    ``Q`` may be a stream-kind :class:`QuerySource` — the executor
-    consumes it chunk by chunk and everything downstream merges the
-    per-chunk results exactly as it merges parallel chunks.
+    ``prepare`` (reusing a session's built ``prep`` — the span is then
+    marked ``reused`` — or calling :func:`prepare_stage`, which a
+    deferred ``prep`` always does), then under tracing the ``build``
+    span, then ``run`` (the executor over ``Q``) and ``merge`` (chunk
+    results in query order, under the stage's final spec).  One-stage
+    plans run this at the root of the trace, the pre-Plan-IR span shape;
+    :func:`run_stage_plan` runs it inside each ``stage`` span.
 
-    Returns ``(result, chunks, stage_records)``.
+    Returns ``(result, chunks, point_idx, proposals)``: the merged
+    stage result, the raw chunk results, the global indices of the
+    stage's points (``None`` for all of ``P``), and — for filter stages
+    — the survivor lists remapped to global point indices.  The prepared
+    stage itself is not returned, so a one-shot stage's structure is
+    freed before the next stage builds its own.
     """
-    stage = the_plan.stages[0]
-    backend_name = stage.backend
-    impl = get_backend(backend_name)
-    if getattr(impl, "is_filter", False):
-        raise _standalone_filter_error(backend_name)
-    stage_options = {**stage.options, **options}
-    reuse = prep is not None and prep.payload is not None
-    with tracer.span("prepare", backend=backend_name) as prep_span:
-        if reuse:
-            payload, final_spec = prep.payload, prep.final_spec
+    stage = the_plan.stages[index]
+    with tracer.span("prepare", backend=stage.backend) as prep_span:
+        if prep is not None and prep.payload is not None:
             if prep_span is not None:
                 prep_span.attrs["reused"] = True
         else:
-            payload, final_spec = impl.prepare(
-                P, spec, seed=seed, block=block, n_workers=n_workers,
-                **stage_options,
+            kind = "stage" if prep is None else "deferred"
+            prep = prepare_stage(
+                the_plan, index, P, spec, seed=seed, block=block,
+                n_workers=n_workers, options=options,
             )
             if on_prepare is not None:
-                on_prepare("stage")
+                on_prepare(kind)
+        payload = prep.payload
         if trace and hasattr(payload, "build"):
             # The zero-copy executor builds in the parent for every
             # worker count, so the trace can always price construction
@@ -276,36 +292,37 @@ def run_single_stage(
             # payload this is a cached no-op and the span shows ~0s —
             # exactly the amortization the session exists to buy.
             with tracer.span("build"):
-                payload = payload.build(P)
+                payload = payload.build(prep.P_stage)
+    # The stage label rides on multi-stage chunk spans only, so detached
+    # chunk trees stay attributable; one-stage joins omit it.
+    label = "" if _one_stage(the_plan) else (stage.label or stage.backend)
     with tracer.span("run") as run_span:
         chunks = map_query_chunks(
-            payload, P, Q, _engine_runner, (backend_name, trace),
+            payload, prep.P_stage, Q, _engine_runner,
+            (stage.backend, trace, label),
             n_workers=n_workers, block=block,
             pool=pool, executor=executor, blas_threads=blas_threads,
         )
     if run_span is not None:
         run_span.children.extend(c.trace for c in chunks if c.trace)
+    proposals = None
     with tracer.span("merge"):
         result = merge_join_chunks(
-            [
-                (c.matches, c.evaluated, c.generated, c.stats)
-                for c in chunks
-            ],
-            final_spec,
-            backend=backend_name,
+            [(c.matches, c.evaluated, c.generated, c.stats) for c in chunks],
+            prep.final_spec,
+            backend=stage.backend,
         )
-        if final_spec.is_topk:
+        if prep.final_spec.is_topk:
             result.topk = [lst for c in chunks for lst in (c.topk or [])]
-    stage_records = [
-        dict(
-            index=0, backend=backend_name,
-            n=int(P.shape[0]), m=len(result.matches), wall_s=0.0,
-            evaluated=int(result.inner_products_evaluated),
-            generated=int(result.candidates_generated),
-            answered=int(result.matched_count),
-        )
-    ]
-    return result, chunks, stage_records
+        if stage.kind == "filter":
+            # Filter stages answer nothing: concatenate the per-chunk
+            # survivor lists (chunk order = query order) and remap
+            # structure-local point indices to global ones for the
+            # consuming stage.
+            proposals = [lst for c in chunks for lst in (c.proposals or [])]
+            if prep.point_idx is not None:
+                proposals = [prep.point_idx[lst] for lst in proposals]
+    return result, chunks, prep.point_idx, proposals
 
 
 def run_stage_plan(
@@ -327,13 +344,15 @@ def run_stage_plan(
 ):
     """Walk a multi-stage plan's stages under one global result.
 
-    Each stage runs the standard ``prepare``/``run``/``merge`` pipeline
-    on its point/query subset under a ``stage`` span; the unanswered
-    mask is recomputed from the fully merged stage result, so worker
-    count cannot change what the next stage sees.  ``prepared`` (from a
-    session) short-circuits per-stage prepare/build; deferred stages —
-    consumers of a filter stage's proposals — always prepare inline with
-    this batch's survivor lists.  Returns
+    Each stage picks its query subset, runs :func:`run_single_stage`
+    inside a ``stage`` span, and folds the merged stage result into the
+    global answer; the unanswered mask is recomputed from the fully
+    merged stage result, so worker count cannot change what the next
+    stage sees.  A stage whose queries are all answered already is a
+    no-op: it skips prepare and build but still leaves its span and
+    stage record.  A filter stage's survivor lists become the next
+    stage's ``proposals`` option.  ``prepared`` (from a session) lets
+    stages reuse their built payloads.  Returns
     ``(result, chunks, stage_records)``.
     """
     m = Q.shape[0]
@@ -347,135 +366,61 @@ def run_stage_plan(
     merged_stats = QueryStats()
     all_chunks = []
     stage_records: List[dict] = []
-    pending_proposals = None
+    proposals = None
     for i, stage in enumerate(the_plan.stages):
         stage_wall = time.perf_counter()
-        label = stage.label or stage.backend
-        prep = prepared[i] if prepared is not None else None
+        if stage.queries == "all":
+            q_idx = np.arange(m, dtype=np.int64)
+        else:
+            q_idx = np.flatnonzero(~answered)
+        record = dict(
+            index=i, backend=stage.backend,
+            n=_stage_rows(stage, P.shape[0]), m=int(q_idx.size),
+            wall_s=0.0, evaluated=0, generated=0, answered=0,
+        )
         with tracer.span(
             "stage",
             index=i,
             backend=stage.backend,
-            label=label,
+            label=stage.label or stage.backend,
             queries=stage.queries,
             points=stage.points,
+            n=record["n"],
+            m=record["m"],
         ) as stage_span:
-            if prep is not None:
-                point_idx = prep.point_idx
-                P_stage = prep.P_stage
-            else:
-                point_idx = stage_point_indices(stage, P)
-                P_stage = P if point_idx is None else P[point_idx]
-            if stage.queries == "all":
-                q_idx = np.arange(m, dtype=np.int64)
-            else:
-                q_idx = np.flatnonzero(~answered)
-            record = dict(
-                index=i, backend=stage.backend,
-                n=int(P_stage.shape[0]), m=int(q_idx.size),
-                wall_s=0.0, evaluated=0, generated=0, answered=0,
-            )
-            if stage_span is not None:
-                stage_span.attrs.update(n=int(P_stage.shape[0]), m=int(q_idx.size))
-            if q_idx.size == 0:
-                # Every query already answered: the stage is a no-op, but
-                # it still shows up in spans and stage records so regret
-                # attribution sees the plan shape that actually ran.
-                record["wall_s"] = time.perf_counter() - stage_wall
-                stage_records.append(record)
-                continue
-            Q_stage = Q[q_idx]
-            impl = get_backend(stage.backend)
-            is_filter = bool(getattr(impl, "is_filter", False))
-            if is_filter != (stage.kind == "filter"):
-                raise _stage_kind_error(stage, is_filter)
-            stage_options = dict(stage.options)
-            if pending_proposals is not None:
-                # The previous stage was a filter: hand its survivor
-                # lists to this stage's prepare as candidate proposals.
-                stage_options["proposals"] = pending_proposals
-                pending_proposals = None
-            elif prep is not None and prep.payload is not None:
-                stage_options = None  # reuse marker: no prepare needed
-            stage_seed = (
-                prep.seed if prep is not None
-                else (None if seed is None else seed + i)
-            )
-            with tracer.span("prepare", backend=stage.backend) as prep_span:
-                if stage_options is None:
-                    payload, stage_spec = prep.payload, prep.final_spec
-                    if prep_span is not None:
-                        prep_span.attrs["reused"] = True
-                else:
-                    payload, stage_spec = impl.prepare(
-                        P_stage, spec, seed=stage_seed, block=block,
-                        n_workers=n_workers, **stage_options,
-                    )
-                    if on_prepare is not None:
-                        on_prepare(
-                            "deferred"
-                            if prep is not None and prep.deferred
-                            else "stage"
-                        )
-                if trace and hasattr(payload, "build"):
-                    # The zero-copy executor builds in the parent for
-                    # every worker count, so the trace can always price
-                    # construction here (engine builds are idempotent).
-                    with tracer.span("build"):
-                        payload = payload.build(P_stage)
-            with tracer.span("run") as run_span:
-                chunks = map_query_chunks(
-                    payload, P_stage, Q_stage, _engine_runner,
-                    (stage.backend, trace, label),
-                    n_workers=n_workers, block=block,
-                    pool=pool, executor=executor, blas_threads=blas_threads,
+            # With every query answered already the stage is a no-op (no
+            # prepare, no build), but its span and record still show, so
+            # regret attribution sees the plan shape that actually ran.
+            if q_idx.size:
+                stage_result, chunks, point_idx, proposals = run_single_stage(
+                    the_plan, i, P, Q[q_idx], spec,
+                    options={} if proposals is None else {"proposals": proposals},
+                    seed=seed, n_workers=n_workers, block=block,
+                    trace=trace, tracer=tracer, pool=pool,
+                    executor=executor, blas_threads=blas_threads,
+                    prep=prepared[i] if prepared is not None else None,
+                    on_prepare=on_prepare,
                 )
-            if run_span is not None:
-                run_span.children.extend(c.trace for c in chunks if c.trace)
-            with tracer.span("merge"):
-                stage_result = merge_join_chunks(
-                    [
-                        (c.matches, c.evaluated, c.generated, c.stats)
-                        for c in chunks
-                    ],
-                    stage_spec,
-                    backend=stage.backend,
-                )
-                if stage_spec.is_topk:
-                    stage_result.topk = [
-                        lst for c in chunks for lst in (c.topk or [])
-                    ]
-                if is_filter:
-                    # Filter stages answer nothing: concatenate the
-                    # per-chunk survivor lists (chunk order = query
-                    # order) and remap structure-local point indices to
-                    # global ones for the consuming stage.
-                    proposals = [
-                        lst for c in chunks for lst in (c.proposals or [])
-                    ]
-                    if point_idx is not None:
-                        proposals = [point_idx[lst] for lst in proposals]
-                    pending_proposals = proposals
-                    newly, extra_eval = 0, 0
-                else:
+                newly, extra_eval = 0, 0
+                if stage.kind != "filter":
                     newly, extra_eval = _fold_stage_matches(
                         matches, topk, answered, stage_result,
-                        q_idx, point_idx, P, Q, spec, stage_spec,
+                        q_idx, point_idx, P, Q, spec, stage_result.spec,
                     )
-            all_chunks.extend(chunks)
-            stage_eval = stage_result.inner_products_evaluated + extra_eval
-            evaluated += stage_eval
-            generated += stage_result.candidates_generated
-            merged_stats = merged_stats.merge(stage_result.stats)
-            record.update(
-                wall_s=time.perf_counter() - stage_wall,
-                evaluated=int(stage_eval),
-                generated=int(stage_result.candidates_generated),
-                answered=int(newly),
-            )
-            stage_records.append(record)
-            if stage_span is not None:
-                stage_span.attrs.update(answered=int(newly))
+                all_chunks.extend(chunks)
+                stage_eval = stage_result.inner_products_evaluated + extra_eval
+                evaluated += stage_eval
+                generated += stage_result.candidates_generated
+                merged_stats = merged_stats.merge(stage_result.stats)
+                record.update(
+                    evaluated=int(stage_eval),
+                    generated=int(stage_result.candidates_generated),
+                    answered=int(newly),
+                )
+                if stage_span is not None:
+                    stage_span.attrs.update(answered=int(newly))
+        record["wall_s"] = time.perf_counter() - stage_wall
+        stage_records.append(record)
     result = JoinResult(
         matches=matches,
         spec=spec,

@@ -58,8 +58,8 @@ class MeasureDescriptor:
             shapes are meaningful for this measure.
         dense_queries: whether streamed query chunks arrive as dense
             float matrices (``QuerySource`` re-blocking validates them
-            with ``check_matrix``); set measures accept dense binary
-            chunks and coerce per chunk.
+            with ``check_matrix``); set measures stream as dense binary
+            windows, which ``validate`` coerces back per window.
     """
 
     name: str

@@ -25,8 +25,10 @@ lifecycle:
   ``expected_queries`` and the session reuse count.
 * :meth:`JoinSession.query_stream` consumes a
   :class:`~repro.core.executor.QuerySource` (chunk iterator or
-  memmapped file) with bounded memory — out-of-core joins over the same
-  prepared structures, bit-identical to the in-memory result.
+  memmapped file) with bounded memory: each re-blocked window is one
+  ordinary query batch through the same dispatch as :meth:`query`, and
+  the windows merge into one result, bit-identical to the in-memory
+  one.
 * :meth:`JoinSession.save` / :func:`open_path` persist the prepared
   session in the directory format of :mod:`repro.utils.persistence`:
   large arrays become raw sidecars and load back as ``np.memmap`` views,
@@ -47,7 +49,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional, Union
+from typing import Any, List, Optional, Union
 
 import numpy as np
 
@@ -58,13 +60,15 @@ from repro.core.executor import (
     WorkerPool,
     add_crash_listener,
     crash_count,
+    merge_join_chunks,
     remove_crash_listener,
     resolve_workers,
 )
-from repro.core.problems import JoinResult, JoinSpec, QueryStats
+from repro.core.problems import JoinResult, JoinSpec
 from repro.core.verify import DEFAULT_BLOCK
 from repro.engine.execute import (
     PreparedStage,
+    _one_stage,
     fold_stats_metrics,
     prepare_stage,
     run_single_stage,
@@ -317,8 +321,7 @@ class JoinSession:
             )
 
     def _check_plan_shape(self) -> None:
-        stages = self.the_plan.stages
-        if len(stages) == 1 and not stages[0].is_partitioned:
+        if _one_stage(self.the_plan):
             return
         if self.options:
             raise ParameterError(
@@ -334,6 +337,7 @@ class JoinSession:
     # -- preparation and pooling -----------------------------------------
 
     def _prepare_all(self) -> None:
+        """Prepare and build every stage once (deferred stages excepted)."""
         self._prepared = []
         for i in range(len(self.the_plan.stages)):
             prep = prepare_stage(
@@ -343,6 +347,8 @@ class JoinSession:
             )
             if not prep.deferred:
                 self.metrics.counter("session.stage_prepares").inc()
+                if hasattr(prep.payload, "build"):
+                    prep.payload = prep.payload.build(prep.P_stage)
             self._prepared.append(prep)
 
     def _ensure_pool(self) -> None:
@@ -447,55 +453,35 @@ class JoinSession:
         tracer = Tracer(enabled=trace)
         registry = MetricsRegistry(enabled=trace)
         wall_start = time.perf_counter()
-        stream = isinstance(Q, QuerySource)
-        m_attr = -1 if stream else int(Q.shape[0])
         # Activating the tracer/registry as process-current lets
         # kernel-level instrumentation inside prepare/build attach to
         # this query's tree.
         obs_ctx = observe(tracer, registry) if trace else nullcontext()
-        with obs_ctx, tracer.span(
-            root,
-            backend=self.requested_name,
-            n=int(self.P.shape[0]),
-            m=m_attr,
-            d=int(self.P.shape[1]),
-            variant=self.spec.variant,
-            n_workers=int(self.n_workers),
-        ):
+        with obs_ctx, tracer.span(root, **self._root_attrs(Q.shape[0])):
             with tracer.span("planner") as planner_span:
                 if self.the_plan is None:
-                    plan_m = self.query_batch_hint if stream else int(Q.shape[0])
-                    self._resolve_plan(plan_m, planner_span)
+                    self._resolve_plan(int(Q.shape[0]), planner_span)
                 elif planner_span is not None:
                     self._emit_planner_attrs(planner_span)
-            stages = self.the_plan.stages
-            if len(stages) == 1 and not stages[0].is_partitioned:
-                result, chunks, stage_records = run_single_stage(
-                    self.the_plan, self.P, Q, self.spec,
-                    options=self.options, seed=self.seed,
-                    n_workers=self.n_workers, block=self.block,
-                    trace=trace, tracer=tracer,
-                    pool=self.pool_kind, executor=self._executor_for_call(),
-                    blas_threads=self.blas_threads,
+            run = dict(
+                seed=self.seed, n_workers=self.n_workers, block=self.block,
+                trace=trace, tracer=tracer, pool=self.pool_kind,
+                executor=self._executor_for_call(),
+                blas_threads=self.blas_threads, on_prepare=self._count_prepare,
+            )
+            stage_records = None
+            if _one_stage(self.the_plan):
+                result, chunks, _, _ = run_single_stage(
+                    self.the_plan, 0, self.P, Q, self.spec,
+                    options=self.options,
                     prep=self._prepared[0] if self._prepared else None,
-                    on_prepare=self._count_prepare,
+                    **run,
                 )
             else:
                 self._check_plan_shape()
-                if stream:
-                    raise ParameterError(
-                        "multi-stage plans cannot consume a stream "
-                        "directly; use session.query_stream, which "
-                        "re-blocks and folds per-chunk batches"
-                    )
                 result, chunks, stage_records = run_stage_plan(
                     self.the_plan, self.P, Q, self.spec,
-                    seed=self.seed, n_workers=self.n_workers,
-                    block=self.block, trace=trace, tracer=tracer,
-                    pool=self.pool_kind, executor=self._executor_for_call(),
-                    blas_threads=self.blas_threads,
-                    prepared=self._prepared or None,
-                    on_prepare=self._count_prepare,
+                    prepared=self._prepared or None, **run,
                 )
                 with tracer.span("merge", stages=len(stage_records)):
                     pass
@@ -503,12 +489,15 @@ class JoinSession:
         bounds = [c.error_bound for c in chunks if c.error_bound is not None]
         if bounds:
             result.error_bound = max(bounds)
-        if (
-            stage_records
-            and stage_records[0]["wall_s"] == 0.0
-            and len(stage_records) == 1
-        ):
-            stage_records[0]["wall_s"] = result.wall_s
+        if stage_records is None:
+            stage_records = [dict(
+                index=0, backend=result.backend,
+                n=int(self.P.shape[0]), m=len(result.matches),
+                wall_s=result.wall_s,
+                evaluated=int(result.inner_products_evaluated),
+                generated=int(result.candidates_generated),
+                answered=int(result.matched_count),
+            )]
         if self.best_estimate is not None:
             for rec, est in zip(stage_records, self.best_estimate.stage_estimates):
                 rec["predicted_ops"] = est.total_ops
@@ -526,6 +515,17 @@ class JoinSession:
         if record:
             self._record(result, stage_records, len(result.matches))
         return result
+
+    def _root_attrs(self, m: int) -> dict:
+        """Attributes of a query's root span (``m`` query rows)."""
+        return dict(
+            backend=self.requested_name,
+            n=int(self.P.shape[0]),
+            m=int(m),
+            d=int(self.P.shape[1]),
+            variant=self.spec.variant,
+            n_workers=int(self.n_workers),
+        )
 
     def _record(self, result: JoinResult, stage_records, m: int) -> None:
         self._last_record = rec = (
@@ -559,13 +559,16 @@ class JoinSession:
     def _observe_query(
         self, result: JoinResult, wall_ns: int, sampled: bool
     ) -> None:
-        """Per-call telemetry: latency histograms, sampled spans, sink.
+        """Per-call accounting and telemetry: the served-query count,
+        latency histograms, sampled spans, sink.
 
         Runs after every :meth:`query` / :meth:`query_stream` — cheap
         enough (a few histogram observes) that it is unconditional;
         everything sink-shaped is gated on an attached sink.
         """
+        self.queries_served += 1
         metrics = self.metrics
+        metrics.counter("session.queries").inc()
         metrics.histogram("session.query_latency_us").observe(wall_ns / 1000.0)
         for rec in self._last_stage_records:
             metrics.histogram(
@@ -742,26 +745,34 @@ class JoinSession:
                     "this session answers cross joins: pass a query batch "
                     "(self-joins need a spec with self_join=True)"
                 )
-            # Validate only the incoming batch: ``P`` was checked once at
-            # open, and re-scanning it here would fault every page of a
-            # memmap-loaded index back in on each query.
-            measure = get_measure(self.spec.measure)
-            Q = measure.validate(Q, "Q")
-            measure.check_compatible(self.P, Q)
-        sampled = (
-            not trace
-            and self.sampler is not None
-            and self.sampler.should_sample()
-        )
+            Q = self._validate_batch(Q)
+        sampled = self._sample(trace)
         t0 = time.perf_counter_ns()
         result = self._dispatch(
             Q, trace=trace or sampled, root="session.query"
         )
-        wall_ns = time.perf_counter_ns() - t0
-        self.queries_served += 1
-        self.metrics.counter("session.queries").inc()
-        self._observe_query(result, wall_ns, sampled)
+        self._observe_query(result, time.perf_counter_ns() - t0, sampled)
         return result
+
+    def _validate_batch(self, Q):
+        """Validate one query batch against ``P``.
+
+        Only the incoming batch is checked: ``P`` was checked once at
+        open, and re-scanning it here would fault every page of a
+        memmap-loaded index back in on each query.
+        """
+        measure = get_measure(self.spec.measure)
+        Q = measure.validate(Q, "Q")
+        measure.check_compatible(self.P, Q)
+        return Q
+
+    def _sample(self, trace: bool) -> bool:
+        """Does the sampler promote this untraced call to a traced one?"""
+        return (
+            not trace
+            and self.sampler is not None
+            and self.sampler.should_sample()
+        )
 
     def query_stream(
         self,
@@ -775,14 +786,19 @@ class JoinSession:
         ``chunks`` is anything :meth:`QuerySource.wrap` accepts — a chunk
         iterator/generator, an ndarray, or an array-kind source over a
         memmapped file (:meth:`QuerySource.from_memmap`).  Incoming rows
-        are re-blocked to multiples of the session ``block`` size
-        (``chunk_rows`` rounds down to one), which makes the merged
-        result **bit-identical** to ``query()`` over the concatenated
-        rows while never materializing more than the in-flight window.
+        are re-blocked into windows of a multiple of the session
+        ``block`` size (``chunk_rows`` rounds down to one), and each
+        window is answered as one ordinary :meth:`query` batch, so one
+        window is in flight at a time and worker pools parallelize
+        within it.  Block-aligned windows make the merged result
+        **bit-identical** to ``query()`` over the concatenated rows.
 
-        Single-stage plans stream straight through the executor;
-        multi-stage plans fold each re-blocked chunk through the full
-        stage walk (per-chunk results carry no trace in that mode).
+        The call counts as one query: one planner record and one
+        ``session.query_latency_us`` observation for the whole stream,
+        while the chunk histogram sees every window's chunks and each
+        stage's histogram its wall time summed over windows.  A traced
+        (or sampled) stream returns one ``session.query_stream`` root
+        span holding each window's ``session.query`` tree, in order.
         """
         if self._closed:
             raise ParameterError("session is closed")
@@ -795,8 +811,8 @@ class JoinSession:
             chunks, "to_dense"
         ):
             # Set-collection streams re-block as dense 0/1 windows (the
-            # form QuerySource validates); set backends coerce each
-            # chunk back to CSR, so results match query() exactly.
+            # form QuerySource validates); each window is coerced back
+            # to CSR like any query batch, so results match query().
             sets = chunks
             step = max(1, chunk_rows if chunk_rows is not None else 8 * self.block)
             chunks = (
@@ -808,96 +824,58 @@ class JoinSession:
             source.chunk_rows if source.chunk_rows is not None else 8 * self.block
         )
         rows = max(self.block, (rows // self.block) * self.block)
-        counted = self._counting_blocks(source, rows)
-        stages = self.the_plan.stages if self.the_plan is not None else None
-        single = (
-            stages is not None
-            and len(stages) == 1
-            and not stages[0].is_partitioned
-        )
-        sampled = (
-            not trace
-            and self.sampler is not None
-            and self.sampler.should_sample()
-        )
+        sampled = self._sample(trace)
+        traced = trace or sampled
+        tracer = Tracer(enabled=traced)
+        parts: List[JoinResult] = []
+        stage_records: List[dict] = []
+        chunk_walls: List[int] = []
         t0 = time.perf_counter_ns()
-        if single:
-            stream = QuerySource.from_chunks(
-                counted, d=int(self.P.shape[1]), chunk_rows=rows
-            )
-            result = self._dispatch(
-                stream, trace=trace or sampled, root="session.query_stream"
-            )
-        else:
-            parts = [
-                self._dispatch(
-                    np.ascontiguousarray(chunk),
-                    trace=False, root="session.query_stream", record=False,
+        with tracer.span("session.query_stream") as root:
+            for window in source.blocks(rows):
+                self.metrics.counter("session.stream_chunks").inc()
+                part = self._dispatch(
+                    self._validate_batch(window), trace=traced,
+                    root="session.query", record=False,
                 )
-                for chunk in counted
-            ]
-            result = self._merge_stream_parts(parts)
-            stage_records = [
-                dict(
-                    index=0, backend=result.backend,
-                    n=int(self.P.shape[0]), m=len(result.matches),
-                    wall_s=result.wall_s,
-                    evaluated=int(result.inner_products_evaluated),
-                    generated=int(result.candidates_generated),
-                    answered=int(result.matched_count),
-                )
-            ]
-            self._record(result, stage_records, len(result.matches))
+                parts.append(part)
+                chunk_walls.extend(self._last_chunk_walls)
+                if not stage_records:
+                    stage_records = [dict(r) for r in self._last_stage_records]
+                else:
+                    for total, rec in zip(stage_records, self._last_stage_records):
+                        for key in ("m", "wall_s", "evaluated", "generated", "answered"):
+                            total[key] += rec[key]
+                if root is not None:
+                    root.children.append(part.trace)
+            result = merge_join_chunks(
+                [
+                    (p.matches, p.inner_products_evaluated,
+                     p.candidates_generated, p.stats)
+                    for p in parts
+                ],
+                parts[0].spec if parts else self.spec,
+                backend=self.the_plan.backend,
+            )
+            if root is not None:
+                root.attrs.update(self._root_attrs(len(result.matches)))
+        if result.spec.is_topk:
+            result.topk = [lst for p in parts for lst in p.topk]
+        bounds = [p.error_bound for p in parts if p.error_bound is not None]
+        if bounds:
+            result.error_bound = max(bounds)
         wall_ns = time.perf_counter_ns() - t0
-        self.queries_served += 1
-        self.metrics.counter("session.queries").inc()
+        result.wall_s = wall_ns / 1e9
+        if traced:
+            result.trace = tracer.take()
+            result.metrics = MetricsRegistry(enabled=True)
+            for p in parts:
+                result.metrics.merge_snapshot(p.metrics.snapshot())
+        self._last_stage_records = stage_records
+        self._last_chunk_walls = chunk_walls
+        self._record(result, stage_records, len(result.matches))
         self._observe_query(result, wall_ns, sampled)
         return result
-
-    def _counting_blocks(self, source: QuerySource, rows: int) -> Iterator:
-        for chunk in source.blocks(rows):
-            self.metrics.counter("session.stream_chunks").inc()
-            yield chunk
-
-    def _merge_stream_parts(self, parts: List[JoinResult]) -> JoinResult:
-        if not parts:
-            return JoinResult(
-                matches=[], spec=self.spec,
-                inner_products_evaluated=0, candidates_generated=0,
-                topk=[] if self.spec.is_topk else None,
-                backend=self.the_plan.backend if self.the_plan else None,
-                stats=QueryStats(), wall_s=0.0,
-            )
-        matches: List[Optional[int]] = []
-        topk: Optional[List[List[int]]] = [] if parts[0].topk is not None else None
-        evaluated = 0
-        generated = 0
-        stats = QueryStats()
-        wall = 0.0
-        bound = None
-        for part in parts:
-            matches.extend(part.matches)
-            if topk is not None:
-                topk.extend(part.topk or [])
-            evaluated += part.inner_products_evaluated
-            generated += part.candidates_generated
-            if part.stats is not None:
-                stats = stats.merge(part.stats)
-            wall += part.wall_s or 0.0
-            if part.error_bound is not None:
-                bound = max(bound, part.error_bound) if bound is not None else part.error_bound
-        merged = JoinResult(
-            matches=matches,
-            spec=parts[0].spec,
-            inner_products_evaluated=int(evaluated),
-            candidates_generated=int(generated),
-            topk=topk,
-            backend=parts[0].backend,
-            stats=stats,
-        )
-        merged.wall_s = wall
-        merged.error_bound = bound
-        return merged
 
     # -- persistence -----------------------------------------------------
 

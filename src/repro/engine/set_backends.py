@@ -12,8 +12,7 @@ rows of the engine's ``(measure, variant)`` capability matrix:
   exactly, so the banding only affects recall, never precision.
 
 Both accept ``P``/``Q`` as :class:`~repro.datasets.sets.SetCollection`;
-dense binary chunks (what ``query_stream`` re-blocking produces) are
-coerced per chunk.  Structures follow the same lazy-``build(P)``
+dense binary matrices are coerced on entry.  Structures follow the same lazy-``build(P)``
 dataclass pattern as :mod:`repro.engine.backends`, so sessions, the
 shared-memory arena, and parallel workers compose unchanged.
 """
@@ -44,8 +43,8 @@ from repro.errors import ParameterError
 
 
 def _as_sets(obj, name: str) -> SetCollection:
-    """Coerce a chunk to a :class:`SetCollection` (dense chunks arrive
-    from ``query_stream`` re-blocking as float 0/1 matrices)."""
+    """Coerce a collection to a :class:`SetCollection` (dense 0/1
+    matrices are accepted too)."""
     if isinstance(obj, SetCollection):
         return obj
     return SetCollection.coerce(np.asarray(obj), name)

@@ -63,21 +63,6 @@ class LSHMIPS(MIPSEngine):
             work=int(candidates.size),
         )
 
-    def join(self, Q, spec, n_workers: int = 1, block: int = DEFAULT_BLOCK):
-        """Answer a ``(cs, s)`` join over this engine's data and index.
-
-        Delegates to the unified engine
-        (:func:`repro.engine.join` with ``backend="lsh"``), reusing the
-        already-built index; ``n_workers`` shards the query set without
-        changing results.
-        """
-        from repro.engine.api import join as engine_join
-
-        return engine_join(
-            self._P, Q, spec, backend="lsh", index=self.index,
-            n_workers=n_workers, block=block,
-        )
-
     def query_batch(self, Q, block: int = DEFAULT_BLOCK) -> List[MIPSAnswer]:
         """One answer per row of ``Q``, verified block-at-a-time."""
         from repro.lsh.index import block_candidates

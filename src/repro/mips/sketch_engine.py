@@ -31,22 +31,6 @@ class SketchMIPS(MIPSEngine):
     def approximation_factor(self) -> float:
         return self.structure.approximation_factor
 
-    def join(self, Q, s: float, n_workers: int = 1, block: int = DEFAULT_QUERY_BLOCK):
-        """Answer an unsigned ``(cs, s)`` join over this engine's data.
-
-        Delegates to the unified engine
-        (:func:`repro.engine.join` with ``backend="sketch"``), reusing
-        the already-built structure; the result's spec carries the
-        structure's own ``c = n^{-1/kappa}``.
-        """
-        from repro.core.problems import JoinSpec
-        from repro.engine.api import join as engine_join
-
-        return engine_join(
-            self._P, Q, JoinSpec(s=s, signed=False), backend="sketch",
-            structure=self.structure, n_workers=n_workers, block=block,
-        )
-
     def query(self, q) -> MIPSAnswer:
         q = self._check_query(q)
         answer = self.structure.query(q)

@@ -330,22 +330,14 @@ class TestQueryStatsMerge:
 
 
 class TestMIPSEngineJoins:
-    def test_lsh_mips_join_delegates(self, instance, spec):
-        from repro.mips.lsh_engine import LSHMIPS
-
-        mips = LSHMIPS(instance.P, n_tables=10, hashes_per_table=5, seed=11)
-        result = mips.join(instance.Q, spec)
-        assert result.backend == "lsh"
-        direct = engine.join(
-            instance.P, instance.Q, spec, backend="lsh", index=mips.index
-        )
-        assert result.matches == direct.matches
-
-    def test_sketch_mips_join_delegates(self, instance):
+    def test_sketch_structure_join_carries_its_c(self, instance):
         from repro.mips.sketch_engine import SketchMIPS
 
         mips = SketchMIPS(instance.P, kappa=3.0, copies=5, seed=5)
-        result = mips.join(instance.Q, s=0.85)
+        result = engine.join(
+            instance.P, instance.Q, JoinSpec(s=0.85, signed=False),
+            backend="sketch", structure=mips.structure,
+        )
         assert result.backend == "sketch"
         assert result.spec.c == pytest.approx(mips.approximation_factor)
 

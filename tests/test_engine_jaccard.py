@@ -190,6 +190,7 @@ class TestParallelAndComposition:
         with engine.open(P, spec, backend="set_scan", block=16) as session:
             whole = session.query(Q)
             streamed = session.query_stream(Q, chunk_rows=16)
+        assert whole.matched_count > 0
         assert streamed.matches == whole.matches
         assert (streamed.inner_products_evaluated
                 == whole.inner_products_evaluated)

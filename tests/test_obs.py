@@ -331,8 +331,8 @@ class TestStatsReuseRegression:
         eng = LSHMIPS(instance.P * 0.9, seed=0)
         spec = JoinSpec(s=0.6, c=0.5)
         m = instance.Q.shape[0]
-        first = eng.join(instance.Q, spec)
-        second = eng.join(instance.Q, spec)
+        first = join(eng.data, instance.Q, spec, backend="lsh", index=eng.index)
+        second = join(eng.data, instance.Q, spec, backend="lsh", index=eng.index)
         # Same work both times: deltas, not cumulative counts.
         assert second.stats == first.stats
         assert second.candidates_generated == first.candidates_generated
@@ -343,12 +343,13 @@ class TestStatsReuseRegression:
     def test_interleaved_queries_do_not_pollute_join_stats(self, instance):
         eng = LSHMIPS(instance.P * 0.9, seed=0)
         spec = JoinSpec(s=0.6, c=0.5)
-        first = eng.join(instance.Q, spec)
+        first = join(eng.data, instance.Q, spec, backend="lsh", index=eng.index)
         # Point queries between joins mutate the index's cumulative
         # stats but must not surface in the next join's delta.
         for q in instance.Q[:7]:
             eng.query(q)
-        second = eng.join(instance.Q, spec)
+        second = join(eng.data, instance.Q, spec, backend="lsh", index=eng.index)
+        assert first.matched_count > 0
         assert second.stats == first.stats
         assert second.matches == first.matches
 

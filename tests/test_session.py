@@ -14,7 +14,11 @@ The load-bearing guarantees under test:
   prepared session through the directory format with memmapped arrays,
   and truncated sidecars fail loudly with :class:`PersistenceError`;
 * ``query_stream`` over chunk iterators and memmapped files reproduces
-  the in-memory batch exactly;
+  the in-memory batch exactly, for both pool kinds; each re-blocked
+  window is one ordinary query batch, so a traced stream holds one
+  ``session.query`` tree per window, the chunk-latency histogram sees
+  every window's chunks, and a worker killed between windows fails the
+  stream loudly, leaks no segment, and the next query heals;
 * the ``auto`` planner amortizes build cost over ``expected_queries``,
   and every session query's planner-log record carries the amortization
   tags the regret report splits on.
@@ -23,6 +27,7 @@ The CI parallel leg's ``REPRO_TEST_WORKERS`` applies here too.
 """
 
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -264,6 +269,7 @@ class TestQueryStream:
             # the block-aligned determinism contract.
             splits = [instance.Q[:7], instance.Q[7:20], instance.Q[20:]]
             streamed = session.query_stream(iter(splits), chunk_rows=16)
+            assert batch.matched_count > 0
             assert _key(streamed) == _key(batch)
             assert session.metrics.counter(
                 "session.stream_chunks"
@@ -278,6 +284,7 @@ class TestQueryStream:
         ) as session:
             batch = session.query(instance.Q)
             streamed = session.query_stream(source, chunk_rows=16)
+        assert batch.matched_count > 0
         assert _key(streamed) == _key(batch)
 
     def test_stream_hybrid_plan_folds_chunks(self, instance, spec):
@@ -289,23 +296,124 @@ class TestQueryStream:
             streamed = session.query_stream(
                 iter([instance.Q[:16], instance.Q[16:]]), chunk_rows=16
             )
+        assert batch.matched_count > 0
         assert streamed.matches == batch.matches
         assert (
             streamed.inner_products_evaluated
             == batch.inner_products_evaluated
         )
 
-    def test_stream_parallel_matches_serial(self, instance, spec):
+    @pytest.mark.parametrize("pool", ["thread", "process"])
+    def test_stream_parallel_matches_serial(self, instance, spec, pool):
         serial = join(instance.P, instance.Q, spec, backend="lsh", seed=3,
                       **LSH)
         with open_session(
             instance.P, spec, backend="lsh", seed=3,
-            n_workers=TEST_WORKERS, pool="thread", block=16, **LSH
+            n_workers=TEST_WORKERS, pool=pool, block=16, **LSH
         ) as session:
             streamed = session.query_stream(
                 iter([instance.Q[:13], instance.Q[13:]]), chunk_rows=16
             )
+        assert serial.matched_count > 0
         assert _key(streamed) == _key(serial)
+
+    def test_traced_stream_has_one_tree_per_window(self, instance, spec):
+        m = instance.Q.shape[0]
+        with open_session(
+            instance.P, spec, backend="lsh", seed=3, block=16, **LSH
+        ) as session:
+            plain = session.query_stream(iter([instance.Q]), chunk_rows=16)
+            traced = session.query_stream(
+                iter([instance.Q]), chunk_rows=16, trace=True
+            )
+        assert plain.matched_count > 0
+        assert plain.trace is None
+        assert traced.matches == plain.matches
+        root = traced.trace
+        assert root.name == "session.query_stream"
+        assert root.attrs["m"] == m
+        # One ``session.query`` tree per 16-row window, in stream order.
+        windows = root.children
+        assert [w.name for w in windows] == ["session.query"] * 2
+        assert [w.attrs["m"] for w in windows] == [16, m - 16]
+        for window in windows:
+            assert [c.name for c in window.children] == [
+                "planner", "prepare", "run", "merge"
+            ]
+
+    def test_stream_chunk_histogram_sees_every_window(
+        self, instance, spec, monkeypatch
+    ):
+        import repro.engine.execute as execute
+
+        chunk_counts = []
+        real_map = execute.map_query_chunks
+
+        def counting_map(*args, **kwargs):
+            chunks = real_map(*args, **kwargs)
+            chunk_counts.append(len(chunks))
+            return chunks
+
+        log = PlannerLog()
+        plan = norm_prefix_lsh_plan(prefix_fraction=0.25)
+        with use_planner_log(log), open_session(
+            instance.P, spec, backend=plan, seed=5, block=16
+        ) as session:
+            hist = session.metrics.histogram("session.chunk_latency_us")
+            before = hist.count
+            monkeypatch.setattr(execute, "map_query_chunks", counting_map)
+            session.query_stream(
+                iter([instance.Q[:16], instance.Q[16:]]), chunk_rows=16
+            )
+            windows = session.metrics.counter("session.stream_chunks").value
+            stage_hist = session.metrics.histogram(
+                "session.stage_latency_us.norm_pruned"
+            )
+            assert windows == 2
+            assert hist.count - before == sum(chunk_counts)
+            assert stage_hist.count == 1  # one summed wall per stream
+        # One planner record for the stream; its stage rows sum the windows.
+        (record,) = log.records
+        assert record.m == instance.Q.shape[0]
+        assert [st["index"] for st in record.stages] == [0, 1]
+        assert record.stages[0]["m"] == instance.Q.shape[0]
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"),
+        reason="POSIX shared memory mount required",
+    )
+    def test_worker_kill_mid_stream_fails_loudly_and_heals(
+        self, instance, spec
+    ):
+        from concurrent.futures.process import BrokenProcessPool
+
+        before = repro_segments()
+        session = open_session(
+            instance.P, spec, backend="lsh", seed=3,
+            n_workers=2, pool="process", block=16, **LSH
+        )
+
+        def windows_with_kill():
+            yield instance.Q[:16]
+            # Between windows: every worker of the session's pool dies.
+            for proc in list(session._pool._executor._processes.values()):
+                os.kill(proc.pid, signal.SIGKILL)
+            yield instance.Q[16:]
+
+        try:
+            expected = session.query(instance.Q)
+            assert expected.matched_count > 0
+            with pytest.raises(BrokenProcessPool):
+                session.query_stream(windows_with_kill(), chunk_rows=16)
+            assert repro_segments() == before
+            healed = session.query(instance.Q)
+            assert session.metrics.counter(
+                "session.pool_rebuilds"
+            ).value == 1
+            assert _key(healed) == _key(expected)
+        finally:
+            session.close()
+        assert repro_segments() == before
 
     def test_self_join_sessions_cannot_stream(self, instance):
         self_spec = JoinSpec(s=0.85, c=0.4, self_join=True)
