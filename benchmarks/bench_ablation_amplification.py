@@ -12,7 +12,7 @@ import numpy as np
 
 from benchmarks.conftest import emit, format_table
 from repro.datasets import planted_mips
-from repro.lsh import BatchSignIndex
+from repro.lsh import DataDepALSH, LSHIndex
 from repro.lsh.amplification import amplify_gap, rho
 from repro.lsh.rho import collision_prob_hyperplane
 
@@ -24,8 +24,9 @@ def test_and_or_sweep(benchmark):
         rows = []
         for bits in (6, 10, 14):
             for tables in (4, 8, 16, 32):
-                idx = BatchSignIndex.for_datadep(
-                    48, n_tables=tables, bits_per_table=bits, seed=1
+                idx = LSHIndex(
+                    DataDepALSH(48, sphere="hyperplane"),
+                    n_tables=tables, hashes_per_table=bits, seed=1
                 ).build(inst.P)
                 hits = 0
                 cands = 0
@@ -71,8 +72,9 @@ def test_rho_invariance_under_and(benchmark):
 def test_batch_index_build_throughput(benchmark):
     inst = planted_mips(2000, 8, 32, s=0.85, c=0.4, seed=2)
     benchmark.pedantic(
-        lambda: BatchSignIndex.for_datadep(
-            32, n_tables=16, bits_per_table=12, seed=3
+        lambda: LSHIndex(
+            DataDepALSH(32, sphere="hyperplane"),
+            n_tables=16, hashes_per_table=12, seed=3
         ).build(inst.P),
         rounds=3, iterations=1,
     )
@@ -80,7 +82,7 @@ def test_batch_index_build_throughput(benchmark):
 
 def test_batch_index_query_throughput(benchmark):
     inst = planted_mips(2000, 8, 32, s=0.85, c=0.4, seed=4)
-    idx = BatchSignIndex.for_datadep(
-        32, n_tables=16, bits_per_table=12, seed=5
+    idx = LSHIndex(
+        DataDepALSH(32, sphere="hyperplane"), n_tables=16, hashes_per_table=12, seed=5
     ).build(inst.P)
     benchmark(idx.candidates, inst.Q[0])

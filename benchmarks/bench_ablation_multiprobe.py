@@ -9,7 +9,7 @@ workload.
 
 from benchmarks.conftest import emit, format_table
 from repro.datasets import planted_mips
-from repro.lsh import BatchSignIndex
+from repro.lsh import DataDepALSH, LSHIndex
 
 
 def test_multiprobe_grid(benchmark):
@@ -18,8 +18,9 @@ def test_multiprobe_grid(benchmark):
     def build():
         rows = []
         for tables in (2, 4, 8, 16):
-            idx = BatchSignIndex.for_datadep(
-                48, n_tables=tables, bits_per_table=12, seed=1
+            idx = LSHIndex(
+                DataDepALSH(48, sphere="hyperplane"),
+                n_tables=tables, hashes_per_table=12, seed=1
             ).build(inst.P)
             for probes in (0, 2, 6):
                 idx.stats.reset()
@@ -49,7 +50,7 @@ def test_multiprobe_grid(benchmark):
 
 def test_multiprobe_query_throughput(benchmark):
     inst = planted_mips(2000, 8, 48, s=0.85, c=0.4, seed=2)
-    idx = BatchSignIndex.for_datadep(
-        48, n_tables=4, bits_per_table=12, seed=3
+    idx = LSHIndex(
+        DataDepALSH(48, sphere="hyperplane"), n_tables=4, hashes_per_table=12, seed=3
     ).build(inst.P)
     benchmark(idx.candidates, inst.Q[0], 6)

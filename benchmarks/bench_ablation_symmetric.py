@@ -12,7 +12,7 @@ import numpy as np
 from benchmarks.conftest import emit, format_table
 from repro.datasets import planted_mips
 from repro.embeddings import SymmetricSphereCompletion
-from repro.lsh import BatchSignIndex
+from repro.lsh import DataDepALSH, LSHIndex, SymmetricIPSHash
 
 
 def test_symmetric_vs_asymmetric(benchmark):
@@ -21,11 +21,12 @@ def test_symmetric_vs_asymmetric(benchmark):
     def build():
         rows = []
         indexes = {
-            "asymmetric DATA-DEP (4.1)": BatchSignIndex.for_datadep(
-                32, n_tables=16, bits_per_table=10, seed=1
+            "asymmetric DATA-DEP (4.1)": LSHIndex(
+                DataDepALSH(32, sphere="hyperplane"),
+                n_tables=16, hashes_per_table=10, seed=1
             ),
-            "symmetric incoherent (4.2)": BatchSignIndex.for_symmetric(
-                32, eps=0.05, n_tables=16, bits_per_table=10, seed=1
+            "symmetric incoherent (4.2)": LSHIndex(
+                SymmetricIPSHash(32, eps=0.05), n_tables=16, hashes_per_table=10, seed=1
             ),
         }
         for name, idx in indexes.items():

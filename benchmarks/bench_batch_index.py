@@ -1,23 +1,25 @@
-"""Engineering ablation: vectorized batch index vs the generic per-vector
-index, and CSR vs dict bucket storage inside the batch index.
+"""Engineering ablation: native batch hashing vs the generic per-row path.
 
-Same scheme (DATA-DEP), same (L, k): the batch index hashes everything
-with two matrix products where the generic index makes one Python call
-per (vector, table, bit), and the CSR layout answers a whole query
-block with ``np.searchsorted`` per table where the dict layout walks a
-Python dict per (query, table).  Prints build/query wall times and
-confirms equal recall — the speedups are pure engineering, not a
-different algorithm.  (``tools/bench_perf.py`` runs the same
-comparison at n=100k and records it in ``BENCH_PR1.json``.)
+Same scheme (DATA-DEP), same (L, k), same seed: ``LSHIndex`` with the
+family's native hasher hashes everything with one matrix product per
+side, while ``use_batch=False`` makes one Python call per (vector,
+table, bit).  Both fill the same fused CSR buckets, so recall is equal —
+the speedup is pure engineering, not a different algorithm.  Prints
+build/query wall times.
 """
 
 import time
 
-import numpy as np
-
 from benchmarks.conftest import emit, format_table
 from repro.datasets import planted_mips
-from repro.lsh import BatchSignIndex, DataDepALSH, LSHIndex
+from repro.lsh import DataDepALSH, LSHIndex
+
+
+def _datadep_index(d, tables, bits, seed, use_batch=True):
+    return LSHIndex(
+        DataDepALSH(d, sphere="hyperplane"),
+        n_tables=tables, hashes_per_table=bits, seed=seed, use_batch=use_batch,
+    )
 
 
 def test_batch_vs_generic_index(benchmark):
@@ -26,87 +28,36 @@ def test_batch_vs_generic_index(benchmark):
 
     def build():
         rows = []
-        # Generic per-vector index.
-        start = time.perf_counter()
-        generic = LSHIndex(
-            DataDepALSH(32, sphere="hyperplane"),
-            n_tables=tables, hashes_per_table=bits, seed=1,
-        ).build(inst.P)
-        generic_build = time.perf_counter() - start
-        start = time.perf_counter()
-        generic_hits = sum(
-            1 for qi in range(24)
-            if generic.query(inst.Q[qi], threshold=inst.cs) is not None
-        )
-        generic_query = time.perf_counter() - start
-        rows.append([
-            "generic LSHIndex", f"{generic_build:.3f} s",
-            f"{generic_query * 1e3:.1f} ms", f"{generic_hits / 24:.2f}",
-        ])
-
-        # Vectorized batch index, both bucket layouts.
         timings = {}
-        for layout in ("dict", "csr"):
+        for label, use_batch in (("generic per-row hashing", False),
+                                 ("native batch hashing", True)):
             start = time.perf_counter()
-            batch = BatchSignIndex.for_datadep(
-                32, n_tables=tables, bits_per_table=bits, seed=1, layout=layout
-            ).build(inst.P)
-            batch_build = time.perf_counter() - start
+            index = _datadep_index(32, tables, bits, 1, use_batch).build(inst.P)
+            build_s = time.perf_counter() - start
             start = time.perf_counter()
-            batch_hits = sum(
+            hits = sum(
                 1 for qi in range(24)
-                if batch.query(inst.Q[qi], threshold=inst.cs) is not None
+                if index.query(inst.Q[qi], threshold=inst.cs) is not None
             )
-            batch_query = time.perf_counter() - start
-            timings[layout] = (batch_build, batch_query)
-            rows.append([
-                f"BatchSignIndex[{layout}]", f"{batch_build:.3f} s",
-                f"{batch_query * 1e3:.1f} ms", f"{batch_hits / 24:.2f}",
-            ])
-
+            query_s = time.perf_counter() - start
+            timings[use_batch] = (build_s, query_s)
+            rows.append([label, f"{build_s:.3f} s",
+                         f"{query_s * 1e3:.1f} ms", f"{hits / 24:.2f}"])
+        (generic_build, generic_query), (batch_build, batch_query) = (
+            timings[False], timings[True])
         rows.append([
-            "speedup (csr vs generic)",
-            f"{generic_build / timings['csr'][0]:.0f}x",
-            f"{generic_query / timings['csr'][1]:.0f}x", "-",
+            "speedup (batch vs generic)",
+            f"{generic_build / batch_build:.0f}x",
+            f"{generic_query / batch_query:.0f}x", "-",
         ])
-        return format_table(["index", "build", "24 queries", "recall"], rows)
+        return format_table(["LSHIndex hashing", "build", "24 queries", "recall"],
+                            rows)
 
     text = benchmark.pedantic(build, rounds=1, iterations=1)
     emit("batch_vs_generic_index", text)
 
 
-def test_csr_vs_dict_candidates_batch(benchmark):
-    """Block candidate generation: CSR searchsorted vs dict walk."""
-    inst = planted_mips(4000, 30, 48, s=0.85, c=0.4, seed=4)
-    tables, bits = 16, 12
-
-    def build():
-        rows = []
-        lists = {}
-        for layout in ("dict", "csr"):
-            idx = BatchSignIndex.for_datadep(
-                48, n_tables=tables, bits_per_table=bits, seed=5, layout=layout
-            ).build(inst.P)
-            start = time.perf_counter()
-            for _ in range(5):
-                lists[layout] = idx.candidates_batch(inst.Q, n_probes=2)
-            elapsed = (time.perf_counter() - start) / 5
-            rows.append([layout, f"{elapsed * 1e3:.2f} ms",
-                         f"{idx.stats.candidates_per_query:.0f}"])
-        equal = all(
-            np.array_equal(a, b)
-            for a, b in zip(lists["dict"], lists["csr"])
-        )
-        rows.append(["identical candidates", str(equal), "-"])
-        return format_table(["layout", "30-query block", "cands/query"], rows)
-
-    text = benchmark.pedantic(build, rounds=1, iterations=1)
-    emit("csr_vs_dict_candidates", text)
-
-
 def test_batch_candidates_batch_api(benchmark):
     inst = planted_mips(1500, 24, 32, s=0.85, c=0.4, seed=2)
-    idx = BatchSignIndex.for_datadep(
-        32, n_tables=12, bits_per_table=8, seed=3
-    ).build(inst.P)
+    idx = _datadep_index(32, 12, 8, 3).build(inst.P)
     benchmark(idx.candidates_batch, inst.Q)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import emit, format_table
-from repro.core import BatchIndexSpec, JoinSpec, brute_force_join
+from repro.core import JoinSpec, brute_force_join
 from repro.datasets import adversarial_maxip, planted_mips
 from repro.engine import join as engine_join
 from repro.lsh import DataDepALSH
@@ -67,16 +67,6 @@ def test_join_crossover_table(benchmark):
                                  hashes_per_table=7, seed=1)
             timings["lsh"] = time.perf_counter() - start
 
-            # Same scheme through the CSR batch index + blocked verify.
-            start = time.perf_counter()
-            batch = engine_join(
-                inst.P, inst.Q, spec, backend="lsh",
-                index_spec=BatchIndexSpec(
-                    d=d, scheme="datadep", n_tables=12, bits_per_table=7, seed=1,
-                ),
-            )
-            timings["lsh-csr"] = time.perf_counter() - start
-
             start = time.perf_counter()
             sketched = engine_join(inst.P, inst.Q,
                                    JoinSpec(s=inst.s, signed=False),
@@ -85,7 +75,7 @@ def test_join_crossover_table(benchmark):
             timings["sketch"] = time.perf_counter() - start
 
             for name, result in (("exact", exact), ("lsh", approx),
-                                 ("lsh-csr", batch), ("sketch", sketched)):
+                                 ("sketch", sketched)):
                 rows.append([
                     n, d, f"{s:g}", f"{c:g}", name,
                     f"{timings[name] * 1e3:.1f} ms",
@@ -206,11 +196,9 @@ def test_sketch_join_n1024(benchmark):
 def test_batch_lsh_join_n1024(benchmark):
     inst = planted_mips(1024, 16, 24, s=0.85, c=0.4, seed=0)
     spec = JoinSpec(s=inst.s, c=0.4)
-    index_spec = BatchIndexSpec(
-        d=24, scheme="datadep", n_tables=8, bits_per_table=7, seed=1
-    )
     benchmark.pedantic(
         lambda: engine_join(inst.P, inst.Q, spec, backend="lsh",
-                            index_spec=index_spec),
+                            family=DataDepALSH(24, sphere="hyperplane"),
+                            n_tables=8, hashes_per_table=7, seed=1),
         rounds=3, iterations=1,
     )

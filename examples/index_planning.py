@@ -12,7 +12,7 @@ Run:  python examples/index_planning.py
 import numpy as np
 
 from repro.datasets import planted_mips
-from repro.lsh import BatchSignIndex, plan_datadep
+from repro.lsh import DataDepALSH, LSHIndex, plan_datadep
 
 
 def measure(idx, inst, n_probes=0):
@@ -38,16 +38,18 @@ def main():
     print(f"  predicted success prob >= {config.success_probability:.3f}, "
           f"expected false candidates <= {config.expected_false_candidates:.1f}/query")
 
-    idx = BatchSignIndex.for_datadep(
-        d, n_tables=config.n_tables, bits_per_table=config.k, seed=1
+    idx = LSHIndex(
+        DataDepALSH(d, sphere="hyperplane"),
+        n_tables=config.n_tables, hashes_per_table=config.k, seed=1
     ).build(inst.P)
     recall, cands = measure(idx, inst)
     print(f"\nmeasured: recall {recall:.2f}, {cands:.1f} candidates/query "
           f"(vs {n} for the scan)")
 
     # Multiprobe: a quarter of the tables plus probing reaches similar recall.
-    small = BatchSignIndex.for_datadep(
-        d, n_tables=max(1, config.n_tables // 4), bits_per_table=config.k, seed=2
+    small = LSHIndex(
+        DataDepALSH(d, sphere="hyperplane"),
+        n_tables=max(1, config.n_tables // 4), hashes_per_table=config.k, seed=2
     ).build(inst.P)
     r0, c0 = measure(small, inst, n_probes=0)
     r6, c6 = measure(small, inst, n_probes=6)

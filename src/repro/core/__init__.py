@@ -17,7 +17,6 @@ from repro.core.brute_force import (
     brute_force_search,
 )
 from repro.core.executor import (
-    BatchIndexSpec,
     WorkerPool,
     close_pools,
     get_pool,
@@ -43,7 +42,6 @@ __all__ = [
     "unsigned_via_signed",
     "topk_recall",
     "NormScanIndex",
-    "BatchIndexSpec",
     "WorkerPool",
     "close_pools",
     "get_pool",

@@ -69,7 +69,6 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -78,69 +77,14 @@ from repro.core.arena import SharedArena, clone_shell, freeze, thaw
 from repro.core.problems import JoinResult, JoinSpec, QueryStats
 from repro.core.verify import DEFAULT_BLOCK
 from repro.errors import ParameterError
-from repro.lsh.batch import BatchSignIndex
 from repro.utils import blasctl
 from repro.utils.validation import check_matrix
-
-#: Schemes BatchIndexSpec can rebuild, mapping to BatchSignIndex constructors.
-SCHEMES = ("hyperplane", "datadep", "simple_lsh", "symmetric")
 
 #: Pool kinds map_query_chunks understands.
 POOL_KINDS = ("process", "thread")
 
 #: Environment variable capping ``n_workers="auto"``.
 MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
-
-
-@dataclass(frozen=True)
-class BatchIndexSpec:
-    """Picklable recipe for a :class:`~repro.lsh.batch.BatchSignIndex`.
-
-    Pure data — no callables, no arrays — so it crosses process
-    boundaries for pennies and two builds from the same spec (and data)
-    are identical.  ``seed`` must be a concrete integer: entropy-seeded
-    indexes cannot be reproduced in a worker.
-    """
-
-    d: int
-    scheme: str = "hyperplane"
-    n_tables: int = 16
-    bits_per_table: int = 12
-    seed: int = 0
-    layout: str = "csr"
-    query_radius: float = 1.0  # datadep only
-    eps: float = 0.05          # symmetric only
-
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ParameterError(
-                f"scheme must be one of {SCHEMES}, got {self.scheme!r}"
-            )
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ParameterError(
-                f"seed must be a concrete integer for reproducible worker "
-                f"rebuilds, got {type(self.seed).__name__}"
-            )
-
-    def build(self, P) -> BatchSignIndex:
-        """Construct and build the index over ``P``."""
-        common = dict(
-            n_tables=self.n_tables,
-            bits_per_table=self.bits_per_table,
-            seed=int(self.seed),
-            layout=self.layout,
-        )
-        if self.scheme == "hyperplane":
-            index = BatchSignIndex.for_hyperplane(self.d, **common)
-        elif self.scheme == "datadep":
-            index = BatchSignIndex.for_datadep(
-                self.d, query_radius=self.query_radius, **common
-            )
-        elif self.scheme == "simple_lsh":
-            index = BatchSignIndex.for_simple_lsh(self.d, **common)
-        else:
-            index = BatchSignIndex.for_symmetric(self.d, eps=self.eps, **common)
-        return index.build(P)
 
 
 # ---------------------------------------------------------------------------
@@ -671,9 +615,8 @@ def map_query_chunks(
     """THE shared shard-and-run helper behind every parallel join path.
 
     Args:
-        payload: either a built structure or a recipe exposing
-            ``build(P) -> structure`` (:class:`BatchIndexSpec`, an
-            engine structure with a lazy ``build``).  Built ONCE in the
+        payload: either a built structure or an engine structure
+            with a lazy ``build(P) -> structure``.  Built ONCE in the
             parent; workers receive shared-memory views (process pools)
             or shell clones (thread pools) of the same built structure.
         P, Q: data and query matrices (already validated by the caller).

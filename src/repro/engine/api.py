@@ -159,10 +159,11 @@ def join(
             :class:`~repro.engine.plan.Plan` to execute as-is, or
             ``"auto"`` to let the cost-model planner choose among
             single-stage plans and two-stage hybrids.
-        seed: reproducibility seed for backends that build randomized
-            structures; must be a concrete integer when combined with
-            ``n_workers > 1`` (workers rebuild from it).  Stage ``i`` of
-            a multi-stage plan derives its own seed as ``seed + i``.
+        seed: reproducibility seed (an integer or a numpy
+            ``Generator``) for backends that build randomized
+            structures.  Structures are built once, in this process,
+            before any worker runs.  Stage ``i`` of a multi-stage plan
+            derives its own seed as ``seed + i``.
         n_workers: worker count or ``"auto"`` (cpu_count capped by
             ``REPRO_MAX_WORKERS``) — an orthogonal execution knob routed
             through :mod:`repro.core.executor`; results are identical

@@ -8,8 +8,9 @@ Each backend adapts one existing kernel family to the
   :mod:`repro.core.self_join`); answers every variant.
 * ``norm_pruned`` — the LEMP-style Cauchy-Schwarz prefix scan
   (:mod:`repro.core.norm_pruning`); exact, threshold and top-k joins.
-* ``lsh`` — filter-then-verify through any candidates-providing index
-  (:mod:`repro.core.lsh_join`); threshold, top-k and self variants.
+* ``lsh`` — filter-then-verify through an
+  :class:`~repro.lsh.index.LSHIndex` (:mod:`repro.core.lsh_join`);
+  threshold, top-k and self variants.
 * ``sketch`` — the Section 4.3 linear-sketch join
   (:mod:`repro.core.sketch_join`); unsigned threshold and self joins,
   with the structure's own ``c = n^{-1/kappa}``.
@@ -23,10 +24,11 @@ assembles plans whose stages can actually serve the request.  The
 Jaccard set-join backends live in :mod:`repro.engine.set_backends`.
 
 The *structures* here are small picklable dataclasses wrapping either a
-built index or the recipe to build one: the executor's worker
-initializer calls ``payload.build(P)``, so a structure with a pending
-recipe is rebuilt (deterministically, from its integer seed) inside each
-worker, while a structure wrapping a prebuilt index ships it as-is.
+built index or the recipe to build one.  The executor calls
+``payload.build(P)`` once, in the calling process, before any chunk
+runs; workers only ever see the built structure, so any seed (an
+integer or a numpy ``Generator``) gives the same answers at every
+worker count.
 """
 
 from __future__ import annotations
@@ -35,9 +37,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-import numpy as np
-
-from repro.core.executor import BatchIndexSpec
 from repro.core.problems import JoinSpec
 from repro.engine.protocol import ChunkResult, CostEstimate, JoinBackend
 from repro.errors import ParameterError
@@ -46,15 +45,6 @@ from repro.errors import ParameterError
 #: any data, unlike SIMPLE-LSH's unit-ball requirement).
 DEFAULT_AUTO_TABLES = 16
 DEFAULT_AUTO_BITS = 12
-
-
-def _concrete_seed(seed, who: str) -> int:
-    if seed is None or not isinstance(seed, (int, np.integer)):
-        raise ParameterError(
-            f"{who} needs a concrete integer seed for reproducible "
-            f"(re)builds, got {type(seed).__name__}"
-        )
-    return int(seed)
 
 
 def _require_variant(spec: JoinSpec, backend: str, allowed: Tuple[str, ...]):
@@ -130,7 +120,7 @@ class BruteForceBackend(JoinBackend):
 
 @dataclass
 class NormStructure:
-    """Norm-sorted prefix-scan index, built lazily (per worker if needed)."""
+    """Norm-sorted prefix-scan index, built lazily."""
 
     spec: JoinSpec
     scan_block: int
@@ -201,21 +191,16 @@ class NormPrunedBackend(JoinBackend):
 
 @dataclass
 class LSHStructure:
-    """A candidates-providing index, prebuilt or described by a recipe.
+    """An :class:`~repro.lsh.index.LSHIndex`, prebuilt or built lazily.
 
-    Exactly one of ``index`` (used as-is), ``index_spec`` (a
-    :class:`~repro.core.executor.BatchIndexSpec`-style recipe) or
-    ``family`` (+ shape/seed, rebuilt as a classic
-    :class:`~repro.lsh.index.LSHIndex`) is set; :meth:`build` resolves
-    the pending forms, in the parent for serial runs and inside each
-    worker for parallel ones.
+    Either ``index`` is set (used as-is) or ``family`` with the table
+    shape and seed, which :meth:`build` turns into an index over ``P``.
     """
 
     spec: JoinSpec
     n_probes: int
     block: int
     index: Any = None
-    index_spec: Any = None
     family: Any = None
     n_tables: int = 16
     hashes_per_table: int = 4
@@ -223,67 +208,56 @@ class LSHStructure:
 
     def build(self, P):
         if self.index is None:
-            if self.index_spec is not None:
-                self.index = self.index_spec.build(P)
-            else:
-                from repro.lsh.index import LSHIndex
+            from repro.lsh.index import LSHIndex
 
-                self.index = LSHIndex(
-                    self.family,
-                    n_tables=self.n_tables,
-                    hashes_per_table=self.hashes_per_table,
-                    seed=self.seed,
-                ).build(P)
+            self.index = LSHIndex(
+                self.family,
+                n_tables=self.n_tables,
+                hashes_per_table=self.hashes_per_table,
+                seed=self.seed,
+            ).build(P)
         return self
 
 
 class LSHBackend(JoinBackend):
-    """Filter-then-verify through any candidates-providing index."""
+    """Filter-then-verify through an LSH index (prebuilt or built here)."""
 
     name = "lsh"
     variants = ("join", "topk", "self")
 
     def prepare(self, P, spec, *, seed=None, block, n_workers=1,
-                index=None, index_spec=None, family=None,
+                index=None, family=None,
                 n_tables: int = 16, hashes_per_table: int = 4,
                 n_probes: int = 0, **options):
         if options:
             raise ParameterError(
                 f"unknown lsh options: {sorted(options)} (valid: index, "
-                f"index_spec, family, n_tables, hashes_per_table, n_probes)"
+                f"family, n_tables, hashes_per_table, n_probes)"
             )
         _require_variant(spec, self.name, self.variants)
         if n_probes and spec.variant != "join":
             raise ParameterError(
                 "multiprobe (n_probes) is only supported for threshold joins"
             )
-        # Precedence: a prebuilt index wins, then a rebuildable recipe,
-        # then a family to index with.
         common = dict(spec=spec, n_probes=n_probes, block=block)
         if index is not None:
             return LSHStructure(index=index, **common), spec
-        if index_spec is not None:
-            return LSHStructure(index_spec=index_spec, **common), spec
-        if family is not None:
-            if n_workers > 1:
-                seed = _concrete_seed(seed, "parallel lsh with a family")
-            return (
-                LSHStructure(
-                    family=family, n_tables=n_tables,
-                    hashes_per_table=hashes_per_table, seed=seed, **common,
-                ),
-                spec,
+        if family is None:
+            # No index source given: auto-build a hyperplane index (valid
+            # on any data domain, unlike SIMPLE-LSH's unit ball).
+            from repro.lsh.hyperplane import HyperplaneLSH
+
+            family, n_tables, hashes_per_table = (
+                HyperplaneLSH(P.shape[1]), DEFAULT_AUTO_TABLES, DEFAULT_AUTO_BITS
             )
-        # No index source given: auto-build a batch hyperplane index
-        # (valid on any data domain, unlike SIMPLE-LSH's unit ball).
-        auto = BatchIndexSpec(
-            d=P.shape[1],
-            scheme="hyperplane",
-            n_tables=DEFAULT_AUTO_TABLES,
-            bits_per_table=DEFAULT_AUTO_BITS,
-            seed=0 if seed is None else _concrete_seed(seed, "auto-built lsh index"),
+            seed = 0 if seed is None else seed
+        return (
+            LSHStructure(
+                family=family, n_tables=n_tables,
+                hashes_per_table=hashes_per_table, seed=seed, **common,
+            ),
+            spec,
         )
-        return LSHStructure(index_spec=auto, **common), spec
 
     def run_chunk(self, structure, P, Q_chunk, start):
         from repro.core.lsh_join import lsh_filter_verify_chunk
@@ -399,8 +373,6 @@ class SketchBackend(JoinBackend):
             from repro.sketches.stable import norm_ratio_bound
 
             c = 1.0 / norm_ratio_bound(P.shape[0], float(kappa))
-            if n_workers > 1:
-                seed = _concrete_seed(seed, "parallel sketch join")
             payload = SketchStructure(
                 spec=spec, block=block, kappa=kappa, copies=copies,
                 leaf_size=leaf_size, seed=seed,

@@ -9,8 +9,8 @@ three-step life cycle:
 1. :meth:`JoinBackend.prepare` — validate options, resolve the final
    spec (the sketch backend substitutes its own ``c = n^{-1/kappa}``),
    and produce a *payload*: a picklable object that either is the built
-   structure or knows how to ``build(P)`` one (so parallel workers can
-   rebuild deterministically from a seed).
+   structure or knows how to ``build(P)`` one (the executor builds it
+   once, before any worker runs).
 2. :meth:`JoinBackend.run_chunk` — THE inner loop: answer one contiguous
    query chunk given its global ``start`` offset, returning a
    :class:`ChunkResult`.  Serial execution is the one-chunk special
@@ -174,7 +174,8 @@ class JoinBackend(ABC):
 
         ``payload`` is handed to the executor: it must be picklable when
         ``n_workers > 1`` and either be the ready structure or expose
-        ``build(P) -> structure`` for lazy (per-worker) construction.
+        ``build(P) -> structure``, which the executor calls once, in
+        the calling process, before any chunk runs.
         ``final_spec`` is the spec the result will carry — usually the
         input spec, but a backend may pin fields it controls (the sketch
         backend sets ``c`` to the structure's approximation factor).

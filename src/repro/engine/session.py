@@ -46,6 +46,8 @@ pre-session engine, spans and planner records included.
 
 from __future__ import annotations
 
+import functools
+import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -96,6 +98,17 @@ DEFAULT_EXPECTED_QUERIES = 100
 DEFAULT_QUERY_BATCH_HINT = 256
 
 
+def _serialized(method):
+    """Run ``method`` holding the session's lock: one caller at a time."""
+
+    @functools.wraps(method)
+    def locked(self, *args, **kwargs):
+        with self._lock:
+            return method(self, *args, **kwargs)
+
+    return locked
+
+
 @dataclass
 class SessionState:
     """Everything a saved session needs to serve again in a new process.
@@ -126,6 +139,14 @@ class JoinSession:
     Construct through :func:`open_session` / ``engine.open`` (eager: plan
     and prepare now) or :func:`open_path` (load a saved session).  The
     engine's one-shot ``join()`` uses the lazy variant internally.
+
+    Thread safety: a session serves one call at a time.  :meth:`query`,
+    :meth:`query_stream`, :meth:`save` and :meth:`close` hold one
+    per-session lock, so concurrent callers are serialized, never
+    interleaved: every result, work counter and ``queries_served``
+    equals what the same calls made one after another would give.  For
+    parallel throughput use ``n_workers`` (the pool parallelizes inside
+    a call) or one session per thread.
     """
 
     def __init__(
@@ -190,6 +211,7 @@ class JoinSession:
         self._own_pool = False
         self._eager = _eager
         self._closed = False
+        self._lock = threading.Lock()
         self.queries_served = 0
         #: Always-on registry: reuse accounting (``session.queries``,
         #: ``session.stage_prepares``, ``session.deferred_prepares``,
@@ -716,6 +738,7 @@ class JoinSession:
 
     # -- public query surface --------------------------------------------
 
+    @_serialized
     def query(self, Q=None, *, trace: bool = False) -> JoinResult:
         """Answer one query batch against the prepared structures.
 
@@ -774,6 +797,7 @@ class JoinSession:
             and self.sampler.should_sample()
         )
 
+    @_serialized
     def query_stream(
         self,
         chunks,
@@ -879,6 +903,7 @@ class JoinSession:
 
     # -- persistence -----------------------------------------------------
 
+    @_serialized
     def save(self, path):
         """Persist the prepared session as a memmappable directory.
 
@@ -951,6 +976,7 @@ class JoinSession:
     def closed(self) -> bool:
         return self._closed
 
+    @_serialized
     def close(self) -> None:
         """Release the owned worker pool and its shared memory; idempotent.
 

@@ -37,7 +37,7 @@ from repro.core.set_join import (
     minhash_join_chunk,
 )
 from repro.datasets.sets import SetCollection
-from repro.engine.backends import _concrete_seed, _require_variant
+from repro.engine.backends import _require_variant
 from repro.engine.protocol import ChunkResult, CostEstimate, JoinBackend
 from repro.errors import ParameterError
 
@@ -144,14 +144,13 @@ class SetScanBackend(JoinBackend):
 
 @dataclass
 class MinHashStructure:
-    """A size-partitioned MinHash index recipe, rebuilt deterministically
-    from its integer seed (per worker when the pool path needs it)."""
+    """A size-partitioned MinHash index recipe, built once from its seed."""
 
     spec: JoinSpec
     n_tables: int = DEFAULT_MINHASH_TABLES
     hashes_per_table: int = DEFAULT_MINHASH_HASHES
     num_part: int = DEFAULT_MINHASH_PARTITIONS
-    seed: int = 0
+    seed: Any = 0
     index: Any = None
 
     def build(self, P):
@@ -188,7 +187,7 @@ class MinHashLSHBackend(JoinBackend):
                 f"n_tables, hashes_per_table, num_part)"
             )
         _require_variant(spec, self.name, self.variants)
-        seed = 0 if seed is None else _concrete_seed(seed, "minhash_lsh")
+        seed = 0 if seed is None else seed
         structure = MinHashStructure(
             spec=spec, n_tables=n_tables, hashes_per_table=hashes_per_table,
             num_part=num_part, seed=seed,

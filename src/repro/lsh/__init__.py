@@ -7,7 +7,6 @@ generate Figure 2.
 """
 
 from repro.lsh.amplification import AndConstruction, amplify_gap
-from repro.lsh.batch import BatchSignIndex
 from repro.lsh.batch_hash import (
     AsymmetricMinHashTables,
     CrossPolytopeTables,
@@ -70,7 +69,6 @@ __all__ = [
     "SymmetricIPSHash",
     "LSHIndex",
     "QueryStats",
-    "BatchSignIndex",
     "CSRBucketTable",
     "E2LSH",
     "RhoEstimate",

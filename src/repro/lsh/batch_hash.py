@@ -14,16 +14,18 @@ A table's ``k`` component hash values must be fused into one int64 key.
 Two strategies, chosen automatically:
 
 * **fixed mixed-radix** — when every component lives in ``[0, radix)``
-  and ``prod(radices) < 2**62``, keys are the Horner pack
-  ``((c0 * r1 + c1) * r2 + c2) ...``; data and query sides pack
-  independently and identically.
+  and ``n_tables * prod(radices) < 2**62`` (so an index can fuse the
+  table number into the key, :class:`repro.lsh.index.LSHIndex`), keys
+  are the Horner pack ``((c0 * r1 + c1) * r2 + c2) ...``; data and
+  query sides pack independently and identically.
 * **adaptive rank recoding** — for unbounded components (E2LSH floors)
   or overflowing radix products, the *data* side recodes each stage to
   dense ranks via a sorted-unique codebook and refuses to grow past
-  ``n * (n + 1)``; the query side replays the codebooks, mapping values
-  absent from the data to :data:`repro.lsh.base.MISS_KEY` (which no data
-  key ever equals, so index lookups miss cleanly).  This requires
-  hashing the data side before the query side.
+  ``n * (n + 1)``, so data keys stay below ``n``; the query side replays
+  the codebooks, mapping values absent from the data to
+  :data:`repro.lsh.base.MISS_KEY` (which no data key ever equals, so
+  index lookups miss cleanly).  This requires hashing the data side
+  before the query side.
 
 Every class also implements ``hash_rows`` — a deliberately scalar
 per-row evaluation mirroring the family's closure math — as the
@@ -58,8 +60,9 @@ class ComponentHashTables(BatchHashTables):
     Subclasses produce an ``(n, n_tables, hashes_per_table)`` int64
     component array (vectorized ``_components`` and scalar
     ``_component_row``); this base class fuses the last axis into one
-    key per table using the fixed mixed-radix pack when ``radices`` fits
-    in an int64, and adaptive rank recoding otherwise.
+    key per table using the fixed mixed-radix pack when ``n_tables``
+    times the radix product fits in an int64, and adaptive rank
+    recoding otherwise.
     """
 
     def __init__(self, n_tables: int, hashes_per_table: int, radices=None):
@@ -75,7 +78,9 @@ class ComponentHashTables(BatchHashTables):
         ).copy()
         if (arr < 1).any():
             raise ParameterError(f"radices must be >= 1, got {arr}")
-        product = 1
+        # Counting the tables keeps an index's fused key (table number
+        # times the key bound, plus the key) inside an int64 too.
+        product = self.n_tables
         for radix in arr:
             product *= int(radix)
             if product >= MAX_PACKED_KEY:
@@ -214,7 +219,10 @@ class SignProjectionTables(_TransformMixin, ComponentHashTables):
     Covers :class:`~repro.lsh.hyperplane.HyperplaneLSH` and every
     sign-ALSH variant (the variant supplies its embedding as the per-side
     transform).  Component ``f`` of a vector is ``1`` iff its transformed
-    image has non-negative dot product with projection ``f``.
+    image has non-negative dot product with projection ``f``.  A table's
+    key packs its ``k`` bits (component 0 the highest) with one matvec,
+    so flipping one bit of a query key names a neighbouring bucket: the
+    multiprobe primitive (:meth:`probe_keys`).
     """
 
     def __init__(
@@ -234,13 +242,53 @@ class SignProjectionTables(_TransformMixin, ComponentHashTables):
             )
         self._projections = projections
         self._set_transforms(data_transform, query_transform)
+        #: Bit weights of the Horner pack: float64 (one BLAS matvec) while
+        #: every key stays below 2**53, int64 past it; None when keys are
+        #: rank-recoded.
+        self._weights: Optional[np.ndarray] = None
+        if self._radices is not None:
+            k = hashes_per_table
+            self._weights = (1 << np.arange(k - 1, -1, -1, dtype=np.int64)).astype(
+                np.float64 if k <= 53 else np.int64
+            )
 
-    def _components(self, X, side):
+    def _margins(self, X, side) -> np.ndarray:
+        """Raw projection values, ``(n, n_tables, hashes_per_table)``."""
         T = self._transform(check_matrix(X, "X"), side)
-        bits = (T @ self._projections.T) >= 0.0
-        return bits.astype(np.int64).reshape(
+        return (T @ self._projections.T).reshape(
             T.shape[0], self.n_tables, self.hashes_per_table
         )
+
+    def _pack(self, bits: np.ndarray) -> np.ndarray:
+        """Horner keys of ``(n, n_tables, k)`` bits: one matvec."""
+        flat = bits.reshape(-1, self.hashes_per_table).astype(self._weights.dtype)
+        return (flat @ self._weights).astype(np.int64).reshape(bits.shape[:2])
+
+    def hash_matrix(self, X, side: str = "data") -> np.ndarray:
+        side = self._check_side(side)
+        bits = self._margins(X, side) >= 0.0
+        if self._weights is None:
+            return self._fuse(bits.astype(np.int64), side)
+        return self._pack(bits)
+
+    @property
+    def max_probes(self) -> int:
+        """Bits a multiprobe query may flip per table; 0 once rank-recoded."""
+        return self.hashes_per_table if self._weights is not None else 0
+
+    def probe_keys(self, X, n_probes: int) -> np.ndarray:
+        """Query keys plus ``n_probes`` neighbours per table, ``(n, L, 1 + n_probes)``.
+
+        Slot 0 is the exact key.  A sign bit whose projection value sits
+        near 0 is the one a near-duplicate vector is most likely to
+        disagree on (Lv et al.'s query-directed multiprobe), so slot
+        ``1 + i`` flips the bit with the ``i``-th smallest ``|margin|``.
+        """
+        values = self._margins(X, "query")
+        keys = self._pack(values >= 0.0)[:, :, None]
+        order = np.argsort(np.abs(values), axis=2, kind="stable")[:, :, :n_probes]
+        flips = keys ^ (np.int64(1) << (self.hashes_per_table - 1 - order))
+        return np.concatenate([keys, flips], axis=2)
 
     def _component_row(self, x, side):
         v = self._transform_row(x, side)

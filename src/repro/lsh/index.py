@@ -8,15 +8,24 @@ P2^k)`` the expected number of false candidates per query is
 ``n_tables * n * P2^k`` while a true neighbor is retrieved with
 probability ``1 - (1 - P1^k)^{n_tables}``.
 
-Buckets are stored in CSR form (:mod:`repro.lsh.csr`) and hashing goes
-through the batch hashing protocol (:mod:`repro.lsh.base`): when the
-family implements ``sample_batch``, hashing a whole matrix is a few
-vectorized kernels; otherwise the generic per-row wrapper
+Hashing goes through the batch hashing protocol (:mod:`repro.lsh.base`):
+when the family implements ``sample_batch``, hashing a whole matrix is a
+few vectorized kernels; otherwise the generic per-row wrapper
 (:class:`repro.lsh.batch_hash.GenericHashTables`) calls the sampled
 closures one row at a time — same variates, same buckets, just slower.
-Candidate merging is one sort-based dedup, and candidate sets come out
-**sorted**, making query results and downstream argmax tie-breaks
-reproducible run to run.
+
+Buckets live in CSR form (:mod:`repro.lsh.csr`), and all tables fuse
+into ONE physical table keyed by ``t * bound + key``, where ``bound`` is
+one past the largest data key of any table.  When that fused key space
+is small (:data:`DENSE_LOOKUP_MAX`) a dense offset array addresses every
+bucket directly; beyond it lookups binary-search the sorted keys — same
+results.  Candidate generation for a whole query block is therefore one
+``hash_matrix`` call, one lookup and one ragged gather over every
+(query, table) pair at once, and one sort-based dedup.  Sign-projection
+hashers also offer query-directed multiprobe (``n_probes`` extra
+buckets per table, each one bit flip away), looked up in the same call.
+Candidate sets come out **sorted**, making query results and downstream
+argmax tie-breaks reproducible run to run.
 
 The index records per-query candidate counts, the quantity the paper's
 subquadratic claims are really about (candidate verification dominates the
@@ -33,41 +42,28 @@ import numpy as np
 # or not) shares one stats type and one merge(); re-exported here for
 # backwards compatibility.
 from repro.core.problems import QueryStats
-from repro.errors import ParameterError
+from repro.errors import ParameterError, ValidationError
 from repro.lsh.base import AsymmetricLSHFamily
-from repro.lsh.batch_hash import GenericHashTables
+from repro.lsh.batch_hash import MAX_PACKED_KEY, GenericHashTables
 from repro.lsh.csr import CSRBucketTable, merge_candidates_per_query
 from repro.obs.metrics import current_metrics
 from repro.obs.trace import span
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_matrix
 
-
-def supports_multiprobe(index) -> bool:
-    """Does ``index`` accept ``n_probes`` in ``candidates_batch``?"""
-    return hasattr(index, "bits_per_table")
+#: Largest fused key space (``n_tables * bound``) for which the index
+#: keeps a dense offset array (direct addressing, one gather per lookup)
+#: next to the sorted key column.
+DENSE_LOOKUP_MAX = 1 << 22
 
 
 def block_candidates(index, Q_block, n_probes: int = 0) -> List[np.ndarray]:
-    """Candidate lists for a query block via the fastest API ``index`` offers.
+    """Candidate lists for a query block: one ``candidates_batch`` call.
 
-    The one place that knows the candidate-provider surface: batch CSR
-    indexes get one ``candidates_batch`` call (with multiprobe when they
-    support it), anything else falls back to per-row ``candidates``.
-    Raises :class:`~repro.errors.ParameterError` when ``n_probes`` is
-    requested from an index that cannot multiprobe.
+    The join kernels' one entry into an index, kept as a named function
+    so the candidate-generation layer can be timed on its own.
     """
-    probing = supports_multiprobe(index)
-    if n_probes and not probing:
-        raise ParameterError(
-            f"index {type(index).__name__} does not support multiprobe "
-            f"(n_probes={n_probes})"
-        )
-    if hasattr(index, "candidates_batch"):
-        if probing:
-            return index.candidates_batch(Q_block, n_probes=n_probes)
-        return index.candidates_batch(Q_block)
-    return [index.candidates(Q_block[qi]) for qi in range(Q_block.shape[0])]
+    return index.candidates_batch(Q_block, n_probes=n_probes)
 
 
 class LSHIndex:
@@ -106,13 +102,23 @@ class LSHIndex:
         if hasher is None:
             hasher = GenericHashTables(family, rng, self.hashes_per_table, self.n_tables)
         self._hasher = hasher
-        self._tables: Optional[List[CSRBucketTable]] = None
+        #: All tables fused into one CSR table keyed by ``t * bound + key``.
+        self._table: Optional[CSRBucketTable] = None
+        #: One past the largest data key of any table.
+        self._bound = 0
+        #: ``t * bound`` per table, shape ``(n_tables, 1)``.
+        self._offsets: Optional[np.ndarray] = None
+        #: Dense ``(n_tables * bound + 2,)`` offsets into the fused
+        #: table's ``indices``: bucket ``f`` is ``dense[f]:dense[f + 1]``,
+        #: and the sentinel key ``n_tables * bound`` is an empty slice.
+        #: None means binary-search lookups.
+        self._dense: Optional[np.ndarray] = None
         self._data: Optional[np.ndarray] = None
         self.stats = QueryStats()
 
     @property
     def is_built(self) -> bool:
-        return self._tables is not None
+        return self._table is not None
 
     @property
     def uses_batch_hashing(self) -> bool:
@@ -130,58 +136,110 @@ class LSHIndex:
         P = check_matrix(P, "P")
         with span("hash", side="data", n_rows=P.shape[0]):
             keys = self._hasher.hash_matrix(P, side="data")
-        self._tables = [
-            CSRBucketTable.from_keys(keys[:, t]) for t in range(self.n_tables)
-        ]
+        bound = int(keys.max()) + 1
+        if keys.min() < 0 or bound > MAX_PACKED_KEY // self.n_tables:
+            raise ValidationError(
+                f"data keys must lie in [0, 2**62 / n_tables), got "
+                f"[{int(keys.min())}, {bound - 1}]"
+            )
+        self._bound = bound
+        self._offsets = (np.arange(self.n_tables, dtype=np.int64) * bound)[:, None]
+        # Table-major flat layout: row ids ascend inside each table, so
+        # the stable bucket sort leaves every bucket's contents ascending.
+        fused = (keys.T + self._offsets).ravel()
+        rows = np.tile(np.arange(P.shape[0], dtype=np.int64), self.n_tables)
+        table = CSRBucketTable.from_keys(fused, rows=rows)
+        space = self.n_tables * bound
+        self._dense = (
+            table.offsets[np.searchsorted(table.keys, np.arange(space + 2))]
+            if space <= DENSE_LOOKUP_MAX else None
+        )
         metrics = current_metrics()
         if metrics.enabled:
-            occupancy = metrics.histogram("lsh.bucket_occupancy")
-            for table in self._tables:
-                occupancy.observe_array(np.diff(table.offsets))
+            metrics.histogram("lsh.bucket_occupancy").observe_array(
+                np.diff(table.offsets)
+            )
+        self._table = table
         self._data = P
         return self
 
-    def candidates(self, q) -> np.ndarray:
+    def _lookup(self, keys: np.ndarray):
+        """Slice bounds in the fused table for ``(n, n_tables, s)`` query keys.
+
+        A key outside ``[0, bound)`` — :data:`~repro.lsh.base.MISS_KEY`
+        included — names no data bucket, so it maps to the sentinel
+        ``n_tables * bound`` instead of a neighbouring table's range.
+        """
+        # As unsigned, a negative key compares above every bound.
+        fused = np.where(
+            keys.view(np.uint64) < self._bound,
+            keys + self._offsets,
+            self.n_tables * self._bound,
+        )
+        if self._dense is not None:
+            return self._dense[fused], self._dense[fused + 1]
+        return self._table.lookup(fused)
+
+    def candidates(self, q, n_probes: int = 0) -> np.ndarray:
         """Union of bucket contents over all tables, **sorted** ascending.
 
         Sorted output makes the candidate order (and any downstream
         argmax tie-break) deterministic, unlike a set-iteration order.
         """
         q = np.asarray(q, dtype=np.float64)
-        return self.candidates_batch(q.reshape(1, -1))[0]
+        return self.candidates_batch(q.reshape(1, -1), n_probes=n_probes)[0]
 
-    def candidates_batch(self, Q) -> List[np.ndarray]:
+    def candidates_batch(self, Q, n_probes: int = 0) -> List[np.ndarray]:
         """Sorted candidate arrays for every row of ``Q``.
 
-        One ``hash_matrix`` call per block, then CSR lookups/gathers per
-        table and a single fused sort-based dedup — no Python loop per
-        query on native batch families.
+        One ``hash_matrix`` call per block, then one lookup and one
+        ragged gather over every (query, table) bucket and one fused
+        sort-based dedup.  ``n_probes`` extra buckets per table are
+        probed with the query-directed single-bit-flip heuristic
+        (sign-projection families only, up to ``hashes_per_table``);
+        ``0`` queries only the exact bucket.  An empty query matrix (0 rows)
+        returns ``[]``.
         """
-        if self._tables is None:
+        if self._table is None:
             raise ParameterError("index not built yet; call build() first")
+        # Only sign-projection hashers name a neighbouring bucket by
+        # flipping a key bit; every other family takes n_probes=0.
+        limit = getattr(self._hasher, "max_probes", 0) if n_probes else 0
+        if not 0 <= n_probes <= limit:
+            raise ParameterError(
+                f"n_probes must be in [0, {limit}] for an index over "
+                f"{type(self.family).__name__} with "
+                f"hashes_per_table={self.hashes_per_table}, got {n_probes}"
+            )
         Q = check_matrix(Q, "Q", allow_empty=True)
         n_queries = Q.shape[0]
         if n_queries == 0:
             return []
+        if Q.shape[1] != self._data.shape[1]:
+            raise ParameterError(
+                f"queries must have dimension {self._data.shape[1]}, "
+                f"got {Q.shape[1]}"
+            )
         with span("hash", side="query", n_rows=n_queries):
-            query_keys = self._hasher.hash_matrix(Q, side="query")
-        all_rows = []
-        all_query_ids = []
-        query_range = np.arange(n_queries, dtype=np.int64)
-        for t, table in enumerate(self._tables):
-            starts, ends = table.lookup(query_keys[:, t])
-            rows, lengths = table.gather(starts, ends)
-            if rows.size:
-                all_rows.append(rows)
-                all_query_ids.append(np.repeat(query_range, lengths))
-        if not all_rows:
-            self.stats.record_batch(n_queries, 0, 0)
-            return [np.empty(0, dtype=np.int64)] * n_queries
-        rows = np.concatenate(all_rows)
-        query_ids = np.concatenate(all_query_ids)
-        merged = merge_candidates_per_query(query_ids, rows, n_queries, self.n)
+            if n_probes:
+                keys = self._hasher.probe_keys(Q, n_probes)
+            else:
+                keys = self._hasher.hash_matrix(Q, side="query")[:, :, None]
+        starts, ends = self._lookup(keys)
+        rows, lengths = self._table.gather(starts, ends)
+        query_ids = np.repeat(
+            np.arange(n_queries, dtype=np.int64),
+            lengths.reshape(n_queries, -1).sum(axis=1),
+        )
+        merged, n_unique = merge_candidates_per_query(
+            query_ids, rows, n_queries, self.n
+        )
+        probe_hits = probed = 0
+        if n_probes:
+            probes = lengths.reshape(keys.shape)[:, :, 1:]
+            probe_hits, probed = int(probes.sum()), int(np.count_nonzero(probes))
         self.stats.record_batch(
-            n_queries, rows.size, sum(c.size for c in merged)
+            n_queries, rows.size, n_unique, probe_hits, probed
         )
         return merged
 

@@ -44,11 +44,12 @@ import numpy as np
 
 from repro.errors import ReproError
 
-#: Bumped when persisted layouts change incompatibly.
-FORMAT_VERSION = 1
+#: Bumped when persisted layouts change incompatibly (2: one fused
+#: ``LSHIndex`` replaced the per-table and sign-only LSH indexes).
+FORMAT_VERSION = 2
 
 #: Directory-format version, independent of the single-file one.
-DIR_FORMAT_VERSION = 1
+DIR_FORMAT_VERSION = 2
 
 #: Arrays at or above this many bytes become raw sidecar files; smaller
 #: ones stay inline in the pickled shell (matches the shared-memory
@@ -119,7 +120,7 @@ def load_structure(path, expected_type: str = None):
 
     Args:
         path: file to read.
-        expected_type: optional class-name check (e.g. ``"BatchSignIndex"``)
+        expected_type: optional class-name check (e.g. ``"LSHIndex"``)
             so callers fail fast on the wrong file.
 
     Raises :class:`PersistenceError` on missing, truncated, corrupt, or

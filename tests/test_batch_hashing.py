@@ -102,6 +102,16 @@ def test_hash_matrix_equals_per_row_reference(name):
         assert np.array_equal(batch, rows), f"{name}/{side}"
 
 
+@pytest.mark.parametrize("k", [12, 58])
+def test_sign_pack_exact_at_every_width(k):
+    # float64 and int64 bit weights: the matvec pack must equal the
+    # scalar Horner reference at each width.
+    P, Q = _dense_data(np.random.default_rng(SEED))
+    hasher = HyperplaneLSH(D).sample_batch(np.random.default_rng(SEED + 1), k, 2)
+    for X, side in ((P, "data"), (Q, "query")):
+        assert np.array_equal(hasher.hash_matrix(X, side), hasher.hash_rows(X, side))
+
+
 @pytest.mark.parametrize("name", FAMILIES)
 def test_batch_index_matches_generic_index(name):
     rng = np.random.default_rng(SEED + 2)

@@ -4,7 +4,7 @@ import pytest
 from repro import engine
 from repro.core import JoinSpec
 from repro.errors import ParameterError
-from repro.lsh import BatchSignIndex
+from repro.lsh import LSHIndex, SymmetricIPSHash
 
 
 def exact_self(P, spec, block=512):
@@ -69,8 +69,8 @@ class TestLSHSelfJoin:
         P = np.vstack([base, base + rng.normal(size=base.shape) * 0.01])
         P *= 0.99 / np.linalg.norm(P, axis=1, keepdims=True).max()
         spec = JoinSpec(s=0.7)
-        idx = BatchSignIndex.for_symmetric(
-            8, eps=0.05, n_tables=12, bits_per_table=8, seed=0
+        idx = LSHIndex(
+            SymmetricIPSHash(8, eps=0.05), n_tables=12, hashes_per_table=8, seed=0
         ).build(P)
         exact = exact_self(P, spec)
         assert exact.matched_count > 0
@@ -80,8 +80,8 @@ class TestLSHSelfJoin:
     def test_self_excluded(self, rng):
         P = rng.normal(size=(30, 6))
         P *= 0.9 / np.linalg.norm(P, axis=1, keepdims=True)
-        idx = BatchSignIndex.for_symmetric(
-            6, eps=0.1, n_tables=8, bits_per_table=4, seed=1
+        idx = LSHIndex(
+            SymmetricIPSHash(6, eps=0.1), n_tables=8, hashes_per_table=4, seed=1
         ).build(P)
         result = lsh_self(P, JoinSpec(s=0.01, signed=False), idx)
         for i, match in enumerate(result.matches):
@@ -91,8 +91,8 @@ class TestLSHSelfJoin:
         row = rng.normal(size=6)
         row *= 0.9 / np.linalg.norm(row)
         P = np.vstack([row, row, rng.normal(size=6) * 0.01])
-        idx = BatchSignIndex.for_symmetric(
-            6, eps=0.1, n_tables=8, bits_per_table=3, seed=2
+        idx = LSHIndex(
+            SymmetricIPSHash(6, eps=0.1), n_tables=8, hashes_per_table=3, seed=2
         ).build(P)
         spec = JoinSpec(s=0.5, match_duplicates=False)
         strict = lsh_self(P, spec, idx)
@@ -101,8 +101,8 @@ class TestLSHSelfJoin:
     def test_subquadratic_verification(self, rng):
         P = rng.normal(size=(200, 8))
         P *= 0.9 / np.linalg.norm(P, axis=1, keepdims=True)
-        idx = BatchSignIndex.for_symmetric(
-            8, eps=0.1, n_tables=6, bits_per_table=8, seed=3
+        idx = LSHIndex(
+            SymmetricIPSHash(8, eps=0.1), n_tables=6, hashes_per_table=8, seed=3
         ).build(P)
         result = lsh_self(P, JoinSpec(s=0.6), idx)
         assert result.inner_products_evaluated < 200 * 199 / 2

@@ -7,7 +7,7 @@ from repro import engine
 from repro.core import JoinSpec, topk_recall
 from repro.datasets import planted_mips
 from repro.errors import ParameterError
-from repro.lsh import BatchSignIndex, DataDepALSH
+from repro.lsh import DataDepALSH, LSHIndex
 
 
 def exact_topk(P, Q, spec, k, block=1024):
@@ -81,8 +81,9 @@ class TestLSHJoinTopK:
     def test_with_batch_index(self):
         inst = planted_mips(300, 10, 24, s=0.85, c=0.4, seed=2)
         spec = JoinSpec(s=inst.s, c=0.4)
-        idx = BatchSignIndex.for_datadep(
-            24, n_tables=16, bits_per_table=8, seed=3
+        idx = LSHIndex(
+            DataDepALSH(24, sphere="hyperplane"),
+            n_tables=16, hashes_per_table=8, seed=3
         ).build(inst.P)
         exact = exact_topk(inst.P, inst.Q, spec, k=3)
         assert any(exact)

@@ -1,24 +1,48 @@
 """Path-equivalence tests for the CSR tables, blocked verify, and executor.
 
 The fast paths must be *refactorings*, not new algorithms: same seed ⇒
-identical candidate sets and identical join matches across the generic
-``LSHIndex``, the dict-layout ``BatchSignIndex``, the CSR layout, and
-the process-parallel executor at any worker count.
+identical candidate sets and identical join matches across a naive
+per-(query, table) bucket dict, the fused CSR ``LSHIndex`` (dense and
+binary-search lookups), and the process-parallel executor at any worker
+count.
 """
+
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from repro import engine
 from repro.core import (
-    BatchIndexSpec,
     JoinSpec,
+    QueryStats,
     verify_block,
     verify_candidates,
 )
 from repro.datasets import planted_mips, random_unit
 from repro.errors import ParameterError
-from repro.lsh import BatchSignIndex, CSRBucketTable, DataDepALSH, LSHIndex
+from repro.lsh import (
+    AsymmetricLSHFamily,
+    BatchHashTables,
+    CSRBucketTable,
+    CrossPolytopeLSH,
+    DataDepALSH,
+    HyperplaneLSH,
+    LSHIndex,
+    SymmetricIPSHash,
+)
+from repro.lsh import index as index_module
+from repro.lsh.base import MISS_KEY
+from tests.test_batch_hashing import FAMILIES, _family_and_data
+
+#: The two lookup paths of the fused table: dense offsets, binary search.
+LOOKUP_LIMITS = (index_module.DENSE_LOOKUP_MAX, 0)
+
+STAT_FIELDS = ("queries", "candidates", "unique_candidates",
+               "probe_candidates", "probed_buckets")
+
+#: Families whose hashers are sign projections, hence multiprobe.
+SIGN_FAMILIES = ("hyperplane", "simple_alsh", "sign_alsh", "symmetric")
 
 
 def lsh(P, Q, spec, **options):
@@ -30,15 +54,73 @@ def instance():
     return planted_mips(800, 24, 32, s=0.85, c=0.4, seed=0)
 
 
-def _pair(instance, n_tables=10, bits=8, seed=3):
-    """Identically-seeded dict and CSR BatchSignIndexes over the data."""
-    dict_idx = BatchSignIndex.for_datadep(
-        32, n_tables=n_tables, bits_per_table=bits, seed=seed, layout="dict"
+def _index(instance, n_tables=10, bits=8, seed=3):
+    """A DataDep (hyperplane sphere) index over the planted data."""
+    return LSHIndex(
+        DataDepALSH(32, sphere="hyperplane"),
+        n_tables=n_tables, hashes_per_table=bits, seed=seed,
     ).build(instance.P)
-    csr_idx = BatchSignIndex.for_datadep(
-        32, n_tables=n_tables, bits_per_table=bits, seed=seed, layout="csr"
-    ).build(instance.P)
-    return dict_idx, csr_idx
+
+
+def _flip_order(hasher, q, t):
+    """Bits of table ``t`` by ascending ``|projection margin|`` of ``q``."""
+    margins = hasher._projections @ hasher._transform_row(q, "query")
+    k = hasher.hashes_per_table
+    return np.argsort(np.abs(margins[t * k:(t + 1) * k]), kind="stable")
+
+
+def _naive_candidates(family, P, Q, n_probes, n_tables=4, k=3, seed=99):
+    """Reference lists and stats from a per-(query, table) bucket dict.
+
+    Keys come from the scalar ``hash_rows`` path of an identically
+    seeded hasher; multiprobe flips the bit of component ``j`` of a
+    sign key (Horner order: component 0 is the highest of ``k`` bits)
+    for the ``n_probes`` smallest margins.
+    """
+    hasher = family.sample_batch(np.random.default_rng(seed), k, n_tables)
+    buckets = defaultdict(list)
+    for i, row in enumerate(hasher.hash_rows(P, side="data")):
+        for t, key in enumerate(row):
+            buckets[t, int(key)].append(i)
+    stats = QueryStats()
+    lists = []
+    for qi, row in enumerate(hasher.hash_rows(Q, side="query")):
+        hits, probe_hits, probed = [], 0, 0
+        for t, key in enumerate(row):
+            hits += buckets.get((t, int(key)), [])
+            flips = _flip_order(hasher, Q[qi], t)[:n_probes] if n_probes else ()
+            for bit in flips:
+                bucket = buckets.get((t, int(key) ^ (1 << (k - 1 - int(bit)))), [])
+                hits += bucket
+                probe_hits += len(bucket)
+                probed += bool(bucket)
+        lists.append(np.unique(np.asarray(hits, dtype=np.int64)))
+        stats.record(len(hits), lists[-1].size, probe_hits, probed)
+    return lists, stats
+
+
+class _FixedKeys(BatchHashTables):
+    """A hasher handing out preset data and query keys."""
+
+    def __init__(self, data_keys, query_keys):
+        super().__init__(data_keys.shape[1], 1)
+        self._keys = {"data": data_keys, "query": query_keys}
+
+    def hash_matrix(self, X, side="data"):
+        return self._keys[side]
+
+    hash_rows = hash_matrix
+
+
+class _FixedFamily(AsymmetricLSHFamily):
+    def __init__(self, hasher):
+        self.hasher = hasher
+
+    def sample(self, rng):
+        raise NotImplementedError
+
+    def sample_batch(self, rng, hashes_per_table, n_tables):
+        return self.hasher
 
 
 class TestCSRBucketTable:
@@ -73,29 +155,61 @@ class TestCSRBucketTable:
 
 
 class TestLayoutEquivalence:
-    @pytest.mark.parametrize("n_probes", [0, 2])
-    def test_dict_and_csr_identical(self, instance, n_probes):
-        dict_idx, csr_idx = _pair(instance)
-        dict_lists = dict_idx.candidates_batch(instance.Q, n_probes=n_probes)
-        csr_lists = csr_idx.candidates_batch(instance.Q, n_probes=n_probes)
-        assert len(dict_lists) == len(csr_lists) == 24
-        for a, b in zip(dict_lists, csr_lists):
-            np.testing.assert_array_equal(a, b)
-        # Work accounting must agree too, including probe attribution.
-        for field in ("queries", "candidates", "unique_candidates",
-                      "probe_candidates", "probed_buckets"):
-            assert getattr(dict_idx.stats, field) == getattr(csr_idx.stats, field)
+    @pytest.mark.parametrize("n_probes", [0, 1, 2])
+    def test_dict_and_csr_identical(self, n_probes, monkeypatch):
+        """Every native family, both lookup paths: the fused index gives
+        the naive bucket dict's candidate lists and QueryStats exactly
+        (multiprobe on the sign-projection families)."""
+        rng = np.random.default_rng(1234)
+        for name in FAMILIES:
+            family, (P, Q) = _family_and_data(name, rng)
+            if n_probes and name not in SIGN_FAMILIES:
+                continue
+            want, want_stats = _naive_candidates(family, P, Q, n_probes)
+            for limit in LOOKUP_LIMITS:
+                monkeypatch.setattr(index_module, "DENSE_LOOKUP_MAX", limit)
+                index = LSHIndex(family, n_tables=4, hashes_per_table=3, seed=99)
+                index.build(P)
+                assert index.uses_batch_hashing, name
+                assert (index._dense is not None) == (limit > 0), name
+                got = index.candidates_batch(Q, n_probes=n_probes)
+                assert len(got) == len(want) == Q.shape[0]
+                assert any(c.size for c in got), name
+                for a, b in zip(want, got):
+                    np.testing.assert_array_equal(a, b, err_msg=name)
+                for field in STAT_FIELDS:
+                    assert getattr(index.stats, field) == \
+                        getattr(want_stats, field), (name, field)
+
+    def test_miss_key_never_aliases_previous_table(self, monkeypatch):
+        """Query keys outside a table's data range, MISS_KEY included,
+        name empty buckets, never the edge bucket of a neighbouring
+        table (t * bound - 1 or (t + 1) * bound)."""
+        data = np.array([[0, 0], [1, 1]], dtype=np.int64)
+        query = np.array(
+            [[MISS_KEY, MISS_KEY], [5, MISS_KEY], [2, MISS_KEY], [1, 0]],
+            dtype=np.int64,
+        )
+        for limit in LOOKUP_LIMITS:
+            monkeypatch.setattr(index_module, "DENSE_LOOKUP_MAX", limit)
+            index = LSHIndex(
+                _FixedFamily(_FixedKeys(data, query)),
+                n_tables=2, hashes_per_table=1,
+            ).build(np.zeros((2, 3)))
+            got = index.candidates_batch(np.zeros((4, 3)))
+            assert [c.tolist() for c in got] == [[], [], [], [0, 1]]
+            assert index.stats.candidates == 2
 
     def test_generic_index_matches_batch_index(self, instance):
-        """Same seed ⇒ same hash stream: LSHIndex(DataDepALSH) and
-        BatchSignIndex.for_datadep bucket identically."""
-        generic = LSHIndex(
-            DataDepALSH(32, sphere="hyperplane"),
-            n_tables=6, hashes_per_table=8, seed=11,
-        ).build(instance.P)
-        batch = BatchSignIndex.for_datadep(
-            32, n_tables=6, bits_per_table=8, seed=11
-        ).build(instance.P)
+        """Same seed ⇒ same hash stream: the generic per-row closure path
+        and the native batch hasher bucket identically."""
+        generic, batch = (
+            LSHIndex(
+                DataDepALSH(32, sphere="hyperplane"),
+                n_tables=6, hashes_per_table=8, seed=11, use_batch=use_batch,
+            ).build(instance.P)
+            for use_batch in (False, True)
+        )
         for qi in range(24):
             np.testing.assert_array_equal(
                 generic.candidates(instance.Q[qi]),
@@ -112,22 +226,22 @@ class TestLayoutEquivalence:
         np.testing.assert_array_equal(first, index.candidates(instance.Q[0]))
 
     def test_batch_candidates_sorted(self, instance):
-        _, csr_idx = _pair(instance)
-        for cands in csr_idx.candidates_batch(instance.Q, n_probes=2):
+        idx = _index(instance)
+        for cands in idx.candidates_batch(instance.Q, n_probes=2):
             if cands.size > 1:
                 assert (np.diff(cands) > 0).all()
 
     def test_empty_query_matrix(self, instance):
-        for idx in _pair(instance):
-            assert idx.candidates_batch(np.empty((0, 32))) == []
+        assert _index(instance).candidates_batch(np.empty((0, 32))) == []
 
-    def test_empty_bucket_query(self):
+    def test_empty_bucket_query(self, monkeypatch):
         rng = np.random.default_rng(7)
         P = rng.normal(size=(40, 6))
         far = -P.mean(axis=0) * 100
-        for layout in ("dict", "csr"):
-            idx = BatchSignIndex.for_hyperplane(
-                6, n_tables=1, bits_per_table=20, seed=0, layout=layout
+        for limit in LOOKUP_LIMITS:
+            monkeypatch.setattr(index_module, "DENSE_LOOKUP_MAX", limit)
+            idx = LSHIndex(
+                HyperplaneLSH(6), n_tables=1, hashes_per_table=20, seed=0
             ).build(P)
             cands = idx.candidates(far)
             assert cands.size == 0 and cands.dtype == np.int64
@@ -135,7 +249,7 @@ class TestLayoutEquivalence:
 
 class TestQueryStats:
     def test_reset(self, instance):
-        _, idx = _pair(instance)
+        idx = _index(instance)
         idx.candidates_batch(instance.Q, n_probes=1)
         assert idx.stats.queries > 0
         idx.stats.reset()
@@ -146,7 +260,7 @@ class TestQueryStats:
     def test_join_reports_delta_not_cumulative(self, instance):
         """A reused index must not inflate candidates_generated (the
         QueryStats-pollution regression)."""
-        _, idx = _pair(instance)
+        idx = _index(instance)
         spec = JoinSpec(s=instance.s, c=0.4)
         first = lsh(instance.P, instance.Q, spec, index=idx)
         second = lsh(instance.P, instance.Q, spec, index=idx)
@@ -158,7 +272,7 @@ class TestQueryStats:
         assert idx.stats.queries == 48
 
     def test_probe_fraction(self, instance):
-        _, idx = _pair(instance)
+        idx = _index(instance)
         idx.candidates_batch(instance.Q, n_probes=3)
         assert 0.0 < idx.stats.probe_fraction < 1.0
         assert idx.stats.probe_candidates <= idx.stats.candidates
@@ -219,73 +333,78 @@ class TestExecutor:
         P = random_unit(2000, 24, seed=0) * 0.95
         Q = random_unit(300, 24, seed=1) * 0.95
         spec = JoinSpec(s=0.75, c=0.8)
-        index_spec = BatchIndexSpec(
-            d=24, scheme="datadep", n_tables=10, bits_per_table=9, seed=13
+        recipe = dict(
+            family=DataDepALSH(24, sphere="hyperplane"),
+            n_tables=10, hashes_per_table=9, seed=13,
         )
-        return P, Q, spec, index_spec
+        return P, Q, spec, recipe
 
-    def test_index_spec_equals_prebuilt_index(self, workload):
-        P, Q, spec, index_spec = workload
-        serial = lsh(P, Q, spec, index_spec=index_spec, n_workers=1)
-        via_join = lsh(P, Q, spec, index=index_spec.build(P))
+    @staticmethod
+    def _build(P, recipe):
+        family = recipe["family"]
+        shape = {k: v for k, v in recipe.items() if k != "family"}
+        return LSHIndex(family, **shape).build(P)
+
+    def test_family_equals_prebuilt_index(self, workload):
+        P, Q, spec, recipe = workload
+        serial = lsh(P, Q, spec, **recipe, n_workers=1)
+        via_join = lsh(P, Q, spec, index=self._build(P, recipe))
         assert serial.matched_count > 0
         assert serial.matches == via_join.matches
         assert serial.inner_products_evaluated == via_join.inner_products_evaluated
         assert serial.candidates_generated == via_join.candidates_generated
 
     def test_four_workers_identical_to_serial(self, workload):
-        P, Q, spec, index_spec = workload
-        serial = lsh(P, Q, spec, index_spec=index_spec, n_workers=1)
-        parallel = lsh(P, Q, spec, index_spec=index_spec, n_workers=4)
+        P, Q, spec, recipe = workload
+        serial = lsh(P, Q, spec, **recipe, n_workers=1)
+        parallel = lsh(P, Q, spec, **recipe, n_workers=4)
         assert serial.matched_count > 0
         assert serial.matches == parallel.matches
         assert serial.inner_products_evaluated == parallel.inner_products_evaluated
         assert serial.candidates_generated == parallel.candidates_generated
 
     def test_multiprobe_parallel_identical(self, workload):
-        P, Q, spec, index_spec = workload
-        serial = lsh(P, Q, spec, index_spec=index_spec, n_workers=1, n_probes=2)
-        parallel = lsh(
-            P, Q, spec, index_spec=index_spec, n_workers=2, n_probes=2
-        )
+        P, Q, spec, recipe = workload
+        serial = lsh(P, Q, spec, **recipe, n_workers=1, n_probes=2)
+        parallel = lsh(P, Q, spec, **recipe, n_workers=2, n_probes=2)
         assert serial.matched_count > 0
         assert serial.matches == parallel.matches
         # Multiprobe inspects strictly more candidates than exact-only.
-        exact_only = lsh(P, Q, spec, index_spec=index_spec, n_workers=1)
+        exact_only = lsh(P, Q, spec, **recipe, n_workers=1)
         assert serial.candidates_generated >= exact_only.candidates_generated
 
     def test_prebuilt_index_shipped_to_workers(self, workload):
-        P, Q, spec, index_spec = workload
-        index = index_spec.build(P)
-        parallel = lsh(P, Q, spec, index=index, n_workers=2)
-        serial = lsh(P, Q, spec, index_spec=index_spec, n_workers=1)
+        P, Q, spec, recipe = workload
+        parallel = lsh(P, Q, spec, index=self._build(P, recipe), n_workers=2)
+        serial = lsh(P, Q, spec, **recipe, n_workers=1)
         assert serial.matched_count > 0
         assert parallel.matches == serial.matches
 
     def test_block_alignment_worker_count_invariance(self, workload):
         """Different worker counts shard at different boundaries but the
         block alignment keeps every GEMM identical."""
-        P, Q, spec, index_spec = workload
+        P, Q, spec, recipe = workload
         results = [
-            lsh(P, Q, spec, index_spec=index_spec, n_workers=w, block=64)
+            lsh(P, Q, spec, **recipe, n_workers=w, block=64)
             for w in (1, 2, 3)
         ]
         assert results[0].matched_count > 0
         assert results[0].matches == results[1].matches == results[2].matches
 
-    def test_spec_validation(self):
-        with pytest.raises(ParameterError, match="scheme"):
-            BatchIndexSpec(d=8, scheme="nope")
-        with pytest.raises(ParameterError, match="seed"):
-            BatchIndexSpec(d=8, seed=None)
+    def test_spec_validation(self, workload):
+        P, Q, spec, recipe = workload
+        with pytest.raises(ParameterError, match="unknown lsh options"):
+            lsh(P, Q, spec, **recipe, layout="csr")
+        with pytest.raises(ParameterError, match="n_probes"):
+            lsh(P, Q, spec, family=CrossPolytopeLSH(24), n_probes=1)
 
 
 class TestSelfJoinBlockedPath:
     def test_blocked_lsh_self_join_matches_per_query(self):
         P = random_unit(400, 16, seed=3) * 0.9
         spec = JoinSpec(s=0.7, c=0.7)
-        idx = BatchSignIndex.for_symmetric(
-            16, n_tables=12, bits_per_table=6, seed=4
+        idx = LSHIndex(
+            SymmetricIPSHash(16), n_tables=12, hashes_per_table=6, seed=4
         ).build(P)
         blocked = lsh(P, None, spec, index=idx, block=64)
         assert blocked.matched_count > 0

@@ -12,7 +12,7 @@ from repro import engine
 from repro.core import JoinSpec, brute_force_join
 from repro.datasets import planted_mips
 from repro.errors import ParameterError
-from repro.lsh import BatchSignIndex, DataDepALSH, HyperplaneLSH, LSHIndex
+from repro.lsh import DataDepALSH, HyperplaneLSH, LSHIndex
 from repro.mips import ConeTreeMIPS, ExactMIPS
 from repro.sketches import LKappaSketch, SketchCMIPS
 
@@ -139,16 +139,16 @@ class TestBatchIndexEdges:
         # Tight bits, one table: a far query may find nothing; the index
         # must return an empty candidate array, not fail.
         P = rng.normal(size=(30, 6))
-        idx = BatchSignIndex.for_hyperplane(
-            6, n_tables=1, bits_per_table=20, seed=0
+        idx = LSHIndex(
+            HyperplaneLSH(6), n_tables=1, hashes_per_table=20, seed=0
         ).build(P)
         cands = idx.candidates(-P.mean(axis=0) * 100)
         assert cands.dtype == np.int64
 
     def test_stats_accumulate(self, rng):
         P = rng.normal(size=(30, 6))
-        idx = BatchSignIndex.for_hyperplane(
-            6, n_tables=4, bits_per_table=4, seed=1
+        idx = LSHIndex(
+            HyperplaneLSH(6), n_tables=4, hashes_per_table=4, seed=1
         ).build(P)
         idx.candidates(P[0])
         idx.candidates(P[1])
@@ -156,8 +156,9 @@ class TestBatchIndexEdges:
 
     def test_lsh_join_accepts_batch_index(self, rng):
         inst = planted_mips(200, 8, 24, s=0.85, c=0.4, seed=2)
-        idx = BatchSignIndex.for_datadep(
-            24, n_tables=12, bits_per_table=8, seed=3
+        idx = LSHIndex(
+            DataDepALSH(24, sphere="hyperplane"),
+            n_tables=12, hashes_per_table=8, seed=3
         ).build(inst.P)
         spec = JoinSpec(s=inst.s, c=0.4)
         result = engine.join(inst.P, inst.Q, spec, backend="lsh", index=idx)

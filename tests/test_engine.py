@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import engine
-from repro.core import BatchIndexSpec, JoinSpec, QueryStats, brute_force_join
+from repro.core import JoinSpec, QueryStats, brute_force_join
 from repro.datasets import planted_mips
 from repro.engine import (
     CostEstimate,
@@ -254,12 +254,32 @@ class TestOptionValidation:
                 JoinSpec(s=0.8, c=0.5, self_join=True),
             )
 
-    def test_parallel_family_requires_concrete_seed(self, instance, spec):
-        with pytest.raises(ParameterError, match="concrete integer seed"):
-            engine.join(
-                instance.P, instance.Q, spec, backend="lsh",
-                family=DataDepALSH(32), n_workers=2, seed=None,
-            )
+    @pytest.mark.parametrize("pool", ["process", "thread"])
+    @pytest.mark.parametrize("backend", ["lsh", "sketch"])
+    def test_parallel_generator_seed_matches_serial(
+        self, instance, backend, pool
+    ):
+        """Structures are built once, before any worker runs, so a
+        Generator seed is as reproducible in parallel as serially."""
+        if backend == "lsh":
+            spec = JoinSpec(s=0.85, c=0.5)
+            options = dict(family=DataDepALSH(32), n_tables=16,
+                           hashes_per_table=2)
+        else:
+            spec = JoinSpec(s=0.85, signed=False)
+            options = {}
+        serial = engine.join(
+            instance.P, instance.Q, spec, backend=backend,
+            seed=np.random.default_rng(5), **options,
+        )
+        parallel = engine.join(
+            instance.P, instance.Q, spec, backend=backend,
+            seed=np.random.default_rng(5), n_workers=2, pool=pool, **options,
+        )
+        assert serial.matched_count > 0
+        assert parallel.matches == serial.matches
+        assert parallel.stats == serial.stats
+        assert parallel.candidates_generated == serial.candidates_generated
 
 
 class TestQueryStatsMerge:
@@ -289,16 +309,17 @@ class TestQueryStatsMerge:
 
     @pytest.mark.parametrize("n_workers", [2, 3])
     def test_engine_stats_identical_serial_vs_parallel(self, instance, spec, n_workers):
-        index_spec = BatchIndexSpec(
-            d=32, scheme="datadep", n_tables=10, bits_per_table=8, seed=3
+        recipe = dict(
+            family=DataDepALSH(32, sphere="hyperplane"),
+            n_tables=10, hashes_per_table=8, seed=3,
         )
         serial = engine.join(
             instance.P, instance.Q, spec, backend="lsh",
-            index_spec=index_spec, n_workers=1,
+            **recipe, n_workers=1,
         )
         parallel = engine.join(
             instance.P, instance.Q, spec, backend="lsh",
-            index_spec=index_spec, n_workers=n_workers,
+            **recipe, n_workers=n_workers,
         )
         assert parallel.matches == serial.matches
         assert parallel.stats == serial.stats

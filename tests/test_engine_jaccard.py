@@ -176,6 +176,20 @@ class TestParallelAndComposition:
                     == serial.inner_products_evaluated)
             assert par.candidates_generated == serial.candidates_generated
 
+    def test_minhash_generator_seed_matches_integer_seed(self, workload):
+        """A Generator seed draws the same MinHash family as its integer
+        seed, serially and on a worker pool."""
+        P, Q = workload
+        spec = JoinSpec(s=0.5, measure="jaccard")
+        serial = engine.join(P, Q, spec, backend="minhash_lsh", seed=5)
+        assert serial.matched_count > 0
+        for n_workers in (1, 2):
+            par = engine.join(P, Q, spec, backend="minhash_lsh",
+                              seed=np.random.default_rng(5),
+                              n_workers=n_workers, block=16)
+            assert par.matches == serial.matches
+            assert par.candidates_generated == serial.candidates_generated
+
     def test_session_query_equals_one_shot(self, workload):
         P, Q = workload
         spec = JoinSpec(s=0.5, measure="jaccard")

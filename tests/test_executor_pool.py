@@ -36,7 +36,7 @@ from repro.core.arena import (
     repro_segments,
     thaw,
 )
-from repro.core.executor import BatchIndexSpec, _chunk_bounds
+from repro.core.executor import _chunk_bounds
 from repro.engine import (
     CostModel,
     join,
@@ -46,6 +46,7 @@ from repro.engine import (
     sharded_join,
 )
 from repro.errors import ParameterError
+from repro.lsh import HyperplaneLSH, LSHIndex
 from repro.utils import blasctl
 
 #: Worker count of the equivalence matrix; the CI parallel leg overrides.
@@ -55,6 +56,13 @@ pytestmark = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"),
     reason="POSIX shared memory mount required",
 )
+
+
+def _hyperplane_index(P, seed):
+    """The ``lsh`` backend's auto-built index shape over ``P``."""
+    return LSHIndex(
+        HyperplaneLSH(P.shape[1]), n_tables=16, hashes_per_table=12, seed=seed
+    ).build(P)
 
 
 def _result_key(result):
@@ -180,11 +188,11 @@ class TestFreezeThaw:
             assert ref.segment in repro_segments()
 
     def test_frozen_index_runs_identically(self):
-        """A thawed BatchSignIndex answers exactly like the original."""
+        """A thawed LSHIndex answers exactly like the original."""
         rng = np.random.default_rng(3)
         P = rng.normal(size=(400, 16))
         Q = rng.normal(size=(20, 16))
-        index = BatchIndexSpec(d=16, scheme="hyperplane", seed=7).build(P)
+        index = _hyperplane_index(P, seed=7)
         with SharedArena() as arena:
             other = thaw(freeze(index, arena))
             for a, b in zip(
@@ -197,7 +205,7 @@ class TestCloneShell:
     def test_arrays_shared_small_state_copied(self):
         rng = np.random.default_rng(4)
         P = rng.normal(size=(300, 16))
-        index = BatchIndexSpec(d=16, scheme="hyperplane", seed=1).build(P)
+        index = _hyperplane_index(P, seed=1)
         clone = clone_shell(index)
         assert clone is not index
         assert clone.stats is not index.stats  # own mutable stats
@@ -380,14 +388,14 @@ class TestExecutionModeEquivalence:
         """Spawn workers (no inherited memory) see the same arena views."""
         P, Q = instance
         spec = JoinSpec(s=0.6, c=0.8)
-        index_spec = BatchIndexSpec(
-            d=24, scheme="hyperplane", n_tables=6, bits_per_table=7, seed=2
+        recipe = dict(
+            family=HyperplaneLSH(24), n_tables=6, hashes_per_table=7, seed=2
         )
-        serial = join(P, Q, spec, backend="lsh", index_spec=index_spec)
+        serial = join(P, Q, spec, backend="lsh", **recipe)
         assert serial.matched_count > 0
         with WorkerPool(2, kind="process", mp_context="spawn") as pool:
             spawned = join(
-                P, Q, spec, backend="lsh", index_spec=index_spec,
+                P, Q, spec, backend="lsh", **recipe,
                 n_workers=2, executor=pool,
             )
         assert _result_key(serial) == _result_key(spawned)

@@ -14,7 +14,8 @@ from repro.core import JoinSpec, brute_force_join
 from repro.datasets import planted_mips
 from repro.evaluation import evaluate_joins
 from repro.lsh import (
-    BatchSignIndex,
+    DataDepALSH,
+    LSHIndex,
     SymmetricIPSHash,
     plan_datadep,
 )
@@ -35,16 +36,16 @@ class TestAllUpperBoundsOnOneWorkload:
         config = plan_datadep(n=instance.n, s=instance.s, c=0.4, delta=0.15)
 
         def datadep(P, Q, spec_):
-            idx = BatchSignIndex.for_datadep(
-                32, n_tables=config.n_tables,
-                bits_per_table=config.k, seed=1,
+            idx = LSHIndex(
+                DataDepALSH(32, sphere="hyperplane"), n_tables=config.n_tables,
+                hashes_per_table=config.k, seed=1,
             ).build(P)
             return engine.join(P, Q, spec_, backend="lsh", index=idx)
 
         def symmetric(P, Q, spec_):
-            idx = BatchSignIndex.for_symmetric(
-                32, eps=0.05, n_tables=config.n_tables,
-                bits_per_table=config.k, seed=2,
+            idx = LSHIndex(
+                SymmetricIPSHash(32, eps=0.05), n_tables=config.n_tables,
+                hashes_per_table=config.k, seed=2,
             ).build(P)
             return engine.join(P, Q, spec_, backend="lsh", index=idx)
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.datasets import planted_mips
 from repro.errors import ParameterError
-from repro.lsh import BatchSignIndex, plan, plan_datadep
+from repro.lsh import DataDepALSH, LSHIndex, plan, plan_datadep
 from repro.lsh.rho import collision_prob_hyperplane
 
 
@@ -68,8 +68,9 @@ class TestPlanDataDep:
         # End-to-end: build the planned index and check the recall target.
         inst = planted_mips(800, 24, 32, s=0.85, c=0.4, seed=0)
         config = plan_datadep(n=inst.n, s=inst.s, c=0.4, delta=0.2)
-        idx = BatchSignIndex.for_datadep(
-            32, n_tables=config.n_tables, bits_per_table=min(config.k, 62), seed=1
+        idx = LSHIndex(
+            DataDepALSH(32, sphere="hyperplane"),
+            n_tables=config.n_tables, hashes_per_table=min(config.k, 62), seed=1
         ).build(inst.P)
         hits = 0
         for qi in range(24):

@@ -356,10 +356,11 @@ class TestStatsReuseRegression:
     def test_engine_join_with_prebuilt_index_reports_per_join_stats(
         self, instance
     ):
-        from repro.lsh import BatchSignIndex
+        from repro.lsh import HyperplaneLSH, LSHIndex
 
-        index = BatchSignIndex.for_hyperplane(
-            instance.P.shape[1], n_tables=8, bits_per_table=6, seed=2
+        index = LSHIndex(
+            HyperplaneLSH(instance.P.shape[1]), n_tables=8, hashes_per_table=6,
+            seed=2,
         ).build(instance.P)
         spec = JoinSpec(s=0.85, c=0.4)
         r1 = join(instance.P, instance.Q, spec, backend="lsh", index=index)

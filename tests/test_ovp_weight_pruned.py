@@ -64,10 +64,10 @@ class TestWeightPrunedSolver:
 
 class TestMultiprobe:
     def test_probes_superset_of_exact(self, rng):
-        from repro.lsh import BatchSignIndex
+        from repro.lsh import HyperplaneLSH, LSHIndex
         P = rng.normal(size=(120, 8))
-        idx = BatchSignIndex.for_hyperplane(
-            8, n_tables=4, bits_per_table=8, seed=0
+        idx = LSHIndex(
+            HyperplaneLSH(8), n_tables=4, hashes_per_table=8, seed=0
         ).build(P)
         q = rng.normal(size=8)
         base = set(idx.candidates(q).tolist())
@@ -76,10 +76,11 @@ class TestMultiprobe:
 
     def test_probes_improve_recall_with_few_tables(self):
         from repro.datasets import planted_mips
-        from repro.lsh import BatchSignIndex
+        from repro.lsh import DataDepALSH, LSHIndex
         inst = planted_mips(400, 24, 32, s=0.85, c=0.4, seed=1)
-        idx = BatchSignIndex.for_datadep(
-            32, n_tables=2, bits_per_table=12, seed=2
+        idx = LSHIndex(
+            DataDepALSH(32, sphere="hyperplane"), n_tables=2,
+            hashes_per_table=12, seed=2,
         ).build(inst.P)
         def recall(n_probes):
             hits = 0
@@ -92,9 +93,9 @@ class TestMultiprobe:
 
     def test_probe_budget_validated(self, rng):
         from repro.errors import ParameterError
-        from repro.lsh import BatchSignIndex
-        idx = BatchSignIndex.for_hyperplane(
-            4, n_tables=2, bits_per_table=4, seed=3
+        from repro.lsh import HyperplaneLSH, LSHIndex
+        idx = LSHIndex(
+            HyperplaneLSH(4), n_tables=2, hashes_per_table=4, seed=3
         ).build(rng.normal(size=(10, 4)))
         with pytest.raises(ParameterError):
             idx.candidates(np.ones(4), n_probes=5)

@@ -26,8 +26,11 @@ The load-bearing guarantees under test:
 The CI parallel leg's ``REPRO_TEST_WORKERS`` applies here too.
 """
 
+import json
 import os
 import signal
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -35,7 +38,7 @@ import pytest
 from repro.core import JoinSpec, WorkerPool, map_query_chunks
 from repro.core.arena import repro_segments
 from repro.core.executor import QuerySource
-from repro.datasets import planted_mips
+from repro.datasets import planted_mips, random_unit
 from repro.engine import (
     JoinSession,
     join,
@@ -477,6 +480,21 @@ class TestSaveOpenPath:
         with pytest.raises(PersistenceError, match="truncated sidecar"):
             open_path(index_dir)
 
+    def test_version_1_directory_refused(self, instance, spec, tmp_path):
+        """A directory from the per-table LSH layout (format 1) fails on
+        its manifest version, before any pickle is decoded."""
+        index_dir = tmp_path / "index"
+        with open_session(
+            instance.P, spec, backend="lsh", seed=3, **LSH
+        ) as session:
+            session.save(index_dir)
+        manifest_path = index_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(PersistenceError, match="directory format version 1"):
+            open_path(index_dir)
+
     def test_only_prepared_sessions_save(self, instance, spec, tmp_path):
         lazy = JoinSession._lazy(instance.P, spec, backend="brute_force")
         with pytest.raises(ParameterError, match="prepared session"):
@@ -615,3 +633,28 @@ class TestOpenSurface:
         with open_session(instance.P, self_spec, backend="brute_force") as s:
             with pytest.raises(ParameterError, match="pass Q=None"):
                 s.query(instance.Q)
+
+
+class TestConcurrentQueries:
+    def test_threads_sharing_a_session_are_serialized(self):
+        """Eight threads querying one session at once each get exactly
+        the serial answer, work counters included."""
+        P = random_unit(20_000, 32, seed=1)
+        noise = 0.05 * np.random.default_rng(2).normal(size=(512, 32))
+        Q = P[:512] + noise
+        Q /= np.linalg.norm(Q, axis=1, keepdims=True)
+        spec = JoinSpec(s=0.9, c=0.5)
+        start = threading.Barrier(8, timeout=60)
+
+        def query(session):
+            start.wait()
+            return session.query(Q)
+
+        with open_session(P, spec, backend="lsh", seed=0) as session:
+            serial = session.query(Q)
+            with ThreadPoolExecutor(8) as threads:
+                results = list(threads.map(query, [session] * 8))
+            assert session.queries_served == 9
+        assert serial.matched_count > 0
+        for result in results:
+            assert _key(result) == _key(serial)

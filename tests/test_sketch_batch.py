@@ -166,12 +166,6 @@ def test_sketch_join_worker_invariance(data):
     assert one.spec.cs == pytest.approx(multi.spec.cs)
 
 
-def test_parallel_sketch_join_needs_concrete_seed(data):
-    A, Q = data
-    with pytest.raises(ParameterError, match="seed"):
-        _sketch_join(A, Q, 1.0, n_workers=2)
-
-
 def test_mips_engine_default_query_batch(data):
     from repro.mips.base import MIPSEngine
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import planted_mips
-from repro.lsh import BatchSignIndex
+from repro.lsh import DataDepALSH, LSHIndex
 from repro.sketches import SketchCMIPS
 from repro.utils.persistence import (
     DIR_FORMAT_VERSION,
@@ -22,12 +22,13 @@ def instance():
 
 class TestRoundTrips:
     def test_batch_index_roundtrip(self, tmp_path, instance):
-        idx = BatchSignIndex.for_datadep(
-            24, n_tables=8, bits_per_table=6, seed=1
+        idx = LSHIndex(
+            DataDepALSH(24, sphere="hyperplane"), n_tables=8,
+            hashes_per_table=6, seed=1,
         ).build(instance.P)
         path = tmp_path / "index.repro"
         save_structure(idx, path)
-        loaded = load_structure(path, expected_type="BatchSignIndex")
+        loaded = load_structure(path, expected_type="LSHIndex")
         q = instance.Q[0]
         np.testing.assert_array_equal(
             np.sort(idx.candidates(q)), np.sort(loaded.candidates(q))
@@ -68,8 +69,8 @@ class TestFailureModes:
 
     def test_type_check(self, tmp_path):
         save_structure(np.arange(3), tmp_path / "a.repro")
-        with pytest.raises(PersistenceError, match="expected BatchSignIndex"):
-            load_structure(tmp_path / "a.repro", expected_type="BatchSignIndex")
+        with pytest.raises(PersistenceError, match="expected LSHIndex"):
+            load_structure(tmp_path / "a.repro", expected_type="LSHIndex")
 
     def test_version_check(self, tmp_path):
         import pickle
@@ -87,14 +88,15 @@ class TestFailureModes:
 
 class TestDirectoryFormat:
     def test_index_roundtrip_memmapped(self, tmp_path, instance):
-        idx = BatchSignIndex.for_datadep(
-            24, n_tables=8, bits_per_table=6, seed=1
+        idx = LSHIndex(
+            DataDepALSH(24, sphere="hyperplane"), n_tables=8,
+            hashes_per_table=6, seed=1,
         ).build(instance.P)
         path = save_structure_dir(idx, tmp_path / "index")
         assert (path / "manifest.json").exists()
         assert (path / "shell.pkl").exists()
         assert list((path / "arrays").glob("*.bin"))
-        loaded = load_structure_dir(path, expected_type="BatchSignIndex")
+        loaded = load_structure_dir(path, expected_type="LSHIndex")
         q = instance.Q[0]
         np.testing.assert_array_equal(
             np.sort(idx.candidates(q)), np.sort(loaded.candidates(q))

@@ -1,4 +1,4 @@
-"""Seeded perf suite for the fast paths: CSR tables, blocked verify, executor.
+"""Seeded perf suite for the fast paths: blocked verify, batch hashing, executor.
 
 Runs a fixed, fully seeded sequence of build / candidate-generation /
 verification / join timings and writes the results as JSON (default
@@ -13,9 +13,8 @@ baseline to beat.  Two modes:
 
 Suites (select with ``--suites``):
 
-* ``core``: dict-vs-CSR build and candidate generation, per-query GEMV
-  loop vs the blocked verification kernel, ``engine.join`` LSH
-  worker scaling.
+* ``core``: per-query GEMV loop vs the blocked verification kernel
+  over LSH candidate lists, ``engine.join`` LSH worker scaling.
 * ``hash_batch_vs_generic``: the batch hashing protocol — family-native
   ``hash_matrix`` vs the generic per-row closure path of ``LSHIndex``
   for hyperplane, cross-polytope, and E2LSH, with identical candidate
@@ -120,7 +119,7 @@ import numpy as np
 
 from repro.core import JoinSpec, close_pools
 from repro.core.brute_force import brute_force_join
-from repro.core.executor import BatchIndexSpec, QuerySource
+from repro.core.executor import QuerySource
 from repro.core.lsh_join import lsh_filter_verify_chunk
 from repro.core.problems import JoinResult
 from repro.core.verify import verify_block, verify_candidates
@@ -131,7 +130,7 @@ from repro.engine import join as engine_join
 from repro.engine import plan_join
 from repro.engine.planner import default_model
 from repro.quant import quantize_rows, quantized_scan_survivors
-from repro.lsh import BatchSignIndex, CrossPolytopeLSH, E2LSH, HyperplaneLSH, LSHIndex
+from repro.lsh import CrossPolytopeLSH, E2LSH, HyperplaneLSH, LSHIndex
 from repro.lsh.index import block_candidates
 from repro.obs.metrics import Histogram
 from repro.obs.sink import read_events, sink_files
@@ -149,9 +148,9 @@ ALL_SUITES = ("core", "hash_batch_vs_generic", "sketch_batch_vs_loop",
               "streaming_session", "jaccard_join")
 
 FULL = dict(n=100_000, d=64, n_queries=2_000, n_tables=16, bits_per_table=14,
-            n_probes=2, workers=(1, 2, 4), block=256, seed=2016)
+            workers=(1, 2, 4), block=256, seed=2016)
 QUICK = dict(n=4_000, d=32, n_queries=256, n_tables=8, bits_per_table=10,
-             n_probes=2, workers=(1, 2), block=128, seed=2016)
+             workers=(1, 2), block=128, seed=2016)
 
 HASH_FULL = dict(n=20_000, d=64, n_queries=2_000, n_tables=8,
                  hashes_per_table=4, seed=2016)
@@ -401,6 +400,17 @@ def _paired_batch_overhead(call_a: Callable, call_b: Callable, items,
     return best["a"], best["b"], _median(ratios), results["a"], results["b"]
 
 
+def _hyperplane_recipe(d: int, cfg: dict, seed: int) -> dict:
+    """``lsh`` backend options for a hyperplane index of ``cfg``'s shape."""
+    return dict(family=HyperplaneLSH(d), n_tables=cfg["n_tables"],
+                hashes_per_table=cfg["bits_per_table"], seed=seed)
+
+
+def _hyperplane_index(P, cfg: dict, seed: int) -> LSHIndex:
+    recipe = _hyperplane_recipe(P.shape[1], cfg, seed)
+    return LSHIndex(recipe.pop("family"), **recipe).build(P)
+
+
 def _assert_same_candidates(a: List[np.ndarray], b: List[np.ndarray]) -> bool:
     if len(a) != len(b):
         return False
@@ -578,9 +588,7 @@ def _run_planner_suite(quick: bool, timings: dict, speedups: dict,
         repeats=repeats)
 
     print("[bench_perf] dispatch: lsh engine vs kernel ...", flush=True)
-    index = BatchSignIndex.for_hyperplane(
-        d, n_tables=cfg["n_tables"], bits_per_table=cfg["bits_per_table"],
-        seed=seed + 2).build(P)
+    index = _hyperplane_index(P, cfg, seed + 2)
     (direct_lsh_s, engine_lsh_s, overhead_lsh,
      direct_lsh, engine_lsh) = _timed_pair_median(
         lambda: lsh_filter_verify_chunk(index, P, Q, True, spec.cs, 0, block),
@@ -645,9 +653,7 @@ def _run_obs_suite(quick: bool, timings: dict, speedups: dict,
     spec = JoinSpec(s=cfg["s"], c=cfg["c"])
     P = random_unit(n, d, seed=seed) * 0.95
     Q = random_unit(nq, d, seed=seed + 1) * 0.95
-    index = BatchSignIndex.for_hyperplane(
-        d, n_tables=cfg["n_tables"], bits_per_table=cfg["bits_per_table"],
-        seed=seed + 2).build(P)
+    index = _hyperplane_index(P, cfg, seed + 2)
 
     # --- disabled hooks: instrumented kernel vs span-free twin --------
     print("[bench_perf] obs: instrumented kernel vs span-free twin ...",
@@ -971,9 +977,7 @@ def _run_parallel_suite(quick: bool, timings: dict, speedups: dict,
     P = random_unit(n, d, seed=seed) * 0.95
     Q = random_unit(nq, d, seed=seed + 1) * 0.95
     spec = JoinSpec(s=0.75, c=0.8)
-    index_spec = BatchIndexSpec(
-        d=d, scheme="hyperplane", n_tables=cfg["n_tables"],
-        bits_per_table=cfg["bits_per_table"], seed=seed + 2, layout="csr")
+    recipe = _hyperplane_recipe(d, cfg, seed + 2)
 
     def result_key(r: JoinResult):
         s = r.stats
@@ -982,7 +986,7 @@ def _run_parallel_suite(quick: bool, timings: dict, speedups: dict,
                 s.unique_candidates, s.probed_buckets)
 
     def lsh_join_on(n_workers: int, pool: str = "process") -> JoinResult:
-        return engine_join(P, Q, spec, backend="lsh", index_spec=index_spec,
+        return engine_join(P, Q, spec, backend="lsh", **recipe,
                            n_workers=n_workers, block=block, pool=pool)
 
     serial_s, serial = _timed(lambda: lsh_join_on(1), repeats=repeats)
@@ -1476,37 +1480,14 @@ def _run_core_suite(quick: bool, meta: dict, timings: dict, speedups: dict,
                     work: dict, checks: dict) -> None:
     cfg = QUICK if quick else FULL
     n, d, nq = cfg["n"], cfg["d"], cfg["n_queries"]
-    tables, bits, probes = cfg["n_tables"], cfg["bits_per_table"], cfg["n_probes"]
-    seed = cfg["seed"]
+    tables, bits, seed = cfg["n_tables"], cfg["bits_per_table"], cfg["seed"]
     print(f"[bench_perf] workload: n={n} d={d} queries={nq} "
-          f"L={tables} k={bits} probes={probes} quick={quick}", flush=True)
+          f"L={tables} k={bits} quick={quick}", flush=True)
 
     P = random_unit(n, d, seed=seed) * 0.95
     Q = random_unit(nq, d, seed=seed + 1) * 0.95
-
-    def make(layout: str) -> BatchSignIndex:
-        return BatchSignIndex.for_hyperplane(
-            d, n_tables=tables, bits_per_table=bits, seed=seed + 2, layout=layout
-        )
-
-    # --- build ---------------------------------------------------------
-    print("[bench_perf] build: dict vs csr ...", flush=True)
-    build_dict_s, idx_dict = _timed(lambda: make("dict").build(P))
-    build_csr_s, idx_csr = _timed(lambda: make("csr").build(P))
-
-    # --- candidate generation -----------------------------------------
-    print("[bench_perf] candidates: dict vs csr ...", flush=True)
-    cand_dict_s, cands_dict = _timed(lambda: idx_dict.candidates_batch(Q),
-                                     repeats=3)
-    cand_csr_s, cands_csr = _timed(lambda: idx_csr.candidates_batch(Q),
-                                   repeats=3)
-    sets_equal = _assert_same_candidates(cands_dict, cands_csr)
-
-    cand_dict_probe_s, probed_dict = _timed(
-        lambda: idx_dict.candidates_batch(Q, n_probes=probes), repeats=3)
-    cand_csr_probe_s, probed_csr = _timed(
-        lambda: idx_csr.candidates_batch(Q, n_probes=probes), repeats=3)
-    probe_sets_equal = _assert_same_candidates(probed_dict, probed_csr)
+    index = _hyperplane_index(P, cfg, seed + 2)
+    cands = index.candidates_batch(Q)
 
     # --- verification --------------------------------------------------
     # Two regimes: the LSH candidate lists themselves (sparse overlap on
@@ -1527,9 +1508,9 @@ def _run_core_suite(quick: bool, meta: dict, timings: dict, speedups: dict,
             matches.append(int(cands[best]) if values[best] >= threshold else None)
         return matches
 
-    verify_loop_s, loop_matches = _timed(lambda: verify_loop(cands_csr), repeats=3)
+    verify_loop_s, loop_matches = _timed(lambda: verify_loop(cands), repeats=3)
     verify_blocked_s, (blocked_matches, evaluated) = _timed(
-        lambda: verify_candidates(P, Q, cands_csr, threshold, block=cfg["block"]),
+        lambda: verify_candidates(P, Q, cands, threshold, block=cfg["block"]),
         repeats=3)
     verify_equal = loop_matches == blocked_matches
 
@@ -1538,7 +1519,7 @@ def _run_core_suite(quick: bool, meta: dict, timings: dict, speedups: dict,
     # up in a large fraction of each block's lists — the regime the
     # union-GEMM strategy is built for.
     skew_rng = np.random.default_rng(seed + 3)
-    per_query = max(16, int(round(idx_csr.stats.candidates_per_query)))
+    per_query = max(16, int(round(index.stats.candidates_per_query)))
     hot = max(32, 2 * per_query)
     skewed = [
         np.unique(skew_rng.integers(0, hot, per_query).astype(np.int64))
@@ -1553,16 +1534,13 @@ def _run_core_suite(quick: bool, meta: dict, timings: dict, speedups: dict,
 
     # --- join: executor scaling ---------------------------------------
     spec = JoinSpec(s=0.75, c=0.8)
-    index_spec = BatchIndexSpec(
-        d=d, scheme="hyperplane", n_tables=tables, bits_per_table=bits,
-        seed=seed + 2, layout="csr",
-    )
+    recipe = _hyperplane_recipe(d, cfg, seed + 2)
     join_seconds = {}
     join_results = {}
     for workers in cfg["workers"]:
         print(f"[bench_perf] join: {workers} worker(s) ...", flush=True)
         secs, result = _timed(lambda w=workers: engine_join(
-            P, Q, spec, backend="lsh", index_spec=index_spec, n_workers=w,
+            P, Q, spec, backend="lsh", **recipe, n_workers=w,
             block=cfg["block"]))
         join_seconds[str(workers)] = secs
         join_results[workers] = result
@@ -1575,16 +1553,10 @@ def _run_core_suite(quick: bool, meta: dict, timings: dict, speedups: dict,
 
     meta.update({
         "n": n, "d": d, "n_queries": nq,
-        "n_tables": tables, "bits_per_table": bits, "n_probes": probes,
+        "n_tables": tables, "bits_per_table": bits,
         "block": cfg["block"], "seed": seed,
     })
     timings.update({
-        "build_dict_s": build_dict_s,
-        "build_csr_s": build_csr_s,
-        "candidates_dict_s": cand_dict_s,
-        "candidates_csr_s": cand_csr_s,
-        "candidates_multiprobe_dict_s": cand_dict_probe_s,
-        "candidates_multiprobe_csr_s": cand_csr_probe_s,
         "verify_loop_s": verify_loop_s,
         "verify_blocked_s": verify_blocked_s,
         "verify_overlap_loop_s": overlap_loop_s,
@@ -1592,9 +1564,6 @@ def _run_core_suite(quick: bool, meta: dict, timings: dict, speedups: dict,
         "join_workers_s": join_seconds,
     })
     speedups.update({
-        "build_csr_vs_dict": build_dict_s / build_csr_s,
-        "candidates_csr_vs_dict": cand_dict_s / cand_csr_s,
-        "candidates_multiprobe_csr_vs_dict": cand_dict_probe_s / cand_csr_probe_s,
         "verify_blocked_vs_loop": verify_loop_s / verify_blocked_s,
         "verify_overlap_blocked_vs_loop": overlap_loop_s / overlap_blocked_s,
         "join_scaling_vs_1_worker": {
@@ -1603,14 +1572,12 @@ def _run_core_suite(quick: bool, meta: dict, timings: dict, speedups: dict,
         },
     })
     work.update({
-        "candidates_per_query_csr": idx_csr.stats.candidates_per_query,
+        "candidates_per_query": index.stats.candidates_per_query,
         "inner_products_verified": evaluated,
         "join_matched": base.matched_count,
         "join_inner_products_evaluated": base.inner_products_evaluated,
     })
     checks.update({
-        "candidate_sets_equal": sets_equal,
-        "multiprobe_candidate_sets_equal": probe_sets_equal,
         "verify_matches_equal": verify_equal,
         "verify_overlap_matches_equal": overlap_equal,
         "parallel_matches_identical": parallel_identical,
@@ -1625,12 +1592,9 @@ def validate_schema(report: dict) -> None:
     # Pre-suite artifacts (PR 1) have no "suites" key and are all-core.
     suites = report["meta"].get("suites", ["core"])
     if "core" in suites:
-        for key in ("build_dict_s", "build_csr_s", "candidates_dict_s",
-                    "candidates_csr_s", "verify_loop_s", "verify_blocked_s",
-                    "join_workers_s"):
+        for key in ("verify_loop_s", "verify_blocked_s", "join_workers_s"):
             assert key in report["timings"], f"missing timing {key}"
-        for key in ("candidates_csr_vs_dict", "verify_blocked_vs_loop",
-                    "join_scaling_vs_1_worker"):
+        for key in ("verify_blocked_vs_loop", "join_scaling_vs_1_worker"):
             assert key in report["speedups"], f"missing speedup {key}"
     if "hash_batch_vs_generic" in suites:
         for name in ("hyperplane", "crosspolytope", "e2lsh"):
@@ -1785,8 +1749,6 @@ def main(argv: Optional[List[str]] = None) -> dict:
     failed = [name for name, ok in report["checks"].items() if not ok]
     print(f"[bench_perf] wrote {args.out}")
     if "core" in suites:
-        print(f"[bench_perf] candidates speedup (csr vs dict): "
-              f"{report['speedups']['candidates_csr_vs_dict']:.1f}x")
         print(f"[bench_perf] verify speedup (blocked vs loop): "
               f"{report['speedups']['verify_blocked_vs_loop']:.1f}x sparse, "
               f"{report['speedups']['verify_overlap_blocked_vs_loop']:.1f}x overlapped")
