@@ -11,6 +11,8 @@ build/query wall times.
 import time
 
 from benchmarks.conftest import emit, format_table
+from repro import engine
+from repro.core import JoinSpec
 from repro.datasets import planted_mips
 from repro.lsh import DataDepALSH, LSHIndex
 
@@ -37,7 +39,9 @@ def test_batch_vs_generic_index(benchmark):
             start = time.perf_counter()
             hits = sum(
                 1 for qi in range(24)
-                if index.query(inst.Q[qi], threshold=inst.cs) is not None
+                if engine.join(inst.P, inst.Q[qi:qi + 1], JoinSpec(s=inst.cs),
+                               backend="lsh", index=index).matches[0]
+                is not None
             )
             query_s = time.perf_counter() - start
             timings[use_batch] = (build_s, query_s)

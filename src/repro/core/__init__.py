@@ -1,9 +1,11 @@
 """The paper's primary problem records, kernels and exact baselines.
 
 ``problems`` defines the problem records; ``brute_force`` the exact
-quadratic baselines; ``lsh_join``, ``sketch_join``, ``norm_pruning``,
-``topk``, ``self_join`` and ``set_join`` the chunk kernels the engine's
-backends run; ``algebraic`` the embed-and-multiply baseline in the
+quadratic baselines; ``verify`` the IP scorer and the answer reducer
+every kernel shares; ``lsh_join`` the candidate -> score -> answer
+pipeline of the filter backends; ``sketch_join``, ``norm_pruning``,
+``topk`` and ``set_join`` the other chunk kernels the engine's backends
+run; ``algebraic`` the embed-and-multiply baseline in the
 spirit of Valiant/Karppa et al.; ``scaling`` the c-MIPS <-> (cs,s)-search
 reductions; ``join`` the unsigned-to-signed reduction.  Joins themselves
 are answered by :func:`repro.engine.join`.

@@ -17,11 +17,9 @@ the full scan).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
-
-from typing import Tuple
 
 from repro.core.problems import QueryStats
 from repro.core.verify import GEMM_ADVANTAGE
@@ -66,7 +64,8 @@ class NormScanIndex:
         norm-ordered prefix in blocks, tightening with the running best:
         scanning stops as soon as ``|p| |q|`` of the next block cannot
         beat the current best *and* the best already clears the
-        threshold.
+        threshold.  Equal scores go to the lower original index, within
+        a block and across blocks, as in every other backend.
         """
         q = check_vector(q, "q")
         if q.size != self.d:
@@ -74,7 +73,7 @@ class NormScanIndex:
         q_norm = float(np.linalg.norm(q))
         limit = self.prefix_length(q_norm, threshold)
         best_value = -np.inf
-        best_index: Optional[int] = None
+        best_index = self.n
         work = 0
         for start in range(0, limit, block):
             stop = min(start + block, limit)
@@ -85,11 +84,11 @@ class NormScanIndex:
             values = self.P_sorted[start:stop] @ q
             scores = values if signed else np.abs(values)
             work += stop - start
-            local = int(np.argmax(scores))
-            if scores[local] > best_value:
-                best_value = float(scores[local])
-                best_index = int(self.order[start + local])
-        if best_index is None or best_value < threshold:
+            top = float(scores.max())
+            index = int(self.order[start:stop][scores == top].min())
+            if top > best_value or (top == best_value and index < best_index):
+                best_value, best_index = top, index
+        if best_index == self.n or best_value < threshold:
             return None, best_value, work
         return best_index, best_value, work
 
@@ -105,7 +104,8 @@ class NormScanIndex:
         per-query GEMVs when per-query prefix limits make the shared GEMM
         waste arithmetic, the :mod:`repro.core.verify` cost test).  A
         query leaves the active set exactly when the scalar scan would
-        have stopped, so per-query work counts are preserved.
+        have stopped, so per-query work counts are preserved, and equal
+        scores go to the lower original index, as in :meth:`query`.
         """
         Q_block = check_matrix(Q_block, "Q", allow_empty=True)
         b = Q_block.shape[0]
@@ -114,7 +114,7 @@ class NormScanIndex:
                 f"expected query dimension {self.d}, got {Q_block.shape[1]}"
             )
         best_values = np.full(b, -np.inf)
-        best_indices = np.full(b, -1, dtype=np.int64)
+        best_indices = np.full(b, self.n, dtype=np.int64)
         work = np.zeros(b, dtype=np.int64)
         if b == 0:
             return best_indices, best_values, work
@@ -146,22 +146,26 @@ class NormScanIndex:
                 # its scalar scan; mask them out of the argmax.
                 rows = np.arange(start, stop)[:, None]
                 scores = np.where(rows < stops[None, :], scores, -np.inf)
-                local = np.argmax(scores, axis=0)
-                local_scores = scores[local, np.arange(qidx.size)]
+                local_scores = scores.max(axis=0)
+                # Lowest original index among each query's best rows.
+                local = np.where(scores == local_scores,
+                                 self.order[start:stop, None], self.n).min(axis=0)
             else:
                 local = np.empty(qidx.size, dtype=np.int64)
                 local_scores = np.empty(qidx.size)
                 for pos, (qi, q_stop) in enumerate(zip(qidx, stops)):
                     vals = self.P_sorted[start:q_stop] @ Q_block[qi]
                     sc = vals if signed else np.abs(vals)
-                    local[pos] = int(np.argmax(sc))
-                    local_scores[pos] = sc[local[pos]]
-            better = local_scores > best_values[qidx]
+                    local_scores[pos] = sc.max()
+                    local[pos] = self.order[start:q_stop][sc == sc.max()].min()
+            held = best_values[qidx]
+            better = (local_scores > held) | (
+                (local_scores == held) & (local < best_indices[qidx]))
             upd = qidx[better]
             best_values[upd] = local_scores[better]
-            best_indices[upd] = self.order[start + local[better]]
+            best_indices[upd] = local[better]
             start = stop
-        misses = best_values < threshold
+        misses = (best_values < threshold) | (best_indices == self.n)
         best_indices[misses] = -1
         return best_indices, best_values, work
 
@@ -250,43 +254,6 @@ class NormScanIndex:
         return lists, work
 
 
-def norm_scan_topk_chunk(
-    index: NormScanIndex,
-    Q_chunk,
-    signed: bool,
-    cs: float,
-    k: int,
-    scan_block: int,
-    block: int,
-) -> Tuple[List[List[int]], int, int, QueryStats]:
-    """Prefix-pruned exact top-k over one contiguous query chunk.
-
-    Returns ``(topk_lists, inner_products_evaluated,
-    candidates_generated, stats)`` — the same tuple shape as
-    :func:`repro.core.topk.topk_chunk`, and the same lists on tie-free
-    data, evaluating only the norm-qualified prefixes.  Chunk boundaries
-    must align to ``block`` multiples (the executor's contract), for the
-    same GEMM/GEMV cost-test reason as :func:`norm_scan_chunk`.
-    """
-    out: List[List[int]] = []
-    work = 0
-    for q0 in range(0, Q_chunk.shape[0], block):
-        with span("scan", n_queries=min(block, Q_chunk.shape[0] - q0)):
-            lists, evaluated = index.topk_block(
-                Q_chunk[q0:q0 + block],
-                threshold=cs,
-                k=k,
-                signed=signed,
-                block=scan_block,
-            )
-        work += int(evaluated.sum())
-        out.extend(lists)
-    stats = QueryStats(
-        queries=len(out), candidates=work, unique_candidates=work
-    )
-    return out, work, work, stats
-
-
 def norm_scan_chunk(
     index: NormScanIndex,
     Q_chunk,
@@ -294,30 +261,39 @@ def norm_scan_chunk(
     cs: float,
     scan_block: int,
     block: int,
-) -> Tuple[List[Optional[int]], int, int, QueryStats]:
+    k: Optional[int] = None,
+) -> Tuple[list, int, int, QueryStats]:
     """Prefix-pruned exact scan over one contiguous query chunk.
 
-    Returns ``(matches, inner_products_evaluated, candidates_generated,
-    stats)``.  ``block`` groups queries into the shared-GEMM batches of
-    :meth:`NormScanIndex.query_block`; ``scan_block`` is the prefix step
+    Returns ``(answers, inner_products_evaluated, candidates_generated,
+    stats)``: matches, or top-``k`` lists when ``k`` is set (the same
+    lists as :func:`repro.core.topk.topk_chunk`, evaluating only the
+    norm-qualified prefixes).  ``block`` groups queries into the
+    shared-GEMM batches of :meth:`NormScanIndex.query_block` /
+    :meth:`NormScanIndex.topk_block`; ``scan_block`` is the prefix step
     along the norm-sorted data.  Because the GEMM/GEMV cost test inside
-    ``query_block`` depends on which queries share a batch, chunk
+    those walks depends on which queries share a batch, chunk
     boundaries must align to ``block`` multiples for results to be
     independent of chunking — the same contract the executor enforces.
     """
-    matches: List[Optional[int]] = []
+    answers: list = []
     work = 0
     for q0 in range(0, Q_chunk.shape[0], block):
-        with span("scan", n_queries=min(block, Q_chunk.shape[0] - q0)):
-            indices, _, evaluated = index.query_block(
-                Q_chunk[q0:q0 + block],
-                threshold=cs,
-                signed=signed,
-                block=scan_block,
-            )
+        Q_block = Q_chunk[q0:q0 + block]
+        with span("scan", n_queries=Q_block.shape[0]):
+            if k is None:
+                indices, _, evaluated = index.query_block(
+                    Q_block, threshold=cs, signed=signed, block=scan_block
+                )
+                answers.extend(int(i) if i >= 0 else None for i in indices)
+            else:
+                lists, evaluated = index.topk_block(
+                    Q_block, threshold=cs, k=k, signed=signed,
+                    block=scan_block,
+                )
+                answers.extend(lists)
         work += int(evaluated.sum())
-        matches.extend(int(i) if i >= 0 else None for i in indices)
     stats = QueryStats(
-        queries=len(matches), candidates=work, unique_candidates=work
+        queries=len(answers), candidates=work, unique_candidates=work
     )
-    return matches, work, work, stats
+    return answers, work, work, stats

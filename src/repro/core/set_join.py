@@ -1,7 +1,7 @@
 """Exact and MinHash-filtered Jaccard set-join chunk kernels.
 
 The Jaccard analogues of :mod:`repro.core.brute_force` /
-:mod:`repro.core.topk` / :mod:`repro.core.self_join`: every kernel here
+:mod:`repro.core.topk`: every kernel here
 operates on one contiguous query chunk of a :class:`SetCollection` and
 returns the ``(matches, evaluated, generated, stats)`` tuple the engine's
 chunk contract expects, with the same determinism guarantees — strict
@@ -19,7 +19,9 @@ partition cannot reach the threshold, so it is never probed) and fuses
 all ``partitions x tables`` bucket tables into one sorted composite-key
 array, so probing a block is one pair of binary searches; candidates
 are verified exactly against a bitmap of the block, so the filter only
-affects recall, never precision.
+affects recall, never precision.  Scored pairs become answers through
+the reducer the inner-product pipeline uses
+(:func:`repro.core.verify._answers`).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.problems import QueryStats
+from repro.core.verify import _answers
 from repro.datasets.sets import SetCollection
 from repro.errors import ParameterError
 from repro.lsh.batch_hash import CHUNK_ELEMS
@@ -81,47 +84,6 @@ def _jaccard_scores(
     union = sizes_p + sizes_q - inter
     # union == 0 only for empty-vs-empty pairs, defined as similarity 0.
     return np.where(union > 0, inter / np.maximum(union, 1), 0.0)
-
-
-def _answers(
-    qids: np.ndarray,
-    rows: np.ndarray,
-    scores: np.ndarray,
-    n_queries: int,
-    cs: float,
-    k: Optional[int],
-) -> list:
-    """Per-query answers from scored ``(query, row)`` pairs.
-
-    Pairs are grouped by ascending query, in any row order inside a
-    group.  Without ``k``: the lowest-index best row if it scores at
-    least ``cs``, else ``None``.  With ``k``: the rows scoring at least
-    ``cs``, best first, ties to the lower index, cut to ``k``.
-    """
-    if k is not None:
-        keep = scores >= cs
-        qids, rows, scores = qids[keep], rows[keep], scores[keep]
-        order = np.lexsort((rows, -scores, qids))
-        qids, rows = qids[order], rows[order]
-        first = np.searchsorted(qids, qids, side="left")
-        keep = np.arange(qids.size) - first < k
-        qids, rows = qids[keep], rows[keep]
-        bounds = np.searchsorted(qids, np.arange(n_queries + 1))
-        rows = rows.tolist()
-        return [rows[bounds[i]:bounds[i + 1]] for i in range(n_queries)]
-    best = np.full(n_queries, -1, dtype=np.int64)
-    if qids.size:
-        starts = np.flatnonzero(np.diff(qids, prepend=-1))
-        top = np.maximum.reduceat(scores, starts)
-        lens = np.diff(starts, append=qids.size)
-        # Lowest row per group holding the group's maximum.
-        at_top = scores == np.repeat(top, lens)
-        lowest = np.minimum.reduceat(
-            np.where(at_top, rows, np.iinfo(rows.dtype).max), starts
-        )
-        hit = top >= cs
-        best[qids[starts[hit]]] = lowest[hit]
-    return [int(r) if r >= 0 else None for r in best.tolist()]
 
 
 def _record(

@@ -1,38 +1,41 @@
-"""Blocked batch verification: one GEMM per query block.
+"""Exact verification: the IP scorer and the one answer reducer.
 
 Every filter-then-verify algorithm in this package ends the same way:
-for each query, compute exact inner products against its candidate rows
-and keep the best one clearing a threshold.  Done per query that is one
-GEMV (or a Python loop) per query — memory-bound and BLAS-hostile.  This
-module verifies a whole query *block* at once: gather the union of the
-block's candidate rows, multiply once —
+a generator proposes candidate pairs as a
+:class:`~repro.lsh.csr.CandidateBlock`, exact inner products score
+them, and the pairs clearing a threshold become answers.  This module
+holds the two shared steps.
+
+:func:`verify_block` scores a whole query *block* at once: gather the
+union of the block's candidate rows, multiply once —
 
     G = P[union] @ Q_block.T        # (|union|, block) — a single GEMM
 
-— and slice each query's candidate values out of ``G`` by position.
-When candidate sets within a block overlap (hot rows landing in every
-query's buckets — skewed norms, clustered data, popular items),
-``|union|`` sits far below the sum of list sizes and the GEMM does less
-arithmetic than the GEMVs it replaces, at several times the throughput.
-When they do *not* overlap (uniform data, tight buckets), the union GEMM
-would multiply ``|union| x block`` pairs to use ``sum(sizes)`` of them —
-strictly more arithmetic — so the kernel applies a per-block cost test
-(``|union| * block <= GEMM_ADVANTAGE * sum(sizes)``) and falls back to
-per-candidate-list GEMVs for sparse-overlap blocks.  The test depends
-only on the block's candidate lists, so the chosen strategy — and the
-exact sequence of BLAS calls — is identical no matter which process
-executes the block.
+— and pick each pair's value out of ``G`` by position.  When candidate
+sets within a block overlap (hot rows landing in every query's buckets
+— skewed norms, clustered data, popular items), ``|union|`` sits far
+below the number of pairs and the GEMM does less arithmetic than the
+GEMVs it replaces, at several times the throughput.  When they do *not*
+overlap (uniform data, tight buckets), the union GEMM would multiply
+``|union| x block`` pairs to use a few of them, so the scorer applies a
+per-block cost test (``|union| * block <= GEMM_ADVANTAGE * pairs``) and
+falls back to one GEMV per query for sparse-overlap blocks.  A
+one-query block is its own union: it takes one ``P[rows] @ q`` with no
+union sort and no inverse map.  The test depends only on the block, so
+the chosen strategy — and the exact sequence of BLAS calls — is
+identical no matter which process scores the block.
 
-Work accounting: ``n_evaluated`` counts **candidate pairs** (the sum of
-candidate-list sizes), the paper's work measure, not the GEMM's
-``|union| * block`` products — the measure must stay comparable across
-the serial, blocked, and process-parallel paths.
+:func:`_answers` turns scored ``(query, row)`` pairs into answers, for
+both measures (the Jaccard kernels in :mod:`repro.core.set_join` use it
+too).  Threshold joins keep the lowest-index best pair scoring at least
+``cs``; top-k joins keep the pairs scoring at least ``cs`` ordered by
+``(-score, index)`` and cut to ``k``.  Every backend breaks ties this
+way, so answers never depend on which backend ``auto`` picks.
 
-Determinism: candidate lists are consumed in the (sorted) order the CSR
-indexes produce, so argmax ties resolve to the lowest data index, and
-identical block boundaries produce bit-identical GEMM calls — which is
-what lets ``n_workers=1`` and ``n_workers=k`` executor runs return
-identical matches.
+Work accounting: ``n_evaluated`` counts **candidate pairs**, the paper's
+work measure, not the GEMM's ``|union| * block`` products — the measure
+must stay comparable across the serial, blocked, and process-parallel
+paths.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.lsh.csr import sorted_unique
+from repro.lsh.csr import CandidateBlock, sorted_unique
 from repro.obs.metrics import current_metrics
 
 DEFAULT_BLOCK = 256
@@ -53,158 +56,182 @@ DEFAULT_BLOCK = 256
 GEMM_ADVANTAGE = 4.0
 
 
+def _group_best(qids: np.ndarray, rows: np.ndarray, scores: np.ndarray):
+    """Per non-empty query group (pairs grouped by ascending query):
+    ``(query, best score, lowest row holding it)``."""
+    first = np.empty(qids.size, dtype=bool)
+    first[0] = True
+    np.not_equal(qids[1:], qids[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    top = np.maximum.reduceat(scores, starts)
+    at_top = scores == top[np.cumsum(first) - 1]
+    lowest = np.minimum.reduceat(
+        np.where(at_top, rows, np.iinfo(rows.dtype).max), starts
+    )
+    return qids[starts], top, lowest
+
+
+def _kth_best(qids: np.ndarray, scores: np.ndarray, n_queries: int,
+              k: int) -> np.ndarray:
+    """Per query (pairs grouped by ascending query), its ``k``-th best
+    score; ``-inf`` for a query with at most ``k`` pairs."""
+    sizes = np.bincount(qids, minlength=n_queries)
+    kth = np.full(n_queries, -np.inf)
+    crowded = np.flatnonzero(sizes > k)
+    if crowded.size:
+        slot = np.full(n_queries, -1)
+        slot[crowded] = np.arange(crowded.size)
+        pair = np.flatnonzero(slot[qids] >= 0)
+        q = qids[pair]
+        dense = np.full((crowded.size, sizes[crowded].max()), -np.inf)
+        dense[slot[q], pair - (np.cumsum(sizes) - sizes)[q]] = scores[pair]
+        kth[crowded] = -np.partition(-dense, k - 1, axis=1)[:, k - 1]
+    return kth
+
+
+def _answers(
+    qids: np.ndarray,
+    rows: np.ndarray,
+    scores: np.ndarray,
+    n_queries: int,
+    cs: float,
+    k: Optional[int],
+) -> list:
+    """Per-query answers from scored ``(query, row)`` pairs.
+
+    Pairs are grouped by ascending query, in any row order inside a
+    group.  Without ``k``: the lowest-index best row if it scores at
+    least ``cs``, else ``None``.  With ``k``: the rows scoring at least
+    ``cs``, best first, ties to the lower index, cut to ``k``.
+    """
+    if k is not None:
+        keep = scores >= cs
+        qids, rows, scores = qids[keep], rows[keep], scores[keep]
+        # No pair below its query's k-th best score can make the list;
+        # dropping those first keeps the sort small.
+        keep = scores >= _kth_best(qids, scores, n_queries, k)[qids]
+        qids, rows, scores = qids[keep], rows[keep], scores[keep]
+        order = np.lexsort((rows, -scores, qids))
+        qids, rows = qids[order], rows[order]
+        first = np.searchsorted(qids, qids, side="left")
+        keep = np.arange(qids.size) - first < k
+        qids, rows = qids[keep], rows[keep]
+        bounds = np.searchsorted(qids, np.arange(n_queries + 1))
+        rows = rows.tolist()
+        return [rows[bounds[i]:bounds[i + 1]] for i in range(n_queries)]
+    best = np.full(n_queries, -1, dtype=np.int64)
+    if qids.size:
+        query, top, lowest = _group_best(qids, rows, scores)
+        hit = top >= cs
+        best[query[hit]] = lowest[hit]
+    return [int(r) if r >= 0 else None for r in best.tolist()]
+
+
 @dataclass
 class BlockVerification:
-    """Result of verifying one query block.
+    """One scored candidate block.
 
-    ``best_index[i]`` is ``-1`` and ``best_score[i]`` is ``-inf`` when
-    query ``i`` had no candidates; thresholding is the caller's job.
+    ``scores[j]`` is the exact inner product of pair ``j`` of ``block``
+    (its absolute value for unsigned joins); thresholding is the
+    reducer's job.
     """
 
-    best_index: np.ndarray  # (block,) int64
-    best_score: np.ndarray  # (block,) float64; abs() already applied if unsigned
+    block: CandidateBlock
+    scores: np.ndarray  # (n_pairs,) float64
     n_evaluated: int
 
+    def _best(self):
+        b = len(self.block)
+        index, score = np.full(b, -1, dtype=np.int64), np.full(b, -np.inf)
+        if self.scores.size:
+            query, top, lowest = _group_best(
+                self.block.qids(), self.block.rows, self.scores
+            )
+            index[query], score[query] = lowest, top
+        return index, score
 
-def _union_gather(
-    P: np.ndarray,
-    Q_block: np.ndarray,
-    cand_lists: Sequence[np.ndarray],
-    sizes: np.ndarray,
-    total: int,
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
-    """The union GEMM behind both block kernels, or ``None`` when the
-    block fails the cost test (the caller then runs one GEMV per list).
+    @property
+    def best_index(self) -> np.ndarray:
+        """Per query, the lowest row holding its best score; -1 if none."""
+        return self._best()[0]
 
-    Returns ``(qidx, all_cands, values, union_rows)``: the queries with
-    candidates, their lists concatenated, each pair's signed inner
-    product, and ``|union|``.  Every test reads only the block's
-    candidate lists (and ``n``), so every process picks the same path.
-    """
+    @property
+    def best_score(self) -> np.ndarray:
+        """Per query, its best score; -inf for a query with no pairs."""
+        return self._best()[1]
+
+
+def _union_values(P, Q_block, block: CandidateBlock, total: int):
+    """Every pair's inner product from one union GEMM, or ``None`` when
+    the block fails the cost test.  Returns ``(values, |union|)``."""
     b = Q_block.shape[0]
+    rows = block.rows
     # The union can never be smaller than the largest single list, so a
     # block that fails the cost test at that lower bound skips the union
     # computation entirely.
-    if int(sizes.max()) * b > GEMM_ADVANTAGE * total:
-        return None
-    qidx = np.flatnonzero(sizes)
-    all_cands = np.concatenate([cand_lists[i] for i in qidx])
+    if int(block.sizes.max()) * b > GEMM_ADVANTAGE * total:
+        return None, 0
     if P.shape[0] <= 16 * total:
         # Presence scatter + flatnonzero: sorted union without a sort;
         # the O(n) scan is cheaper below this density.
         present = np.zeros(P.shape[0], dtype=bool)
-        present[all_cands] = True
+        present[rows] = True
         union = np.flatnonzero(present)
     else:
-        union = sorted_unique(all_cands)
+        union = sorted_unique(rows)
     if union.size * b > GEMM_ADVANTAGE * total:
-        return None
+        return None, 0
     gram = P[union] @ Q_block.T  # (|union|, b)
-    qrep = np.repeat(qidx, sizes[qidx])
     # Candidate id -> gram row via a scatter map; binary-searching the
     # union instead costs more than the GEMM on slow cores.
     inverse = np.empty(P.shape[0], dtype=np.int64)
     inverse[union] = np.arange(union.size, dtype=np.int64)
-    values = gram.ravel()[inverse[all_cands] * b + qrep]
-    return qidx, all_cands, values, int(union.size)
+    return gram.ravel()[inverse[rows] * b + block.qids()], int(union.size)
 
 
 def verify_block(
     P: np.ndarray,
     Q_block: np.ndarray,
-    cand_lists: Sequence[np.ndarray],
+    block: CandidateBlock,
     signed: bool = True,
 ) -> BlockVerification:
-    """Verify one query block's candidates with a single GEMM.
+    """Score every candidate pair of one query block.
 
     Args:
         P: data matrix, shape (n, d).
         Q_block: queries, shape (b, d).
-        cand_lists: ``b`` sorted int64 index arrays into ``P`` (empty
-            arrays allowed; sorted order is what the CSR candidate
-            generators emit and is required for the positional slicing).
+        block: the block's candidates, ``len(block) == b``.
         signed: score by signed value or absolute value.
     """
     b = Q_block.shape[0]
-    best_index = np.full(b, -1, dtype=np.int64)
-    best_score = np.full(b, -np.inf)
-    sizes = np.array([int(c.size) for c in cand_lists], dtype=np.int64)
-    evaluated = int(sizes.sum())
-    if evaluated == 0:
-        return BlockVerification(best_index, best_score, 0)
+    rows = block.rows
+    total = int(rows.size)
+    if total == 0:
+        return BlockVerification(block, np.empty(0), 0)
     metrics = current_metrics()
     if metrics.enabled:
-        metrics.counter("verify.pairs_evaluated").inc(evaluated)
-    gathered = _union_gather(P, Q_block, cand_lists, sizes, evaluated)
-    if gathered is not None:
-        qidx, all_cands, values, union_rows = gathered
+        metrics.counter("verify.pairs_evaluated").inc(total)
+    if b == 1:
+        values, union_rows = P[rows] @ Q_block[0], total
+    else:
+        values, union_rows = _union_values(P, Q_block, block, total)
+    if values is not None:
         if metrics.enabled:
             metrics.counter("verify.gemm_blocks").inc()
             metrics.histogram("verify.gemm_union_rows").observe(union_rows)
-        # Overlapping block: one GEMM covered every (query, candidate)
-        # pair, and the per-query maxima come out of one segmented
-        # reduction — no Python executes per query.
-        scores = values if signed else np.abs(values)
-        seg = np.cumsum(sizes[qidx]) - sizes[qidx]
-        seg_max = np.maximum.reduceat(scores, seg)
-        # First position attaining the segment max: candidate lists are
-        # ascending, so this reproduces np.argmax's lowest-index tie-break.
-        first = np.minimum.reduceat(
-            np.where(scores == np.repeat(seg_max, sizes[qidx]),
-                     np.arange(scores.size), scores.size),
-            seg,
-        )
-        best_index[qidx] = all_cands[first]
-        best_score[qidx] = seg_max
     else:
         # Sparse-overlap block: the union GEMM would waste arithmetic;
-        # one gathered GEMV per non-empty candidate list is cheaper.
+        # one gathered GEMV per non-empty query is cheaper.
         if metrics.enabled:
             metrics.counter("verify.gemv_blocks").inc()
-        for qi, cands in enumerate(cand_lists):
-            if cands.size == 0:
-                continue
-            values = P[cands] @ Q_block[qi]
-            scores = values if signed else np.abs(values)
-            j = int(np.argmax(scores))
-            best_index[qi] = cands[j]
-            best_score[qi] = scores[j]
-    return BlockVerification(best_index, best_score, evaluated)
-
-
-def candidate_values_block(
-    P: np.ndarray,
-    Q_block: np.ndarray,
-    cand_lists: Sequence[np.ndarray],
-    signed: bool = True,
-) -> List[np.ndarray]:
-    """Exact candidate inner products for one query block, list-aligned.
-
-    The sibling of :func:`verify_block` for callers that need *all* the
-    values (top-k ranking, recall audits) rather than the per-query best.
-    Shares its union GEMM and cost test, so the BLAS call pattern is a
-    pure function of the block's candidate lists.  ``out[i]`` has the
-    same length and order as ``cand_lists[i]``.
-    """
-    b = Q_block.shape[0]
-    sizes = np.array([int(c.size) for c in cand_lists], dtype=np.int64)
-    total = int(sizes.sum())
-    out: List[np.ndarray] = [np.empty(0, dtype=np.float64)] * b
-    if total == 0:
-        return out
-    gathered = _union_gather(P, Q_block, cand_lists, sizes, total)
-    if gathered is not None:
-        qidx, _, values, _ = gathered
-        if not signed:
-            values = np.abs(values)
-        seg = np.cumsum(sizes[qidx]) - sizes[qidx]
-        for pos, i in enumerate(qidx):
-            out[i] = values[seg[pos] : seg[pos] + sizes[i]]
-    else:
-        for i in np.flatnonzero(sizes):
-            values = P[cand_lists[i]] @ Q_block[i]
-            out[i] = values if signed else np.abs(values)
-    return out
+        values = np.empty(total)
+        indptr = block.indptr
+        for i in np.flatnonzero(block.sizes):
+            lo, hi = indptr[i], indptr[i + 1]
+            values[lo:hi] = P[rows[lo:hi]] @ Q_block[i]
+    return BlockVerification(
+        block, values if signed else np.abs(values), total
+    )
 
 
 def verify_candidates(
@@ -217,19 +244,19 @@ def verify_candidates(
 ) -> Tuple[List[Optional[int]], int]:
     """Blocked verification of precomputed candidate lists.
 
-    Returns ``(matches, n_evaluated)`` where ``matches[i]`` is the best
+    The lists (one ascending, unique array per query) become one
+    :class:`~repro.lsh.csr.CandidateBlock`; returns ``(matches,
+    n_evaluated)`` where ``matches[i]`` is the lowest-index best
     candidate of query ``i`` if its (absolute) inner product clears
     ``threshold``, else ``None``.
     """
+    cands = CandidateBlock.from_lists(cand_lists)
     matches: List[Optional[int]] = []
     evaluated = 0
     for q0 in range(0, Q.shape[0], block):
-        result = verify_block(
-            P, Q[q0:q0 + block], cand_lists[q0:q0 + block], signed=signed
-        )
+        part = cands.slice(q0, min(q0 + block, Q.shape[0]))
+        result = verify_block(P, Q[q0:q0 + block], part, signed=signed)
         evaluated += result.n_evaluated
-        matches.extend(
-            int(idx) if idx >= 0 and score >= threshold else None
-            for idx, score in zip(result.best_index, result.best_score)
-        )
+        matches.extend(_answers(part.qids(), part.rows, result.scores,
+                                len(part), threshold, None))
     return matches, evaluated

@@ -4,16 +4,20 @@ Each backend adapts one existing kernel family to the
 :class:`~repro.engine.protocol.JoinBackend` contract:
 
 * ``brute_force`` — the exact blocked all-pairs scan
-  (:mod:`repro.core.brute_force`, :mod:`repro.core.topk`,
-  :mod:`repro.core.self_join`); answers every variant.
+  (:mod:`repro.core.brute_force`, :mod:`repro.core.topk`); answers every
+  variant.
 * ``norm_pruned`` — the LEMP-style Cauchy-Schwarz prefix scan
   (:mod:`repro.core.norm_pruning`); exact, threshold and top-k joins.
 * ``lsh`` — filter-then-verify through an
-  :class:`~repro.lsh.index.LSHIndex` (:mod:`repro.core.lsh_join`);
-  threshold, top-k and self variants.
+  :class:`~repro.lsh.index.LSHIndex`; threshold, top-k and self
+  variants.
 * ``sketch`` — the Section 4.3 linear-sketch join
   (:mod:`repro.core.sketch_join`); unsigned threshold and self joins,
   with the structure's own ``c = n^{-1/kappa}``.
+
+``lsh`` and ``sketch`` (and ``quantized``, :mod:`repro.quant.backend`)
+differ only in their candidate generator: every chunk runs the one
+candidate -> score -> answer pipeline of :mod:`repro.core.lsh_join`.
 
 Each backend declares the spec variants it answers (``variants``) and
 the similarity measures it speaks (``measures``, default ``("ip",)`` —
@@ -37,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from repro.core.problems import JoinSpec
+from repro.core.problems import JoinSpec, QueryStats
 from repro.engine.protocol import ChunkResult, CostEstimate, JoinBackend
 from repro.errors import ParameterError
 
@@ -82,26 +86,17 @@ class BruteForceBackend(JoinBackend):
 
     def run_chunk(self, structure, P, Q_chunk, start):
         from repro.core.brute_force import brute_force_chunk
-        from repro.core.self_join import self_scan_chunk
         from repro.core.topk import topk_chunk
 
         spec, block = structure.spec, structure.block
         if spec.is_topk:
-            lists, evaluated, generated, stats = topk_chunk(
-                P, Q_chunk, spec.signed, spec.cs, spec.k, block
-            )
-            matches = [int(lst[0]) if lst else None for lst in lists]
-            return ChunkResult(matches, evaluated, generated, stats, topk=lists)
-        if spec.is_self:
-            matches, evaluated, generated, stats = self_scan_chunk(
-                P, Q_chunk, start, spec.signed, spec.cs,
-                spec.match_duplicates, block,
-            )
+            out = topk_chunk(P, Q_chunk, spec.signed, spec.cs, spec.k, block)
         else:
-            matches, evaluated, generated, stats = brute_force_chunk(
-                P, Q_chunk, spec.signed, spec.cs, block
+            out = brute_force_chunk(
+                P, Q_chunk, spec.signed, spec.cs, block,
+                start if spec.is_self else None, spec.match_duplicates,
             )
-        return ChunkResult(matches, evaluated, generated, stats)
+        return ChunkResult.from_answers(spec, *out)
 
     def estimate_cost(self, n, m, d, spec, model):
         scan = n * m * d * model.gemm_op
@@ -151,21 +146,14 @@ class NormPrunedBackend(JoinBackend):
         return NormStructure(spec=spec, scan_block=scan_block, block=block), spec
 
     def run_chunk(self, structure, P, Q_chunk, start):
-        from repro.core.norm_pruning import norm_scan_chunk, norm_scan_topk_chunk
+        from repro.core.norm_pruning import norm_scan_chunk
 
         spec = structure.spec
-        if spec.is_topk:
-            lists, evaluated, generated, stats = norm_scan_topk_chunk(
-                structure.index, Q_chunk, spec.signed, spec.cs, spec.k,
-                structure.scan_block, structure.block,
-            )
-            matches = [int(lst[0]) if lst else None for lst in lists]
-            return ChunkResult(matches, evaluated, generated, stats, topk=lists)
-        matches, evaluated, generated, stats = norm_scan_chunk(
+        out = norm_scan_chunk(
             structure.index, Q_chunk, spec.signed, spec.cs,
-            structure.scan_block, structure.block,
+            structure.scan_block, structure.block, spec.k,
         )
-        return ChunkResult(matches, evaluated, generated, stats)
+        return ChunkResult.from_answers(spec, *out)
 
     def estimate_cost(self, n, m, d, spec, model):
         if spec.variant not in self.variants:
@@ -260,29 +248,19 @@ class LSHBackend(JoinBackend):
         )
 
     def run_chunk(self, structure, P, Q_chunk, start):
-        from repro.core.lsh_join import lsh_filter_verify_chunk
-        from repro.core.self_join import lsh_self_chunk
-        from repro.core.topk import lsh_topk_chunk
+        from repro.core.lsh_join import lsh_candidates, pipeline_chunk
 
-        spec, block = structure.spec, structure.block
-        index = structure.index
-        if spec.is_topk:
-            lists, evaluated, generated, stats = lsh_topk_chunk(
-                index, P, Q_chunk, spec.signed, spec.cs, spec.k, block
-            )
-            matches = [int(lst[0]) if lst else None for lst in lists]
-            return ChunkResult(matches, evaluated, generated, stats, topk=lists)
-        if spec.is_self:
-            matches, evaluated, generated, stats = lsh_self_chunk(
-                index, P, Q_chunk, start, spec.signed, spec.cs,
-                spec.match_duplicates, block,
-            )
-        else:
-            matches, evaluated, generated, stats = lsh_filter_verify_chunk(
-                index, P, Q_chunk, spec.signed, spec.cs,
-                structure.n_probes, block,
-            )
-        return ChunkResult(matches, evaluated, generated, stats)
+        spec, index = structure.spec, structure.index
+        # A reused index keeps counting: report only this chunk's delta.
+        before = index.stats.copy()
+        answers, evaluated = pipeline_chunk(
+            lsh_candidates(index, Q_chunk, structure.n_probes),
+            P, Q_chunk, spec, structure.block, start,
+        )
+        delta = index.stats.diff(before)
+        return ChunkResult.from_answers(
+            spec, answers, evaluated, delta.candidates, delta
+        )
 
     def estimate_cost(self, n, m, d, spec, model):
         if spec.c >= 1.0:
@@ -387,22 +365,19 @@ class SketchBackend(JoinBackend):
         return payload, final
 
     def run_chunk(self, structure, P, Q_chunk, start):
-        from repro.core.sketch_join import (
-            sketch_filter_verify_chunk,
-            sketch_self_chunk,
-        )
+        from repro.core.lsh_join import pipeline_chunk
+        from repro.core.sketch_join import sketch_candidates
 
-        spec = structure.spec
-        if spec.is_self:
-            matches, evaluated, generated, stats = sketch_self_chunk(
-                structure.structure, P, Q_chunk, start, spec.cs,
-                structure.block,
-            )
-        else:
-            matches, evaluated, generated, stats = sketch_filter_verify_chunk(
-                structure.structure, P, Q_chunk, spec.cs, structure.block
-            )
-        return ChunkResult(matches, evaluated, generated, stats)
+        spec, sketch = structure.spec, structure.structure
+        answers, _ = pipeline_chunk(
+            sketch_candidates(sketch, Q_chunk, start, spec.is_self),
+            P, Q_chunk, spec, structure.block, start,
+        )
+        # Work is the descent's cost per query; one proposal per query.
+        mc = Q_chunk.shape[0]
+        per_query = sketch.recovery.query_cost() // max(1, P.shape[1])
+        stats = QueryStats(queries=mc, candidates=mc, unique_candidates=mc)
+        return ChunkResult.from_answers(spec, answers, per_query * mc, mc, stats)
 
     def estimate_cost(self, n, m, d, spec, model):
         if spec.variant not in self.variants:

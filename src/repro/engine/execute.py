@@ -49,6 +49,7 @@ from repro.core.problems import JoinResult, JoinSpec, QueryStats
 from repro.engine.plan import Plan, Stage, norm_split_size, stage_point_indices
 from repro.engine.registry import get_backend
 from repro.errors import ParameterError
+from repro.lsh.csr import CandidateBlock
 from repro.obs import MetricsRegistry, Tracer
 
 
@@ -266,7 +267,8 @@ def run_single_stage(
     Returns ``(result, chunks, point_idx, proposals)``: the merged
     stage result, the raw chunk results, the global indices of the
     stage's points (``None`` for all of ``P``), and — for filter stages
-    — the survivor lists remapped to global point indices.  The prepared
+    — the survivor :class:`~repro.lsh.csr.CandidateBlock` over the
+    stage's queries, remapped to global point indices.  The prepared
     stage itself is not returned, so a one-shot stage's structure is
     freed before the next stage builds its own.
     """
@@ -316,12 +318,12 @@ def run_single_stage(
             result.topk = [lst for c in chunks for lst in (c.topk or [])]
         if stage.kind == "filter":
             # Filter stages answer nothing: concatenate the per-chunk
-            # survivor lists (chunk order = query order) and remap
+            # survivor blocks (chunk order = query order) and remap
             # structure-local point indices to global ones for the
             # consuming stage.
-            proposals = [lst for c in chunks for lst in (c.proposals or [])]
+            proposals = CandidateBlock.concat([c.proposals for c in chunks])
             if prep.point_idx is not None:
-                proposals = [prep.point_idx[lst] for lst in proposals]
+                proposals = proposals.remap(prep.point_idx)
     return result, chunks, prep.point_idx, proposals
 
 
@@ -350,7 +352,7 @@ def run_stage_plan(
     merged stage result, so worker count cannot change what the next
     stage sees.  A stage whose queries are all answered already is a
     no-op: it skips prepare and build but still leaves its span and
-    stage record.  A filter stage's survivor lists become the next
+    stage record.  A filter stage's survivor block becomes the next
     stage's ``proposals`` option.  ``prepared`` (from a session) lets
     stages reuse their built payloads.  Returns
     ``(result, chunks, stage_records)``.

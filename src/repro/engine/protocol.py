@@ -95,11 +95,12 @@ class ChunkResult:
     topk: Optional[List[List[int]]] = None
     trace: Any = None
     metrics: Optional[dict] = None
-    #: Filter stages only: one ascending array of surviving point
-    #: indices per chunk query (chunk-local query order, structure-local
-    #: point indices).  The engine remaps and hands them to the next
-    #: stage as its ``proposals`` option.
-    proposals: Optional[List[Any]] = None
+    #: Filter stages only: the surviving point indices as a
+    #: :class:`~repro.lsh.csr.CandidateBlock` (chunk-local query order,
+    #: structure-local point indices).  The engine concatenates and
+    #: remaps the chunks' blocks and hands the result to the next stage
+    #: as its ``proposals`` option.
+    proposals: Any = None
     #: Guaranteed-recall knob: the largest additive inner-product error
     #: bound (quantization) or confidence margin (sketch filter) granted
     #: to any pair in this chunk.  Max-merged into
@@ -111,6 +112,17 @@ class ChunkResult:
     #: outside ``metrics`` because timing is not part of the
     #: bit-identical serial/parallel contract.
     wall_ns: int = 0
+
+    @classmethod
+    def from_answers(cls, spec: JoinSpec, answers: list, evaluated: int,
+                     generated: int, stats: QueryStats,
+                     **fields) -> "ChunkResult":
+        """The chunk result of a kernel's per-query answers: matches, or
+        top-k lists (each list's head is the query's match)."""
+        if not spec.is_topk:
+            return cls(answers, evaluated, generated, stats, **fields)
+        return cls([lst[0] if lst else None for lst in answers], evaluated,
+                   generated, stats, topk=answers, **fields)
 
 
 def persistable_arrays(

@@ -99,20 +99,14 @@ class SetScanBackend(JoinBackend):
         postings = structure.postings
         Q_chunk = _as_sets(Q_chunk, "Q")
         if spec.is_topk:
-            lists, evaluated, generated, stats = jaccard_topk_chunk(
-                postings, Q_chunk, spec.cs, spec.k
-            )
-            matches = [int(lst[0]) if lst else None for lst in lists]
-            return ChunkResult(matches, evaluated, generated, stats, topk=lists)
-        if spec.is_self:
-            matches, evaluated, generated, stats = jaccard_self_chunk(
+            out = jaccard_topk_chunk(postings, Q_chunk, spec.cs, spec.k)
+        elif spec.is_self:
+            out = jaccard_self_chunk(
                 postings, Q_chunk, start, spec.cs, spec.match_duplicates,
             )
         else:
-            matches, evaluated, generated, stats = jaccard_scan_chunk(
-                postings, Q_chunk, spec.cs
-            )
-        return ChunkResult(matches, evaluated, generated, stats)
+            out = jaccard_scan_chunk(postings, Q_chunk, spec.cs)
+        return ChunkResult.from_answers(spec, *out)
 
     def estimate_cost(self, n, m, d, spec, model):
         bad = _not_jaccard(self.name, spec)
@@ -197,22 +191,12 @@ class MinHashLSHBackend(JoinBackend):
     def run_chunk(self, structure, P, Q_chunk, start):
         spec = structure.spec
         Q_chunk = _as_sets(Q_chunk, "Q")
-        if spec.is_topk:
-            lists, evaluated, generated, stats = minhash_join_chunk(
-                structure.index, Q_chunk, spec.cs, k=spec.k
-            )
-            matches = [int(lst[0]) if lst else None for lst in lists]
-            return ChunkResult(matches, evaluated, generated, stats, topk=lists)
-        if spec.is_self:
-            matches, evaluated, generated, stats = minhash_join_chunk(
-                structure.index, Q_chunk, spec.cs, self_start=start,
-                match_duplicates=spec.match_duplicates,
-            )
-        else:
-            matches, evaluated, generated, stats = minhash_join_chunk(
-                structure.index, Q_chunk, spec.cs
-            )
-        return ChunkResult(matches, evaluated, generated, stats)
+        out = minhash_join_chunk(
+            structure.index, Q_chunk, spec.cs, k=spec.k,
+            self_start=start if spec.is_self else None,
+            match_duplicates=spec.match_duplicates,
+        )
+        return ChunkResult.from_answers(spec, *out)
 
     def estimate_cost(self, n, m, d, spec, model):
         bad = _not_jaccard(self.name, spec)

@@ -15,7 +15,7 @@ from repro.lsh.batch_hash import (
     MinHashTables,
     SignProjectionTables,
 )
-from repro.lsh.csr import CSRBucketTable
+from repro.lsh.csr import CandidateBlock, CSRBucketTable
 from repro.lsh.e2lsh import E2LSH
 from repro.lsh.empirical_rho import RhoEstimate, empirical_rho_curve, estimate_rho
 from repro.lsh.sign_alsh import SignALSH, rho_sign_alsh
@@ -69,6 +69,7 @@ __all__ = [
     "SymmetricIPSHash",
     "LSHIndex",
     "QueryStats",
+    "CandidateBlock",
     "CSRBucketTable",
     "E2LSH",
     "RhoEstimate",

@@ -12,7 +12,9 @@ sparse row form instead —
 — so looking up *every* query key of a block against *every* table is a
 handful of :func:`numpy.searchsorted` calls, and gathering the matched
 buckets is one vectorized ragged gather.  Candidate generation for a
-whole query block never touches a Python-level per-query loop.
+whole query block never touches a Python-level per-query loop, and its
+output, a :class:`CandidateBlock`, keeps the same flat layout: one
+``indptr`` over the block's queries and one array of candidate rows.
 
 Bucket contents come out ascending (``from_keys`` uses a stable argsort
 over ascending row ids), which is what makes the CSR path's candidate
@@ -23,7 +25,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -147,31 +149,83 @@ class CSRBucketTable:
         return self.indices[flat], lengths
 
 
-def merge_candidates_per_query(
-    query_ids: np.ndarray, rows: np.ndarray, n_queries: int, n_rows: int
-) -> list:
-    """Deduplicate ``(query, row)`` pairs into per-query sorted id arrays.
+@dataclass(frozen=True, eq=False)
+class CandidateBlock:
+    """Candidate pairs of a query block in CSR form.
 
-    ``query_ids`` and ``rows`` are parallel flat arrays (one entry per
-    gathered bucket member).  Returns ``(lists, n_unique)``: a list of
-    ``n_queries`` sorted, unique int64 arrays and their total length.
-    Vectorized: one sort-based dedup over a fused 64-bit key, then one
-    boundary search, instead of a Python set-union per query.
+    The one hand-off between every candidate generator (LSH buckets, the
+    sketch descent, the int8 scan, the sketch filter) and exact
+    verification: query ``i``'s candidate rows are
+    ``rows[indptr[i]:indptr[i + 1]]``, ascending and unique.  The block
+    indexes and iterates as those per-query row arrays.
     """
-    empty = np.empty(0, dtype=np.int64)
-    if rows.size == 0:
-        return [empty] * n_queries, 0
-    # Power-of-two stride: fuse/split become shifts and masks instead of
-    # 64-bit multiplies and divisions.
-    shift = np.int64(max(1, int(n_rows - 1).bit_length()))
-    fused = (query_ids.astype(np.int64) << shift) | rows
-    fused = sorted_unique(fused)  # sorted: by query id, then row id
-    ur = fused & ((np.int64(1) << shift) - 1)
-    bounds = np.searchsorted(
-        fused, np.arange(n_queries + 1, dtype=np.int64) << shift
-    )
-    lists = [
-        ur[bounds[qi]:bounds[qi + 1]] if bounds[qi] < bounds[qi + 1] else empty
-        for qi in range(n_queries)
-    ]
-    return lists, int(fused.size)
+
+    indptr: np.ndarray  # (n_queries + 1,) int64
+    rows: np.ndarray    # (indptr[-1],) int64
+
+    def __len__(self) -> int:
+        return self.indptr.size - 1
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        i = range(len(self))[i]
+        return self.rows[self.indptr[i]:self.indptr[i + 1]]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return iter(np.split(self.rows, self.indptr[1:-1]) if len(self) else ())
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return self.indptr[1:] - self.indptr[:-1]
+
+    def qids(self) -> np.ndarray:
+        """The query of every pair, aligned with ``rows``."""
+        return np.repeat(np.arange(len(self), dtype=np.int64), self.sizes)
+
+    def slice(self, lo: int, hi: int) -> "CandidateBlock":
+        """Queries ``[lo, hi)`` as a block of their own."""
+        first = self.indptr[lo]
+        return CandidateBlock(self.indptr[lo:hi + 1] - first,
+                              self.rows[first:self.indptr[hi]])
+
+    @classmethod
+    def from_pairs(cls, qids: np.ndarray, rows: np.ndarray,
+                   n_queries: int) -> "CandidateBlock":
+        """From pairs grouped by ascending query (rows ascending, unique)."""
+        indptr = np.searchsorted(qids, np.arange(n_queries + 1))
+        return cls(indptr.astype(np.int64), np.asarray(rows, dtype=np.int64))
+
+    @classmethod
+    def from_tiles(cls, qids: Sequence[np.ndarray], rows: Sequence[np.ndarray],
+                   n_queries: int) -> "CandidateBlock":
+        """From per-tile pair lists whose row ranges ascend tile by tile:
+        a stable sort by query keeps every query's rows ascending."""
+        if not qids:
+            empty = np.empty(0, dtype=np.int64)
+            return cls.from_pairs(empty, empty, n_queries)
+        q, r = np.concatenate(qids), np.concatenate(rows)
+        order = np.argsort(q, kind="stable")
+        return cls.from_pairs(q[order], r[order], n_queries)
+
+    @classmethod
+    def from_lists(cls, lists: Sequence[np.ndarray]) -> "CandidateBlock":
+        """From one ascending, unique row array per query."""
+        indptr = np.zeros(len(lists) + 1, dtype=np.int64)
+        np.cumsum([len(c) for c in lists], out=indptr[1:])
+        rows = (np.concatenate(lists) if indptr[-1]
+                else np.empty(0, dtype=np.int64))
+        return cls(indptr, rows.astype(np.int64))
+
+    @classmethod
+    def concat(cls, blocks: Sequence["CandidateBlock"]) -> "CandidateBlock":
+        """The blocks' queries one after another."""
+        sizes = np.concatenate([b.sizes for b in blocks])
+        indptr = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        return cls(indptr, np.concatenate([b.rows for b in blocks]))
+
+    def remap(self, index: np.ndarray) -> "CandidateBlock":
+        """Rows renamed through ``index`` (e.g. a partition's global ids),
+        re-sorted within each query."""
+        qids, rows = self.qids(), index[self.rows]
+        order = np.lexsort((rows, qids))
+        return CandidateBlock(self.indptr, rows[order].astype(np.int64))

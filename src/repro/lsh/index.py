@@ -34,7 +34,7 @@ work of an LSH join).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from repro.core.problems import QueryStats
 from repro.errors import ParameterError, ValidationError
 from repro.lsh.base import AsymmetricLSHFamily
 from repro.lsh.batch_hash import MAX_PACKED_KEY, GenericHashTables
-from repro.lsh.csr import CSRBucketTable, merge_candidates_per_query
+from repro.lsh.csr import CandidateBlock, CSRBucketTable, sorted_unique
 from repro.obs.metrics import current_metrics
 from repro.obs.trace import span
 from repro.utils.rng import SeedLike, ensure_rng
@@ -57,8 +57,8 @@ from repro.utils.validation import check_matrix
 DENSE_LOOKUP_MAX = 1 << 22
 
 
-def block_candidates(index, Q_block, n_probes: int = 0) -> List[np.ndarray]:
-    """Candidate lists for a query block: one ``candidates_batch`` call.
+def block_candidates(index, Q_block, n_probes: int = 0) -> CandidateBlock:
+    """The candidate block of a query block: one ``candidates_batch`` call.
 
     The join kernels' one entry into an index, kept as a named function
     so the candidate-generation layer can be timed on its own.
@@ -189,16 +189,17 @@ class LSHIndex:
         q = np.asarray(q, dtype=np.float64)
         return self.candidates_batch(q.reshape(1, -1), n_probes=n_probes)[0]
 
-    def candidates_batch(self, Q, n_probes: int = 0) -> List[np.ndarray]:
-        """Sorted candidate arrays for every row of ``Q``.
+    def candidates_batch(self, Q, n_probes: int = 0) -> CandidateBlock:
+        """The :class:`~repro.lsh.csr.CandidateBlock` of the rows of ``Q``.
 
         One ``hash_matrix`` call per block, then one lookup and one
         ragged gather over every (query, table) bucket and one fused
-        sort-based dedup.  ``n_probes`` extra buckets per table are
-        probed with the query-directed single-bit-flip heuristic
+        sort-based dedup, whose output is already the block's flat,
+        per-query sorted layout.  ``n_probes`` extra buckets per table
+        are probed with the query-directed single-bit-flip heuristic
         (sign-projection families only, up to ``hashes_per_table``);
-        ``0`` queries only the exact bucket.  An empty query matrix (0 rows)
-        returns ``[]``.
+        ``0`` queries only the exact bucket.  An empty query matrix (0
+        rows) returns an empty block.
         """
         if self._table is None:
             raise ParameterError("index not built yet; call build() first")
@@ -214,7 +215,8 @@ class LSHIndex:
         Q = check_matrix(Q, "Q", allow_empty=True)
         n_queries = Q.shape[0]
         if n_queries == 0:
-            return []
+            return CandidateBlock(np.zeros(1, dtype=np.int64),
+                                  np.empty(0, dtype=np.int64))
         if Q.shape[1] != self._data.shape[1]:
             raise ParameterError(
                 f"queries must have dimension {self._data.shape[1]}, "
@@ -231,43 +233,21 @@ class LSHIndex:
             np.arange(n_queries, dtype=np.int64),
             lengths.reshape(n_queries, -1).sum(axis=1),
         )
-        merged, n_unique = merge_candidates_per_query(
-            query_ids, rows, n_queries, self.n
+        # Fuse (query, row) into one key with a power-of-two stride, so
+        # fuse/split are shifts and masks; one sorted dedup then leaves
+        # the pairs grouped by query with rows ascending.
+        shift = np.int64(max(1, int(self.n - 1).bit_length()))
+        fused = sorted_unique((query_ids << shift) | rows)
+        indptr = np.searchsorted(
+            fused, np.arange(n_queries + 1, dtype=np.int64) << shift
         )
+        block = CandidateBlock(indptr.astype(np.int64),
+                               fused & ((np.int64(1) << shift) - 1))
         probe_hits = probed = 0
         if n_probes:
             probes = lengths.reshape(keys.shape)[:, :, 1:]
             probe_hits, probed = int(probes.sum()), int(np.count_nonzero(probes))
         self.stats.record_batch(
-            n_queries, rows.size, n_unique, probe_hits, probed
+            n_queries, rows.size, fused.size, probe_hits, probed
         )
-        return merged
-
-    def query(self, q, threshold: float, signed: bool = True) -> Optional[int]:
-        """Best candidate with (absolute) inner product >= threshold, or None.
-
-        Verifies candidates exactly against the stored data, the standard
-        LSH "filter then verify" step.
-        """
-        idx = self.candidates(q)
-        if idx.size == 0:
-            return None
-        q = np.asarray(q, dtype=np.float64)
-        values = self._data[idx] @ q
-        if not signed:
-            values = np.abs(values)
-        best = int(np.argmax(values))
-        if values[best] >= threshold:
-            return int(idx[best])
-        return None
-
-    def query_all_above(self, q, threshold: float, signed: bool = True) -> np.ndarray:
-        """All candidate indices whose verified inner product clears the bar."""
-        idx = self.candidates(q)
-        if idx.size == 0:
-            return idx
-        q = np.asarray(q, dtype=np.float64)
-        values = self._data[idx] @ q
-        if not signed:
-            values = np.abs(values)
-        return idx[values >= threshold]
+        return block

@@ -75,29 +75,18 @@ class LSHMIPS(MIPSEngine):
         answers: List[MIPSAnswer] = []
         for q0 in range(0, Q.shape[0], block):
             Q_block = Q[q0:q0 + block]
-            cand_lists = block_candidates(self.index, Q_block)
-            result = verify_block(self._P, Q_block, cand_lists, signed=True)
-            misses = [i for i in range(Q_block.shape[0]) if result.best_index[i] < 0]
-            if misses:
+            cands = block_candidates(self.index, Q_block)
+            result = verify_block(self._P, Q_block, cands, signed=True)
+            index, value, work = result.best_index, result.best_score, cands.sizes
+            misses = np.flatnonzero(index < 0)
+            if misses.size:
                 # Exact-scan fallback for empty-bucket queries, one GEMM.
                 scan = self._P @ Q_block[misses].T  # (n, |misses|)
-                scan_best = np.argmax(scan, axis=0)
-            for i in range(Q_block.shape[0]):
-                if result.best_index[i] >= 0:
-                    answers.append(
-                        MIPSAnswer(
-                            index=int(result.best_index[i]),
-                            value=float(result.best_score[i]),
-                            work=int(cand_lists[i].size),
-                        )
-                    )
-                else:
-                    col = misses.index(i)
-                    answers.append(
-                        MIPSAnswer(
-                            index=int(scan_best[col]),
-                            value=float(scan[scan_best[col], col]),
-                            work=self.n,
-                        )
-                    )
+                index[misses] = np.argmax(scan, axis=0)
+                value[misses] = scan[index[misses], np.arange(misses.size)]
+                work[misses] = self.n
+            answers.extend(
+                MIPSAnswer(index=int(i), value=float(v), work=int(w))
+                for i, v, w in zip(index, value, work)
+            )
         return answers

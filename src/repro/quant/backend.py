@@ -5,9 +5,11 @@ scan kernel over-approximates the match set via its analytic error
 bound, then exact float64 GEMM verifies the survivors — so its results
 are bit-identical to ``brute_force`` while the scan itself touches one
 byte per coordinate.  ``ip_filter`` wraps the Pagh-Sivertsen-style
-sketch filter as a ``kind="filter"`` Plan stage: it proposes survivor
-lists and the engine hands them to the next stage (normally
+sketch filter as a ``kind="filter"`` Plan stage: it proposes a survivor
+block and the engine hands it to the next stage (normally
 ``quantized`` in verify-only mode) as its ``proposals`` option.
+Both verify through the shared pipeline
+(:func:`repro.core.lsh_join.pipeline_chunk`).
 
 Both structures hold plain contiguous ndarrays, so they freeze/thaw
 through the :class:`~repro.core.arena.SharedArena` zero-copy like every
@@ -21,9 +23,12 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.core.lsh_join import pipeline_chunk
 from repro.core.problems import JoinSpec, QueryStats
+from repro.engine.backends import _require_variant
 from repro.engine.protocol import ChunkResult, CostEstimate, JoinBackend
 from repro.errors import ParameterError
+from repro.lsh.csr import CandidateBlock, sorted_unique
 from repro.obs.trace import span
 from repro.quant.ipfilter import (
     DEFAULT_FILTER_DIMS,
@@ -42,64 +47,26 @@ from repro.quant.scalar import (
 _ACCUMULATE_MODES = ("auto", "float32", "int32")
 
 
-def _require_variant(spec: JoinSpec, backend: str, allowed) -> None:
-    if spec.variant not in allowed:
+def _proposal_block(proposals, n: int) -> CandidateBlock:
+    """Caller-supplied proposals as a block, validated once, vectorized.
+
+    Accepts a :class:`~repro.lsh.csr.CandidateBlock` (a filter stage's
+    hand-off) or one index array per query; rows come back ascending and
+    unique within each query.
+    """
+    if not isinstance(proposals, CandidateBlock):
+        # Still unsorted, possibly repeated: normalized below.
+        proposals = CandidateBlock.from_lists(
+            [np.asarray(p, dtype=np.int64).ravel() for p in proposals])
+    qids, rows = proposals.qids(), proposals.rows
+    if rows.size and rows.min() < 0:
+        raise ParameterError("quantized proposals contain negative indices")
+    if rows.size and rows.max() >= n:
         raise ParameterError(
-            f"backend {backend!r} does not answer the {spec.variant!r} "
-            f"variant (supported: {', '.join(allowed)})"
+            f"quantized proposals reference point indices >= n={n}"
         )
-
-
-def _normalize_proposals(proposals, who: str) -> List[np.ndarray]:
-    lists = []
-    for entry in proposals:
-        arr = np.unique(np.asarray(entry, dtype=np.int64))
-        if arr.size and arr[0] < 0:
-            raise ParameterError(f"{who} proposals contain negative indices")
-        lists.append(arr)
-    return lists
-
-
-def _verify_chunk(
-    structure_spec: JoinSpec,
-    P,
-    Q_chunk,
-    cand_lists: List[np.ndarray],
-    block: int,
-) -> ChunkResult:
-    """Exact float64 verification of candidate lists for one chunk."""
-    from repro.core.topk import _rank_above
-    from repro.core.verify import candidate_values_block, verify_candidates
-
-    spec = structure_spec
-    mc = Q_chunk.shape[0]
-    generated = sum(int(lst.size) for lst in cand_lists)
-    stats = QueryStats()
-    stats.record_batch(
-        n_queries=mc, n_candidates=generated, n_unique=generated
-    )
-    if spec.is_topk:
-        lists: List[List[int]] = []
-        evaluated = 0
-        for q0 in range(0, mc, block):
-            q1 = min(q0 + block, mc)
-            block_lists = cand_lists[q0:q1]
-            values = candidate_values_block(P, Q_chunk[q0:q1], block_lists)
-            for local, cands in enumerate(block_lists):
-                evaluated += int(cands.size)
-                lists.append(
-                    _rank_above(
-                        values[local], cands, spec.signed, spec.cs, spec.k
-                    )
-                )
-        matches = [int(lst[0]) if lst else None for lst in lists]
-        return ChunkResult(
-            matches, evaluated, generated, stats, topk=lists
-        )
-    matches, evaluated = verify_candidates(
-        P, Q_chunk, cand_lists, spec.cs, signed=spec.signed, block=block
-    )
-    return ChunkResult(matches, evaluated, generated, stats)
+    pairs = sorted_unique(qids * n + rows)
+    return CandidateBlock.from_pairs(pairs // n, pairs % n, len(proposals))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +75,7 @@ def _verify_chunk(
 
 @dataclass
 class QuantizedStructure:
-    """Int8-quantized ``P`` (scan mode) or pinned survivor lists (verify).
+    """Int8-quantized ``P`` (scan mode) or a pinned proposal block (verify).
 
     Built lazily in the parent process — the quantized arrays are plain
     ndarrays, so parallel workers receive them zero-copy via the shared
@@ -120,7 +87,7 @@ class QuantizedStructure:
     scan_block: int
     accumulate: str
     data: Optional[QuantizedRows] = None
-    proposals: Optional[List[np.ndarray]] = None
+    proposals: Optional[CandidateBlock] = None
 
     def build(self, P):
         if self.proposals is None and self.data is None:
@@ -172,18 +139,13 @@ class QuantizedBackend(JoinBackend):
             accumulate=accumulate,
         )
         if proposals is not None:
-            lists = _normalize_proposals(proposals, self.name)
-            n = P.shape[0]
-            if any(lst.size and lst[-1] >= n for lst in lists):
-                raise ParameterError(
-                    f"quantized proposals reference point indices >= n={n}"
-                )
-            structure.proposals = lists
+            structure.proposals = _proposal_block(proposals, P.shape[0])
         return structure, spec
 
     def run_chunk(self, structure, P, Q_chunk, start):
         spec = structure.spec
         mc = Q_chunk.shape[0]
+        max_bound = None
         if structure.proposals is not None:
             if start + mc > len(structure.proposals):
                 raise ParameterError(
@@ -191,27 +153,28 @@ class QuantizedBackend(JoinBackend):
                     f"query: got {len(structure.proposals)} lists for "
                     f"queries [{start}, {start + mc})"
                 )
-            cand_lists = structure.proposals[start:start + mc]
-            with span("verify", n_queries=mc):
-                return _verify_chunk(
-                    spec, P, Q_chunk, cand_lists, structure.block
+            cands = structure.proposals.slice(start, start + mc)
+        else:
+            qq = quantize_rows(np.ascontiguousarray(Q_chunk, dtype=np.float64))
+            with span("scan", n_queries=mc):
+                cands, _, max_bound = quantized_scan_survivors(
+                    structure.data,
+                    qq,
+                    spec.cs,
+                    spec.signed,
+                    accumulate=structure.accumulate,
+                    scan_block=structure.scan_block,
                 )
-        qq = quantize_rows(np.ascontiguousarray(Q_chunk, dtype=np.float64))
-        with span("scan", n_queries=mc):
-            cand_lists, generated, max_bound = quantized_scan_survivors(
-                structure.data,
-                qq,
-                spec.cs,
-                spec.signed,
-                accumulate=structure.accumulate,
-                scan_block=structure.scan_block,
-            )
-        with span("verify", n_queries=mc):
-            result = _verify_chunk(
-                spec, P, Q_chunk, cand_lists, structure.block
-            )
-        result.error_bound = max_bound
-        return result
+        generated = int(cands.rows.size)
+        answers, evaluated = pipeline_chunk(
+            cands.slice, P, Q_chunk, spec, structure.block
+        )
+        stats = QueryStats(
+            queries=mc, candidates=generated, unique_candidates=generated
+        )
+        return ChunkResult.from_answers(
+            spec, answers, evaluated, generated, stats, error_bound=max_bound
+        )
 
     def estimate_cost(self, n, m, d, spec, model):
         if spec.variant not in self.variants:
@@ -310,20 +273,19 @@ class IPFilterBackend(JoinBackend):
             # Recall anchors at spec.s: pairs inside the (cs, s) promise
             # gap are optional under the c-approximate guarantee, which
             # is what keeps the filter selective (see IPSketchFilter).
-            lists, generated, margin_max = structure.filter.propose_chunk(
+            block, generated, margin_max = structure.filter.propose_chunk(
                 Q_chunk, spec.s, spec.signed,
                 scan_block=structure.scan_block,
             )
-        stats = QueryStats()
-        stats.record_batch(
-            n_queries=mc, n_candidates=generated, n_unique=generated
+        stats = QueryStats(
+            queries=mc, candidates=generated, unique_candidates=generated
         )
         return ChunkResult(
             matches=[None] * mc,
             evaluated=0,
             generated=generated,
             stats=stats,
-            proposals=lists,
+            proposals=block,
             error_bound=margin_max,
         )
 

@@ -14,24 +14,20 @@ the deterministic quantization error bound) reaches the recall anchor
 stay optional exactly as the ``c``-approximate guarantee allows.
 
 The filter proposes; it never answers.  The engine feeds its survivor
-lists to a verify-capable backend (see ``quantized_filter_plan``) which
+block to a verify-capable backend (see ``quantized_filter_plan``) which
 evaluates exact inner products on the survivors only.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
+from repro.lsh.csr import CandidateBlock
 from repro.quant.bitpack import hamming_scores, pack_sign_rows
-from repro.quant.scalar import (
-    DEFAULT_SCAN_BLOCK,
-    append_block_survivors,
-    append_threshold_survivors,
-    quantize_rows,
-)
+from repro.quant.scalar import DEFAULT_SCAN_BLOCK, quantize_rows, threshold_pairs
 from repro.utils.validation import check_matrix
 
 DEFAULT_FILTER_DIMS = 32
@@ -92,8 +88,8 @@ class IPSketchFilter:
         threshold: float,
         signed: bool,
         scan_block: int = DEFAULT_SCAN_BLOCK,
-    ) -> Tuple[List[np.ndarray], int, float]:
-        """Survivor lists for one query chunk.
+    ) -> Tuple[CandidateBlock, int, float]:
+        """Survivor block for one query chunk.
 
         ``threshold`` anchors recall: every pair with true inner product
         at least ``threshold`` survives unless its sketch estimate
@@ -102,25 +98,22 @@ class IPSketchFilter:
         the ``(cs, s)`` promise gap, leaving pairs inside the gap
         optional exactly as the ``c``-approximate guarantee allows.
 
-        Returns ``(cand_lists, generated, margin_max)``: one ascending
-        int64 array of surviving point indices per query, their total
-        count, and the largest additive margin granted to any pair (the
-        filter's recall knob, surfaced as ``JoinResult.error_bound``).
+        Returns ``(block, generated, margin_max)``: the
+        :class:`~repro.lsh.csr.CandidateBlock` of surviving point
+        indices, their total count, and the largest additive margin
+        granted to any pair (the filter's recall knob, surfaced as
+        ``JoinResult.error_bound``).  Every tile's survivors come from
+        one ``nonzero``; no step loops over queries.
         """
         Q_chunk = np.ascontiguousarray(Q_chunk, dtype=np.float64)
-        mc = Q_chunk.shape[0]
         projected = Q_chunk @ self.G.T
         q_norms = np.linalg.norm(Q_chunk, axis=1)
-        if self.bits == 8:
-            lists, generated, margin_max = self._propose_int8(
-                projected, q_norms, threshold, signed, scan_block
-            )
-        else:
-            lists, generated, margin_max = self._propose_bits(
-                projected, q_norms, threshold, signed, scan_block
-            )
-        assert len(lists) == mc
-        return lists, generated, margin_max
+        propose = self._propose_int8 if self.bits == 8 else self._propose_bits
+        qids, rows, margin_max = propose(
+            projected, q_norms, threshold, signed, scan_block
+        )
+        block = CandidateBlock.from_tiles(qids, rows, Q_chunk.shape[0])
+        return block, int(block.rows.size), margin_max
 
     def _propose_int8(self, projected, q_norms, threshold, signed, scan_block):
         qq = quantize_rows(projected)
@@ -132,8 +125,7 @@ class IPSketchFilter:
             np.float32
         )
         jl_sigma = math.sqrt(2.0 / self.n_dims)
-        per_query: List[List[np.ndarray]] = [[] for _ in range(mc)]
-        generated = 0
+        qids, rows = [], []
         margin_max = 0.0
         q_block = max(1, min(512, scan_block))
         buf = np.empty((q_block, min(scan_block, self.n)), dtype=np.float32)
@@ -158,26 +150,19 @@ class IPSketchFilter:
                 )
                 if margin.size:
                     margin_max = max(margin_max, float(margin.max()))
-                thresh = threshold - margin
-                generated += append_threshold_survivors(
-                    per_query, est, thresh, signed, q0, p0
-                )
-        empty = np.empty(0, dtype=np.int64)
-        lists = [
-            np.concatenate(parts) if parts else empty for parts in per_query
-        ]
-        return lists, generated, margin_max
+                hot, cols = threshold_pairs(est, threshold - margin, signed)
+                qids.append(hot + q0)
+                rows.append(cols + p0)
+        return qids, rows, margin_max
 
     def _propose_bits(self, projected, q_norms, threshold, signed, scan_block):
         q_bits = pack_sign_rows(projected)
-        mc = projected.shape[0]
         k = self.n_dims
         # hamming / k estimates theta / pi (SimHash); its std is at most
         # 1 / (2 sqrt(k)), so widen the angle interval by z * pi /
         # (2 sqrt(k)) and take the most favorable cosine inside it.
         width = self.z * math.pi / (2.0 * math.sqrt(k))
-        per_query: List[List[np.ndarray]] = [[] for _ in range(mc)]
-        generated = 0
+        qids, rows = [], []
         margin_max = 0.0
         for p0 in range(0, self.n, scan_block):
             p1 = min(p0 + scan_block, self.n)
@@ -193,10 +178,7 @@ class IPSketchFilter:
             if prod.size:
                 # |cos'| <= 1 bounds the slack the widened interval adds.
                 margin_max = max(margin_max, width * float(prod.max()))
-            mask = prod * upper >= threshold
-            generated += append_block_survivors(per_query, mask, 0, p0)
-        empty = np.empty(0, dtype=np.int64)
-        lists = [
-            np.concatenate(parts) if parts else empty for parts in per_query
-        ]
-        return lists, generated, margin_max
+            hot, cols = np.nonzero(prod * upper >= threshold)
+            qids.append(hot)
+            rows.append(cols + p0)
+        return qids, rows, margin_max

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
+from repro.lsh.csr import CandidateBlock
 from repro.utils.validation import check_matrix
 
 MAX_CODE = 127
@@ -50,65 +51,27 @@ _BOUND_SLACK_ABS = 1e-12
 DEFAULT_SCAN_BLOCK = 4096
 
 
-def append_threshold_survivors(
-    per_query: List[List[np.ndarray]],
-    dots: np.ndarray,
-    thresh: np.ndarray,
-    signed: bool,
-    q0: int,
-    p0: int,
-) -> int:
-    """Append survivors of one (query-block, point-block) score matrix.
+def threshold_pairs(
+    dots: np.ndarray, thresh: np.ndarray, signed: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Survivors ``(rows, cols)`` of one (query-block, point-block) tile.
 
-    Keeps point ``i`` for query row ``r`` when ``dots[r, i] >=
-    thresh[r]`` (``|dots[r, i]|`` unsigned).  A selective scan leaves
-    most query rows with no survivor at all, so one max reduction per
-    row skips the per-element compare + nonzero pass for cold rows —
-    without it that pass costs as much as the GEMM it follows.
-    ``thresh`` rows of ``-inf`` keep everything, ``+inf`` nothing.
-    Survivors land on ``per_query[q0 + row]`` as ascending global int64
-    point indices; returns the number appended.
+    Keeps entry ``(r, i)`` when ``dots[r, i] >= thresh[r]``
+    (``|dots[r, i]|`` unsigned), in row-major order.  A selective scan
+    leaves most query rows with no survivor at all, so one max reduction
+    per row picks the hot rows first and only those take the
+    per-element compare and ``nonzero`` pass — without it that pass
+    costs as much as the GEMM it follows.  ``thresh`` rows of ``-inf``
+    keep everything, ``+inf`` nothing.
     """
     if signed:
         rowmax = dots.max(axis=1)
     else:
         rowmax = np.maximum(dots.max(axis=1), -dots.min(axis=1))
-    hot = np.nonzero(rowmax >= thresh)[0]
-    appended = 0
-    for r in hot:
-        if signed:
-            cols = np.nonzero(dots[r] >= thresh[r])[0]
-        else:
-            cols = np.nonzero(np.abs(dots[r]) >= thresh[r])[0]
-        if cols.size:
-            per_query[q0 + r].append((cols + p0).astype(np.int64))
-            appended += int(cols.size)
-    return appended
-
-
-def append_block_survivors(
-    per_query: List[List[np.ndarray]],
-    mask: np.ndarray,
-    q0: int,
-    p0: int,
-) -> int:
-    """Append one (query-block, point-block) boolean mask's survivors.
-
-    ``mask`` is ``(qb, pb)``; survivors land on ``per_query[q0 + row]``
-    as ascending global int64 point indices (``np.nonzero`` is row-major
-    sorted, and callers visit point blocks in ascending order).  Returns
-    the number of survivors appended.
-    """
-    rows, cols = np.nonzero(mask)
-    if not rows.size:
-        return 0
-    splits = np.searchsorted(rows, np.arange(mask.shape[0]))
-    edges = np.append(splits, rows.size)
-    for local in range(mask.shape[0]):
-        lo, hi = edges[local], edges[local + 1]
-        if hi > lo:
-            per_query[q0 + local].append((cols[lo:hi] + p0).astype(np.int64))
-    return int(rows.size)
+    hot = np.flatnonzero(rowmax >= thresh)
+    tile = dots[hot] if signed else np.abs(dots[hot])
+    rows, cols = np.nonzero(tile >= thresh[hot, None])
+    return hot[rows], cols
 
 
 @dataclass
@@ -195,11 +158,11 @@ def quantized_scan_survivors(
     signed: bool,
     accumulate: str = "auto",
     scan_block: int = DEFAULT_SCAN_BLOCK,
-) -> Tuple[List[np.ndarray], int, float]:
+) -> Tuple[CandidateBlock, int, float]:
     """Scan quantized queries against quantized points; return survivors.
 
-    Returns ``(cand_lists, generated, max_bound)`` where ``cand_lists``
-    holds one ascending int64 index array per query containing every
+    Returns ``(block, generated, max_bound)`` where ``block`` is a
+    :class:`~repro.lsh.csr.CandidateBlock` holding, per query, every
     point whose true inner product *may* reach ``cs`` (a superset of the
     true matches — see module docstring), ``generated`` their total
     count, and ``max_bound`` the largest additive error bound granted to
@@ -208,11 +171,9 @@ def quantized_scan_survivors(
     """
     n, mc = qp.n, qq.n
     mode = resolve_accumulate(accumulate, qp.d)
-    # One survivor-array list per query; p-blocks ascend, so per-query
-    # concatenation yields ascending candidate lists — the order
-    # verify_candidates needs for lowest-index tie-breaking.
-    per_query: List[List[np.ndarray]] = [[] for _ in range(mc)]
-    generated = 0
+    # Survivor pairs per tile; p-blocks ascend, so the block keeps each
+    # query's points ascending.
+    qids, rows = [], []
     max_bound = 0.0
     q_block = max(1, min(512, scan_block))
     dtype = np.float32 if mode == "float32" else np.int32
@@ -282,11 +243,8 @@ def quantized_scan_survivors(
                     rhs / np.where(positive, denom, 1.0),
                     np.where(rhs > 0.0, np.inf, -np.inf),
                 )
-            generated += append_threshold_survivors(
-                per_query, dots, thresh, signed, q0, p0
-            )
-    empty = np.empty(0, dtype=np.int64)
-    cand_lists = [
-        np.concatenate(parts) if parts else empty for parts in per_query
-    ]
-    return cand_lists, generated, max_bound
+            hot, cols = threshold_pairs(dots, thresh, signed)
+            qids.append(hot + q0)
+            rows.append(cols + p0)
+    block = CandidateBlock.from_tiles(qids, rows, mc)
+    return block, int(block.rows.size), max_bound

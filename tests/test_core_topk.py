@@ -136,7 +136,8 @@ class TestBlockedTopK:
         assert blocked == reference
 
     def test_candidate_values_block_alignment(self, rng):
-        from repro.core.verify import candidate_values_block
+        from repro.core.verify import verify_block
+        from repro.lsh import CandidateBlock
 
         P = rng.normal(size=(50, 8))
         Q = rng.normal(size=(9, 8))
@@ -145,7 +146,10 @@ class TestBlockedTopK:
             for _ in range(9)
         ]
         for signed in (True, False):
-            values = candidate_values_block(P, Q, cand_lists, signed=signed)
+            block = CandidateBlock.from_lists(cand_lists)
+            scores = verify_block(P, Q, block, signed=signed).scores
+            values = [scores[block.indptr[i]:block.indptr[i + 1]]
+                      for i in range(len(block))]
             for i, cands in enumerate(cand_lists):
                 expected = P[cands] @ Q[i]
                 if not signed:

@@ -24,6 +24,7 @@ from repro.errors import ParameterError
 from repro.lsh import (
     AsymmetricLSHFamily,
     BatchHashTables,
+    CandidateBlock,
     CSRBucketTable,
     CrossPolytopeLSH,
     DataDepALSH,
@@ -232,7 +233,7 @@ class TestLayoutEquivalence:
                 assert (np.diff(cands) > 0).all()
 
     def test_empty_query_matrix(self, instance):
-        assert _index(instance).candidates_batch(np.empty((0, 32))) == []
+        assert len(_index(instance).candidates_batch(np.empty((0, 32)))) == 0
 
     def test_empty_bucket_query(self, monkeypatch):
         rng = np.random.default_rng(7)
@@ -315,14 +316,16 @@ class TestVerifyKernel:
         Q = rng.normal(size=(64, 8))
         hot = np.arange(20, dtype=np.int64)
         cand_lists = [np.unique(rng.choice(hot, 15)) for _ in range(64)]
-        result = verify_block(P, Q, cand_lists)
+        result = verify_block(P, Q, CandidateBlock.from_lists(cand_lists))
         naive = self._naive(P, Q, cand_lists, -np.inf, True)
         assert result.best_index.tolist() == naive
 
     def test_all_empty(self):
         P = np.eye(4)
         Q = np.eye(4)
-        result = verify_block(P, Q, [np.empty(0, dtype=np.int64)] * 4)
+        result = verify_block(
+            P, Q, CandidateBlock.from_lists([np.empty(0, dtype=np.int64)] * 4)
+        )
         assert (result.best_index == -1).all()
         assert result.n_evaluated == 0
 

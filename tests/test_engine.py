@@ -68,10 +68,11 @@ class TestBackendEquivalence:
         index = LSHIndex(
             family, n_tables=10, hashes_per_table=5, seed=11
         ).build(instance.P)
-        from repro.core.lsh_join import lsh_filter_verify_chunk
+        from repro.core.lsh_join import lsh_candidates, pipeline_chunk
 
-        matches, _, _, _ = lsh_filter_verify_chunk(
-            index, instance.P, instance.Q, spec.signed, spec.cs, 0, 1024
+        matches, _ = pipeline_chunk(
+            lsh_candidates(index, instance.Q), instance.P, instance.Q,
+            spec, 1024,
         )
         assert any(m is not None for m in matches)
         result = engine.join(

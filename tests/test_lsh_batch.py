@@ -20,6 +20,7 @@ from repro.lsh import (
     SymmetricIPSHash,
 )
 from tests.test_batch_hashing import FAMILIES, _family_and_data
+from tests.test_lsh_index import _lsh_query
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +40,7 @@ class TestSignSchemeIndex:
         idx = _datadep(16, 10, 1).build(instance.P)
         hits = 0
         for qi in range(16):
-            found = idx.query(instance.Q[qi], threshold=instance.cs)
+            found = _lsh_query(idx, instance.P, instance.Q[qi], instance.cs)
             if found is not None:
                 assert float(instance.P[found] @ instance.Q[qi]) >= instance.cs
                 hits += 1
@@ -90,7 +91,7 @@ class TestSignSchemeIndex:
             SimpleALSH(8), n_tables=8, hashes_per_table=6, seed=6
         ).build(P)
         q = P[3] / np.linalg.norm(P[3])
-        found = idx.query(q, threshold=0.5)
+        found = _lsh_query(idx, P, q, 0.5)
         assert found is not None
 
     def test_symmetric_variant(self, rng):
@@ -100,13 +101,14 @@ class TestSignSchemeIndex:
             SymmetricIPSHash(6, eps=0.1), n_tables=10, hashes_per_table=5, seed=7
         ).build(P)
         q = P[11] * 0.99
-        found = idx.query(q, threshold=0.4)
+        found = _lsh_query(idx, P, q, 0.4)
         assert found is not None
         assert float(P[found] @ q) >= 0.4
 
     def test_unsigned_query(self, instance):
         idx = _datadep(12, 8, 8).build(instance.P)
-        found = idx.query(-instance.Q[0], threshold=instance.cs, signed=False)
+        found = _lsh_query(idx, instance.P, -instance.Q[0], instance.cs,
+                           signed=False)
         if found is not None:
             assert abs(float(instance.P[found] @ instance.Q[0])) >= instance.cs
 

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
+from repro import engine
+from repro.core import JoinSpec
 from repro.datasets import planted_mips
 from repro.errors import ParameterError
 from repro.lsh import DataDepALSH, HyperplaneLSH, LSHIndex
+
+
+def _lsh_query(index, P, q, threshold, signed=True):
+    """The index's best candidate clearing ``threshold``, or None."""
+    spec = JoinSpec(s=threshold, signed=signed)
+    return engine.join(P, q[None, :], spec, backend="lsh",
+                       index=index).matches[0]
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +41,7 @@ class TestBuildAndQuery:
     def test_recall_on_planted_instance(self, index, instance):
         hits = 0
         for qi in range(12):
-            found = index.query(instance.Q[qi], threshold=instance.cs)
+            found = _lsh_query(index, instance.P, instance.Q[qi], instance.cs)
             if found is not None:
                 value = float(instance.P[found] @ instance.Q[qi])
                 assert value >= instance.cs
@@ -44,15 +53,18 @@ class TestBuildAndQuery:
         assert index.stats.candidates_per_query < instance.n / 2
 
     def test_query_returns_none_for_impossible_threshold(self, index, instance):
-        assert index.query(instance.Q[0], threshold=10.0) is None
+        assert _lsh_query(index, instance.P, instance.Q[0], 10.0) is None
 
     def test_query_all_above(self, index, instance):
-        hits = index.query_all_above(instance.Q[0], threshold=instance.cs)
+        spec = JoinSpec(s=instance.cs, k=instance.n)
+        hits = engine.join(instance.P, instance.Q[:1], spec, backend="lsh",
+                           index=index).topk[0]
         for h in hits:
             assert abs(float(instance.P[h] @ instance.Q[0])) >= instance.cs
 
     def test_unsigned_query(self, index, instance):
-        found = index.query(-instance.Q[0], threshold=instance.cs, signed=False)
+        found = _lsh_query(index, instance.P, -instance.Q[0], instance.cs,
+                           signed=False)
         if found is not None:
             assert abs(float(instance.P[found] @ -instance.Q[0])) >= instance.cs
 

@@ -120,9 +120,9 @@ import numpy as np
 from repro.core import JoinSpec, close_pools
 from repro.core.brute_force import brute_force_join
 from repro.core.executor import QuerySource
-from repro.core.lsh_join import lsh_filter_verify_chunk
+from repro.core.lsh_join import lsh_candidates, pipeline_chunk
 from repro.core.problems import JoinResult
-from repro.core.verify import verify_block, verify_candidates
+from repro.core.verify import _answers, verify_block, verify_candidates
 from repro.datasets import jaccard_pair, planted_jaccard_sets, random_unit
 from repro.engine import Plan, norm_prefix_lsh_plan, quantized_filter_plan
 from repro.engine import open_session
@@ -131,7 +131,6 @@ from repro.engine import plan_join
 from repro.engine.planner import default_model
 from repro.quant import quantize_rows, quantized_scan_survivors
 from repro.lsh import CrossPolytopeLSH, E2LSH, HyperplaneLSH, LSHIndex
-from repro.lsh.index import block_candidates
 from repro.obs.metrics import Histogram
 from repro.obs.sink import read_events, sink_files
 from repro.obs.trace import span
@@ -141,6 +140,35 @@ from repro.utils.validation import check_matrix
 SCHEMA = "repro-bench-perf/v1"
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_PR10.json")
+
+
+def _planted_unit(n: int, d: int, n_queries: int, seed: int,
+                  planted_frac: float = 0.10, rho: float = 0.92):
+    """0.95-scaled unit rows with planted matches.
+
+    The first ``planted_frac`` of the queries each get a partner row at
+    cosine exactly ``rho`` (inner product ``rho * 0.95**2`` = 0.83 above
+    the suites' s = 0.75); random pairs in these dimensions stay far
+    below ``cs``.  Returns ``(P, Q, partner)`` with ``partner[i] = -1``
+    for an unplanted query.
+    """
+    P = random_unit(n, d, seed=seed)
+    Q = random_unit(n_queries, d, seed=seed + 1)
+    rng = np.random.default_rng(seed + 7)
+    k = max(1, int(round(planted_frac * n_queries)))
+    partner = np.full(n_queries, -1, dtype=np.int64)
+    partner[:k] = rng.choice(n, size=k, replace=False)
+    base = P[partner[:k]]
+    noise = rng.standard_normal((k, d))
+    noise -= np.einsum("ij,ij->i", noise, base)[:, None] * base
+    noise /= np.linalg.norm(noise, axis=1, keepdims=True)
+    Q[:k] = rho * base + math.sqrt(1.0 - rho * rho) * noise
+    return 0.95 * P, 0.95 * Q, partner
+
+
+def _matched(matches) -> bool:
+    """A non-empty answer set: an identity check on it is not vacuous."""
+    return any(m is not None for m in matches)
 
 ALL_SUITES = ("core", "hash_batch_vs_generic", "sketch_batch_vs_loop",
               "planner_dispatch", "obs_overhead", "serving_obs",
@@ -526,7 +554,8 @@ def _run_sketch_suite(quick: bool, timings: dict, speedups: dict,
     work["sketch_join_inner_products_evaluated"] = (
         blocked_result.inner_products_evaluated)
     checks["sketch_join_matches_equal"] = (
-        blocked_result.matches == loop_result.matches
+        _matched(loop_result.matches)
+        and blocked_result.matches == loop_result.matches
         and blocked_result.inner_products_evaluated
         == loop_result.inner_products_evaluated)
     checks["sketch_query_indices_equal"] = (
@@ -577,8 +606,7 @@ def _run_planner_suite(quick: bool, timings: dict, speedups: dict,
 
     # --- dispatch overhead: engine.join vs the bare kernel ------------
     spec = JoinSpec(s=cfg["s"], c=cfg["c"])
-    P = random_unit(n, d, seed=seed) * 0.95
-    Q = random_unit(nq, d, seed=seed + 1) * 0.95
+    P, Q, _ = _planted_unit(n, d, nq, seed)
 
     print("[bench_perf] dispatch: brute_force engine vs kernel ...", flush=True)
     (direct_brute_s, engine_brute_s, overhead_brute,
@@ -591,7 +619,8 @@ def _run_planner_suite(quick: bool, timings: dict, speedups: dict,
     index = _hyperplane_index(P, cfg, seed + 2)
     (direct_lsh_s, engine_lsh_s, overhead_lsh,
      direct_lsh, engine_lsh) = _timed_pair_median(
-        lambda: lsh_filter_verify_chunk(index, P, Q, True, spec.cs, 0, block),
+        lambda: pipeline_chunk(lsh_candidates(index, Q), P, Q, spec,
+                                    block),
         lambda: engine_join(P, Q, spec, backend="lsh", index=index, block=block),
         repeats=repeats)
     timings["dispatch_brute_kernel_s"] = direct_brute_s
@@ -604,11 +633,13 @@ def _run_planner_suite(quick: bool, timings: dict, speedups: dict,
     work["dispatch_overhead_lsh"] = overhead_lsh
     work["dispatch_matched"] = engine_brute.matched_count
     checks["dispatch_brute_matches_equal"] = (
-        engine_brute.matches == direct_brute.matches
+        _matched(direct_brute.matches)
+        and engine_brute.matches == direct_brute.matches
         and engine_brute.inner_products_evaluated
         == direct_brute.inner_products_evaluated)
     checks["dispatch_lsh_matches_equal"] = (
-        engine_lsh.matches == direct_lsh[0]
+        _matched(direct_lsh[0])
+        and engine_lsh.matches == direct_lsh[0]
         and engine_lsh.inner_products_evaluated == direct_lsh[1])
     if not quick:
         checks["dispatch_overhead_brute_within_ceiling"] = (
@@ -618,28 +649,24 @@ def _run_planner_suite(quick: bool, timings: dict, speedups: dict,
     return cfg
 
 
-def _lsh_chunk_span_free(index, P, Q_chunk, signed: bool, cs: float,
-                         block: int):
-    """:func:`lsh_filter_verify_chunk` with the ``span()`` calls removed.
+def _lsh_chunk_span_free(index, P, Q_chunk, spec, block: int):
+    """The ``lsh`` pipeline (:func:`pipeline_chunk` over
+    :func:`lsh_candidates`) with the ``span()`` calls removed.
 
-    Kept line-for-line in sync with the kernel so the timed pair differs
-    only in the observability hooks — the quantity the ``obs_overhead``
-    suite exists to bound.
+    Kept line-for-line in sync with the pipeline so the timed pair
+    differs only in the observability hooks — the quantity the
+    ``obs_overhead`` suite exists to bound.
     """
-    before = index.stats.copy()
-    matches: List[Optional[int]] = []
-    verified = 0
+    answers = []
+    scored = 0
     for q0 in range(0, Q_chunk.shape[0], block):
         Q_block = Q_chunk[q0:q0 + block]
-        cand_lists = block_candidates(index, Q_block, 0)
-        result = verify_block(P, Q_block, cand_lists, signed=signed)
-        verified += result.n_evaluated
-        matches.extend(
-            int(idx) if idx >= 0 and score >= cs else None
-            for idx, score in zip(result.best_index, result.best_score)
-        )
-    delta = index.stats.diff(before)
-    return matches, verified, delta.candidates, delta
+        cands = index.candidates_batch(Q_block, n_probes=0)
+        result = verify_block(P, Q_block, cands, signed=spec.signed)
+        scored += result.n_evaluated
+        answers.extend(_answers(cands.qids(), cands.rows, result.scores,
+                                Q_block.shape[0], spec.cs, spec.k))
+    return answers, scored
 
 
 def _run_obs_suite(quick: bool, timings: dict, speedups: dict,
@@ -651,16 +678,16 @@ def _run_obs_suite(quick: bool, timings: dict, speedups: dict,
     print(f"[bench_perf] obs suite: n={n} d={d} queries={nq} "
           f"repeats={repeats}", flush=True)
     spec = JoinSpec(s=cfg["s"], c=cfg["c"])
-    P = random_unit(n, d, seed=seed) * 0.95
-    Q = random_unit(nq, d, seed=seed + 1) * 0.95
+    P, Q, _ = _planted_unit(n, d, nq, seed)
     index = _hyperplane_index(P, cfg, seed + 2)
 
     # --- disabled hooks: instrumented kernel vs span-free twin --------
     print("[bench_perf] obs: instrumented kernel vs span-free twin ...",
           flush=True)
     bare_s, hooked_s, overhead_disabled, bare, hooked = _timed_pair_median(
-        lambda: _lsh_chunk_span_free(index, P, Q, True, spec.cs, block),
-        lambda: lsh_filter_verify_chunk(index, P, Q, True, spec.cs, 0, block),
+        lambda: _lsh_chunk_span_free(index, P, Q, spec, block),
+        lambda: pipeline_chunk(lsh_candidates(index, Q), P, Q, spec,
+                                    block),
         repeats=repeats)
 
     # --- enabled hooks: traced vs untraced engine join (informational)
@@ -692,7 +719,8 @@ def _run_obs_suite(quick: bool, timings: dict, speedups: dict,
     work["obs_traced_span_count"] = (
         count_spans(traced.trace) if traced.trace is not None else 0)
     checks["obs_matches_equal"] = (
-        hooked[0] == bare[0] and hooked[1] == bare[1]
+        _matched(bare[0])
+        and hooked[0] == bare[0] and hooked[1] == bare[1]
         and traced.matches == untraced.matches
         and traced.matches == hooked[0])
     checks["obs_trace_present_when_requested"] = (
@@ -800,7 +828,8 @@ def _run_hybrid_suite(quick: bool, timings: dict, speedups: dict,
     checks["hybrid_coverage_floor"] = (
         work["hybrid_coverage_vs_brute"] >= HYBRID_COVERAGE_FLOOR)
     checks["hybrid_parallel_identical"] = (
-        hybrid_parallel.matches == hybrid.matches
+        _matched(hybrid.matches)
+        and hybrid_parallel.matches == hybrid.matches
         and hybrid_parallel.inner_products_evaluated
         == hybrid.inner_products_evaluated)
     if not quick:
@@ -823,7 +852,8 @@ def _run_hybrid_suite(quick: bool, timings: dict, speedups: dict,
     timings["hybrid_dispatch_plan_s"] = plan_s
     work["plan_dispatch_overhead"] = overhead
     checks["plan_dispatch_matches_equal"] = (
-        by_plan.matches == by_string.matches
+        _matched(by_string.matches)
+        and by_plan.matches == by_string.matches
         and by_plan.inner_products_evaluated
         == by_string.inner_products_evaluated)
     if not quick:
@@ -887,7 +917,8 @@ def _run_quant_suite(quick: bool, timings: dict, speedups: dict,
     work["quant_scan_survivors"] = scan[1]
     work["quant_error_bound"] = quant.error_bound
     work["quant_inner_products_evaluated"] = quant.inner_products_evaluated
-    checks["quant_matches_equal_brute"] = quant.matches == brute.matches
+    checks["quant_matches_equal_brute"] = (
+        _matched(brute.matches) and quant.matches == brute.matches)
     checks["quant_prunes_pair_space"] = (
         quant.inner_products_evaluated < brute.inner_products_evaluated)
     if not quick:
@@ -904,7 +935,7 @@ def _run_quant_suite(quick: bool, timings: dict, speedups: dict,
             par.matches == quant.matches
             and par.inner_products_evaluated
             == quant.inner_products_evaluated)
-    checks["quant_parallel_identical"] = identical
+    checks["quant_parallel_identical"] = identical and _matched(quant.matches)
     close_pools()
 
     # --- sketch-filter pipeline vs brute ------------------------------
@@ -974,8 +1005,7 @@ def _run_parallel_suite(quick: bool, timings: dict, speedups: dict,
     cores = os.cpu_count() or 1
     print(f"[bench_perf] parallel suite: n={n} d={d} queries={nq} "
           f"workers={cfg['workers']} cores={cores}", flush=True)
-    P = random_unit(n, d, seed=seed) * 0.95
-    Q = random_unit(nq, d, seed=seed + 1) * 0.95
+    P, Q, _ = _planted_unit(n, d, nq, seed)
     spec = JoinSpec(s=0.75, c=0.8)
     recipe = _hyperplane_recipe(d, cfg, seed + 2)
 
@@ -1093,9 +1123,8 @@ def _run_session_suite(quick: bool, timings: dict, speedups: dict,
                        hashes_per_table=cfg["hashes_per_table"])
     print(f"[bench_perf] streaming session: n={n} d={d} "
           f"batches={batches}x{batch} quick={quick}", flush=True)
-    P = random_unit(n, d, seed=seed) * 0.95
-    Q_all = np.ascontiguousarray(
-        random_unit(batches * batch, d, seed=seed + 1) * 0.95)
+    P, Q_all, _ = _planted_unit(n, d, batches * batch, seed)
+    Q_all = np.ascontiguousarray(Q_all)
     Qs = [np.ascontiguousarray(Q_all[i * batch:(i + 1) * batch])
           for i in range(batches)]
     spec = JoinSpec(s=0.75, c=0.8)
@@ -1123,7 +1152,7 @@ def _run_session_suite(quick: bool, timings: dict, speedups: dict,
     speedups["session_reuse_vs_oneshot"] = oneshot_s / session_s
     work["session_batches"] = batches
     work["session_matched"] = sum(r.matched_count for r in session_results)
-    checks["session_matches_equal_oneshot"] = all(
+    checks["session_matches_equal_oneshot"] = work["session_matched"] > 0 and all(
         s.matches == o.matches
         and s.inner_products_evaluated == o.inner_products_evaluated
         for s, o in zip(session_results, oneshot_results))
@@ -1153,7 +1182,8 @@ def _run_session_suite(quick: bool, timings: dict, speedups: dict,
         timings["session_query_in_memory_s"] = in_mem_s
         timings["session_stream_s"] = stream_s
         checks["session_stream_bit_identical"] = (
-            streamed.matches == in_mem.matches
+            _matched(in_mem.matches)
+            and streamed.matches == in_mem.matches
             and streamed.inner_products_evaluated
             == in_mem.inner_products_evaluated)
 
@@ -1175,7 +1205,8 @@ def _run_session_suite(quick: bool, timings: dict, speedups: dict,
         work["session_rss_mmap_serve_bytes"] = mmap_serve
         speedups["session_mmap_rss_reduction"] = full_load / mmap_load
         checks["session_load_matches_equal"] = (
-            matched_full == probe_matched and matched_mmap == probe_matched)
+            probe_matched > 0
+            and matched_full == probe_matched and matched_mmap == probe_matched)
         if not quick:
             checks["session_mmap_rss_ceiling"] = (
                 mmap_load <= SESSION_MMAP_RSS_CEILING * full_load)
@@ -1203,8 +1234,7 @@ def _run_serving_obs_suite(quick: bool, timings: dict, speedups: dict,
                        hashes_per_table=cfg["hashes_per_table"])
     print(f"[bench_perf] serving obs: n={n} d={d} "
           f"batches={batches}x{batch} quick={quick}", flush=True)
-    P = random_unit(n, d, seed=seed) * 0.95
-    Q_all = random_unit(batches * batch, d, seed=seed + 1) * 0.95
+    P, Q_all, _ = _planted_unit(n, d, batches * batch, seed)
     Qs = [np.ascontiguousarray(Q_all[i * batch:(i + 1) * batch])
           for i in range(batches)]
     spec = JoinSpec(s=0.75, c=0.8)
@@ -1237,7 +1267,8 @@ def _run_serving_obs_suite(quick: bool, timings: dict, speedups: dict,
     timings["serving_prepr_s"] = prepr_s
     work["serving_obs_overhead_disabled"] = overhead_disabled
     speedups["serving_telemetry_vs_prepr"] = prepr_s / telem_s
-    checks["serving_matches_equal"] = all(
+    checks["serving_matches_equal"] = any(
+        _matched(p.matches) for p in prepr_res) and all(
         t.matches == p.matches
         and t.inner_products_evaluated == p.inner_products_evaluated
         for t, p in zip(telem_res, prepr_res))
@@ -1400,9 +1431,10 @@ def _run_jaccard_suite(quick: bool, timings: dict, speedups: dict,
     checks["jaccard_minhash_recall_floor"] = (
         recall >= JACCARD_MINHASH_RECALL_FLOOR)
     checks["jaccard_minhash_sound"] = sound
-    checks["jaccard_parallel_identical"] = parallel_identical
-    checks["jaccard_session_matches_equal"] = session_identical
-    checks["jaccard_stream_bit_identical"] = stream_identical
+    nonempty = scan.matched_count > 0
+    checks["jaccard_parallel_identical"] = parallel_identical and nonempty
+    checks["jaccard_session_matches_equal"] = session_identical and nonempty
+    checks["jaccard_stream_bit_identical"] = stream_identical and nonempty
     if not quick:
         checks["jaccard_minhash_prunes_pairs"] = (
             approx.inner_products_evaluated < scan.inner_products_evaluated)
@@ -1484,10 +1516,9 @@ def _run_core_suite(quick: bool, meta: dict, timings: dict, speedups: dict,
     print(f"[bench_perf] workload: n={n} d={d} queries={nq} "
           f"L={tables} k={bits} quick={quick}", flush=True)
 
-    P = random_unit(n, d, seed=seed) * 0.95
-    Q = random_unit(nq, d, seed=seed + 1) * 0.95
+    P, Q, partner = _planted_unit(n, d, nq, seed)
     index = _hyperplane_index(P, cfg, seed + 2)
-    cands = index.candidates_batch(Q)
+    cands = list(index.candidates_batch(Q))
 
     # --- verification --------------------------------------------------
     # Two regimes: the LSH candidate lists themselves (sparse overlap on
@@ -1512,25 +1543,28 @@ def _run_core_suite(quick: bool, meta: dict, timings: dict, speedups: dict,
     verify_blocked_s, (blocked_matches, evaluated) = _timed(
         lambda: verify_candidates(P, Q, cands, threshold, block=cfg["block"]),
         repeats=3)
-    verify_equal = loop_matches == blocked_matches
+    verify_equal = _matched(loop_matches) and loop_matches == blocked_matches
 
     # Popularity-skewed lists: candidates concentrated on a hot-row set
     # small enough (2x the per-query list size) that every hot row shows
     # up in a large fraction of each block's lists — the regime the
-    # union-GEMM strategy is built for.
+    # union-GEMM strategy is built for.  A planted query's list also
+    # holds its partner, so the identity check has matches to compare.
     skew_rng = np.random.default_rng(seed + 3)
     per_query = max(16, int(round(index.stats.candidates_per_query)))
     hot = max(32, 2 * per_query)
     skewed = [
-        np.unique(skew_rng.integers(0, hot, per_query).astype(np.int64))
-        for _ in range(nq)
+        np.unique(np.append(skew_rng.integers(0, hot, per_query),
+                            partner[qi:qi + 1][partner[qi:qi + 1] >= 0]))
+        for qi in range(nq)
     ]
     overlap_loop_s, overlap_loop_matches = _timed(
         lambda: verify_loop(skewed), repeats=3)
     overlap_blocked_s, (overlap_blocked_matches, _) = _timed(
         lambda: verify_candidates(P, Q, skewed, threshold, block=cfg["block"]),
         repeats=3)
-    overlap_equal = overlap_loop_matches == overlap_blocked_matches
+    overlap_equal = (_matched(overlap_loop_matches)
+                     and overlap_loop_matches == overlap_blocked_matches)
 
     # --- join: executor scaling ---------------------------------------
     spec = JoinSpec(s=0.75, c=0.8)
@@ -1545,7 +1579,7 @@ def _run_core_suite(quick: bool, meta: dict, timings: dict, speedups: dict,
         join_seconds[str(workers)] = secs
         join_results[workers] = result
     base = join_results[cfg["workers"][0]]
-    parallel_identical = all(
+    parallel_identical = _matched(base.matches) and all(
         r.matches == base.matches
         and r.inner_products_evaluated == base.inner_products_evaluated
         for r in join_results.values()
