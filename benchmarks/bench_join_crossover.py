@@ -7,6 +7,12 @@ the filter-based algorithms' verified-pair counts grow subquadratically —
 the crossover the paper's upper bounds promise.  (Wall-clock comparisons
 in pure Python flatter BLAS-backed brute force at small sizes; the work
 columns carry the asymptotic point.)
+
+A Jaccard spoke follows the inner-product table: the exact ``set_scan``
+with and without its head split (the frequent elements kept as one
+bitmap word per set) on Zipfian sets of growing skew and on the flat
+set-valued OV gadget, where the split has nothing to take and stops
+paying.
 """
 
 import time
@@ -15,7 +21,13 @@ import numpy as np
 
 from benchmarks.conftest import emit, format_table
 from repro.core import JoinSpec, brute_force_join
-from repro.datasets import adversarial_maxip, planted_mips
+from repro.core.set_join import SetPostings, jaccard_scan_chunk
+from repro.datasets import (
+    adversarial_maxip,
+    ov_jaccard_gadget,
+    planted_jaccard_sets,
+    planted_mips,
+)
 from repro.engine import join as engine_join
 from repro.lsh import DataDepALSH
 from repro.obs import (
@@ -46,6 +58,65 @@ ADVERSARIAL_GRID = (
     (1024, 96, 16),
     (2048, 96, 16),
 )
+
+
+#: Jaccard spoke: ``(n, queries, universe, mean size)`` of the Zipfian
+#: sets (the ``jaccard_scan`` bench shape), the Zipf exponents, and the
+#: OV gadget's ``(n, queries, d)``.
+JACCARD_SHAPE = (4000, 512, 2048, 32)
+JACCARD_EXPONENTS = (0.6, 0.8, 1.1, 1.4)
+JACCARD_GADGET = (4000, 512, 16)
+JACCARD_BLOCK = 64
+
+
+def _scan_ms(postings, Q, cs):
+    """Best of three timed passes of the scan kernel over 64-query
+    blocks, after one untimed warm-up pass."""
+    times = []
+    for _ in range(4):
+        start = time.perf_counter()
+        answers = []
+        for lo in range(0, len(Q), JACCARD_BLOCK):
+            answers += jaccard_scan_chunk(
+                postings, Q[lo:lo + JACCARD_BLOCK], cs)[0]
+        times.append(time.perf_counter() - start)
+    return min(times[1:]) * 1e3, answers
+
+
+def _jaccard_spoke_table():
+    n, m, universe, size = JACCARD_SHAPE
+    cases = [(f"zipf {ex:g}", *planted_jaccard_sets(
+        n, m, universe, size, threshold=0.6, exponent=ex, seed=3), 0.6)
+        for ex in JACCARD_EXPONENTS]
+    cases.append(("OV gadget", *ov_jaccard_gadget(*JACCARD_GADGET, seed=3),
+                  0.5))
+    rows = []
+    for name, P, Q, s in cases:
+        spec = JoinSpec(s=s, measure="jaccard")
+        postings = SetPostings(P)
+        # The same postings with an empty head run the plain product.
+        headless = SetPostings(P)
+        headless.masks = headless.words = np.empty(0, dtype=np.int64)
+        split_ms, split = _scan_ms(postings, Q, spec.cs)
+        plain_ms, plain = _scan_ms(headless, Q, spec.cs)
+        assert split == plain
+        result = engine_join(P, Q, spec, backend="set_scan",
+                             block=JACCARD_BLOCK)
+        rows.append([
+            name, len(P), len(Q), np.count_nonzero(postings.masks),
+            f"{split_ms:.1f} ms", f"{plain_ms:.1f} ms",
+            f"{plain_ms / split_ms:.2f}x",
+            result.inner_products_evaluated,
+            f"{result.inner_products_evaluated / (len(P) * len(Q)):.4f}",
+            f"{result.candidates_generated / len(Q):.0f}",
+            result.matched_count,
+        ])
+    return format_table(
+        ["sets", "n", "m", "head", "set_scan", "no split", "split gain",
+         "pairs evaluated", "fraction of n*m", "postings walked / query",
+         "matched"],
+        rows,
+    )
 
 
 def test_join_crossover_table(benchmark):
@@ -83,10 +154,14 @@ def test_join_crossover_table(benchmark):
                     f"{result.inner_products_evaluated / (n * 16):.4f}",
                     f"{result.recall_against(exact):.2f}",
                 ])
-        return format_table(
-            ["n", "d", "s", "c", "algorithm", "wall time", "pairs verified",
-             "fraction of n*m", "recall"],
-            rows,
+        return (
+            format_table(
+                ["n", "d", "s", "c", "algorithm", "wall time",
+                 "pairs verified", "fraction of n*m", "recall"],
+                rows,
+            )
+            + "\n\n== Jaccard spoke: set_scan head split ==\n"
+            + _jaccard_spoke_table()
         )
 
     text = benchmark.pedantic(build, rounds=1, iterations=1)

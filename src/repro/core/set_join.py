@@ -12,8 +12,12 @@ Both kernels work on a whole query block at a time; no step loops over
 queries in Python.  The exact scan keeps ``P`` transposed as a sparse
 element x row matrix (the inverted postings) and gets every
 intersection size of a block from one sparse product
-``CSR(Q_block) x CSR(P^T)`` (cost = total posting length of the block's
-members, the set analogue of one GEMM).  The MinHash index partitions
+``CSR(Q_block) x CSR(P^T)`` (cost = total posting length of the
+members it walks, the set analogue of one GEMM).  Skewed data's most
+frequent elements (the *head*) are kept apart as one bitmap word per
+set, so a query that cannot reach the threshold on head elements alone
+walks only its other members' postings and counts its head overlap
+with one popcount per surviving pair.  The MinHash index partitions
 ``P`` by set size (the ``MinHashLSHEnsemble`` idea: a size-incompatible
 partition cannot reach the threshold, so it is never probed) and fuses
 all ``partitions x tables`` bucket tables into one sorted composite-key
@@ -39,6 +43,7 @@ from repro.lsh.batch_hash import CHUNK_ELEMS
 from repro.lsh.csr import budget_blocks, sorted_unique
 from repro.lsh.minhash import MinHash
 from repro.obs.trace import span
+from repro.quant.bitpack import popcount_words
 
 #: Default MinHash banding: 32 tables of 4 fused minima per key.  At the
 #: bench's planted threshold (J >= 0.6) a true pair collides in at least
@@ -50,6 +55,9 @@ DEFAULT_MINHASH_PARTITIONS = 8
 #: Relative margin under ``cs |q|`` kept by the scan's score filter, so
 #: rounding in the float Jaccard can never drop a pair scoring ``>= cs``.
 _SCORE_SLACK = 1.0 - 1e-12
+
+#: Most head elements one ``int64`` word holds with every mask positive.
+HEAD_BITS = 63
 
 
 def _multi_arange(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -95,23 +103,79 @@ def _record(
     return total_generated, total_evaluated
 
 
+def _head(df: np.ndarray) -> np.ndarray:
+    """The head of a posting-length vector, ascending.
+
+    The head is the (at most ``HEAD_BITS``) most frequent elements whose
+    posting list is at least twice the mean posting length; ties at the
+    cut go to the lower element.  Flat data has no such element, so its
+    head is empty.
+    """
+    df = df.astype(np.int64)
+    hot = np.flatnonzero(df >= max(-(-2 * int(df.sum()) // df.size), 1))
+    return np.sort(hot[np.argsort(-df[hot], kind="stable")[:HEAD_BITS]])
+
+
 class SetPostings:
     """Inverted index of a :class:`SetCollection`: element -> member rows.
 
     ``matrix`` is ``P^T`` as a sparse ``(universe, n)`` CSR matrix of
     ones: row ``e`` lists (ascending) the rows whose sets contain element
-    ``e``.  Built once per join and shared read-only across workers.
+    ``e``.  The head (:func:`_head`) is also kept as bitmaps:
+    ``masks`` holds each element's bit (0 off the head) and ``words``
+    each set's head members, so ``popcount(words[p] & w)`` is a set's
+    head overlap with a query word ``w``.  Both are empty when the head
+    is empty.  Built once per join and shared read-only across workers.
     """
 
-    __slots__ = ("matrix", "sizes")
+    __slots__ = ("matrix", "sizes", "masks", "words")
 
     def __init__(self, sets: SetCollection):
-        self.matrix = sparse.csr_matrix(sets.to_scipy().T)
+        # Transposing the 0/1 pattern with 1-byte ones moves a quarter of
+        # the data bytes int32 ones would (it pays for the head words);
+        # the postings then get the int32 ones the product sums.
+        rows = sets.to_scipy(np.int8)
+        postings = rows.T.tocsr()
+        self.matrix = sparse.csr_matrix(
+            (np.ones(postings.nnz, dtype=np.int32), postings.indices,
+             postings.indptr), shape=postings.shape)
         self.sizes = sets.sizes.astype(np.int64)
+        head = _head(np.diff(self.matrix.indptr))
+        self.masks = np.empty(0, dtype=np.int64)
+        self.words = np.empty(0, dtype=np.int64)
+        if head.size:
+            self.masks = np.zeros(sets.universe, dtype=np.int64)
+            self.masks[head] = 1 << np.arange(head.size, dtype=np.int64)
+            # Distinct powers of two sum to their OR.
+            self.words = rows @ self.masks
 
     def arrays(self) -> List[np.ndarray]:
         m = self.matrix
-        return [m.indptr, m.indices, m.data, self.sizes]
+        return [m.indptr, m.indices, m.data, self.sizes, self.masks, self.words]
+
+    def walk(self, Q: SetCollection, need: np.ndarray):
+        """The members each query walks: ``(walked, words, bound)``.
+
+        A query is *light* when its head members alone cannot supply the
+        ``need`` overlap: every row it can match then shares one of its
+        other members, so it walks only those, and a row survives once
+        its walked overlap reaches ``bound = need - |q & head|``.
+        ``words`` holds each light query's head word (0 for heavy ones,
+        which walk every member against ``bound = need``).  With an
+        empty head ``Q`` walks unchanged and ``words`` is ``None``.
+        """
+        if not self.masks.size:
+            return Q, None, need
+        words = Q.to_scipy() @ self.masks
+        in_head = popcount_words(words.view(np.uint64)).astype(np.int64)
+        light = in_head < need
+        words[~light] = 0
+        in_head[~light] = 0
+        keep = (self.masks[Q.indices] == 0) | ~np.repeat(light, Q.sizes)
+        indptr = np.zeros_like(Q.indptr)
+        np.cumsum(Q.sizes - in_head, out=indptr[1:])
+        walked = SetCollection(indptr, Q.indices[keep], Q.universe)
+        return walked, words, need - in_head
 
     def gathered(self, Q: SetCollection) -> np.ndarray:
         """Running posting-entry count over ``Q``'s rows, ``(len(Q) + 1,)``:
@@ -142,25 +206,35 @@ def _scan(
 ):
     """The exact scan behind every ``set_scan`` variant.
 
-    Every overlapping row counts as evaluated, but only pairs that can
-    reach ``cs`` are scored: Jaccard is at most ``|p & q| / |q|``, so a
-    pair with ``|p & q| < cs |q|`` (less a rounding margin) can neither
-    match nor enter a top-k list.  Query blocks are sized so each product
-    gathers at most ``CHUNK_ELEMS`` posting entries.  A query's pairs
-    generated are its posting entries gathered, but 0 when no row is
-    left to evaluate (a self-join query overlapping only itself).
+    Jaccard is at most ``|p & q| / |q|``, so a pair with
+    ``|p & q| < need = cs |q|`` (less a rounding margin) can neither
+    match nor enter a top-k list.  Each query walks the postings
+    :meth:`SetPostings.walk` picks; every row that shares a walked
+    member counts as evaluated, but only rows whose walked overlap
+    reaches the query's bound are kept, topped up with their exact head
+    overlap, and scored if they still reach ``need``.  Query blocks are
+    sized so each product walks at most ``CHUNK_ELEMS`` posting entries.
+    A query's pairs generated are the posting entries it walks, but 0
+    when no row is left to evaluate (a self-join query overlapping only
+    itself).
     """
     out: list = []
     stats = QueryStats()
-    cum = postings.gathered(Q_chunk)
+    need = np.ceil(cs * Q_chunk.sizes * _SCORE_SLACK).astype(np.int64)
+    walked, words, bound = postings.walk(Q_chunk, need)
+    cum = postings.gathered(walked)
     for lo, hi in budget_blocks(cum, CHUNK_ELEMS):
         Q = Q_chunk[lo:hi]
-        indptr, rows, inter = postings.overlaps(Q)
+        indptr, rows, inter = postings.overlaps(walked[lo:hi])
         overlapping = np.diff(indptr)
-        need = np.ceil(cs * Q.sizes * _SCORE_SLACK).astype(inter.dtype)
-        pos = np.flatnonzero(inter >= np.repeat(need, overlapping))
+        pos = np.flatnonzero(inter >= np.repeat(bound[lo:hi], overlapping))
         qids = np.searchsorted(indptr, pos, side="right") - 1
         rows, inter = rows[pos].astype(np.int64), inter[pos]
+        if words is not None:
+            head = (words[lo + qids] & postings.words[rows]).view(np.uint64)
+            inter = inter + popcount_words(head).astype(inter.dtype)
+            keep = inter >= need[lo + qids]
+            qids, rows, inter = qids[keep], rows[keep], inter[keep]
         if self_start is not None:
             # The self pair (Jaccard 1) always clears the filter, so it
             # is dropped here and from the evaluated counts.

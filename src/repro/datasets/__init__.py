@@ -32,6 +32,7 @@ from repro.datasets.recommender import LatentFactorModel, latent_factor_model
 from repro.datasets.sets import (
     SetCollection,
     jaccard_pair,
+    ov_jaccard_gadget,
     planted_jaccard_sets,
     zipfian_sets,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "adversarial_maxip",
     "SetCollection",
     "jaccard_pair",
+    "ov_jaccard_gadget",
     "planted_jaccard_sets",
     "zipfian_sets",
 ]

@@ -133,12 +133,19 @@ class SetCollection:
         out[rows, self.indices] = 1
         return out
 
-    def to_scipy(self):
-        """``scipy.sparse`` CSR matrix of int32 ones, ``shape`` ``(n, universe)``."""
+    def to_scipy(self, dtype=np.int32):
+        """``scipy.sparse`` CSR matrix of ones (``dtype``), ``shape``
+        ``(n, universe)``."""
         from scipy import sparse
 
-        ones = np.ones(self.indices.size, dtype=np.int32)
-        return sparse.csr_matrix((ones, self.indices, self.indptr), shape=self.shape)
+        ones = np.ones(self.indices.size, dtype=dtype)
+        # int32 indices when they fit, so scipy neither scans nor recasts.
+        fits = max(self.indices.size, *self.shape) < 2**31
+        index = np.int32 if fits else np.int64
+        return sparse.csr_matrix(
+            (ones, self.indices.astype(index), self.indptr.astype(index)),
+            shape=self.shape,
+        )
 
     @classmethod
     def from_dense(cls, X: np.ndarray) -> "SetCollection":
@@ -230,6 +237,49 @@ def planted_jaccard_sets(
             kept = np.concatenate([kept, fresh])
         rows.append(kept)
     Q = SetCollection.from_lists(rows, universe)
+    return P, Q
+
+
+def ov_jaccard_gadget(
+    n: int,
+    m: int,
+    d: int,
+    seed: SeedLike = None,
+) -> tuple:
+    """Orthogonal-vectors instance as sets: ``(P, Q)`` over ``3 d`` elements.
+
+    The set-valued OV gadget after Pagh, Stausholm and Thorup
+    (arXiv:1907.02251), whose reduction makes exact Jaccard closest pair
+    OV-hard.  Coordinate ``i`` owns elements ``x_i, y_i, z_i``
+    (``3i, 3i + 1, 3i + 2``).  A data vector ``a`` becomes
+    ``{x_i : a_i = 0} | {y_i : a_i = 1}`` (``d`` members) and a query
+    vector ``b`` becomes ``{x_i} | {y_i : b_i = 0} | {z_i : b_i = 1}``
+    (``2 d`` members), so ``|A & B| = d - a.b`` and
+    ``J(A, B) = (d - a.b) / (2 d + a.b)``: exactly 1/2 for an orthogonal
+    pair and below 1/2 for every other.  The threshold ``s = 1/2`` thus
+    asks for the orthogonal pairs, and every query overlaps every data
+    set, so no filter can prune.
+
+    Each data coordinate is balanced (``a_i = 1`` in ``n // 2`` rows),
+    so every ``x_i`` and ``y_i`` lies in about half the data sets: the
+    element frequencies are flat.  Query vectors have density 1/2, and
+    the even-numbered ones are planted orthogonal to a random data
+    vector.
+    """
+    if n < 2 or m < 1 or d < 1:
+        raise ParameterError(
+            f"need n >= 2, m >= 1 and d >= 1, got n={n}, m={m}, d={d}")
+    rng = ensure_rng(seed)
+    balanced = np.arange(n) < n // 2
+    A = np.stack([rng.permutation(balanced) for _ in range(d)], axis=1)
+    B = rng.random((m, d)) < 0.5
+    B[::2] &= ~A[rng.integers(0, n, size=B[::2].shape[0])]
+    coords = 3 * np.arange(d)
+    P = SetCollection.from_lists(
+        [np.where(a, coords + 1, coords) for a in A], 3 * d)
+    Q = SetCollection.from_lists(
+        [np.concatenate([coords, np.where(b, coords + 2, coords + 1)])
+         for b in B], 3 * d)
     return P, Q
 
 

@@ -45,11 +45,12 @@ import numpy as np
 from repro.errors import ReproError
 
 #: Bumped when persisted layouts change incompatibly (2: one fused
-#: ``LSHIndex`` replaced the per-table and sign-only LSH indexes).
-FORMAT_VERSION = 2
+#: ``LSHIndex`` replaced the per-table and sign-only LSH indexes; 3: the
+#: ``set_scan`` postings gained their head bitmaps).
+FORMAT_VERSION = 3
 
 #: Directory-format version, independent of the single-file one.
-DIR_FORMAT_VERSION = 2
+DIR_FORMAT_VERSION = 3
 
 #: Arrays at or above this many bytes become raw sidecar files; smaller
 #: ones stay inline in the pickled shell (matches the shared-memory

@@ -10,6 +10,11 @@ Plan that answers them.  Each cell runs in every execution mode:
 * ``save -> open_path(mmap=True) -> query_stream`` (``query(None)`` for
   self joins, which do not stream).
 
+Fixed instances pin what drawn ones may miss: a Chen OV gadget for the
+inner product, and for Jaccard duplicated rows and the set-valued OV
+gadget (flat element frequencies, so ``set_scan`` has no head to split
+off and every query overlaps every data set).
+
 Exact rows must equal a naive reference written here: the lowest-index
 maximizer for threshold joins, ``(-score, index)`` order for top-k, and
 self joins that skip ``i`` (and rows equal to row ``i`` when
@@ -36,8 +41,9 @@ from hypothesis import strategies as st
 
 from repro import engine
 from repro.core import JoinSpec, WorkerPool
+from repro.core.set_join import SetPostings
 from repro.datasets.adversarial import adversarial_maxip
-from repro.datasets.sets import SetCollection
+from repro.datasets.sets import SetCollection, ov_jaccard_gadget
 from repro.lsh import HyperplaneLSH, LSHIndex
 from repro.sketches.cmips import SketchCMIPS
 
@@ -359,8 +365,8 @@ def _ip_cell(name, variant, P, Q, s, signed, match_duplicates, pools):
     _check_cell(name, P, Q, spec, pools, reference, scores, equal)
 
 
-def _set_cell(name, variant, P, Q, match_duplicates, pools):
-    spec = JoinSpec(s=0.6, c=0.9 if name == "minhash_lsh" else 1.0,
+def _set_cell(name, variant, P, Q, match_duplicates, pools, s=0.6):
+    spec = JoinSpec(s=s, c=0.9 if name == "minhash_lsh" else 1.0,
                     k=K if variant == "topk" else None,
                     self_join=variant == "self",
                     match_duplicates=match_duplicates, measure="jaccard")
@@ -399,6 +405,17 @@ def test_jaccard_drawn(pools, name, variant, inst):
 def test_jaccard_duplicates(pools, name, variant):
     P, Q = _set_fixed()
     _set_cell(name, variant, P, Q, False, pools)
+
+
+@pytest.mark.parametrize("name,variant", _cells("jaccard"))
+def test_jaccard_ov_gadget(pools, name, variant):
+    """Orthogonal pairs score exactly 1/2 and every other pair less; the
+    flat gadget leaves ``set_scan`` no head to split off."""
+    P, Q = ov_jaccard_gadget(40, 8, 8, seed=2)
+    scores = _set_scores(P, Q)
+    assert scores.max() == 0.5 and (scores[::2] == 0.5).any(axis=1).all()
+    assert SetPostings(P).masks.size == 0
+    _set_cell(name, variant, P, Q, False, pools, s=0.5)
 
 
 # -- the answer rules every backend shares -------------------------------------

@@ -38,7 +38,7 @@ import pytest
 from repro.core import JoinSpec, WorkerPool, map_query_chunks
 from repro.core.arena import repro_segments
 from repro.core.executor import QuerySource
-from repro.datasets import planted_mips, random_unit
+from repro.datasets import planted_jaccard_sets, planted_mips, random_unit
 from repro.engine import (
     JoinSession,
     join,
@@ -494,6 +494,39 @@ class TestSaveOpenPath:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(PersistenceError, match="directory format version 1"):
             open_path(index_dir)
+
+    def test_version_2_directory_refused(self, tmp_path):
+        """A ``set_scan`` directory from before the postings' head
+        bitmaps (format 2) fails on its manifest version instead of
+        unpickling postings that lack them."""
+        P, _ = planted_jaccard_sets(200, 10, universe=256, mean_size=12,
+                                    seed=1)
+        spec = JoinSpec(s=0.6, measure="jaccard")
+        index_dir = tmp_path / "index"
+        with open_session(P, spec, backend="set_scan") as session:
+            session.save(index_dir)
+        manifest_path = index_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 2
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(PersistenceError, match="directory format version 2"):
+            open_path(index_dir)
+
+    def test_set_scan_head_bitmaps_are_memmapped(self, tmp_path):
+        P, Q = planted_jaccard_sets(800, 40, universe=1024, mean_size=16,
+                                    exponent=0.6, seed=2)
+        spec = JoinSpec(s=0.6, measure="jaccard")
+        index_dir = tmp_path / "index"
+        with open_session(P, spec, backend="set_scan") as session:
+            expected = session.query(Q)
+            session.save(index_dir)
+        assert expected.matched_count > 0
+        with open_path(index_dir, mmap=True) as served:
+            postings = served._prepared[0].payload.postings
+            assert np.count_nonzero(postings.masks) > 0
+            for arr in (postings.masks, postings.words):
+                assert isinstance(arr.base, np.memmap)
+            assert _key(served.query(Q)) == _key(expected)
 
     def test_only_prepared_sessions_save(self, instance, spec, tmp_path):
         lazy = JoinSession._lazy(instance.P, spec, backend="brute_force")

@@ -7,11 +7,17 @@
   reference bit for bit — matches, top-k lists, ``evaluated``,
   ``generated`` and ``QueryStats`` — for join, top-k and self-join
   (``match_duplicates`` on and off), at query blocks of 1, 7 and 64.
-  Every identity check runs next to a non-empty truth set.
+  Every identity check runs next to a non-empty truth set.  The
+  ``set_scan`` reference recomputes the head split: on skewed data
+  (a full 63-element head, light and heavy queries, a query made only
+  of head elements) its counters follow the walked postings, and on
+  flat data (an empty head) they equal the plain scan's.
 * A 2-worker process ``minhash_lsh`` session pins the whole index in
   the pool's arena, answers like the serial join, and leaves ``/dev/shm``
   clean after ``close()``.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -19,8 +25,8 @@ import pytest
 from repro import engine
 from repro.core.arena import ARENA_MIN_BYTES, repro_segments
 from repro.core.problems import JoinSpec
-from repro.core.set_join import MinHashSetIndex
-from repro.datasets import SetCollection, planted_jaccard_sets
+from repro.core.set_join import HEAD_BITS, MinHashSetIndex, SetPostings
+from repro.datasets import SetCollection, ov_jaccard_gadget, planted_jaccard_sets
 from repro.lsh.batch_hash import MinHashTables
 
 BLOCKS = (1, 7, 64)
@@ -43,6 +49,39 @@ def sets():
             SetCollection.from_lists(rows_q, UNIVERSE))
 
 
+def _with_edge_rows(P, Q, extra_queries=()):
+    """``P`` and ``Q`` plus an empty data set, an exact and a near
+    duplicate pair in ``P``, an empty query and a query copying a data
+    row."""
+    rows_p = [P.row(i).tolist() for i in range(len(P))]
+    rows_p[3] = []
+    rows_p[10] = rows_p[11]
+    rows_p[12] = rows_p[13][:-1]
+    rows_q = [Q.row(j).tolist() for j in range(len(Q))]
+    rows_q[5] = []
+    rows_q[6] = rows_p[20]
+    rows_q.extend(extra_queries)
+    return (SetCollection.from_lists(rows_p, P.universe),
+            SetCollection.from_lists(rows_q, P.universe))
+
+
+@pytest.fixture(scope="module")
+def skewed_sets():
+    """Zipfian sets with a full head word, plus a head-only query."""
+    P, Q = planted_jaccard_sets(300, 80, universe=1024, mean_size=16,
+                                threshold=0.6, exponent=0.6, seed=8)
+    head = sorted(naive_head(P))
+    assert len(head) == HEAD_BITS
+    return _with_edge_rows(P, Q, extra_queries=[head[::5]])
+
+
+@pytest.fixture(scope="module")
+def flat_sets():
+    """The set-valued OV gadget: flat element frequencies, no head."""
+    P, Q = ov_jaccard_gadget(120, 40, 10, seed=6)
+    return _with_edge_rows(P, Q)
+
+
 # -- naive references ---------------------------------------------------------
 
 
@@ -62,19 +101,42 @@ def _answer(rows, scores, cs, k):
     return rows[best] if scores[best] >= cs else None
 
 
-def naive_scan(P, Q, cs, k=None, self_start=None, match_duplicates=True):
+def naive_head(P):
+    """The head by the kernel's rule, from ``P``'s element counts: the
+    most frequent elements (ties to the lower one), at most
+    ``HEAD_BITS``, each in at least twice the mean number of sets."""
+    counts = np.bincount(P.indices, minlength=P.universe).tolist()
+    hot = [e for e, c in enumerate(counts)
+           if c > 0 and c * P.universe >= 2 * sum(counts)]
+    return set(sorted(hot, key=lambda e: (-counts[e], e))[:HEAD_BITS])
+
+
+def _need(cs, size):
+    """The overlap a pair needs to reach ``cs``: ``ceil(cs |q|)``, less
+    the scan's rounding margin."""
+    return math.ceil(cs * size * (1.0 - 1e-12))
+
+
+def naive_scan(P, Q, cs, k=None, self_start=None, match_duplicates=True,
+               head=None):
     """Per-query postings scan: ``(answers, evaluated, generated, stats)``.
 
-    A query generates one pair per posting entry of its members (its own
-    row included in a self-join) and evaluates every other overlapping
-    row; a query left with nothing to evaluate generates nothing.
+    A query is light when its head members (``head``, by default
+    :func:`naive_head`) number fewer than :func:`_need`; a light query
+    walks the postings of its other members, a heavy one those of every
+    member.  It generates one pair per posting entry walked (its own row
+    included in a self-join) and evaluates every other row sharing a
+    walked member; a query left with nothing to evaluate generates
+    nothing.  Answers come from every overlapping row.
     """
+    head = naive_head(P) if head is None else head
     members_p = [set(P.row(i).tolist()) for i in range(len(P))]
     df = np.bincount(P.indices, minlength=P.universe)
     out, gen, ev = [], [], []
     for j in range(len(Q)):
         q = set(Q.row(j).tolist())
-        rows, scores = [], []
+        walked = q - head if len(q & head) < _need(cs, len(q)) else q
+        rows, scores, touched = [], [], 0
         for i, p in enumerate(members_p):
             inter = len(p & q)
             if inter and (self_start is None or i != self_start + j):
@@ -83,10 +145,19 @@ def naive_scan(P, Q, cs, k=None, self_start=None, match_duplicates=True):
                     s = -np.inf
                 rows.append(i)
                 scores.append(s)
+                touched += bool(p & walked)
         out.append(_answer(rows, scores, cs, k))
-        ev.append(len(rows))
-        gen.append(int(df[list(q)].sum()) if rows else 0)
+        ev.append(touched)
+        gen.append(int(df[list(walked)].sum()) if touched else 0)
     return out, sum(ev), sum(gen), (len(Q), sum(gen), sum(ev))
+
+
+def _light_and_heavy(P, Q, cs):
+    """``(light, heavy)`` query counts under the head split."""
+    head = naive_head(P)
+    light = sum(len(set(Q.row(j).tolist()) & head) < _need(cs, Q.sizes[j])
+                for j in range(len(Q)))
+    return light, len(Q) - light
 
 
 def naive_minhash(index, P, Q, cs, k=None, self_start=None,
@@ -226,6 +297,49 @@ def test_set_scan_matches_naive(sets, block, name, params):
     assert _truth_nonempty(expected, spec.k)
     result = engine.join(P, Qs, spec, backend="set_scan", block=block)
     assert _observed(result, spec.k) == expected
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("name,params", VARIANTS, ids=[v[0] for v in VARIANTS])
+def test_set_scan_head_split_matches_naive(skewed_sets, block, name, params):
+    P, Q = skewed_sets
+    spec = JoinSpec(measure="jaccard", **params)
+    Qs = P if spec.is_self else Q
+    light, heavy = _light_and_heavy(P, Qs, spec.cs)
+    assert light > 0 and heavy > 0
+    expected = naive_scan(P, Qs, spec.cs, **_reference_kwargs(spec))
+    assert _truth_nonempty(expected, spec.k)
+    result = engine.join(P, None if spec.is_self else Q, spec,
+                         backend="set_scan", block=block)
+    assert _observed(result, spec.k) == expected
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("name,params", VARIANTS, ids=[v[0] for v in VARIANTS])
+def test_set_scan_flat_counters_walk_every_member(flat_sets, block, name,
+                                                  params):
+    P, Q = flat_sets
+    assert SetPostings(P).masks.size == 0 and not naive_head(P)
+    spec = JoinSpec(measure="jaccard", **params)
+    Qs = P if spec.is_self else Q
+    expected = naive_scan(P, Qs, spec.cs, head=set(),
+                          **_reference_kwargs(spec))
+    assert _truth_nonempty(expected, spec.k)
+    result = engine.join(P, None if spec.is_self else Q, spec,
+                         backend="set_scan", block=block)
+    assert _observed(result, spec.k) == expected
+
+
+def test_head_words_hold_each_sets_head_members(skewed_sets):
+    P, _ = skewed_sets
+    postings = SetPostings(P)
+    head = np.flatnonzero(postings.masks)
+    assert head.tolist() == sorted(naive_head(P))
+    bits = postings.masks[head]
+    assert sorted(bits.tolist()) == [1 << b for b in range(HEAD_BITS)]
+    for i in range(len(P)):
+        members = np.isin(head, P.row(i))
+        assert postings.words[i] == int(bits[members].sum())
 
 
 @pytest.mark.parametrize("block", BLOCKS)
