@@ -14,8 +14,7 @@ probabilistic backends: fixed build charges (``lsh_fixed_build``,
 small instances the planner always lands on an exact backend — which is
 also what makes ``auto`` results deterministic and testable against
 brute force there.  For machine-specific planning the constants can be
-calibrated from a ``BENCH_*.json`` produced by ``tools/bench_perf.py``
-via :meth:`CostModel.from_bench`.
+calibrated from measured joins via :meth:`CostModel.from_planner_log`.
 
 Since the Plan IR landed, the planner ranks *plans*, not backends: every
 single-backend estimate becomes a one-stage :class:`PlanEstimate`, and
@@ -46,9 +45,9 @@ from repro.engine.plan import (
 from repro.engine.protocol import CostEstimate
 from repro.errors import ParameterError
 
-#: Reference throughput used by ``from_bench`` to turn measured seconds
-#: into relative op weights: ops-per-second of the machine the default
-#: constants were tuned on.  Only ratios matter.
+#: Reference throughput used by ``from_planner_log`` to turn measured
+#: seconds into relative op weights: ops-per-second of the machine the
+#: default constants were tuned on.  Only ratios matter.
 _REFERENCE_GEMM_OPS_PER_S = 5e9
 
 
@@ -219,75 +218,16 @@ class CostModel:
         return min(self.max_kappa, max(self.min_kappa, kappa))
 
     @classmethod
-    def from_bench(cls, source) -> "CostModel":
-        """Calibrate op weights from a ``BENCH_*.json`` measurement file.
-
-        ``source`` is a path or an already-parsed dict with the bench
-        schema's ``timings`` / ``work`` sections.  Uses whatever signals
-        are present — a missing key leaves the default weight — so
-        calibration degrades gracefully across bench generations:
-
-        * verified inner products per second (``verify_blocked_s`` +
-          ``inner_products_verified``) recalibrate ``gemm_op``;
-        * batched hashing seconds per (query x table x bit)
-          (``hash_batch_hyperplane_s``) recalibrate ``hash_op``;
-        * candidate gathering (``hash_candidates_per_query_*``)
-          recalibrates ``candidate_op``.
-        """
-        if isinstance(source, (str, bytes)):
-            with open(source) as fh:
-                payload = json.load(fh)
-        else:
-            payload = source
-        if not isinstance(payload, dict):
-            raise ParameterError("bench source must be a path or a dict")
-        timings: Dict[str, float] = payload.get("timings", {})
-        work: Dict[str, float] = payload.get("work", {})
-        meta: Dict[str, dict] = payload.get("meta", {})
-        updates: Dict[str, float] = {}
-
-        verified = work.get("inner_products_verified")
-        verify_s = timings.get("verify_blocked_s")
-        if verified and verify_s:
-            ops_per_s = float(verified) / float(verify_s)
-            updates["gemm_op"] = _REFERENCE_GEMM_OPS_PER_S / ops_per_s
-
-        hash_s = timings.get("hash_batch_hyperplane_s")
-        hash_meta = meta.get("hash_suite", {})
-        if hash_s and hash_meta:
-            bits = (
-                hash_meta.get("n_queries", 0)
-                * hash_meta.get("n_tables", 0)
-                * hash_meta.get("hashes_per_table", 0)
-                * hash_meta.get("d", 0)
-            )
-            if bits:
-                per_bit_s = float(hash_s) / bits
-                updates["hash_op"] = (
-                    per_bit_s * _REFERENCE_GEMM_OPS_PER_S
-                )
-
-        gemm = updates.get("gemm_op", cls.gemm_op)
-        if gemm > 0:
-            # Keep weights relative: everything is priced against GEMM.
-            for key in list(updates):
-                if key != "gemm_op":
-                    updates[key] = updates[key] / gemm
-            updates["gemm_op"] = 1.0
-        return replace(cls(), **updates)
-
-    @classmethod
     def from_planner_log(cls, source) -> "CostModel":
         """Calibrate op weights from measured joins in a planner log.
 
-        The sibling of :meth:`from_bench` fed by production telemetry
-        instead of a synthetic micro-bench: ``source`` is a
-        :class:`~repro.obs.planner_log.PlannerLog` (or a path to one
-        saved as JSONL).  Every record carries the instance shape, the
-        backend that ran, measured wall seconds, and the join's work
-        counters, which is enough to re-fit the signals the estimates
-        are most sensitive to — missing signals leave defaults, so a log
-        with only one backend still calibrates what it can:
+        ``source`` is a :class:`~repro.obs.planner_log.PlannerLog` (or a
+        path to one saved as JSONL).  Every record carries the instance
+        shape, the backend that ran, measured wall seconds, and the
+        join's work counters, which is enough to re-fit the signals the
+        estimates are most sensitive to — missing signals leave
+        defaults, so a log with only one backend still calibrates what
+        it can:
 
         * ``brute_force`` records re-fit ``gemm_op`` from achieved
           multiply-adds per second (``n * m * d / wall``);
@@ -328,8 +268,8 @@ class CostModel:
                 1.0, sum(cand_fracs) / len(cand_fracs)
             )
         if "gemm_op" in updates and updates["gemm_op"] > 0:
-            # Like from_bench: weights are relative, GEMM is the unit.
-            # The fraction fields are dimensionless and stay as fitted.
+            # Weights are relative, GEMM is the unit.  The fraction
+            # fields are dimensionless and stay as fitted.
             updates["gemm_op"] = 1.0
         return replace(cls(), **updates)
 

@@ -61,7 +61,7 @@ class BatchHashTables(abc.ABC):
     iff their keys are equal, which is all an index needs.
     """
 
-    #: False for the per-row fallback wrapper; benches use this to fail
+    #: False for the per-row fallback wrapper; tests use this to fail
     #: loudly when a family silently loses its vectorized path.
     is_native = True
 

@@ -74,12 +74,10 @@ class LSHIndex:
         n_tables: OR width ``L``.
         hashes_per_table: AND width ``k``.
         seed: reproducibility seed for the sampled hash functions.
-        use_batch: when True (default) use the family's native
-            ``sample_batch`` hasher if it provides one; False forces the
-            generic per-row closure path.  Both consume the seed's
-            variates in the same order, so the two modes build identical
-            buckets — the switch exists for equivalence tests and
-            benchmarks.
+
+    Hashing uses the family's native ``sample_batch`` hasher when it has
+    one and the generic per-row closure path otherwise; both consume the
+    seed's variates in the same order, so they build identical buckets.
     """
 
     def __init__(
@@ -88,7 +86,6 @@ class LSHIndex:
         n_tables: int = 8,
         hashes_per_table: int = 4,
         seed: SeedLike = None,
-        use_batch: bool = True,
     ):
         if n_tables < 1:
             raise ParameterError(f"n_tables must be >= 1, got {n_tables}")
@@ -98,7 +95,7 @@ class LSHIndex:
         self.n_tables = int(n_tables)
         self.hashes_per_table = int(hashes_per_table)
         rng = ensure_rng(seed)
-        hasher = family.sample_batch(rng, self.hashes_per_table, self.n_tables) if use_batch else None
+        hasher = family.sample_batch(rng, self.hashes_per_table, self.n_tables)
         if hasher is None:
             hasher = GenericHashTables(family, rng, self.hashes_per_table, self.n_tables)
         self._hasher = hasher

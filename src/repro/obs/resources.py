@@ -7,8 +7,8 @@ not in the join's own metrics.  This module reads them cheaply enough
 to sit at query boundaries:
 
 * **RSS** from ``/proc/self/statm`` (resident pages x ``SC_PAGE_SIZE``),
-  the same technique ``tools/bench_perf.py`` uses for its memmap gates;
-  off Linux it falls back to ``ru_maxrss`` (a high-water mark, not an
+  the same technique the memmap load gate in ``benchmarks/`` uses; off
+  Linux it falls back to ``ru_maxrss`` (a high-water mark, not an
   instantaneous value — ``rss_is_peak`` says which you got).
 * **minor/major fault counts** from ``/proc/self/stat`` (fields 10 and
   12; parsed after the last ``)`` so a comm containing spaces or parens

@@ -8,8 +8,8 @@ stack and assembles the tree.  Two properties drive the design:
   :func:`span` (module level, reads the process-current tracer) inside a
   ``with`` statement.  A disabled tracer returns one shared no-op
   context manager, so a site costs a dict-free function call and two
-  no-op methods — the ``obs_overhead`` suite in ``tools/bench_perf.py``
-  holds this under 2% of join wall time.  Sites sit at *block*
+  no-op methods — ``benchmarks/bench_gate_obs_overhead.py`` holds this
+  under 2% of join wall time.  Sites sit at *block*
   granularity (one span per ~256-query block), never per query.
 * **Process-portable trees.**  ``Span`` is a plain dataclass of
   built-in types, so worker processes pickle their chunk trees back to

@@ -3,8 +3,9 @@
 Every concrete family's ``sample_batch`` hasher must produce *exactly*
 the keys of its own per-row reference path (``hash_rows``), and an
 ``LSHIndex`` built through the batch path must produce exactly the
-candidate sets of the generic per-vector closure path (``use_batch=
-False``) for a shared seed — the batch protocol's core contract.
+candidate sets of the generic per-vector closure path (the same family
+behind :class:`PerRow`, which has no native hasher) for a shared seed —
+the batch protocol's core contract.
 """
 
 import numpy as np
@@ -23,11 +24,23 @@ from repro.lsh import (
     SimpleALSH,
     SymmetricIPSHash,
 )
-from repro.lsh.base import MISS_KEY
+from repro.lsh.base import MISS_KEY, AsymmetricLSHFamily
 from repro.lsh.crosspolytope import _ROTATION_CACHE, sample_rotation
 
 D = 10
 SEED = 1234
+
+
+class PerRow(AsymmetricLSHFamily):
+    """``family``'s hash pairs without its native hasher: ``sample_batch``
+    is the base default (``None``), so an index over it hashes through
+    the generic per-row closure path."""
+
+    def __init__(self, family):
+        self.family = family
+
+    def sample(self, rng):
+        return self.family.sample(rng)
 
 
 def _dense_data(rng, n=40):
@@ -118,7 +131,7 @@ def test_batch_index_matches_generic_index(name):
     family, (P, Q) = _family_and_data(name, rng)
     batch_index = LSHIndex(family, n_tables=4, hashes_per_table=3, seed=99).build(P)
     generic_index = LSHIndex(
-        family, n_tables=4, hashes_per_table=3, seed=99, use_batch=False
+        PerRow(family), n_tables=4, hashes_per_table=3, seed=99
     ).build(P)
     assert batch_index.uses_batch_hashing
     assert not generic_index.uses_batch_hashing
@@ -126,6 +139,7 @@ def test_batch_index_matches_generic_index(name):
     generic_cands = generic_index.candidates_batch(Q)
     for b, g in zip(batch_cands, generic_cands):
         assert np.array_equal(b, g)
+    assert batch_index.stats.candidates > 0
     assert batch_index.stats.candidates == generic_index.stats.candidates
     assert batch_index.stats.unique_candidates == generic_index.stats.unique_candidates
     # scalar path agrees with the batched path on the same index
@@ -134,11 +148,7 @@ def test_batch_index_matches_generic_index(name):
 
 
 def test_generic_hasher_marks_itself_non_native():
-    class Opaque(HyperplaneLSH):
-        def sample_batch(self, rng, hashes_per_table, n_tables):
-            return None
-
-    index = LSHIndex(Opaque(D), n_tables=2, hashes_per_table=2, seed=0)
+    index = LSHIndex(PerRow(HyperplaneLSH(D)), n_tables=2, hashes_per_table=2, seed=0)
     assert not index.uses_batch_hashing
 
 

@@ -164,13 +164,19 @@ class TestDispatch:
         assert via.recall_against(direct) == 1.0
 
     def test_via_signed_catches_negative_matches(self):
-        # A pair visible only through -q.
-        P = np.array([[-0.9, 0.0], [0.0, 0.1]])
-        Q = np.array([[0.9, 0.0]])
-        result = unsigned_via_signed(
-            P, Q, JoinSpec(s=0.5, c=0.9, signed=False), backend="brute_force"
+        cases = (
+            # A pair visible only through -q.
+            ([[-0.9, 0.0], [0.0, 0.1]], [[0.9, 0.0]], 0.5, 0.9),
+            # -q's match (row 0) ties q's (row 1) at |1|: like every
+            # backend, the reduction answers the lowest index.
+            ([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.5]], [[1.0, 0.0]], 0.9, 1.0),
         )
-        assert result.matches[0] == 0
+        for P, Q, s, c in cases:
+            P, Q = np.array(P), np.array(Q)
+            spec = JoinSpec(s=s, c=c, signed=False)
+            result = unsigned_via_signed(P, Q, spec, backend="brute_force")
+            direct = engine.join(P, Q, spec, backend="brute_force")
+            assert result.matches == direct.matches == [0]
 
     def test_via_signed_with_lsh(self, instance, family):
         result = unsigned_via_signed(

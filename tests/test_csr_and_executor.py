@@ -34,7 +34,7 @@ from repro.lsh import (
 )
 from repro.lsh import index as index_module
 from repro.lsh.base import MISS_KEY
-from tests.test_batch_hashing import FAMILIES, _family_and_data
+from tests.test_batch_hashing import FAMILIES, PerRow, _family_and_data
 
 #: The two lookup paths of the fused table: dense offsets, binary search.
 LOOKUP_LIMITS = (index_module.DENSE_LOOKUP_MAX, 0)
@@ -204,13 +204,12 @@ class TestLayoutEquivalence:
     def test_generic_index_matches_batch_index(self, instance):
         """Same seed ⇒ same hash stream: the generic per-row closure path
         and the native batch hasher bucket identically."""
+        family = DataDepALSH(32, sphere="hyperplane")
         generic, batch = (
-            LSHIndex(
-                DataDepALSH(32, sphere="hyperplane"),
-                n_tables=6, hashes_per_table=8, seed=11, use_batch=use_batch,
-            ).build(instance.P)
-            for use_batch in (False, True)
+            LSHIndex(fam, n_tables=6, hashes_per_table=8, seed=11).build(instance.P)
+            for fam in (PerRow(family), family)
         )
+        assert not generic.uses_batch_hashing and batch.uses_batch_hashing
         for qi in range(24):
             np.testing.assert_array_equal(
                 generic.candidates(instance.Q[qi]),
@@ -305,6 +304,7 @@ class TestVerifyKernel:
         matches, evaluated = verify_candidates(
             P, Q, cand_lists, threshold=1.0, signed=signed, block=16
         )
+        assert any(m is not None for m in matches)
         assert matches == self._naive(P, Q, cand_lists, 1.0, signed)
         assert evaluated == sum(c.size for c in cand_lists)
 
@@ -319,6 +319,10 @@ class TestVerifyKernel:
         result = verify_block(P, Q, CandidateBlock.from_lists(cand_lists))
         naive = self._naive(P, Q, cand_lists, -np.inf, True)
         assert result.best_index.tolist() == naive
+        matches, _ = verify_candidates(P, Q, cand_lists, threshold=1.0,
+                                       block=64)
+        assert any(m is not None for m in matches)
+        assert matches == self._naive(P, Q, cand_lists, 1.0, True)
 
     def test_all_empty(self):
         P = np.eye(4)

@@ -168,6 +168,7 @@ class TestParallelAndComposition:
         P, Q = workload
         spec = JoinSpec(s=0.5, measure="jaccard")
         serial = engine.join(P, Q, spec, backend=backend, seed=0)
+        assert serial.matched_count > 0
         for pool in ("process", "thread"):
             par = engine.join(P, Q, spec, backend=backend, seed=0,
                               n_workers=2, pool=pool, block=16)
@@ -194,6 +195,7 @@ class TestParallelAndComposition:
         P, Q = workload
         spec = JoinSpec(s=0.5, measure="jaccard")
         one_shot = engine.join(P, Q, spec, backend="set_scan")
+        assert one_shot.matched_count > 0
         with engine.open(P, spec, backend="set_scan") as session:
             assert session.query(Q).matches == one_shot.matches
             assert session.query(Q).matches == one_shot.matches

@@ -354,6 +354,7 @@ class TestExecutionModeEquivalence:
             P, Q, spec, backend=backend, seed=5,
             n_workers=TEST_WORKERS, pool="thread",
         )
+        assert serial.matched_count > 0
         assert _result_key(serial) == _result_key(process)
         assert _result_key(serial) == _result_key(threaded)
 

@@ -210,6 +210,14 @@ class TestEngineTraceShape:
             backend=backend, n_workers=n_workers, block=32, trace=True,
             **options,
         )
+        # Tracing observes the join; it must not change its answers.
+        plain = join(
+            instance.P, instance.Q, JoinSpec(**spec_kw),
+            backend=backend, n_workers=n_workers, block=32, **options,
+        )
+        assert plain.trace is None and plain.matched_count > 0
+        assert result.matches == plain.matches
+        assert result.inner_products_evaluated == plain.inner_products_evaluated
         root = result.trace
         assert root is not None and root.name == "engine.join"
         assert root.attrs["n_workers"] == n_workers

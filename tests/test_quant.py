@@ -71,8 +71,11 @@ class TestScalarQuantization:
         assert np.all(err <= 0.5 * q.scales[:, None] * (1 + 1e-12))
 
     def test_nbytes_counts_all_arrays(self, rng):
-        q = quantize_rows(_random_rows(rng, 7, 64))
+        X = _random_rows(rng, 7, 64)
+        q = quantize_rows(X)
         assert q.nbytes == 7 * 64 + 3 * 7 * 8
+        # 8d / (d + 24): 5.8x smaller than float64 rows at d = 64.
+        assert X.nbytes >= 4.0 * q.nbytes
         assert q.n == 7 and q.d == 64
 
     def test_pair_error_bounds_dominate_empirical_error(self, rng):

@@ -80,6 +80,7 @@ class TestQuantizedExactness:
         spec = JoinSpec(s=0.5, c=0.8, signed=signed, k=k)
         brute = join(P, Q, spec, backend="brute_force")
         quant = join(P, Q, spec, backend="quantized")
+        assert brute.matched_count > 0
         assert quant.matches == brute.matches
         assert quant.topk == brute.topk
         assert quant.backend == "quantized"
@@ -134,6 +135,7 @@ class TestCompactTierComposition:
         P, Q = instance
         spec = JoinSpec(s=0.5, c=0.8, signed=True)
         serial = join(P, Q, spec, backend="quantized", n_workers=1)
+        assert serial.matched_count > 0
         par = join(
             P, Q, spec, backend="quantized",
             n_workers=TEST_WORKERS, pool=pool, block=16,
@@ -341,5 +343,6 @@ class TestPlannerCompactTier:
         )
         brute = join(P, Q, spec, backend="brute_force")
         auto = join(P, Q, spec, backend="auto", model=tight)
+        assert brute.matched_count > 0
         assert auto.backend == "quantized"
         assert auto.matches == brute.matches

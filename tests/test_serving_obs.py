@@ -19,6 +19,7 @@ The load-bearing guarantees under test:
   ``ShardedSession`` merges per-shard registries into one snapshot.
 """
 
+import importlib.util
 import json
 import os
 import re
@@ -46,6 +47,9 @@ from repro.obs.resources import page_faults, rss_bytes, timeline
 from repro.obs.sink import iter_events
 
 LSH = dict(n_tables=6, hashes_per_table=6)
+
+OBS_REPORT = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tools", "obs_report.py")
 
 
 @pytest.fixture(scope="module")
@@ -377,6 +381,7 @@ class TestSessionServingTelemetry:
             result = session.query(Q)
             sampled = session.metrics.snapshot()["counters"][
                 "session.traces_sampled"]
+        assert expected.matched_count > 0
         assert result.matches == expected.matches
         assert result.inner_products_evaluated == \
             expected.inner_products_evaluated
@@ -476,3 +481,49 @@ class TestShardedServingTelemetry:
         assert len(spans) == 2  # every shard's query sampled
         seqs = [e["seq"] for e in events]
         assert seqs == sorted(seqs)
+
+
+class TestObsReport:
+    """``tools/obs_report.py`` over the rotated sink of a sampled session."""
+
+    def test_report_sections_from_rotated_sink(self, instance, spec, tmp_path,
+                                                capsys):
+        loader = importlib.util.spec_from_file_location("obs_report",
+                                                        OBS_REPORT)
+        obs_report = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(obs_report)
+        P, Q = instance.P, instance.Q
+        path = tmp_path / "obs_sink.jsonl"
+        with open_session(P, spec, backend="lsh", seed=5,
+                          trace_sample_rate=0.5, trace_sample_seed=1,
+                          **LSH) as session:
+            session.attach_sink(str(path), max_bytes=4096, max_files=8,
+                                resource_every=2)
+            for _ in range(8):
+                session.query(Q)
+            rotations = session._sink.rotations
+        assert rotations >= 1 and len(sink_files(path)) >= 2
+        histograms = [e["data"]["histograms"] for e in read_events(path)
+                      if e["kind"] == "metrics"][-1]
+        assert any(name.startswith("session.stage_latency_us.")
+                   for name in histograms)
+
+        assert obs_report.main([str(path)]) == 0
+        text = capsys.readouterr().out
+        for header in ("== latency percentiles", "== planner regret",
+                       "== resource timeline", "== sampled spans"):
+            assert header in text
+        assert "session.query_latency_us" in text
+        assert "no metrics snapshots" not in text
+        assert "no planner events" not in text
+        assert "slowest sampled query" in text
+
+        assert obs_report.main([str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        names = {row["name"] for row in report["percentiles"]}
+        assert "session.query_latency_us" in names
+        assert all(row["p50"] <= row["p95"] <= row["p99"]
+                   for row in report["percentiles"])
+        assert report["planner_records"] >= 1
+        assert report["resources"]
+        assert 1 <= report["spans"]["sampled"] < 8

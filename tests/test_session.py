@@ -108,6 +108,7 @@ class TestSessionMatchesJoin:
         ) as session:
             first = session.query(instance.Q)
             second = session.query(instance.Q)
+        assert expected.matched_count > 0
         assert _key(first) == _key(expected)
         assert _key(second) == _key(expected)
 
@@ -435,6 +436,7 @@ class TestSaveOpenPath:
         ) as session:
             expected = session.query(instance.Q)
             session.save(index_dir)
+        assert expected.matched_count > 0
         assert (index_dir / "manifest.json").exists()
         loaded = open_path(index_dir)
         try:
@@ -452,6 +454,7 @@ class TestSaveOpenPath:
         ) as session:
             expected = session.query(instance.Q)
             session.save(index_dir)
+        assert expected.matched_count > 0
         copied = open_path(index_dir, mmap=False)
         try:
             assert not isinstance(copied.P.base, np.memmap)
