@@ -36,11 +36,11 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.problems import QueryStats
-from repro.core.verify import _answers
+from repro.core.verify import BlockVerification, _answers
 from repro.datasets.sets import SetCollection
 from repro.errors import ParameterError
 from repro.lsh.batch_hash import CHUNK_ELEMS
-from repro.lsh.csr import budget_blocks, sorted_unique
+from repro.lsh.csr import CandidateBlock, budget_blocks, sorted_unique
 from repro.lsh.minhash import MinHash
 from repro.obs.trace import span
 from repro.quant.bitpack import popcount_words
@@ -400,30 +400,47 @@ class MinHashSetIndex:
     def verify(
         self, Q: SetCollection, qids: np.ndarray, rows: np.ndarray
     ) -> np.ndarray:
-        """Exact Jaccard of each ``(query, row)`` pair of a query block.
+        """Exact Jaccard of each ``(query, row)`` pair of a query block,
+        the pairs grouped by ascending query: :func:`verify_set_block`."""
+        block = CandidateBlock.from_pairs(qids, rows, len(Q))
+        return verify_set_block(self.P, Q, block).scores
 
-        The block's members go into a ``(queries, universe)`` bitmap; the
-        candidate rows' members are gathered against it and the hits
-        summed per pair with one ``bincount``.  Queries are taken
-        ``CHUNK_ELEMS // universe`` at a time to bound the bitmap.
-        """
-        universe = self.P.universe
-        scores = np.empty(rows.size, dtype=np.float64)
-        step = max(1, CHUNK_ELEMS // universe)
-        for lo in range(0, len(Q), step):
-            Qb = Q[lo:lo + step]
-            a, b = np.searchsorted(qids, [lo, lo + len(Qb)])
-            q, r = qids[a:b] - lo, rows[a:b]
-            bitmap = np.zeros(len(Qb) * universe, dtype=bool)
-            bitmap[np.repeat(np.arange(len(Qb)) * universe, Qb.sizes)
-                   + Qb.indices] = True
-            lens = self.sizes[r]
-            members = self.P.indices[_multi_arange(self.P.indptr[r], lens)]
-            pair = np.repeat(np.arange(r.size), lens)
-            hit = bitmap[np.repeat(q * universe, lens) + members]
-            inter = np.bincount(pair[hit], minlength=r.size)
-            scores[a:b] = _jaccard_scores(inter, lens, Qb.sizes[q])
-        return scores
+
+def verify_set_block(
+    P: SetCollection,
+    Q: SetCollection,
+    block: CandidateBlock,
+    signed: bool = True,
+) -> BlockVerification:
+    """Score every candidate pair of one query block by exact Jaccard.
+
+    The ``jaccard`` measure's block scorer, the set analogue of
+    :func:`repro.core.verify.verify_block` (``signed`` is accepted for
+    the shared signature; Jaccard is never negative).  The block's
+    members go into a ``(queries, universe)`` bitmap; the candidate
+    rows' members are gathered against it and the hits summed per pair
+    with one ``bincount``.  Queries are taken ``CHUNK_ELEMS // universe``
+    at a time to bound the bitmap.
+    """
+    universe = P.universe
+    qids, rows, indptr = block.qids(), block.rows, block.indptr
+    scores = np.empty(rows.size, dtype=np.float64)
+    step = max(1, CHUNK_ELEMS // universe)
+    for lo in range(0, len(Q), step):
+        Qb = Q[lo:lo + step]
+        a, b = indptr[lo], indptr[lo + len(Qb)]
+        q, r = qids[a:b] - lo, rows[a:b]
+        bitmap = np.zeros(len(Qb) * universe, dtype=bool)
+        bitmap[np.repeat(np.arange(len(Qb)) * universe, Qb.sizes)
+               + Qb.indices] = True
+        starts = P.indptr[r]
+        lens = P.indptr[r + 1] - starts
+        members = P.indices[_multi_arange(starts, lens)]
+        pair = np.repeat(np.arange(r.size), lens)
+        hit = bitmap[np.repeat(q * universe, lens) + members]
+        inter = np.bincount(pair[hit], minlength=r.size)
+        scores[a:b] = _jaccard_scores(inter, lens, Qb.sizes[q])
+    return BlockVerification(block, scores, int(rows.size))
 
 
 def minhash_join_chunk(

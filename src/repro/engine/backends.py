@@ -46,7 +46,8 @@ from repro.engine.protocol import ChunkResult, CostEstimate, JoinBackend
 from repro.errors import ParameterError
 
 #: Default shape for auto-built LSH indexes (hyperplane scheme: valid on
-#: any data, unlike SIMPLE-LSH's unit-ball requirement).
+#: any data, unlike SIMPLE-LSH's unit-ball requirement); an explicit
+#: ``n_tables`` / ``hashes_per_table`` overrides either.
 DEFAULT_AUTO_TABLES = 16
 DEFAULT_AUTO_BITS = 12
 
@@ -208,14 +209,22 @@ class LSHStructure:
 
 
 class LSHBackend(JoinBackend):
-    """Filter-then-verify through an LSH index (prebuilt or built here)."""
+    """Filter-then-verify through an LSH index (prebuilt or built here).
+
+    ``index=`` serves a prebuilt :class:`~repro.lsh.index.LSHIndex`
+    as-is, so ``family``, ``n_tables`` and ``hashes_per_table`` raise
+    beside it.  Otherwise the index is built in the given shape, over
+    ``family`` (default 16 tables x 4 bits) or, without one, over a
+    hyperplane family (default 16 x 12).
+    """
 
     name = "lsh"
     variants = ("join", "topk", "self")
 
     def prepare(self, P, spec, *, seed=None, block, n_workers=1,
                 index=None, family=None,
-                n_tables: int = 16, hashes_per_table: int = 4,
+                n_tables: Optional[int] = None,
+                hashes_per_table: Optional[int] = None,
                 n_probes: int = 0, **options):
         if options:
             raise ParameterError(
@@ -229,20 +238,29 @@ class LSHBackend(JoinBackend):
             )
         common = dict(spec=spec, n_probes=n_probes, block=block)
         if index is not None:
+            shape = (family, n_tables, hashes_per_table)
+            if any(v is not None for v in shape):
+                raise ParameterError(
+                    "family, n_tables and hashes_per_table shape an index "
+                    "to build; a prebuilt index= already has its own"
+                )
             return LSHStructure(index=index, **common), spec
+        tables, bits = 16, 4
         if family is None:
             # No index source given: auto-build a hyperplane index (valid
             # on any data domain, unlike SIMPLE-LSH's unit ball).
             from repro.lsh.hyperplane import HyperplaneLSH
 
-            family, n_tables, hashes_per_table = (
-                HyperplaneLSH(P.shape[1]), DEFAULT_AUTO_TABLES, DEFAULT_AUTO_BITS
-            )
+            family = HyperplaneLSH(P.shape[1])
+            tables, bits = DEFAULT_AUTO_TABLES, DEFAULT_AUTO_BITS
             seed = 0 if seed is None else seed
         return (
             LSHStructure(
-                family=family, n_tables=n_tables,
-                hashes_per_table=hashes_per_table, seed=seed, **common,
+                family=family,
+                n_tables=tables if n_tables is None else n_tables,
+                hashes_per_table=bits if hashes_per_table is None
+                else hashes_per_table,
+                seed=seed, **common,
             ),
             spec,
         )

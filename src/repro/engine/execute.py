@@ -46,6 +46,8 @@ from repro.core.executor import (
     merge_join_chunks,
 )
 from repro.core.problems import JoinResult, JoinSpec, QueryStats
+from repro.core.verify import _answers
+from repro.engine.measures import get_measure
 from repro.engine.plan import Plan, Stage, norm_split_size, stage_point_indices
 from repro.engine.registry import get_backend
 from repro.errors import ParameterError
@@ -189,8 +191,9 @@ def _fold_stage_matches(
     (for top-k: a non-empty list); answered queries are never
     overwritten, so the first stage to answer wins deterministically.
     A stage that ran under a weaker final spec (the sketch substitutes
-    its own ``c``) gets its matches re-verified at the caller's ``cs``
-    before the query counts as answered — the extra dot products are
+    its own ``c``) gets its matches re-scored as one block by the
+    measure's scorer and kept by :func:`repro.core.verify._answers`
+    only if they clear the caller's ``cs`` — the re-scored pairs are
     returned so the engine can bill them.  Returns
     ``(newly_answered, extra_evaluated)``.
     """
@@ -210,28 +213,29 @@ def _fold_stage_matches(
             answered[gq] = True
             newly += 1
         return newly, extra_eval
-    reverify = stage_spec.cs < spec.cs
-    pair_score = None
-    if reverify:
-        from repro.engine.measures import get_measure
-
-        pair_score = get_measure(spec.measure).pair_score
-    for qpos, local in enumerate(stage_result.matches):
-        if local is None:
-            continue
-        gq = int(q_idx[qpos])
-        if answered[gq]:
-            continue
-        gi = int(point_idx[local]) if point_idx is not None else int(local)
-        if reverify:
-            value = pair_score(P, gi, Q, gq)
-            extra_eval += 1
-            score = value if spec.signed else abs(value)
-            if score < spec.cs:
-                continue
-        matches[gq] = gi
-        answered[gq] = True
-        newly += 1
+    local = np.array([-1 if r is None else r for r in stage_result.matches],
+                     dtype=np.int64)
+    hit = local >= 0
+    gq = q_idx[hit]
+    gi = local[hit] if point_idx is None else point_idx[local[hit]]
+    fresh = ~answered[gq]
+    gq, gi = gq[fresh], gi[fresh]
+    answers = gi.tolist()
+    if stage_spec.cs < spec.cs:
+        # One pair per query: the scorer and the reducer keep a match
+        # only if it clears the caller's cs.
+        block = CandidateBlock(np.arange(gq.size + 1, dtype=np.int64), gi)
+        scored = get_measure(spec.measure).verify_block(
+            P, Q[gq], block, spec.signed
+        )
+        extra_eval = scored.n_evaluated
+        answers = _answers(block.qids(), gi, scored.scores, gq.size,
+                           spec.cs, None)
+    for gq_i, gi_i in zip(gq.tolist(), answers):
+        if gi_i is not None:
+            matches[gq_i] = gi_i
+            answered[gq_i] = True
+            newly += 1
     return newly, extra_eval
 
 

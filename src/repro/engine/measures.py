@@ -7,9 +7,10 @@ dispatch path:
 * how to validate and coerce the ``P``/``Q`` collections (dense float
   matrices for ``ip``, ragged/CSR :class:`~repro.datasets.sets.SetCollection`
   for ``jaccard``) and check they are mutually compatible;
-* how to score one ``(data_row, query_row)`` pair exactly — the hook the
-  sharding merge and any cross-stage re-verification use instead of the
-  hard-coded ``P[i] @ Q[q]``;
+* how to score a :class:`~repro.lsh.csr.CandidateBlock` of
+  ``(query, data_row)`` pairs exactly — the one scorer the sharding
+  merge and the re-verification of weaker-spec stages hand to
+  :func:`repro.core.verify._answers`;
 * which multi-stage plan shapes apply (the norm-prefix / sketch /
   quantized-filter hybrids are inner-product constructions, so only
   ``ip`` admits them).
@@ -31,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
+from repro.core.set_join import verify_set_block
+from repro.core.verify import verify_block
 from repro.errors import ParameterError
 from repro.utils.validation import check_matrix
 
@@ -51,9 +54,12 @@ class MeasureDescriptor:
         check_compatible: ``check_compatible(P, Q) -> None`` — raise
             unless the two collections can be joined (dimension match
             for ``ip``, shared universe for ``jaccard``).
-        pair_score: ``pair_score(P, i, Q, j) -> float`` — the exact
-            similarity of data row ``i`` and query row ``j``; the single
-            scoring hook for sharding merges and re-verification.
+        verify_block: ``verify_block(P, Q, block, signed) ->
+            BlockVerification`` — the exact scores of a candidate block
+            over the rows of ``Q`` (:func:`repro.core.verify.verify_block`
+            for ``ip``, :func:`repro.core.set_join.verify_set_block` for
+            ``jaccard``); the one scorer for sharding merges and
+            re-verification.
         supports_hybrids: whether the planner's multi-stage hybrid
             shapes are meaningful for this measure.
         dense_queries: whether streamed query chunks arrive as dense
@@ -66,7 +72,7 @@ class MeasureDescriptor:
     data_kind: str
     validate: Callable
     check_compatible: Callable
-    pair_score: Callable
+    verify_block: Callable
     supports_hybrids: bool = True
     dense_queries: bool = True
 
@@ -115,16 +121,12 @@ def _ip_compatible(P, Q) -> None:
         )
 
 
-def _ip_pair_score(P, i: int, Q, j: int) -> float:
-    return float(P[i] @ Q[j])
-
-
 register_measure(MeasureDescriptor(
     name="ip",
     data_kind="dense",
     validate=_ip_validate,
     check_compatible=_ip_compatible,
-    pair_score=_ip_pair_score,
+    verify_block=verify_block,
     supports_hybrids=True,
     dense_queries=True,
 ))
@@ -145,18 +147,12 @@ def _jaccard_compatible(P, Q) -> None:
         )
 
 
-def _jaccard_pair_score(P, i: int, Q, j: int) -> float:
-    from repro.datasets.sets import jaccard_pair
-
-    return jaccard_pair(P.row(i), Q.row(j))
-
-
 register_measure(MeasureDescriptor(
     name="jaccard",
     data_kind="sets",
     validate=_jaccard_validate,
     check_compatible=_jaccard_compatible,
-    pair_score=_jaccard_pair_score,
+    verify_block=verify_set_block,
     supports_hybrids=False,
     dense_queries=False,
 ))

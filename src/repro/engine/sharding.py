@@ -13,18 +13,26 @@ one-shot form over lazy ones, as :func:`repro.engine.join` is over one
 lazy session:
 
 * **threshold joins** — each shard reports at most one above-threshold
-  partner per query; the merge recomputes the shard winners' scores and
-  keeps the best (ties to the lowest global index).  For exact backends
-  this reproduces the unsharded result: the unsharded scan keeps the
+  partner per query; the merge re-scores the shard winners and keeps
+  the best (ties to the lowest global index).  For exact backends this
+  reproduces the unsharded result: the unsharded scan keeps the
   lowest-index maximizer, and every shard winner is its shard's
-  maximizer, so the global best survives in its own shard.  Scores are
-  recomputed from one extra dot product per shard winner (billed in
+  maximizer, so the global best survives in its own shard.  Each shard
+  winner costs one extra scored pair (billed in
   ``inner_products_evaluated``) because :class:`JoinResult` carries
   indices, not scores.
 * **top-k joins** — per-shard ranked lists merge by ``(-score, index)``
-  and truncate to ``k``: a streaming merge of per-shard heaps.
+  and truncate to ``k``.
+* **one scorer, one reducer** — both merges score the shards' answers
+  as one :class:`~repro.lsh.csr.CandidateBlock` with the measure's block
+  scorer (``MeasureDescriptor.verify_block``) and reduce it with
+  :func:`repro.core.verify._answers` at ``cs = -inf``, the reducer
+  every backend answers through, so the tie rule lives in one place.
 * **stats** — work counters sum and :class:`QueryStats` merge through
   the same monoid the executor uses, so sharded totals remain exact.
+  The merged result keeps the largest shard ``error_bound`` and the
+  call's wall time; a traced call returns one ``sharded.query`` span
+  over each shard's tree and the merge, and the shards' merged metrics.
 
 Determinism: exact backends (``brute_force``, ``norm_pruned``) give
 bit-identical matches to the unsharded join for any ``n_shards`` (up to
@@ -40,15 +48,19 @@ the kernels.
 
 from __future__ import annotations
 
+import time
+from itertools import chain
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.problems import JoinResult, JoinSpec, QueryStats
+from repro.core.verify import _answers
 from repro.engine.measures import get_measure
 from repro.engine.session import JoinSession, open_session
 from repro.errors import ParameterError
-from repro.obs import MetricsRegistry
+from repro.lsh.csr import CandidateBlock
+from repro.obs import MetricsRegistry, Tracer
 from repro.obs.sink import EventSink
 
 
@@ -73,71 +85,43 @@ def shard_bounds(n: int, n_shards: int) -> List[Tuple[int, int]]:
     return bounds
 
 
-def _merge_threshold(
+def _merge(
     shard_results: List[JoinResult],
     offsets: List[int],
     P,
     Q,
     spec: JoinSpec,
-) -> Tuple[List[Optional[int]], int]:
-    """Merge per-shard single-best matches; returns (matches, extra_evals).
+) -> Tuple[List[Optional[int]], Optional[List[List[int]]], int]:
+    """Merge per-shard answers; returns ``(matches, topk, extra_evals)``.
 
-    Every shard winner's score is recomputed with one dot product; the
-    best (highest score, ties to lowest global index) wins the query.
+    Every shard's answers to a query (its single best, or its ranked
+    list) become one :class:`~repro.lsh.csr.CandidateBlock` of global
+    rows, scored by the measure's block scorer and reduced by
+    :func:`~repro.core.verify._answers` at ``cs = -inf``: the best row
+    wins, ties to the lowest global index, and top-k lists rank by
+    ``(-score, index)``.  Every scored pair is billed.
     """
-    m = Q.shape[0]
-    matches: List[Optional[int]] = [None] * m
-    extra = 0
-    pair_score = get_measure(spec.measure).pair_score
-    best_scores = np.full(m, -np.inf)
+    qids, rows = [], []
     for offset, result in zip(offsets, shard_results):
-        for q, local in enumerate(result.matches):
-            if local is None:
-                continue
-            gi = offset + int(local)
-            value = pair_score(P, gi, Q, q)
-            extra += 1
-            score = value if spec.signed else abs(value)
-            current = matches[q]
-            if (
-                current is None
-                or score > best_scores[q]
-                or (score == best_scores[q] and gi < current)
-            ):
-                matches[q] = gi
-                best_scores[q] = score
-    return matches, extra
-
-
-def _merge_topk(
-    shard_results: List[JoinResult],
-    offsets: List[int],
-    P,
-    Q,
-    spec: JoinSpec,
-) -> Tuple[List[Optional[int]], List[List[int]], int]:
-    """Merge per-shard ranked lists by ``(-score, index)``, truncated to k."""
-    m = Q.shape[0]
-    topk: List[List[int]] = [[] for _ in range(m)]
-    matches: List[Optional[int]] = [None] * m
-    extra = 0
-    pair_score = get_measure(spec.measure).pair_score
-    for q in range(m):
-        scored: List[Tuple[float, int]] = []
-        for offset, result in zip(offsets, shard_results):
+        if spec.is_topk:
             lists = result.topk or []
-            if q >= len(lists):
-                continue
-            for local in lists[q]:
-                gi = offset + int(local)
-                value = pair_score(P, gi, Q, q)
-                extra += 1
-                score = value if spec.signed else abs(value)
-                scored.append((-score, gi))
-        scored.sort()
-        topk[q] = [gi for _, gi in scored[: spec.k]]
-        matches[q] = topk[q][0] if topk[q] else None
-    return matches, topk, extra
+        else:
+            lists = [() if r is None else (r,) for r in result.matches]
+        sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+        qids.append(np.repeat(np.arange(len(lists), dtype=np.int64), sizes))
+        rows.append(offset + np.fromiter(
+            chain.from_iterable(lists), dtype=np.int64, count=int(sizes.sum())
+        ))
+    qids, rows = np.concatenate(qids), np.concatenate(rows)
+    order = np.lexsort((rows, qids))
+    qids, rows = qids[order], rows[order]
+    block = CandidateBlock.from_pairs(qids, rows, Q.shape[0])
+    scored = get_measure(spec.measure).verify_block(P, Q, block, spec.signed)
+    answers = _answers(qids, rows, scored.scores, len(block), -np.inf, spec.k)
+    if not spec.is_topk:
+        return answers, None, scored.n_evaluated
+    matches = [lst[0] if lst else None for lst in answers]
+    return matches, answers, scored.n_evaluated
 
 
 def sharded_join(
@@ -208,6 +192,14 @@ class ShardedSession:
         return self._closed
 
     def query(self, Q, *, trace: bool = False) -> JoinResult:
+        """Run the batch through every shard and merge (module docs).
+
+        The result carries the summed work, the merged
+        :class:`QueryStats`, the largest shard ``error_bound`` and the
+        wall time of the whole call.  A traced call also returns one
+        ``sharded.query`` root span holding each shard's tree and the
+        ``merge``, and the shards' metrics merged into one registry.
+        """
         if self._closed:
             raise ParameterError("session is closed")
         # Q-only validation: P was checked once at open_sharded, and the
@@ -215,32 +207,39 @@ class ShardedSession:
         measure = get_measure(self.spec.measure)
         Q = measure.validate(Q, "Q")
         measure.check_compatible(self._P, Q)
-        shard_results = [
-            session.query(Q, trace=trace) for session in self._sessions
-        ]
-        offsets = [start for start, _ in self._bounds]
-        P, spec = self._P, self.spec
-        evaluated = sum(r.inner_products_evaluated for r in shard_results)
-        generated = sum(r.candidates_generated for r in shard_results)
-        stats = QueryStats()
-        for r in shard_results:
-            if r.stats is not None:
-                stats = stats.merge(r.stats)
-        if spec.is_topk:
-            matches, topk, extra = _merge_topk(shard_results, offsets, P, Q, spec)
-        else:
-            topk = None
-            matches, extra = _merge_threshold(shard_results, offsets, P, Q, spec)
-        backend = shard_results[0].backend or "?"
-        return JoinResult(
+        tracer = Tracer(enabled=trace)
+        t0 = time.perf_counter()
+        with tracer.span("sharded.query", n_shards=self.n_shards,
+                         m=int(Q.shape[0])) as root:
+            parts = [session.query(Q, trace=trace) for session in self._sessions]
+            if root is not None:
+                for i, part in enumerate(parts):
+                    part.trace.attrs["shard"] = i
+                    root.children.append(part.trace)
+            with tracer.span("merge"):
+                matches, topk, extra = _merge(
+                    parts, [start for start, _ in self._bounds],
+                    self._P, Q, self.spec,
+                )
+        bounds = [p.error_bound for p in parts if p.error_bound is not None]
+        result = JoinResult(
             matches=matches,
-            spec=shard_results[0].spec,
-            inner_products_evaluated=evaluated + extra,
-            candidates_generated=generated,
+            spec=parts[0].spec,
+            inner_products_evaluated=sum(
+                p.inner_products_evaluated for p in parts) + extra,
+            candidates_generated=sum(p.candidates_generated for p in parts),
             topk=topk,
-            backend=f"{backend}@{self.n_shards}shards",
-            stats=stats,
+            backend=f"{parts[0].backend or '?'}@{self.n_shards}shards",
+            stats=QueryStats.merge_all(p.stats for p in parts),
+            wall_s=time.perf_counter() - t0,
+            error_bound=max(bounds) if bounds else None,
         )
+        if trace:
+            result.trace = tracer.take()
+            result.metrics = MetricsRegistry(enabled=True)
+            for p in parts:
+                result.metrics.merge_snapshot(p.metrics.snapshot())
+        return result
 
     def metrics_snapshot(self) -> dict:
         """All shards' always-on registries merged into one snapshot.

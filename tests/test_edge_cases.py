@@ -13,7 +13,6 @@ from repro.core import JoinSpec, brute_force_join
 from repro.datasets import planted_mips
 from repro.errors import ParameterError
 from repro.lsh import DataDepALSH, HyperplaneLSH, LSHIndex
-from repro.mips import ConeTreeMIPS, ExactMIPS
 from repro.sketches import LKappaSketch, SketchCMIPS
 
 
@@ -56,10 +55,6 @@ class TestDegenerateShapes:
         result = brute_force_join(P, Q, JoinSpec(s=0.01, signed=False))
         assert len(result.matches) == 3
 
-    def test_one_point_cone_tree(self):
-        tree = ConeTreeMIPS(np.array([[2.0, 0.0]]), seed=0)
-        assert tree.query(np.array([1.0, 1.0])).value == 2.0
-
     def test_sketch_on_tiny_dataset(self):
         P = np.array([[1.0, 0.0], [0.0, 1.0]])
         structure = SketchCMIPS(P, kappa=2.0, seed=0)
@@ -80,13 +75,6 @@ class TestZeroVectors:
     def test_zero_data_sketch_estimate(self):
         sketch = LKappaSketch(8, 3.0, copies=3, seed=0)
         assert sketch.estimate(np.zeros(8)) == 0.0
-
-    def test_zero_vector_in_cone_tree(self, rng):
-        P = np.vstack([np.zeros(3), rng.normal(size=(5, 3))])
-        exact = ExactMIPS(P)
-        tree = ConeTreeMIPS(P, seed=1)
-        q = rng.normal(size=3)
-        assert abs(exact.query(q).value - tree.query(q).value) < 1e-9
 
 
 class TestAdversarialDuplicates:

@@ -219,6 +219,34 @@ class TestOptionValidation:
                 backend="brute_force", warp_speed=True,
             )
 
+    def test_lsh_builds_the_shape_it_is_given(self, instance, spec):
+        """Without a family, ``lsh`` builds a hyperplane index in the
+        given shape (16 x 12 only when neither is given); beside a
+        prebuilt ``index=``, shape and family options raise."""
+        from repro.lsh import HyperplaneLSH
+
+        d = instance.P.shape[1]
+        for options, shape in ((dict(), (16, 12)),
+                               (dict(n_tables=4, hashes_per_table=3), (4, 3)),
+                               (dict(hashes_per_table=5), (16, 5))):
+            with engine.open(instance.P, spec, backend="lsh", seed=3,
+                             **options) as session:
+                index = session._prepared[0].payload.index
+                result = session.query(instance.Q)
+            assert (index.n_tables, index.hashes_per_table) == shape
+            direct = LSHIndex(HyperplaneLSH(d), n_tables=shape[0],
+                              hashes_per_table=shape[1], seed=3)
+            reference = engine.join(instance.P, instance.Q, spec,
+                                    backend="lsh", index=direct.build(instance.P))
+            assert result.matches == reference.matches
+            assert (result.inner_products_evaluated
+                    == reference.inner_products_evaluated)
+        for extra in (dict(family=HyperplaneLSH(d)), dict(n_tables=4),
+                      dict(hashes_per_table=3)):
+            with pytest.raises(ParameterError, match="prebuilt index="):
+                engine.join(instance.P, instance.Q, spec, backend="lsh",
+                            index=direct, **extra)
+
     def test_sketch_rejects_signed(self, instance, spec):
         with pytest.raises(ParameterError, match="unsigned-only"):
             engine.join(instance.P, instance.Q, spec, backend="sketch")
@@ -341,17 +369,17 @@ class TestQueryStatsMerge:
         assert parallel.stats == serial.stats
 
 
-class TestMIPSEngineJoins:
+class TestSketchStructureJoins:
     def test_sketch_structure_join_carries_its_c(self, instance):
-        from repro.mips.sketch_engine import SketchMIPS
+        from repro.sketches import SketchCMIPS
 
-        mips = SketchMIPS(instance.P, kappa=3.0, copies=5, seed=5)
+        structure = SketchCMIPS(instance.P, kappa=3.0, copies=5, seed=5)
         result = engine.join(
             instance.P, instance.Q, JoinSpec(s=0.85, signed=False),
-            backend="sketch", structure=mips.structure,
+            backend="sketch", structure=structure,
         )
         assert result.backend == "sketch"
-        assert result.spec.c == pytest.approx(mips.approximation_factor)
+        assert result.spec.c == pytest.approx(structure.approximation_factor)
 
 
 class TestPlanIR:

@@ -248,6 +248,49 @@ class TestCapabilityMatrix:
         with pytest.raises(ParameterError, match="unknown measure"):
             get_measure("cosine")
 
+    @pytest.mark.parametrize("measure, signed",
+                             [("ip", True), ("ip", False), ("jaccard", True)])
+    def test_block_scorer_matches_pairwise_reference(self, measure, signed):
+        """Each measure's block scorer against a naive per-pair score.
+
+        The block holds an empty query and rows repeated across queries;
+        for Jaccard, data row 7 and query 5 are empty sets (their
+        Jaccard is 0).  Every query also scores alone, as a one-query
+        block.
+        """
+        from repro.lsh.csr import CandidateBlock
+
+        rng = np.random.default_rng(3)
+        lists = [[0, 2, 5], [], [0, 2, 6], [3], [1, 4, 6], [1, 6, 7]]
+        if measure == "ip":
+            P = rng.integers(-3, 4, size=(8, 5)).astype(float)
+            Q = rng.integers(-3, 4, size=(6, 5)).astype(float)
+
+            def pair(i, j):
+                value = float(P[i] @ Q[j])
+                return value if signed else abs(value)
+        else:
+            def sets(count):
+                return [rng.choice(12, size=rng.integers(1, 7), replace=False)
+                        for _ in range(count)]
+
+            P = SetCollection.from_lists(sets(7) + [[]], 12)
+            Q = SetCollection.from_lists(sets(5) + [[]], 12)
+
+            def pair(i, j):
+                return jaccard_pair(P.row(i), Q.row(j))
+
+        scorer = get_measure(measure).verify_block
+        block = CandidateBlock.from_lists(
+            [np.array(rows, dtype=np.int64) for rows in lists])
+        scored = scorer(P, Q, block, signed)
+        expected = [pair(i, j) for j, rows in enumerate(lists) for i in rows]
+        assert scored.scores.tolist() == expected
+        assert scored.n_evaluated == len(expected)
+        for j, rows in enumerate(lists):
+            alone = scorer(P, Q[j:j + 1], block.slice(j, j + 1), signed)
+            assert alone.scores.tolist() == [pair(i, j) for i in rows]
+
     def test_planner_prices_foreign_measures_infeasible(self):
         plan = plan_join(1000, 100, 64, JoinSpec(s=0.5, measure="jaccard"))
         by_name = {e.backend: e for e in plan.estimates}

@@ -99,44 +99,3 @@ class TestNaNRejection:
         from repro.utils.validation import check_matrix
         out = check_matrix(np.ones((2, 2), dtype=np.int64), dtype=np.int64)
         assert out.dtype == np.int64
-
-
-class TestConeTreeTopK:
-    def test_matches_exact_topk(self, rng):
-        from repro.mips import ConeTreeMIPS, ExactMIPS
-        P = rng.normal(size=(150, 8))
-        tree = ConeTreeMIPS(P, leaf_size=8, seed=0)
-        exact = ExactMIPS(P)
-        q = rng.normal(size=8)
-        mine = tree.top_k(q, 5)
-        theirs = exact.top_k(q, 5)
-        assert [a.index for a in mine] == [a.index for a in theirs]
-        for a, b in zip(mine, theirs):
-            assert abs(a.value - b.value) < 1e-12
-
-    def test_sorted_descending(self, rng):
-        from repro.mips import ConeTreeMIPS
-        P = rng.normal(size=(60, 5))
-        answers = ConeTreeMIPS(P, seed=1).top_k(rng.normal(size=5), 7)
-        values = [a.value for a in answers]
-        assert values == sorted(values, reverse=True)
-
-    def test_k_larger_than_n(self, rng):
-        from repro.mips import ConeTreeMIPS
-        P = rng.normal(size=(6, 4))
-        assert len(ConeTreeMIPS(P, seed=2).top_k(rng.normal(size=4), 50)) == 6
-
-    def test_prunes_versus_scan(self, rng):
-        from repro.datasets import latent_factor_model
-        from repro.mips import ConeTreeMIPS
-        model = latent_factor_model(4, 600, rank=8, popularity_skew=1.0, seed=3)
-        tree = ConeTreeMIPS(model.items, leaf_size=16, seed=4)
-        answers = tree.top_k(model.users[0], 3)
-        assert answers[0].work < model.n_items
-
-    def test_bad_k(self, rng):
-        from repro.errors import ParameterError
-        from repro.mips import ConeTreeMIPS
-        tree = ConeTreeMIPS(rng.normal(size=(5, 3)), seed=5)
-        with pytest.raises(ParameterError):
-            tree.top_k(np.ones(3), 0)

@@ -496,6 +496,60 @@ class TestShardedJoin:
         sharded = sharded_join(P, Q, spec, n_shards=4, backend="brute_force")
         assert sharded.topk == unsharded.topk
 
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_cross_shard_ties_go_to_lowest_global_index(self, k):
+        """Tied best rows in different shards: the lowest index wins.
+
+        Three shards of two rows.  Query 0 ties rows 1, 3 and 5 (one per
+        shard); query 1 ties rows 2 and 5 above shard 0's winner, row 0;
+        query 2, unsigned, ties row 0 (+3) with row 4 (-3).
+        """
+        P = np.array([[0, 1, 3], [2, 0, 1], [0, 3, 0],
+                      [2, 0, 2], [0, 0, -3], [2, 3, 0]], dtype=float)
+        Q = np.eye(3)
+        cases = (
+            (True, Q[:2], [1, 2], [[1, 3], [2, 5]]),
+            (False, Q[2:], [0], [[0, 4]]),
+        )
+        for signed, queries, best, ranked in cases:
+            spec = JoinSpec(s=1.0, signed=signed, k=k)
+            sharded = sharded_join(P, queries, spec, n_shards=3,
+                                   backend="brute_force")
+            assert sharded.matches == best
+            assert sharded.topk == (ranked if k else None)
+            unsharded = join(P, queries, spec, backend="brute_force")
+            assert sharded.topk == unsharded.topk
+            assert sharded.matches == unsharded.matches
+
+    def test_sharded_result_keeps_bound_wall_trace_and_metrics(self):
+        """The merged result carries what one session's result carries:
+        the largest shard ``error_bound``, the call's wall time and,
+        traced, one root span over the shards' trees and the merge plus
+        the shards' merged metrics."""
+        rng = np.random.default_rng(5)
+        P = rng.standard_normal((300, 8))
+        Q = rng.standard_normal((40, 8))
+        spec = JoinSpec(s=1.0, c=0.8, signed=True)
+        sharded = sharded_join(P, Q, spec, 2, backend="quantized", trace=True)
+        shards = [join(P[a:b], Q, spec, backend="quantized", seed=None)
+                  for a, b in shard_bounds(300, 2)]
+        assert sharded.error_bound is not None
+        assert sharded.error_bound == max(r.error_bound for r in shards)
+        assert sharded.matches == join(P, Q, spec, backend="brute_force").matches
+        assert sharded.wall_s > 0.0
+        assert sharded.trace.name == "sharded.query"
+        assert [c.name for c in sharded.trace.children] == [
+            "session.query", "session.query", "merge"]
+        assert [c.attrs["shard"] for c in sharded.trace.children[:2]] == [0, 1]
+        counters = sharded.metrics.snapshot()["counters"]
+        assert counters["engine.joins"] == 2
+        assert counters["engine.candidates_generated"] == sum(
+            r.candidates_generated for r in shards)
+        untraced = sharded_join(P, Q, spec, 2, backend="brute_force")
+        assert untraced.error_bound is None
+        assert untraced.trace is None and untraced.metrics is None
+        assert untraced.wall_s > 0.0
+
     def test_lsh_deterministic_given_seed_and_shards(self, instance):
         P, Q = instance
         spec = JoinSpec(s=0.5, c=0.8, signed=True)

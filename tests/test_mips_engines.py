@@ -1,127 +1,31 @@
-import numpy as np
-import pytest
+"""Approximate unsigned MIPS through the Section 4.3 sketch structure: a
+point query is ``SketchCMIPS.query``, and a batch runs as the ``sketch``
+join, which bills the descent's cost a query."""
 
-from repro.datasets import latent_factor_model, planted_mips
-from repro.errors import ParameterError
-from repro.mips import ConeTreeMIPS, ExactMIPS, LSHMIPS, SketchMIPS
-
-
-@pytest.fixture(scope="module")
-def model():
-    return latent_factor_model(24, 800, rank=12, popularity_skew=0.8, seed=0)
-
-
-class TestExactMIPS:
-    def test_matches_argmax(self, model):
-        engine = ExactMIPS(model.items)
-        for u in range(5):
-            answer = engine.query(model.users[u])
-            prefs = model.preference(u)
-            assert answer.index == int(np.argmax(prefs))
-            assert abs(answer.value - prefs.max()) < 1e-12
-            assert answer.work == model.n_items
-
-    def test_top_k_sorted_and_correct(self, model):
-        engine = ExactMIPS(model.items)
-        top = engine.top_k(model.users[0], k=5)
-        prefs = model.preference(0)
-        expected = np.argsort(-prefs)[:5]
-        assert [a.index for a in top] == expected.tolist()
-        values = [a.value for a in top]
-        assert values == sorted(values, reverse=True)
-
-    def test_top_k_exceeding_n(self, model):
-        engine = ExactMIPS(model.items)
-        assert len(engine.top_k(model.users[0], k=10 ** 6)) == model.n_items
-
-    def test_top_k_validates(self, model):
-        with pytest.raises(ParameterError):
-            ExactMIPS(model.items).top_k(model.users[0], k=0)
-
-    def test_query_dimension_validated(self, model):
-        with pytest.raises(ParameterError):
-            ExactMIPS(model.items).query(np.zeros(model.rank + 1))
-
-
-class TestConeTreeMIPS:
-    @pytest.fixture(scope="class")
-    def engine(self, ):
-        model = latent_factor_model(24, 800, rank=12, popularity_skew=0.8, seed=0)
-        return ConeTreeMIPS(model.items, leaf_size=16, seed=1)
-
-    def test_always_exact(self, engine, model):
-        exact = ExactMIPS(model.items)
-        for u in range(24):
-            a = exact.query(model.users[u])
-            b = engine.query(model.users[u])
-            assert abs(a.value - b.value) < 1e-9
-
-    def test_prunes_work(self, engine, model):
-        total_work = sum(engine.query(model.users[u]).work for u in range(24))
-        assert total_work < 24 * model.n_items * 0.5
-
-    def test_prune_counters(self, engine, model):
-        engine.query(model.users[0])
-        assert engine.last_nodes_visited > 0
-        assert engine.last_nodes_pruned >= 0
-
-    def test_duplicate_points_handled(self):
-        P = np.ones((20, 4))
-        engine = ConeTreeMIPS(P, leaf_size=2, seed=2)
-        answer = engine.query(np.ones(4))
-        assert abs(answer.value - 4.0) < 1e-12
-
-    def test_single_point(self):
-        engine = ConeTreeMIPS(np.array([[1.0, 2.0]]), seed=3)
-        answer = engine.query(np.array([1.0, 0.0]))
-        assert answer.index == 0 and answer.value == 1.0
-
-    def test_bad_leaf_size(self):
-        with pytest.raises(ParameterError):
-            ConeTreeMIPS(np.ones((4, 2)), leaf_size=0)
-
-    def test_negative_best_value(self):
-        P = np.array([[-1.0, 0.0], [-2.0, 0.0]])
-        answer = ConeTreeMIPS(P, seed=4).query(np.array([1.0, 0.0]))
-        assert answer.index == 0 and answer.value == -1.0
-
-
-class TestLSHMIPS:
-    def test_high_quality_on_planted(self):
-        inst = planted_mips(400, 12, 24, s=0.9, c=0.3, seed=5)
-        engine = LSHMIPS(inst.P, n_tables=16, hashes_per_table=6, seed=6)
-        hits = sum(
-            1 for qi in range(12)
-            if engine.query(inst.Q[qi]).value >= inst.cs
-        )
-        assert hits >= 10
-
-    def test_work_below_scan(self):
-        inst = planted_mips(400, 12, 24, s=0.9, c=0.3, seed=7)
-        engine = LSHMIPS(inst.P, n_tables=8, hashes_per_table=6, seed=8)
-        works = [engine.query(inst.Q[qi]).work for qi in range(12)]
-        assert np.mean(works) < inst.n / 2
-
-    def test_fallback_on_empty_candidates(self):
-        # One table, many bits: a far query likely hits an empty bucket,
-        # and the engine must fall back to the exact scan.
-        inst = planted_mips(50, 4, 16, s=0.9, c=0.3, seed=9)
-        engine = LSHMIPS(inst.P, n_tables=1, hashes_per_table=14, seed=10)
-        answer = engine.query(inst.Q[0])
-        assert answer.index >= 0  # always answers something
+from repro import engine
+from repro.core import JoinSpec
+from repro.core.brute_force import brute_force_mips
+from repro.datasets import planted_mips
+from repro.sketches import SketchCMIPS
 
 
 class TestSketchMIPS:
     def test_within_factor(self):
         inst = planted_mips(256, 8, 24, s=0.9, c=0.3, seed=11)
-        engine = SketchMIPS(inst.P, kappa=4.0, copies=9, seed=12)
-        exact = ExactMIPS(inst.P)
+        structure = SketchCMIPS(inst.P, kappa=4.0, copies=9, seed=12)
         for qi in range(8):
-            opt = abs(exact.query(inst.Q[qi]).value)
-            got = engine.query(inst.Q[qi]).value
-            assert got >= engine.approximation_factor * opt / 4.0
+            opt = abs(brute_force_mips(inst.P, inst.Q[qi]).value)
+            got = structure.query(inst.Q[qi]).value
+            assert got >= structure.approximation_factor * opt / 4.0
 
     def test_work_reported(self):
         inst = planted_mips(256, 8, 24, s=0.9, c=0.3, seed=13)
-        engine = SketchMIPS(inst.P, kappa=3.0, copies=5, seed=14)
-        assert engine.query(inst.Q[0]).work > 0
+        structure = SketchCMIPS(inst.P, kappa=3.0, copies=5, seed=14)
+        per_query = structure.recovery.query_cost() // inst.P.shape[1]
+        assert per_query > 0
+        result = engine.join(
+            inst.P, inst.Q, JoinSpec(s=inst.s, signed=False),
+            backend="sketch", structure=structure,
+        )
+        assert result.inner_products_evaluated == per_query * inst.Q.shape[0]
+        assert result.candidates_generated == inst.Q.shape[0]

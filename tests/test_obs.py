@@ -33,7 +33,6 @@ from repro.engine.planner import (
     plan_join,
 )
 from repro.errors import ParameterError
-from repro.mips import LSHMIPS
 from repro.obs import (
     MetricsRegistry,
     PlannerLog,
@@ -335,28 +334,37 @@ class TestStatsReuseRegression:
     no matter what ran on the index in between.
     """
 
-    def test_lshmips_join_reuse_reports_per_join_stats(self, instance):
-        eng = LSHMIPS(instance.P * 0.9, seed=0)
+    @staticmethod
+    def _datadep_index(P):
+        from repro.lsh import DataDepALSH, LSHIndex
+
+        return LSHIndex(DataDepALSH(P.shape[1], sphere="hyperplane"),
+                        n_tables=16, hashes_per_table=6, seed=0).build(P)
+
+    def test_datadep_join_reuse_reports_per_join_stats(self, instance):
+        P = instance.P * 0.9
+        index = self._datadep_index(P)
         spec = JoinSpec(s=0.6, c=0.5)
         m = instance.Q.shape[0]
-        first = join(eng.data, instance.Q, spec, backend="lsh", index=eng.index)
-        second = join(eng.data, instance.Q, spec, backend="lsh", index=eng.index)
+        first = join(P, instance.Q, spec, backend="lsh", index=index)
+        second = join(P, instance.Q, spec, backend="lsh", index=index)
         # Same work both times: deltas, not cumulative counts.
         assert second.stats == first.stats
         assert second.candidates_generated == first.candidates_generated
         assert first.stats.queries == m
         # The index's own counters keep accumulating across joins.
-        assert eng.index.stats.queries == 2 * m
+        assert index.stats.queries == 2 * m
 
     def test_interleaved_queries_do_not_pollute_join_stats(self, instance):
-        eng = LSHMIPS(instance.P * 0.9, seed=0)
+        P = instance.P * 0.9
+        index = self._datadep_index(P)
         spec = JoinSpec(s=0.6, c=0.5)
-        first = join(eng.data, instance.Q, spec, backend="lsh", index=eng.index)
+        first = join(P, instance.Q, spec, backend="lsh", index=index)
         # Point queries between joins mutate the index's cumulative
         # stats but must not surface in the next join's delta.
         for q in instance.Q[:7]:
-            eng.query(q)
-        second = join(eng.data, instance.Q, spec, backend="lsh", index=eng.index)
+            index.candidates(q)
+        second = join(P, instance.Q, spec, backend="lsh", index=index)
         assert first.matched_count > 0
         assert second.stats == first.stats
         assert second.matches == first.matches

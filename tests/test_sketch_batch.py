@@ -14,7 +14,6 @@ from repro import engine
 from repro.core.problems import JoinSpec
 from repro.core.verify import verify_candidates
 from repro.errors import ParameterError
-from repro.mips.sketch_engine import SketchMIPS
 from repro.sketches import (
     LKappaSketch,
     MaxDotEstimator,
@@ -108,6 +107,19 @@ def test_cmips_query_batch_matches_looped_query(data):
         assert batch[j].norm_estimate == pytest.approx(answer.norm_estimate, rel=1e-9)
 
 
+def test_sketch_mips_query_batch(data):
+    A, Q = data
+    cmips = SketchCMIPS(A, kappa=4.0, copies=5, seed=31)
+    blocks = [
+        cmips.query_batch(Q[start : start + 40]) for start in range(0, len(Q), 40)
+    ]
+    looped = [cmips.query(q) for q in Q]
+    indices = np.concatenate([b.indices for b in blocks])
+    values = np.concatenate([b.values for b in blocks])
+    assert indices.tolist() == [a.index for a in looped]
+    assert np.allclose(values, [a.value for a in looped], **TIGHT)
+
+
 def _sketch_join(A, Q, s, **options):
     return engine.join(
         A, Q, JoinSpec(s=s, signed=False), backend="sketch", **options
@@ -135,18 +147,6 @@ def test_sketch_join_blocked_equals_per_query_reference(data):
     assert result.candidates_generated == Q.shape[0]
 
 
-def test_sketch_mips_query_batch(data):
-    A, Q = data
-    mips = SketchMIPS(A, kappa=4.0, copies=5, seed=31)
-    batched = mips.query_batch(Q, block=40)
-    looped = [mips.query(q) for q in Q]
-    assert [a.index for a in batched] == [a.index for a in looped]
-    assert [a.work for a in batched] == [a.work for a in looped]
-    assert np.allclose(
-        [a.value for a in batched], [a.value for a in looped], **TIGHT
-    )
-
-
 def test_sketch_join_worker_invariance(data):
     A, Q = data
     options = dict(kappa=4.0, copies=5, seed=37, block=32)
@@ -164,20 +164,3 @@ def test_sketch_join_worker_invariance(data):
         == multi.inner_products_evaluated
     )
     assert one.spec.cs == pytest.approx(multi.spec.cs)
-
-
-def test_mips_engine_default_query_batch(data):
-    from repro.mips.base import MIPSEngine
-
-    A, Q = data
-
-    class Exact(MIPSEngine):
-        def query(self, q):
-            from repro.mips.base import MIPSAnswer
-
-            values = self._P @ q
-            j = int(np.argmax(values))
-            return MIPSAnswer(index=j, value=float(values[j]), work=self.n)
-
-    exact = Exact(A)
-    assert exact.query_batch(Q) == [exact.query(q) for q in Q]

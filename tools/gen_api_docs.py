@@ -27,11 +27,28 @@ def first_paragraph(doc: str) -> str:
     return " ".join(line.strip() for line in paragraph.splitlines())
 
 
+class _Named:
+    """A default shown by its name: a function's own repr holds its
+    address, which would change the file on every run."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __repr__(self) -> str:
+        return self.name
+
+
 def signature_of(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        sig = inspect.signature(obj)
     except (TypeError, ValueError):
         return "(...)"
+    params = [
+        p.replace(default=_Named(p.default.__qualname__))
+        if inspect.isroutine(p.default) else p
+        for p in sig.parameters.values()
+    ]
+    return str(sig.replace(parameters=params))
 
 
 def public_members(module):
