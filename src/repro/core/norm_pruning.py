@@ -13,16 +13,21 @@ prefix is a small fraction of the data — an *exact* subquadratic-in-
 practice join, the kind of baseline the paper's theory explains the
 limits of (in the worst case, when all norms are equal, it degrades to
 the full scan).
+
+One walk answers both variants: a threshold join
+(:meth:`NormScanIndex.query_block`) is the top-1 case of
+:meth:`NormScanIndex.topk_block`, and each step folds one GEMM into the
+kept pairs through the shared top-k cuts of :mod:`repro.core.verify`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.problems import QueryStats
-from repro.core.verify import GEMM_ADVANTAGE
+from repro.core.verify import _answers, _dense_topk_mask, _topk_pairs
 from repro.errors import ParameterError
 from repro.obs.trace import span
 from repro.utils.validation import check_matrix, check_vector
@@ -35,26 +40,45 @@ from repro.utils.validation import check_matrix, check_vector
 _BOUND_SLACK = 8 * np.finfo(np.float64).eps
 
 
+def norm_order(P) -> Tuple[np.ndarray, np.ndarray]:
+    """Row norms of ``P`` and its row indices by decreasing norm.
+
+    The sort is stable, so rows with tied norms keep ascending index
+    order.  :class:`NormScanIndex` walks its prefix in this order and
+    :func:`repro.engine.plan.norm_partition` splits hybrid plans by it.
+    """
+    norms = np.linalg.norm(P, axis=1)
+    return norms, np.argsort(-norms, kind="stable")
+
+
 class NormScanIndex:
     """Data sorted by decreasing norm, with prefix-pruned exact queries."""
 
     def __init__(self, P):
         P = check_matrix(P, "P")
-        self.norms_unsorted = np.linalg.norm(P, axis=1)
-        self.order = np.argsort(-self.norms_unsorted, kind="stable")
+        self.norms_unsorted, self.order = norm_order(P)
         self.P_sorted = P[self.order]
         self.norms = self.norms_unsorted[self.order]
         self.n, self.d = P.shape
 
-    def prefix_length(self, query_norm: float, threshold: float) -> int:
-        """Vectors that could reach ``threshold`` against a query this long."""
+    def prefix_length(
+        self, query_norm: Union[float, np.ndarray], threshold: float
+    ) -> Union[int, np.ndarray]:
+        """Vectors that could reach ``threshold`` against a query this long.
+
+        ``query_norm`` is one norm (returns an ``int``) or an array of
+        query norms (returns an int64 array of the same shape).
+        """
+        norms = np.asarray(query_norm, dtype=np.float64)
         if threshold <= 0:
-            return self.n
-        if query_norm <= 0:
-            return 0
-        cutoff = threshold / query_norm * (1.0 - _BOUND_SLACK)
-        # norms are descending; count entries >= cutoff.
-        return int(np.searchsorted(-self.norms, -cutoff, side="right"))
+            lengths = np.full(norms.shape, self.n, dtype=np.int64)
+        else:
+            # A zero-norm query gets an infinite cutoff: an empty prefix.
+            with np.errstate(divide="ignore"):
+                cutoff = threshold / norms * (1.0 - _BOUND_SLACK)
+            # norms are descending; count entries >= cutoff.
+            lengths = np.searchsorted(-self.norms, -cutoff, side="right")
+        return int(lengths) if norms.ndim == 0 else lengths
 
     def query(self, q, threshold: float, signed: bool = True, block: int = 256):
         """Best data index with (absolute) inner product >= threshold.
@@ -65,7 +89,8 @@ class NormScanIndex:
         scanning stops as soon as ``|p| |q|`` of the next block cannot
         beat the current best *and* the best already clears the
         threshold.  Equal scores go to the lower original index, within
-        a block and across blocks, as in every other backend.
+        a block and across blocks, as in every other backend.  The
+        one-query reference for :meth:`query_block`.
         """
         q = check_vector(q, "q")
         if q.size != self.d:
@@ -98,88 +123,17 @@ class NormScanIndex:
         """Batched :meth:`query` over the rows of ``Q_block``.
 
         Returns ``(indices, values, work)`` arrays; ``indices[i]`` is
-        ``-1`` on a miss.  Walks the norm-ordered data in the same
-        ``block``-sized prefix steps as the scalar scan, evaluating each
-        step as one GEMM over the still-active queries (falling back to
-        per-query GEMVs when per-query prefix limits make the shared GEMM
-        waste arithmetic, the :mod:`repro.core.verify` cost test).  A
-        query leaves the active set exactly when the scalar scan would
-        have stopped, so per-query work counts are preserved, and equal
-        scores go to the lower original index, as in :meth:`query`.
+        ``-1`` on a miss.  The top-1 case of the walk: a query leaves it
+        exactly where the scalar scan stops, so per-query work counts
+        match, and equal scores go to the lower original index.
         """
-        Q_block = check_matrix(Q_block, "Q", allow_empty=True)
-        b = Q_block.shape[0]
-        if b and Q_block.shape[1] != self.d:
-            raise ParameterError(
-                f"expected query dimension {self.d}, got {Q_block.shape[1]}"
-            )
-        best_values = np.full(b, -np.inf)
-        best_indices = np.full(b, self.n, dtype=np.int64)
-        work = np.zeros(b, dtype=np.int64)
-        if b == 0:
-            return best_indices, best_values, work
-        q_norms = np.linalg.norm(Q_block, axis=1)
-        limits = np.array(
-            [self.prefix_length(float(qn), threshold) for qn in q_norms],
-            dtype=np.int64,
+        qids, rows, scores, values, work = self._walk(
+            Q_block, threshold, 1, signed, block
         )
-        active = limits > 0
-        start = 0
-        max_limit = int(limits.max())
-        while start < max_limit and active.any():
-            stop = min(start + block, max_limit)
-            # The scalar scan checks its stopping rule *before* this step.
-            bound = self.norms[start] * q_norms * (1.0 + _BOUND_SLACK)
-            active &= ~((best_values >= threshold) & (best_values >= bound))
-            active &= limits > start
-            qidx = np.flatnonzero(active)
-            if qidx.size == 0:
-                start = stop
-                continue
-            stops = np.minimum(limits[qidx], stop)
-            evaluated = int((stops - start).sum())
-            work[qidx] += stops - start
-            if (stop - start) * qidx.size <= GEMM_ADVANTAGE * evaluated:
-                values = self.P_sorted[start:stop] @ Q_block[qidx].T
-                scores = values if signed else np.abs(values)
-                # Rows past a query's own prefix limit were never part of
-                # its scalar scan; mask them out of the argmax.
-                rows = np.arange(start, stop)[:, None]
-                scores = np.where(rows < stops[None, :], scores, -np.inf)
-                local_scores = scores.max(axis=0)
-                # Lowest original index among each query's best rows.
-                local = np.where(scores == local_scores,
-                                 self.order[start:stop, None], self.n).min(axis=0)
-            else:
-                local = np.empty(qidx.size, dtype=np.int64)
-                local_scores = np.empty(qidx.size)
-                for pos, (qi, q_stop) in enumerate(zip(qidx, stops)):
-                    vals = self.P_sorted[start:q_stop] @ Q_block[qi]
-                    sc = vals if signed else np.abs(vals)
-                    local_scores[pos] = sc.max()
-                    local[pos] = self.order[start:q_stop][sc == sc.max()].min()
-            held = best_values[qidx]
-            better = (local_scores > held) | (
-                (local_scores == held) & (local < best_indices[qidx]))
-            upd = qidx[better]
-            best_values[upd] = local_scores[better]
-            best_indices[upd] = local[better]
-            start = stop
-        misses = (best_values < threshold) | (best_indices == self.n)
-        best_indices[misses] = -1
-        return best_indices, best_values, work
-
-    def _collect_topk(self, buf, scores, start: int, threshold: float, k: int):
-        """Merge one prefix step's above-threshold scores into a top-k buffer.
-
-        ``buf`` holds ``(score, global_index)`` pairs ranked by
-        ``(-score, index)`` — the deterministic tie order the top-k scan
-        reports — and is kept truncated to ``k``.
-        """
-        for local in np.flatnonzero(scores >= threshold):
-            buf.append((float(scores[local]), int(self.order[start + local])))
-        buf.sort(key=lambda entry: (-entry[0], entry[1]))
-        del buf[k:]
+        indices = np.full(work.size, -1, dtype=np.int64)
+        indices[qids] = rows
+        values[qids] = scores
+        return indices, values, work
 
     def topk_block(
         self,
@@ -191,13 +145,28 @@ class NormScanIndex:
     ) -> Tuple[List[List[int]], np.ndarray]:
         """Top-k-above-threshold lists for the rows of ``Q_block``.
 
-        The LEMP-style extension of :meth:`query_block`: the same
-        norm-ordered prefix walk, but each query keeps its ``k`` best
-        above-``threshold`` scores instead of a single champion.  A query
-        leaves the active set once its k-th best score reaches the
-        ``|p| |q|`` bound of the next prefix step — no later vector can
-        then displace any of its current top k.  Ties rank by
+        The LEMP-style extension of :meth:`query`: each query keeps its
+        ``k`` best above-``threshold`` scores instead of a single
+        champion, and leaves the walk once its k-th best score reaches
+        the ``|p| |q|`` bound of the next prefix step — no later vector
+        can then displace any of its current top k.  Ties rank by
         ``(-score, index)``.  Returns ``(topk_lists, work)``.
+        """
+        qids, rows, scores, _, work = self._walk(
+            Q_block, threshold, k, signed, block
+        )
+        return _answers(qids, rows, scores, work.size, threshold, k), work
+
+    def _walk(self, Q_block, threshold: float, k: int, signed: bool,
+              block: int):
+        """The prefix walk behind both block queries.
+
+        Each ``block``-row step is one GEMM over the still-active
+        queries, cut to the entries that can enter a query's top ``k``
+        and merged into its kept pairs.  Returns ``(qids, rows, scores,
+        best, work)``: the kept pairs (sorted by query, then
+        ``(-score, row)``), and per query the best score it evaluated
+        before keeping ``k`` pairs and its inner products evaluated.
         """
         Q_block = check_matrix(Q_block, "Q", allow_empty=True)
         b = Q_block.shape[0]
@@ -205,53 +174,63 @@ class NormScanIndex:
             raise ParameterError(
                 f"expected query dimension {self.d}, got {Q_block.shape[1]}"
             )
-        work = np.zeros(b, dtype=np.int64)
-        buffers: List[List[Tuple[float, int]]] = [[] for _ in range(b)]
-        if b == 0:
-            return [], work
-        # k-th best collected score per query; -inf until k entries clear
-        # the threshold, so the stop rule below cannot fire early.
-        kth_best = np.full(b, -np.inf)
         q_norms = np.linalg.norm(Q_block, axis=1)
-        limits = np.array(
-            [self.prefix_length(float(qn), threshold) for qn in q_norms],
-            dtype=np.int64,
-        )
+        limits = self.prefix_length(q_norms, threshold)
+        best = np.full(b, -np.inf)
+        work = np.zeros(b, dtype=np.int64)
+        # Each query's k-th kept score; -inf until k pairs clear the
+        # threshold, so the stop rule below cannot fire early.
+        kth = np.full(b, -np.inf)
+        qids = rows = np.empty(0, dtype=np.int64)
+        scores = np.empty(0)
         active = limits > 0
-        start = 0
-        max_limit = int(limits.max())
-        while start < max_limit and active.any():
+        max_limit = int(limits.max(initial=0))
+        for start in range(0, max_limit, block):
             stop = min(start + block, max_limit)
+            # Checked before the step, as in the scalar scan: a query
+            # leaves once no row from here on can displace its k pairs.
             bound = self.norms[start] * q_norms * (1.0 + _BOUND_SLACK)
-            active &= ~(kth_best >= bound)
-            active &= limits > start
+            active &= (kth < bound) & (limits > start)
             qidx = np.flatnonzero(active)
             if qidx.size == 0:
-                start = stop
-                continue
+                break
+            # Active since the first step, a query has evaluated exactly
+            # its rows before its stop.
             stops = np.minimum(limits[qidx], stop)
-            evaluated = int((stops - start).sum())
-            work[qidx] += stops - start
-            if (stop - start) * qidx.size <= GEMM_ADVANTAGE * evaluated:
-                values = self.P_sorted[start:stop] @ Q_block[qidx].T
-                scores = values if signed else np.abs(values)
-                rows = np.arange(start, stop)[:, None]
-                scores = np.where(rows < stops[None, :], scores, -np.inf)
-                for pos, qi in enumerate(qidx):
-                    self._collect_topk(
-                        buffers[qi], scores[:, pos], start, threshold, k
-                    )
-            else:
-                for qi, q_stop in zip(qidx, stops):
-                    vals = self.P_sorted[start:q_stop] @ Q_block[qi]
-                    sc = vals if signed else np.abs(vals)
-                    self._collect_topk(buffers[qi], sc, start, threshold, k)
-            for qi in qidx:
-                if len(buffers[qi]) == k:
-                    kth_best[qi] = buffers[qi][-1][0]
-            start = stop
-        lists = [[gidx for _, gidx in buf] for buf in buffers]
-        return lists, work
+            work[qidx] = stops
+            tile = (self.P_sorted[start:stop] @ Q_block[qidx].T).T
+            if not signed:
+                tile = np.abs(tile)
+            # Rows past a query's own prefix limit are not in its scan.
+            if stops.min() < stop:
+                tile[np.arange(start, stop) >= stops[:, None]] = -np.inf
+            # A query's best evaluated score is tracked only until it
+            # keeps k pairs; after that its best kept pair holds it.
+            held = kth[qidx]
+            fresh = held == -np.inf
+            if fresh.any():
+                sub = qidx[fresh]
+                best[sub] = np.maximum(best[sub], tile[fresh].max(axis=1))
+            # An entry below a query's k-th kept score cannot enter its
+            # list.  Survivors are read in the GEMM output's memory order
+            # (row * |qidx| + query): a 1-D nonzero is far cheaper.
+            floor = np.maximum(held, threshold)
+            lr, lq = np.divmod(
+                np.flatnonzero(_dense_topk_mask(tile, floor, k).T),
+                qidx.size,
+            )
+            if lq.size == 0:
+                continue
+            qids, rows, scores = _topk_pairs(
+                np.concatenate([qids, qidx[lq]]),
+                np.concatenate([rows, self.order[start + lr]]),
+                np.concatenate([scores, tile[lq, lr]]),
+                k,
+            )
+            sizes = np.bincount(qids, minlength=b)
+            full = sizes == k
+            kth[full] = scores[np.cumsum(sizes)[full] - 1]
+        return qids, rows, scores, best, work
 
 
 def norm_scan_chunk(
@@ -271,8 +250,8 @@ def norm_scan_chunk(
     norm-qualified prefixes).  ``block`` groups queries into the
     shared-GEMM batches of :meth:`NormScanIndex.query_block` /
     :meth:`NormScanIndex.topk_block`; ``scan_block`` is the prefix step
-    along the norm-sorted data.  Because the GEMM/GEMV cost test inside
-    those walks depends on which queries share a batch, chunk
+    along the norm-sorted data.  A step with one active query is a GEMV
+    in numpy, whose last bits can differ from the GEMM's, so chunk
     boundaries must align to ``block`` multiples for results to be
     independent of chunking — the same contract the executor enforces.
     """

@@ -6,12 +6,13 @@ number k".  These functions return, per query, up to ``k`` data indices
 clearing the ``cs`` threshold, ordered by decreasing (absolute) inner
 product — exact or through an LSH index.
 
-The exact inner loop is :func:`topk_chunk`; the filter backends rank
-through the shared pipeline (:mod:`repro.core.lsh_join`).  Both operate
-on a contiguous query chunk and rank with the one answer reducer
-(:func:`repro.core.verify._answers`), so the unified engine shards top-k
-joins through the same executor path as threshold joins and every
-backend breaks ties by ``(-score, index)``.  Callers reach them through
+The exact full scan is :func:`topk_chunk`; the norm-pruned scan
+(:mod:`repro.core.norm_pruning`) and the filter backends
+(:mod:`repro.core.lsh_join`) rank the same way.  Each operates on a
+contiguous query chunk and ranks with the top-k cuts of
+:mod:`repro.core.verify`, so the unified engine shards top-k joins
+through the same executor path as threshold joins and every backend
+breaks ties by ``(-score, index)``.  Callers reach them through
 :func:`repro.engine.join` with ``spec.k`` set.
 """
 
@@ -22,7 +23,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.core.problems import QueryStats
-from repro.core.verify import _answers
+from repro.core.verify import _answers, _dense_topk_mask
 from repro.errors import ParameterError
 
 
@@ -36,24 +37,17 @@ def topk_chunk(
 ) -> Tuple[List[List[int]], int, int, QueryStats]:
     """Exact top-k lists for one contiguous query chunk.
 
-    Each query block is one GEMM against all of ``P``; its pairs scoring
-    at least ``cs`` go to the shared answer reducer, which ranks them by
-    ``(-score, index)``.  Returns ``(topk_lists,
-    inner_products_evaluated, candidates_generated, stats)``.
+    Each query block is one GEMM against all of ``P``.  The dense cut
+    keeps each query's entries that can make its list, and the shared
+    answer reducer ranks those pairs by ``(-score, index)``.  Returns
+    ``(topk_lists, inner_products_evaluated, candidates_generated,
+    stats)``.
     """
     out: List[List[int]] = []
     for q0 in range(0, Q_chunk.shape[0], block):
         values = Q_chunk[q0:q0 + block] @ P.T
         scores = values if signed else np.abs(values)
-        hit = scores >= cs
-        # The reducer would cut rows with more than k survivors to their
-        # k best; on the dense tile that is one partition, before the
-        # pairs are even built.
-        crowded = np.flatnonzero(np.count_nonzero(hit, axis=1) > k)
-        if crowded.size:
-            top = -np.partition(-scores[crowded], k - 1, axis=1)[:, k - 1:k]
-            hit[crowded] &= scores[crowded] >= top
-        qids, rows = np.nonzero(hit)
+        qids, rows = np.nonzero(_dense_topk_mask(scores, cs, k))
         out.extend(_answers(qids, rows, scores[qids, rows],
                             scores.shape[0], cs, k))
     evaluated = P.shape[0] * Q_chunk.shape[0]

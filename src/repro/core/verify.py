@@ -32,6 +32,12 @@ too).  Threshold joins keep the lowest-index best pair scoring at least
 ``(-score, index)`` and cut to ``k``.  Every backend breaks ties this
 way, so answers never depend on which backend ``auto`` picks.
 
+The top-k rule is two cuts, each defined once here: the dense cut
+(:func:`_dense_topk_mask`) of a score tile, which the exact scans of
+:mod:`repro.core.topk` and :mod:`repro.core.norm_pruning` take before
+building pairs, and the pair-level cut (:func:`_topk_pairs`), which ends
+:func:`_answers` and merges each norm-pruned step into the kept pairs.
+
 Work accounting: ``n_evaluated`` counts **candidate pairs**, the paper's
 work measure, not the GEMM's ``|union| * block`` products — the measure
 must stay comparable across the serial, blocked, and process-parallel
@@ -41,7 +47,7 @@ paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -89,6 +95,42 @@ def _kth_best(qids: np.ndarray, scores: np.ndarray, n_queries: int,
     return kth
 
 
+def _dense_topk_mask(
+    scores: np.ndarray, cs: Union[float, np.ndarray], k: int
+) -> np.ndarray:
+    """The dense cut: which entries of a ``(queries, rows)`` score tile
+    can make their query's top-``k`` list.
+
+    An entry survives when it scores at least ``cs`` (one floor for the
+    tile, or a ``(queries,)`` array of floors) and, in a query with more
+    than ``k`` such entries, at least that query's ``k``-th best.  Ties
+    at the ``k``-th score all survive; :func:`_topk_pairs` ranks them.
+    """
+    hit = scores >= np.reshape(cs, (-1, 1))
+    crowded = np.flatnonzero(np.count_nonzero(hit, axis=1) > k)
+    if crowded.size:
+        top = -np.partition(-scores[crowded], k - 1, axis=1)[:, k - 1:k]
+        hit[crowded] &= scores[crowded] >= top
+    return hit
+
+
+def _topk_pairs(
+    qids: np.ndarray, rows: np.ndarray, scores: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pair-level cut: each query's ``k`` best pairs, in any input
+    order.
+
+    Returns the kept ``(qids, rows, scores)`` sorted by query, then best
+    first with ties to the lower row: the ``(-score, index)`` rule every
+    top-k answer follows.
+    """
+    order = np.lexsort((rows, -scores, qids))
+    qids, rows, scores = qids[order], rows[order], scores[order]
+    first = np.searchsorted(qids, qids, side="left")
+    keep = np.arange(qids.size) - first < k
+    return qids[keep], rows[keep], scores[keep]
+
+
 def _answers(
     qids: np.ndarray,
     rows: np.ndarray,
@@ -110,12 +152,7 @@ def _answers(
         # No pair below its query's k-th best score can make the list;
         # dropping those first keeps the sort small.
         keep = scores >= _kth_best(qids, scores, n_queries, k)[qids]
-        qids, rows, scores = qids[keep], rows[keep], scores[keep]
-        order = np.lexsort((rows, -scores, qids))
-        qids, rows = qids[order], rows[order]
-        first = np.searchsorted(qids, qids, side="left")
-        keep = np.arange(qids.size) - first < k
-        qids, rows = qids[keep], rows[keep]
+        qids, rows, _ = _topk_pairs(qids[keep], rows[keep], scores[keep], k)
         bounds = np.searchsorted(qids, np.arange(n_queries + 1))
         rows = rows.tolist()
         return [rows[bounds[i]:bounds[i + 1]] for i in range(n_queries)]

@@ -143,6 +143,8 @@ class NormPrunedBackend(JoinBackend):
             raise ParameterError(
                 f"norm_pruned takes only scan_block, got {sorted(options)}"
             )
+        if scan_block < 1:
+            raise ParameterError(f"scan_block must be >= 1, got {scan_block}")
         _require_variant(spec, self.name, self.variants)
         return NormStructure(spec=spec, scan_block=scan_block, block=block), spec
 

@@ -41,6 +41,7 @@ from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.core.norm_pruning import norm_order
 from repro.errors import ParameterError
 
 #: Valid query-partition rules.
@@ -271,14 +272,14 @@ def norm_split_size(n: int, fraction: float) -> int:
 def norm_partition(P, fraction: float) -> Tuple[np.ndarray, np.ndarray]:
     """Split ``P`` into (top, tail) global index arrays by decreasing norm.
 
-    Uses the same stable descending-norm order as
-    :class:`~repro.core.norm_pruning.NormScanIndex`, so the split is
-    deterministic under ties.  Both halves are returned *sorted* (data
-    subsets keep their original relative order), which keeps subset scans
-    deterministic and makes local->global index remapping a plain gather.
+    Splits :func:`~repro.core.norm_pruning.norm_order`, the order
+    :class:`~repro.core.norm_pruning.NormScanIndex` walks, so the split
+    is deterministic under ties and the top rows are the walk's first
+    rows.  Both halves are returned *sorted* (data subsets keep their
+    original relative order), which keeps subset scans deterministic and
+    makes local->global index remapping a plain gather.
     """
-    norms = np.linalg.norm(P, axis=1)
-    order = np.argsort(-norms, kind="stable")
+    _, order = norm_order(P)
     n_top = norm_split_size(P.shape[0], fraction)
     return np.sort(order[:n_top]), np.sort(order[n_top:])
 

@@ -397,24 +397,19 @@ class PlanEstimate:
 class JoinPlan:
     """The planner's ranked view of one join instance.
 
-    ``estimates`` keeps the pre-IR single-backend ranking (one
-    :class:`CostEstimate` per registered backend); ``plans`` ranks the
-    full candidate set — every single-backend plan plus the two-stage
-    hybrids — and is what ``backend="auto"`` executes.
+    ``plans`` ranks the full candidate set — one one-stage plan per
+    registered backend, carrying that backend's feasibility and reason,
+    plus the two-stage hybrids — and is what ``backend="auto"``
+    executes.
     """
 
     n: int
     m: int
     d: int
     spec: JoinSpec
-    estimates: List[CostEstimate] = field(default_factory=list)
     plans: List[PlanEstimate] = field(default_factory=list)
     #: Queries the ranking amortized the build over (1 = one-shot).
     expected_queries: float = 1.0
-
-    @property
-    def feasible(self) -> List[CostEstimate]:
-        return [e for e in self.estimates if e.feasible]
 
     @property
     def feasible_plans(self) -> List[PlanEstimate]:
@@ -424,21 +419,14 @@ class JoinPlan:
         # Every backend's own reason, so the caller learns exactly what
         # ruled each one out rather than a bare "no feasible backend".
         detail = "; ".join(
-            f"{e.backend}: {e.reason or 'infeasible'}"
-            for e in self.estimates
-            if not e.feasible
+            f"{p.backend}: {p.reason or 'infeasible'}"
+            for p in self.plans
+            if not p.feasible and not p.plan.is_multi_stage
         )
         return ParameterError(
             f"no feasible plan for the {self.spec.variant!r} variant on "
             f"(n={self.n}, m={self.m}, d={self.d}): {detail}"
         )
-
-    @property
-    def best(self) -> CostEstimate:
-        feasible = self.feasible
-        if not feasible:
-            raise self._no_feasible_error()
-        return feasible[0]
 
     @property
     def best_plan(self) -> PlanEstimate:
@@ -653,7 +641,6 @@ def plan_join(
     if include_hybrids:
         plans.extend(_hybrid_candidates(n, m, d, spec, model))
     if n_workers > 1:
-        estimates = [model.parallelize(e, n_workers) for e in estimates]
         plans = [
             replace(
                 p,
@@ -664,21 +651,12 @@ def plan_join(
             for p in plans
         ]
     eq = float(expected_queries)
-    est_order = sorted(
-        range(len(estimates)),
-        key=lambda i: (
-            not estimates[i].feasible,
-            estimates[i].build_ops + eq * estimates[i].query_ops,
-            i,
-        ),
-    )
     plan_order = sorted(
         range(len(plans)),
         key=lambda i: (not plans[i].feasible, plans[i].amortized_ops(eq), i),
     )
     return JoinPlan(
         n=n, m=m, d=d, spec=spec,
-        estimates=[estimates[i] for i in est_order],
         plans=[plans[i] for i in plan_order],
         expected_queries=eq,
     )

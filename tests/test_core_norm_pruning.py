@@ -3,7 +3,7 @@ import pytest
 
 from repro import engine
 from repro.core import JoinSpec, NormScanIndex, brute_force_join
-from repro.datasets import latent_factor_model
+from repro.datasets import adversarial_maxip, latent_factor_model
 from repro.errors import ParameterError
 
 
@@ -35,6 +35,26 @@ class TestNormScanIndex:
     def test_prefix_zero_query(self, model):
         index = NormScanIndex(model.items)
         assert index.prefix_length(0.0, 0.5) == 0
+
+    def test_prefix_length_over_an_array_of_norms(self, model):
+        """The array form equals one scalar call per norm, on a zero-norm
+        query, at thresholds <= 0, and at the one-ulp cutoff of
+        :class:`TestBoundaryPair`."""
+        cases = [
+            (NormScanIndex(model.items), np.array([0.0, 0.3, 1.0, 4.0]),
+             (0.5, 0.0, -1.0)),
+            (NormScanIndex(TestBoundaryPair.P), np.array([0.1, 0.0]),
+             (TestBoundaryPair.SPEC.cs,)),
+        ]
+        for index, norms, thresholds in cases:
+            for threshold in thresholds:
+                lengths = index.prefix_length(norms, threshold)
+                assert lengths.dtype == np.int64
+                assert lengths.tolist() == [
+                    index.prefix_length(float(qn), threshold) for qn in norms
+                ]
+        assert NormScanIndex(TestBoundaryPair.P).prefix_length(
+            np.array([0.1]), TestBoundaryPair.SPEC.cs).tolist() == [1]
 
     def test_query_finds_exact_best(self, model):
         index = NormScanIndex(model.items)
@@ -157,6 +177,33 @@ class TestQueryBlock:
         index = NormScanIndex(model.items)
         with pytest.raises(ParameterError):
             index.query_block(np.ones((2, index.d + 1)), threshold=0.5)
+
+
+class TestOneWalk:
+    """A threshold join is the prefix walk's top-1 case: the same stop
+    rule, and only pairs scoring at least ``cs`` are kept."""
+
+    @pytest.mark.parametrize("scan_block", [7, 256])
+    @pytest.mark.parametrize("signed", [True, False])
+    def test_top1_join_equals_threshold_join(self, scan_block, signed):
+        lf = latent_factor_model(40, 600, rank=8, popularity_skew=0.8,
+                                 seed=1)
+        gadget = adversarial_maxip(n=300, m=24, d=32, weight=8, seed=3)
+        instances = (
+            (lf.items, lf.users,
+             float(np.median((lf.users @ lf.items.T).max(axis=1)))),
+            (gadget.P, gadget.Q, 1.0),
+            (gadget.P, gadget.Q, float(np.max(gadget.bulk_max_ip))),
+        )
+        for P, Q, s in instances:
+            threshold = norm_pruned(P, Q, JoinSpec(s=s, signed=signed),
+                                    scan_block=scan_block)
+            top1 = norm_pruned(P, Q, JoinSpec(s=s, signed=signed, k=1),
+                               scan_block=scan_block)
+            assert threshold.matched_count > 0
+            assert top1.matches == threshold.matches
+            assert (top1.inner_products_evaluated
+                    == threshold.inner_products_evaluated)
 
 
 class TestBoundaryPair:

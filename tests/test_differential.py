@@ -423,14 +423,17 @@ def test_jaccard_ov_gadget(pools, name, variant):
 
 def test_topk_ties_rank_by_score_then_index():
     """Equal-norm OV gadget rows tie often; every exact top-k backend
-    (and so ``auto``, whichever it picks) ranks them by (-score, index)."""
+    (and so ``auto``, whichever it picks) ranks them by (-score, index).
+    At s = 1 almost every pair clears, so the norm-pruned walk fills
+    every k-buffer in its first step and later steps bring only ties."""
     inst = adversarial_maxip(n=600, m=20, d=32, weight=8, seed=3)
-    spec = JoinSpec(s=float(np.median(inst.bulk_max_ip)), c=0.75, k=5)
-    reference = _ip_reference(inst.P, inst.Q, spec)
-    assert _nonempty(reference)
-    for backend in ("brute_force", "norm_pruned", "quantized"):
-        result = engine.join(inst.P, inst.Q, spec, backend=backend)
-        assert result.topk == reference, backend
+    for spec in (JoinSpec(s=float(np.median(inst.bulk_max_ip)), c=0.75, k=5),
+                 JoinSpec(s=1.0, k=1), JoinSpec(s=1.0, k=5)):
+        reference = _ip_reference(inst.P, inst.Q, spec)
+        assert _nonempty(reference)
+        for backend in ("brute_force", "norm_pruned", "quantized"):
+            result = engine.join(inst.P, inst.Q, spec, backend=backend)
+            assert result.topk == reference, (backend, spec)
 
 
 def test_threshold_ties_go_to_the_lowest_index():

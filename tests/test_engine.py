@@ -140,21 +140,21 @@ class TestPlanner:
     def test_sketch_feasible_only_unsigned(self):
         ranked = {
             e.backend: e
-            for e in plan_join(1000, 100, 16, JoinSpec(s=0.8, c=0.5)).estimates
+            for e in plan_join(1000, 100, 16, JoinSpec(s=0.8, c=0.5)).plans
         }
         assert not ranked["sketch"].feasible
         ranked_u = {
             e.backend: e
             for e in plan_join(
                 1000, 100, 16, JoinSpec(s=0.8, c=0.5, signed=False)
-            ).estimates
+            ).plans
         }
         assert ranked_u["sketch"].feasible
 
     def test_exact_demand_rules_out_probabilistic(self):
         ranked = {
             e.backend: e
-            for e in plan_join(1000, 100, 16, JoinSpec(s=0.8, c=1.0)).estimates
+            for e in plan_join(1000, 100, 16, JoinSpec(s=0.8, c=1.0)).plans
         }
         assert not ranked["lsh"].feasible
         assert not ranked["sketch"].feasible
@@ -167,7 +167,7 @@ class TestPlanner:
             e.backend: e
             for e in plan_join(
                 1000, 100, 16, JoinSpec(s=0.8, c=0.5, k=3)
-            ).estimates
+            ).plans
         }
         assert ranked["brute_force"].feasible
         assert ranked["norm_pruned"].feasible
@@ -175,9 +175,10 @@ class TestPlanner:
 
     def test_estimates_sorted_feasible_then_cheapest(self):
         plan = plan_join(5000, 500, 32, JoinSpec(s=0.8, c=0.5, signed=False))
-        feasible = [e for e in plan.estimates if e.feasible]
+        singles = [p for p in plan.plans if not p.plan.is_multi_stage]
+        feasible = [e for e in singles if e.feasible]
         assert feasible == sorted(feasible, key=lambda e: e.total_ops)
-        assert plan.estimates[: len(feasible)] == feasible
+        assert singles[: len(feasible)] == feasible
 
     def test_engine_plan_entry_point(self, instance, spec):
         plan = engine.plan(instance.P, instance.Q, spec)
@@ -218,6 +219,13 @@ class TestOptionValidation:
                 instance.P, instance.Q, spec,
                 backend="brute_force", warp_speed=True,
             )
+
+    def test_norm_pruned_rejects_nonpositive_scan_block(self, instance, spec):
+        # A negative step would walk no rows and answer nothing.
+        for scan_block in (0, -3):
+            with pytest.raises(ParameterError, match="scan_block"):
+                engine.join(instance.P, instance.Q, spec,
+                            backend="norm_pruned", scan_block=scan_block)
 
     def test_lsh_builds_the_shape_it_is_given(self, instance, spec):
         """Without a family, ``lsh`` builds a hyperplane index in the
@@ -400,6 +408,7 @@ class TestPlanIR:
             Plan(stages=())
 
     def test_norm_partition_is_deterministic_and_sorted(self):
+        from repro.core import NormScanIndex
         from repro.engine.plan import norm_partition, norm_split_size
 
         rng = np.random.default_rng(3)
@@ -411,6 +420,14 @@ class TestPlanIR:
         assert norms[top].min() >= norms[tail].max()
         top2, tail2 = norm_partition(P, 0.2)
         assert np.array_equal(top, top2) and np.array_equal(tail, tail2)
+        # 0/1 rows of weight 4 or 2 tie exactly; the split cuts inside the
+        # weight-4 group in the order the norm-pruned walk scans it.
+        tied = np.zeros((50, 8))
+        for i, weight in enumerate(rng.permutation([4] * 20 + [2] * 30)):
+            tied[i, rng.choice(8, weight, replace=False)] = 1.0
+        top, _ = norm_partition(tied, 0.3)
+        assert top.size == 15
+        assert np.array_equal(top, np.sort(NormScanIndex(tied).order[:15]))
 
     def test_one_stage_plan_bit_equality(self, instance, spec):
         from repro.engine import Plan
@@ -611,15 +628,20 @@ class TestAutoHybrids:
         assert serial.matches == parallel.matches
 
     def test_no_feasible_plan_error_lists_every_reason(self):
-        from repro.engine.planner import JoinPlan
+        from repro.engine import Plan
+        from repro.engine.planner import JoinPlan, PlanEstimate
 
         ranked = JoinPlan(
             n=10, m=10, d=4, spec=JoinSpec(s=0.8, c=0.5, signed=False),
-            estimates=[
-                CostEstimate(backend="lsh", feasible=False, reason="no gap"),
-                CostEstimate(
-                    backend="sketch", feasible=False, reason="unsigned only"
-                ),
+            plans=[
+                PlanEstimate(plan=Plan.single(e.backend), stage_estimates=(e,),
+                             feasible=False, reason=e.reason)
+                for e in (
+                    CostEstimate(backend="lsh", feasible=False,
+                                 reason="no gap"),
+                    CostEstimate(backend="sketch", feasible=False,
+                                 reason="unsigned only"),
+                )
             ],
         )
         with pytest.raises(ParameterError) as err:

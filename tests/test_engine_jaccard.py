@@ -293,12 +293,12 @@ class TestCapabilityMatrix:
 
     def test_planner_prices_foreign_measures_infeasible(self):
         plan = plan_join(1000, 100, 64, JoinSpec(s=0.5, measure="jaccard"))
-        by_name = {e.backend: e for e in plan.estimates}
+        by_name = {e.backend: e for e in plan.plans}
         assert by_name["set_scan"].feasible
         assert not by_name["brute_force"].feasible
         assert "measure" in by_name["brute_force"].reason
         ip_plan = plan_join(1000, 100, 64, JoinSpec(s=0.75, c=0.8))
-        ip_names = {e.backend for e in ip_plan.estimates if e.feasible}
+        ip_names = {e.backend for e in ip_plan.plans if e.feasible}
         assert "set_scan" not in ip_names and "minhash_lsh" not in ip_names
 
     def test_explicit_foreign_backend_rejected_cleanly(self, workload):

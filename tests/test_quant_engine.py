@@ -296,7 +296,7 @@ class TestPlannerCompactTier:
     def test_ip_filter_standalone_infeasible(self):
         spec = JoinSpec(s=0.85, c=0.7, signed=True)
         ranked = plan_join(10000, 1000, 64, spec)
-        by_name = {e.backend: e for e in ranked.estimates}
+        by_name = {e.backend: e for e in ranked.plans}
         assert not by_name["ip_filter"].feasible
         assert "Plan" in by_name["ip_filter"].reason
 
