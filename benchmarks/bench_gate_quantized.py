@@ -5,14 +5,13 @@
   ``QUANT_SCAN_SPEEDUP_FLOOR`` times faster than the float64
   ``brute_force`` join.
 * ``quant_filter_beats_brute``: on a planted d = 512 join (n = 20,000,
-  2,000 queries), the ``ip_filter+quantized`` plan must beat
-  ``brute_force`` end to end.
+  2,000 queries), the ``ip_filter`` backend (sketch-filter proposals,
+  verified exactly) must beat ``brute_force`` end to end.
 """
 
 from benchmarks.conftest import best_of, planted_unit
 from repro import engine
 from repro.core import JoinSpec
-from repro.engine import quantized_filter_plan
 from repro.quant import quantize_rows, quantized_scan_survivors
 
 QUANT_FULL = dict(n=100_000, d=64, n_queries=2_000, planted=400, rho=0.92,
@@ -49,12 +48,12 @@ def test_quant_filter_beats_brute():
                         cfg["filter_planted"] / cfg["filter_queries"],
                         cfg["filter_rho"])
     spec = JoinSpec(s=cfg["filter_s"], c=cfg["filter_c"], signed=True)
-    plan = quantized_filter_plan(filter_options={"n_dims": cfg["filter_dims"]})
     brute_s, _ = best_of(
         lambda: engine.join(P, Q, spec, backend="brute_force",
                             block=cfg["block"]), repeats=cfg["repeats"])
-    plan_s, _ = best_of(
-        lambda: engine.join(P, Q, spec, backend=plan, block=cfg["block"],
+    filter_s, _ = best_of(
+        lambda: engine.join(P, Q, spec, backend="ip_filter",
+                            n_dims=cfg["filter_dims"], block=cfg["block"],
                             seed=cfg["seed"]), repeats=cfg["repeats"])
-    print(f"ip_filter+quantized {brute_s / plan_s:.2f}x brute_force")
-    assert plan_s < brute_s, f"{plan_s:.3f}s vs {brute_s:.3f}s"
+    print(f"ip_filter {brute_s / filter_s:.2f}x brute_force")
+    assert filter_s < brute_s, f"{filter_s:.3f}s vs {brute_s:.3f}s"

@@ -32,10 +32,11 @@ Lifecycle and leak-safety contract:
   holds nothing after a pool shuts down.  Segments stay registered with
   the parent's ``resource_tracker``, so even a crashed parent is swept.
 * Attaching processes (workers) never unlink: pool workers inherit the
-  parent's resource-tracker fd, so Python 3.11's register-on-attach
-  behaviour (bpo-39959) is an idempotent re-add to the shared tracker
-  cache, balanced by the parent's unlink-time unregister.  The parent
-  remains the single owner.
+  parent's resource-tracker fd (a process pool starts the tracker before
+  it forks any worker), so Python 3.11's register-on-attach behaviour
+  (bpo-39959) is an idempotent re-add to the shared tracker cache,
+  balanced by the parent's unlink-time unregister.  The parent remains
+  the single owner.
 * :func:`repro_segments` lists the live segments this module created,
   which is what the leak tests assert empties out.
 """

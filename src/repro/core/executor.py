@@ -397,12 +397,19 @@ class WorkerPool:
             )
             return self._executor
         import multiprocessing
+        from multiprocessing import resource_tracker
 
         ctx = (
             multiprocessing.get_context(self.mp_context)
             if self.mp_context
             else None
         )
+        # Fork children share the parent's resource tracker only if it
+        # runs before they fork.  A pool whose first call is too small
+        # for the arena would otherwise fork first, and each worker would
+        # start its own tracker on its first attach, which at exit tries
+        # to unlink segments the parent already unlinked.
+        resource_tracker.ensure_running()
         # Spawn-context children load their BLAS before any initializer
         # runs, so the thread cap must already sit in the environment
         # they inherit; the ctypes pin in the initializer then covers

@@ -3,9 +3,9 @@
 Every Section 4 upper bound ends the same way: the (A)LSH joins of
 4.1-4.2 and the sketch join of 4.3 propose candidate pairs, compute
 their exact inner products, and keep the pairs that clear ``cs``; the
-int8 ``quantized`` scan and the ``ip_filter`` stage have the same shape.
-:func:`pipeline_chunk` is that ending, written once.  Per query
-block it takes a :class:`~repro.lsh.csr.CandidateBlock` from a
+int8 ``quantized`` scan and the ``ip_filter`` sketch filter have the
+same shape.  :func:`pipeline_chunk` is that ending, written once.  Per
+query block it takes a :class:`~repro.lsh.csr.CandidateBlock` from a
 generator, drops self (and duplicate) pairs with one pair mask, scores
 the block with :func:`~repro.core.verify.verify_block`, and reduces the
 scored pairs with the answer reducer the Jaccard kernels share
@@ -17,7 +17,8 @@ differ only in the spec the reducer and the mask read.
 ``verify_block`` through this module's globals: they are the pipeline's
 candidate and score steps, so a tracer that replaces them here sees
 every call.  Callers reach the pipeline through :func:`repro.engine.join`
-with ``backend="lsh"``, ``"sketch"`` or ``"quantized"``.
+with ``backend="lsh"``, ``"sketch"``, ``"quantized"`` or
+``"ip_filter"``.
 """
 
 from __future__ import annotations

@@ -47,7 +47,11 @@ def topk_chunk(
     for q0 in range(0, Q_chunk.shape[0], block):
         values = Q_chunk[q0:q0 + block] @ P.T
         scores = values if signed else np.abs(values)
-        qids, rows = np.nonzero(_dense_topk_mask(scores, cs, k))
+        # One 1-D pass over the mask: a 2-D nonzero costs about as much
+        # as the GEMM on a (block, n) mask.
+        qids, rows = np.divmod(
+            np.flatnonzero(_dense_topk_mask(scores, cs, k)), scores.shape[1]
+        )
         out.extend(_answers(qids, rows, scores[qids, rows],
                             scores.shape[0], cs, k))
     evaluated = P.shape[0] * Q_chunk.shape[0]

@@ -25,7 +25,6 @@ from repro.engine.plan import (
     Plan,
     Stage,
     norm_prefix_lsh_plan,
-    quantized_filter_plan,
     sketch_fallback_plan,
 )
 from repro.engine.planner import CostModel, JoinPlan, PlanEstimate, plan_join
@@ -101,7 +100,6 @@ __all__ = [
     "Plan",
     "Stage",
     "norm_prefix_lsh_plan",
-    "quantized_filter_plan",
     "sketch_fallback_plan",
     "PlanEstimate",
     "JoinBackend",

@@ -15,9 +15,10 @@ Each backend adapts one existing kernel family to the
   (:mod:`repro.core.sketch_join`); unsigned threshold and self joins,
   with the structure's own ``c = n^{-1/kappa}``.
 
-``lsh`` and ``sketch`` (and ``quantized``, :mod:`repro.quant.backend`)
-differ only in their candidate generator: every chunk runs the one
-candidate -> score -> answer pipeline of :mod:`repro.core.lsh_join`.
+``lsh`` and ``sketch`` (and ``quantized`` and ``ip_filter``,
+:mod:`repro.quant.backend`) differ only in their candidate generator:
+every chunk runs the one candidate -> score -> answer pipeline of
+:mod:`repro.core.lsh_join`.
 
 Each backend declares the spec variants it answers (``variants``) and
 the similarity measures it speaks (``measures``, default ``("ip",)`` —

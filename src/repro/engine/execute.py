@@ -5,8 +5,8 @@ drive the same three functions; they differ only in where a stage's
 prepared structure comes from.
 
 * :func:`prepare_stage` is the one caller of ``backend.prepare``: it
-  merges stage options, checks the stage kind, and resolves the point
-  partition, the stage seed and any filter proposals.  It never builds.
+  merges stage options and resolves the point partition and the stage
+  seed.  It never builds.
 * :func:`run_single_stage` is THE stage body: prepare (or reuse), the
   trace's ``build`` span, ``run`` through the executor, ``merge``.
   A one-stage plan is this one call.
@@ -18,12 +18,7 @@ A one-shot ``engine.join()`` passes no :class:`PreparedStage` objects:
 every stage prepares inline inside its span, and the executor builds
 the payload.  A session prepares and builds every stage once at
 ``open()`` and passes the results back in on each query; stages then
-reuse the built payloads (and the point-partition copies).  Stages that
-consume a filter stage's per-query ``proposals``
-(:meth:`~repro.engine.plan.Plan.consumes_proposals`) are the one
-exception: they are *deferred*, and every query prepares a fresh
-:class:`PreparedStage` with that batch's proposals, which costs no
-quantization or index build.
+reuse the built payloads (and the point-partition copies).
 
 Determinism: reuse never changes results, because prepare/build are
 idempotent for every backend (structures build lazily and cache), and
@@ -35,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
@@ -50,7 +45,6 @@ from repro.core.verify import _answers
 from repro.engine.measures import get_measure
 from repro.engine.plan import Plan, Stage, norm_split_size, stage_point_indices
 from repro.engine.registry import get_backend
-from repro.errors import ParameterError
 from repro.lsh.csr import CandidateBlock
 from repro.obs import MetricsRegistry, Tracer
 
@@ -60,8 +54,7 @@ class PreparedStage:
     """One plan stage's ready-to-run state.
 
     ``payload`` is what ``backend.prepare`` returned; a session builds
-    it at ``open()`` so queries never pay construction.  ``None`` marks
-    a deferred stage whose ``prepare`` needs per-query proposals.
+    it at ``open()`` so queries never pay construction.
     ``P_stage`` is the stage's point subset — kept so partitioned stages
     don't re-slice ``P`` per query, and so the worker-pool arena can pin
     the exact array object the runner will reference.
@@ -69,19 +62,18 @@ class PreparedStage:
 
     stage: Stage
     payload: Any
-    final_spec: Optional[JoinSpec]
+    final_spec: JoinSpec
     point_idx: Optional[np.ndarray]
     P_stage: Any
     seed: Optional[int]
-    deferred: bool = False
 
 
 def _one_stage(the_plan: Plan) -> bool:
     """Is this the one-stage fast path: one stage over all points and queries?
 
-    Such a plan runs without a ``stage`` span, takes engine-level
-    options, and rejects filter backends; anything else walks its
-    stages through :func:`run_stage_plan`.
+    Such a plan runs without a ``stage`` span and takes engine-level
+    options; anything else walks its stages through
+    :func:`run_stage_plan`.
     """
     return len(the_plan.stages) == 1 and not the_plan.stages[0].is_partitioned
 
@@ -107,43 +99,18 @@ def prepare_stage(
 ) -> PreparedStage:
     """Prepare stage ``index`` of a plan: the one caller of ``backend.prepare``.
 
-    Merges the stage's options with ``options`` (engine-level options
-    for one-stage plans; a filter's ``proposals`` for the stage that
-    consumes them), rejects standalone filters and stage kinds that do
-    not match the backend, resolves the point partition and the stage
-    seed (``seed + index``), and prepares the payload.  It never builds:
-    a session builds its payloads at open, a one-shot join in the
-    executor (or the trace's ``build`` span).  A stage that consumes a
-    filter's proposals comes back deferred (``payload=None``) unless
-    ``options`` carries them: its prepare is per-query by construction.
+    Merges the stage's options with ``options`` (engine-level options,
+    which only one-stage plans take), resolves the point partition and
+    the stage seed (``seed + index``), and prepares the payload.  It
+    never builds: a session builds its payloads at open, a one-shot join
+    in the executor (or the trace's ``build`` span).
     """
     stage = the_plan.stages[index]
     impl = get_backend(stage.backend)
-    is_filter = bool(getattr(impl, "is_filter", False))
-    if _one_stage(the_plan):
-        if is_filter:
-            raise ParameterError(
-                f"backend {stage.backend!r} is a filter stage: it only "
-                "proposes candidates and cannot answer a join on its "
-                "own (see quantized_filter_plan)"
-            )
-    elif is_filter != (stage.kind == "filter"):
-        raise ParameterError(
-            f"backend {stage.backend!r} "
-            + ("is a filter stage and needs kind='filter'"
-               if is_filter else
-               f"cannot run as a kind={stage.kind!r} stage")
-        )
     stage_options = {**stage.options, **options}
     point_idx = stage_point_indices(stage, P)
     P_stage = P if point_idx is None else P[point_idx]
     stage_seed = seed + index if index and seed is not None else seed
-    if the_plan.consumes_proposals(index) and "proposals" not in stage_options:
-        return PreparedStage(
-            stage=stage, payload=None, final_spec=None,
-            point_idx=point_idx, P_stage=P_stage, seed=stage_seed,
-            deferred=True,
-        )
     payload, final_spec = impl.prepare(
         P_stage, spec, seed=stage_seed, block=block,
         n_workers=n_workers, **stage_options,
@@ -256,39 +223,33 @@ def run_single_stage(
     executor: Optional[WorkerPool],
     blas_threads: Optional[int],
     prep: Optional[PreparedStage] = None,
-    on_prepare: Optional[Callable[[str], None]] = None,
 ):
     """Run stage ``index`` of a plan on the query rows ``Q``: THE stage body.
 
     ``prepare`` (reusing a session's built ``prep`` — the span is then
-    marked ``reused`` — or calling :func:`prepare_stage`, which a
-    deferred ``prep`` always does), then under tracing the ``build``
-    span, then ``run`` (the executor over ``Q``) and ``merge`` (chunk
-    results in query order, under the stage's final spec).  One-stage
+    marked ``reused`` — or calling :func:`prepare_stage`), then under
+    tracing the ``build`` span, then ``run`` (the executor over ``Q``)
+    and ``merge`` (chunk results in query order, under the stage's
+    final spec).  One-stage
     plans run this at the root of the trace, the pre-Plan-IR span shape;
     :func:`run_stage_plan` runs it inside each ``stage`` span.
 
-    Returns ``(result, chunks, point_idx, proposals)``: the merged
-    stage result, the raw chunk results, the global indices of the
-    stage's points (``None`` for all of ``P``), and — for filter stages
-    — the survivor :class:`~repro.lsh.csr.CandidateBlock` over the
-    stage's queries, remapped to global point indices.  The prepared
-    stage itself is not returned, so a one-shot stage's structure is
-    freed before the next stage builds its own.
+    Returns ``(result, chunks, point_idx)``: the merged stage result,
+    the raw chunk results, and the global indices of the stage's points
+    (``None`` for all of ``P``).  The prepared stage itself is not
+    returned, so a one-shot stage's structure is freed before the next
+    stage builds its own.
     """
     stage = the_plan.stages[index]
     with tracer.span("prepare", backend=stage.backend) as prep_span:
-        if prep is not None and prep.payload is not None:
+        if prep is not None:
             if prep_span is not None:
                 prep_span.attrs["reused"] = True
         else:
-            kind = "stage" if prep is None else "deferred"
             prep = prepare_stage(
                 the_plan, index, P, spec, seed=seed, block=block,
                 n_workers=n_workers, options=options,
             )
-            if on_prepare is not None:
-                on_prepare(kind)
         payload = prep.payload
         if trace and hasattr(payload, "build"):
             # The zero-copy executor builds in the parent for every
@@ -311,7 +272,6 @@ def run_single_stage(
         )
     if run_span is not None:
         run_span.children.extend(c.trace for c in chunks if c.trace)
-    proposals = None
     with tracer.span("merge"):
         result = merge_join_chunks(
             [(c.matches, c.evaluated, c.generated, c.stats) for c in chunks],
@@ -320,15 +280,7 @@ def run_single_stage(
         )
         if prep.final_spec.is_topk:
             result.topk = [lst for c in chunks for lst in (c.topk or [])]
-        if stage.kind == "filter":
-            # Filter stages answer nothing: concatenate the per-chunk
-            # survivor blocks (chunk order = query order) and remap
-            # structure-local point indices to global ones for the
-            # consuming stage.
-            proposals = CandidateBlock.concat([c.proposals for c in chunks])
-            if prep.point_idx is not None:
-                proposals = proposals.remap(prep.point_idx)
-    return result, chunks, prep.point_idx, proposals
+    return result, chunks, prep.point_idx
 
 
 def run_stage_plan(
@@ -346,7 +298,6 @@ def run_stage_plan(
     executor: Optional[WorkerPool],
     blas_threads: Optional[int],
     prepared: Optional[Sequence[PreparedStage]] = None,
-    on_prepare: Optional[Callable[[str], None]] = None,
 ):
     """Walk a multi-stage plan's stages under one global result.
 
@@ -356,10 +307,8 @@ def run_stage_plan(
     merged stage result, so worker count cannot change what the next
     stage sees.  A stage whose queries are all answered already is a
     no-op: it skips prepare and build but still leaves its span and
-    stage record.  A filter stage's survivor block becomes the next
-    stage's ``proposals`` option.  ``prepared`` (from a session) lets
-    stages reuse their built payloads.  Returns
-    ``(result, chunks, stage_records)``.
+    stage record.  ``prepared`` (from a session) lets stages reuse their
+    built payloads.  Returns ``(result, chunks, stage_records)``.
     """
     m = Q.shape[0]
     matches: List[Optional[int]] = [None] * m
@@ -372,7 +321,6 @@ def run_stage_plan(
     merged_stats = QueryStats()
     all_chunks = []
     stage_records: List[dict] = []
-    proposals = None
     for i, stage in enumerate(the_plan.stages):
         stage_wall = time.perf_counter()
         if stage.queries == "all":
@@ -398,21 +346,17 @@ def run_stage_plan(
             # prepare, no build), but its span and record still show, so
             # regret attribution sees the plan shape that actually ran.
             if q_idx.size:
-                stage_result, chunks, point_idx, proposals = run_single_stage(
-                    the_plan, i, P, Q[q_idx], spec,
-                    options={} if proposals is None else {"proposals": proposals},
+                stage_result, chunks, point_idx = run_single_stage(
+                    the_plan, i, P, Q[q_idx], spec, options={},
                     seed=seed, n_workers=n_workers, block=block,
                     trace=trace, tracer=tracer, pool=pool,
                     executor=executor, blas_threads=blas_threads,
                     prep=prepared[i] if prepared is not None else None,
-                    on_prepare=on_prepare,
                 )
-                newly, extra_eval = 0, 0
-                if stage.kind != "filter":
-                    newly, extra_eval = _fold_stage_matches(
-                        matches, topk, answered, stage_result,
-                        q_idx, point_idx, P, Q, spec, stage_result.spec,
-                    )
+                newly, extra_eval = _fold_stage_matches(
+                    matches, topk, answered, stage_result,
+                    q_idx, point_idx, P, Q, spec, stage_result.spec,
+                )
                 all_chunks.extend(chunks)
                 stage_eval = stage_result.inner_products_evaluated + extra_eval
                 evaluated += stage_eval

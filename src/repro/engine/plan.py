@@ -48,9 +48,6 @@ from repro.errors import ParameterError
 QUERY_RULES = ("all", "unanswered")
 #: Valid point-partition rules.
 POINT_RULES = ("all", "norm_top", "norm_tail")
-#: Valid stage kinds: ``"backend"`` answers queries; ``"filter"``
-#: proposes candidate lists that the *next* stage verifies.
-STAGE_KINDS = ("backend", "filter")
 
 
 @dataclass(frozen=True)
@@ -59,9 +56,6 @@ class Stage:
 
     ``options`` are forwarded to the backend's ``prepare`` verbatim;
     ``fraction`` is required exactly when ``points`` is a norm split.
-    A ``kind="filter"`` stage answers nothing: its backend emits one
-    survivor list per query, which the engine injects into the next
-    stage's ``prepare`` as its ``proposals`` option.
     """
 
     backend: str
@@ -70,20 +64,10 @@ class Stage:
     points: str = "all"
     fraction: Optional[float] = None
     label: str = ""
-    kind: str = "backend"
 
     def __post_init__(self):
         if not self.backend:
             raise ParameterError("stage backend name must be non-empty")
-        if self.kind not in STAGE_KINDS:
-            raise ParameterError(
-                f"stage kind must be one of {STAGE_KINDS}, got {self.kind!r}"
-            )
-        if self.kind == "filter" and self.queries != "all":
-            raise ParameterError(
-                "filter stages propose one candidate list per query and "
-                "must use queries='all'"
-            )
         if self.queries not in QUERY_RULES:
             raise ParameterError(
                 f"stage query rule must be one of {QUERY_RULES}, "
@@ -124,25 +108,6 @@ class Plan:
         stages = tuple(self.stages)
         if any(not isinstance(stage, Stage) for stage in stages):
             raise ParameterError("plan stages must be Stage instances")
-        for i, stage in enumerate(stages):
-            if stage.kind != "filter":
-                continue
-            if i == len(stages) - 1:
-                raise ParameterError(
-                    "a filter stage cannot be last: it only proposes "
-                    "candidates and answers no queries"
-                )
-            nxt = stages[i + 1]
-            if (
-                nxt.kind != "backend"
-                or nxt.queries != "all"
-                or nxt.points != "all"
-            ):
-                raise ParameterError(
-                    "the stage after a filter consumes its proposals and "
-                    "must be a kind='backend' stage with queries='all' "
-                    "and points='all'"
-                )
         object.__setattr__(self, "stages", stages)
 
     @property
@@ -153,17 +118,6 @@ class Plan:
     @property
     def is_multi_stage(self) -> bool:
         return len(self.stages) > 1
-
-    def consumes_proposals(self, index: int) -> bool:
-        """True when stage ``index`` is fed the previous filter stage's
-        survivor lists.
-
-        Such a stage's ``prepare`` takes per-query ``proposals``, so a
-        session cannot prepare it once at ``open()`` — it is re-prepared
-        (cheaply: no quantization, no index build) on every ``query()``
-        with that batch's proposals.
-        """
-        return index > 0 and self.stages[index - 1].kind == "filter"
 
     @classmethod
     def single(cls, backend: str, options: Optional[Mapping] = None) -> "Plan":
@@ -226,36 +180,6 @@ def sketch_fallback_plan(
             options=dict(fallback_options or {}),
             queries="unanswered",
             label="fallback",
-        ),
-    ))
-
-
-def quantized_filter_plan(
-    filter_options: Optional[Mapping] = None,
-    verify_options: Optional[Mapping] = None,
-) -> Plan:
-    """Hybrid shape 3: sketch-filter proposals, exact verify on survivors.
-
-    Stage 1 runs the Pagh-Sivertsen-style inner-product sketch filter
-    over the full data and proposes, per query, every point whose sketch
-    estimate plus confidence margin reaches ``cs``; stage 2 receives the
-    survivor lists as its ``proposals`` option and evaluates exact
-    float64 inner products on the survivors only.  True matches are
-    missed only on > ``z``-sigma sketch deviations (``z`` defaults to 3),
-    so recall stays near-perfect while the exact work drops from ``n *
-    m`` pairs to the survivor count.
-    """
-    return Plan(stages=(
-        Stage(
-            backend="ip_filter",
-            kind="filter",
-            options=dict(filter_options or {}),
-            label="filter",
-        ),
-        Stage(
-            backend="quantized",
-            options=dict(verify_options or {}),
-            label="verify",
         ),
     ))
 

@@ -39,7 +39,6 @@ from repro.engine.plan import (
     Plan,
     norm_prefix_lsh_plan,
     norm_split_size,
-    quantized_filter_plan,
     sketch_fallback_plan,
 )
 from repro.engine.protocol import CostEstimate
@@ -94,7 +93,7 @@ class CostModel:
     quant_fixed_build: float = 5e4
     #: Expected fraction of pairs surviving the quantized scan bound.
     quant_verify_fraction: float = 0.02
-    #: Sketch dimensions the planner assumes for the ip_filter stage.
+    #: Sketch dimensions the planner assumes for the ip_filter backend.
     filter_dims: float = 32.0
     #: Expected fraction of pairs surviving the sketch filter.
     filter_selectivity: float = 0.02
@@ -456,9 +455,9 @@ def _hybrid_candidates(
     from repro.engine.measures import get_measure
     from repro.engine.registry import available_backends, get_backend
 
-    # The two-stage shapes below (norm prefix, sketch fallback, sketch
-    # filter + quantized verify) are inner-product constructions; other
-    # measures opt out through their descriptor.
+    # The two-stage shapes below (norm prefix, sketch fallback) are
+    # inner-product constructions; other measures opt out through their
+    # descriptor.
     if not get_measure(spec.measure).supports_hybrids:
         return []
 
@@ -524,45 +523,6 @@ def _hybrid_candidates(
             ),
         ))
 
-    # Sketch filter + quantized verify: threshold/top-k joins with an
-    # approximation gap (the filter's z-sigma margin needs slack below
-    # the threshold to be selective; at c = 1 any miss violates
-    # exactness, so the shape is offered only for approximate requests).
-    # ip_filter.estimate_cost is standalone-infeasible by design, so the
-    # filter stage is priced inline: project queries, scan int8 sketches
-    # of filter_dims coordinates, verify the surviving fraction exactly.
-    if (
-        spec.variant in ("join", "topk")
-        and 0.0 < spec.c < 1.0
-        and {"ip_filter", "quantized"} <= names
-    ):
-        k_dims = model.filter_dims
-        filter_build = (
-            model.filter_fixed_build + n * k_dims * d * model.gemm_op
-        )
-        filter_query = (
-            m * k_dims * d * model.gemm_op
-            + n * m * k_dims * model.quant_scan_op
-            * model.memory_factor(k_dims + 24.0, n)
-            + model.filter_selectivity * n * m * model.candidate_op
-        )
-        filter_est = CostEstimate(
-            backend="ip_filter", feasible=True,
-            build_ops=filter_build, query_ops=filter_query,
-        )
-        verify_est = CostEstimate(
-            backend="quantized", feasible=True,
-            build_ops=0.0,
-            query_ops=(
-                model.filter_selectivity * n * m * d * model.gemm_op
-                + m * model.row_op
-            ),
-        )
-        candidates.append(PlanEstimate(
-            plan=quantized_filter_plan(),
-            stage_estimates=(filter_est, verify_est),
-            feasible=True,
-        ))
     return candidates
 
 

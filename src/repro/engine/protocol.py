@@ -1,8 +1,9 @@
 """The backend contract of the unified join engine.
 
 Every join algorithm in the repository — the exact quadratic scan, the
-norm-pruned LEMP-style scan, LSH filter-then-verify, and the Section 4.3
-sketch join — answers the same problem record
+norm-pruned LEMP-style scan, and the filter-then-verify backends (LSH,
+the Section 4.3 sketch join, the int8 scan, the inner-product sketch
+filter) — answers the same problem record
 (:class:`~repro.core.problems.JoinSpec`) and is driven through the same
 three-step life cycle:
 
@@ -95,12 +96,6 @@ class ChunkResult:
     topk: Optional[List[List[int]]] = None
     trace: Any = None
     metrics: Optional[dict] = None
-    #: Filter stages only: the surviving point indices as a
-    #: :class:`~repro.lsh.csr.CandidateBlock` (chunk-local query order,
-    #: structure-local point indices).  The engine concatenates and
-    #: remaps the chunks' blocks and hands the result to the next stage
-    #: as its ``proposals`` option.
-    proposals: Any = None
     #: Guaranteed-recall knob: the largest additive inner-product error
     #: bound (quantization) or confidence margin (sketch filter) granted
     #: to any pair in this chunk.  Max-merged into
@@ -165,11 +160,6 @@ class JoinBackend(ABC):
     #: (:func:`repro.engine.registry.backends_for`); the default keeps
     #: every pre-measure-layer backend an IP backend without edits.
     measures: Tuple[str, ...] = ("ip",)
-
-    #: Filter backends propose survivors instead of answering queries;
-    #: they may only run as ``kind="filter"`` Plan stages, never as a
-    #: standalone backend (the engine enforces the match both ways).
-    is_filter: bool = False
 
     @abstractmethod
     def prepare(

@@ -17,10 +17,9 @@ lifecycle:
   structure array pre-pinned in its shared-memory arena via
   ``share()``, so repeated queries freeze only their own ``Q``.
 * :meth:`JoinSession.query` runs one batch against the prepared
-  structures — no re-validation, no re-planning, no re-prepare (stages
-  consuming a filter's per-query proposals are the documented
-  exception), no array re-copying.  Each call gets its own span tree
-  (root ``session.query``) and appends one
+  structures — no re-validation, no re-planning, no re-prepare, no
+  array re-copying.  Each call gets its own span tree (root
+  ``session.query``) and appends one
   :class:`~repro.obs.planner_log.PlannerRecord` tagged with
   ``expected_queries`` and the session reuse count.
 * :meth:`JoinSession.query_stream` consumes a
@@ -214,10 +213,9 @@ class JoinSession:
         self._lock = threading.Lock()
         self.queries_served = 0
         #: Always-on registry: reuse accounting (``session.queries``,
-        #: ``session.stage_prepares``, ``session.deferred_prepares``,
-        #: ``session.pool_pins``, ``session.pool_rebuilds``,
-        #: ``session.stream_chunks``) plus the serving latency
-        #: histograms (``session.query_latency_us``,
+        #: ``session.stage_prepares``, ``session.pool_pins``,
+        #: ``session.pool_rebuilds``, ``session.stream_chunks``) plus the
+        #: serving latency histograms (``session.query_latency_us``,
         #: ``session.stage_latency_us.<backend>``,
         #: ``session.chunk_latency_us``) regardless of per-query tracing.
         self.metrics = MetricsRegistry(enabled=True)
@@ -359,7 +357,7 @@ class JoinSession:
     # -- preparation and pooling -----------------------------------------
 
     def _prepare_all(self) -> None:
-        """Prepare and build every stage once (deferred stages excepted)."""
+        """Prepare and build every stage once."""
         self._prepared = []
         for i in range(len(self.the_plan.stages)):
             prep = prepare_stage(
@@ -367,10 +365,9 @@ class JoinSession:
                 seed=self.seed, block=self.block,
                 n_workers=self.n_workers, options=self.options,
             )
-            if not prep.deferred:
-                self.metrics.counter("session.stage_prepares").inc()
-                if hasattr(prep.payload, "build"):
-                    prep.payload = prep.payload.build(prep.P_stage)
+            self.metrics.counter("session.stage_prepares").inc()
+            if hasattr(prep.payload, "build"):
+                prep.payload = prep.payload.build(prep.P_stage)
             self._prepared.append(prep)
 
     def _ensure_pool(self) -> None:
@@ -434,22 +431,14 @@ class JoinSession:
         add_collection(self.P)
         for prep in self._prepared:
             add_collection(prep.P_stage)
-            if prep.payload is not None:
-                for arr in persistable_arrays(prep.payload):
-                    add(arr)
+            for arr in persistable_arrays(prep.payload):
+                add(arr)
         return arrays
 
     def _executor_for_call(self) -> Optional[WorkerPool]:
         if self.n_workers <= 1:
             return None
         return self._pool
-
-    def _count_prepare(self, kind: str) -> None:
-        name = (
-            "session.deferred_prepares" if kind == "deferred"
-            else "session.stage_prepares"
-        )
-        self.metrics.counter(name).inc()
 
     # -- the dispatch every query flavor shares --------------------------
 
@@ -489,11 +478,11 @@ class JoinSession:
                 seed=self.seed, n_workers=self.n_workers, block=self.block,
                 trace=trace, tracer=tracer, pool=self.pool_kind,
                 executor=self._executor_for_call(),
-                blas_threads=self.blas_threads, on_prepare=self._count_prepare,
+                blas_threads=self.blas_threads,
             )
             stage_records = None
             if _one_stage(self.the_plan):
-                result, chunks, _, _ = run_single_stage(
+                result, chunks, _ = run_single_stage(
                     self.the_plan, 0, self.P, Q, self.spec,
                     options=self.options,
                     prep=self._prepared[0] if self._prepared else None,

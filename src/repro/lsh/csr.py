@@ -215,17 +215,3 @@ class CandidateBlock:
                 else np.empty(0, dtype=np.int64))
         return cls(indptr, rows.astype(np.int64))
 
-    @classmethod
-    def concat(cls, blocks: Sequence["CandidateBlock"]) -> "CandidateBlock":
-        """The blocks' queries one after another."""
-        sizes = np.concatenate([b.sizes for b in blocks])
-        indptr = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=indptr[1:])
-        return cls(indptr, np.concatenate([b.rows for b in blocks]))
-
-    def remap(self, index: np.ndarray) -> "CandidateBlock":
-        """Rows renamed through ``index`` (e.g. a partition's global ids),
-        re-sorted within each query."""
-        qids, rows = self.qids(), index[self.rows]
-        order = np.lexsort((rows, qids))
-        return CandidateBlock(self.indptr, rows[order].astype(np.int64))

@@ -10,8 +10,8 @@ Three representations trade precision for bytes per coordinate:
   sketch filters over quantized random projections.
 
 :mod:`repro.quant.backend` adapts them to the engine: the ``quantized``
-backend (exact joins over the int8 index) and the ``ip_filter`` Plan
-stage (propose survivors for a verify stage).
+backend (exact joins over the int8 index) and the ``ip_filter`` backend
+(sketch-filter proposals, verified exactly).
 """
 
 from repro.quant.bitpack import (

@@ -4,12 +4,13 @@
 scan kernel over-approximates the match set via its analytic error
 bound, then exact float64 GEMM verifies the survivors — so its results
 are bit-identical to ``brute_force`` while the scan itself touches one
-byte per coordinate.  ``ip_filter`` wraps the Pagh-Sivertsen-style
-sketch filter as a ``kind="filter"`` Plan stage: it proposes a survivor
-block and the engine hands it to the next stage (normally
-``quantized`` in verify-only mode) as its ``proposals`` option.
-Both verify through the shared pipeline
-(:func:`repro.core.lsh_join.pipeline_chunk`).
+byte per coordinate.  ``ip_filter`` is the Pagh-Sivertsen-style sketch
+filter: its sketches propose a survivor block per chunk, and exact
+float64 products decide which survivors match (approximate recall,
+exact precision).  Both are candidate generators in front of the shared
+filter-then-verify pipeline
+(:func:`repro.core.lsh_join.pipeline_chunk`), like ``lsh`` and
+``sketch``.
 
 Both structures hold plain contiguous ndarrays, so they freeze/thaw
 through the :class:`~repro.core.arena.SharedArena` zero-copy like every
@@ -50,9 +51,8 @@ _ACCUMULATE_MODES = ("auto", "float32", "int32")
 def _proposal_block(proposals, n: int) -> CandidateBlock:
     """Caller-supplied proposals as a block, validated once, vectorized.
 
-    Accepts a :class:`~repro.lsh.csr.CandidateBlock` (a filter stage's
-    hand-off) or one index array per query; rows come back ascending and
-    unique within each query.
+    Accepts a :class:`~repro.lsh.csr.CandidateBlock` or one index array
+    per query; rows come back ascending and unique within each query.
     """
     if not isinstance(proposals, CandidateBlock):
         # Still unsorted, possibly repeated: normalized below.
@@ -200,9 +200,10 @@ class QuantizedBackend(JoinBackend):
 
 @dataclass
 class FilterStructure:
-    """Sketch-filter recipe/build; proposes survivors, answers nothing."""
+    """Sketch-filter recipe/build: the sketches plus the verify block size."""
 
     spec: JoinSpec
+    block: int
     n_dims: int
     bits: int
     z: float
@@ -232,11 +233,10 @@ class FilterStructure:
 
 
 class IPFilterBackend(JoinBackend):
-    """Inner-product sketch filter stage (Pagh-Sivertsen style)."""
+    """Inner-product sketch filter (Pagh-Sivertsen style) + exact verify."""
 
     name = "ip_filter"
     variants = ("join", "topk")
-    is_filter = True
 
     def prepare(self, P, spec, *, seed=None, block, n_workers=1,
                 n_dims: int = DEFAULT_FILTER_DIMS, bits: int = 8,
@@ -256,8 +256,11 @@ class IPFilterBackend(JoinBackend):
             )
         if float(z) <= 0.0:
             raise ParameterError(f"z must be > 0, got {z}")
+        if int(scan_block) < 1:
+            raise ParameterError(f"scan_block must be >= 1, got {scan_block}")
         structure = FilterStructure(
             spec=spec,
+            block=block,
             n_dims=int(n_dims),
             bits=int(bits),
             z=float(z),
@@ -273,26 +276,47 @@ class IPFilterBackend(JoinBackend):
             # Recall anchors at spec.s: pairs inside the (cs, s) promise
             # gap are optional under the c-approximate guarantee, which
             # is what keeps the filter selective (see IPSketchFilter).
-            block, generated, margin_max = structure.filter.propose_chunk(
+            cands, generated, margin_max = structure.filter.propose_chunk(
                 Q_chunk, spec.s, spec.signed,
                 scan_block=structure.scan_block,
             )
+        answers, evaluated = pipeline_chunk(
+            cands.slice, P, Q_chunk, spec, structure.block
+        )
         stats = QueryStats(
             queries=mc, candidates=generated, unique_candidates=generated
         )
-        return ChunkResult(
-            matches=[None] * mc,
-            evaluated=0,
-            generated=generated,
-            stats=stats,
-            proposals=block,
-            error_bound=margin_max,
+        return ChunkResult.from_answers(
+            spec, answers, evaluated, generated, stats, error_bound=margin_max
         )
 
     def estimate_cost(self, n, m, d, spec, model):
+        if spec.variant not in self.variants:
+            return CostEstimate(
+                backend=self.name, feasible=False,
+                reason=f"no {spec.variant} variant",
+            )
+        if spec.c >= 1.0:
+            return CostEstimate(
+                backend=self.name, feasible=False,
+                reason="no approximation gap (c = 1): the filter's "
+                       "z-sigma margin can drop exact matches",
+            )
+        # Project the queries, scan int8 sketches of filter_dims
+        # coordinates, verify the surviving fraction exactly.
+        k_dims = model.filter_dims
+        build = model.filter_fixed_build + n * k_dims * d * model.gemm_op
+        propose = (
+            m * k_dims * d * model.gemm_op
+            + n * m * k_dims * model.quant_scan_op
+            * model.memory_factor(k_dims + 24.0, n)
+            + model.filter_selectivity * n * m * model.candidate_op
+        )
+        verify = (
+            model.filter_selectivity * n * m * d * model.gemm_op
+            + m * model.row_op
+        )
         return CostEstimate(
-            backend=self.name,
-            feasible=False,
-            reason="filter stages only propose candidates; run inside a "
-                   "Plan (see quantized_filter_plan)",
+            backend=self.name, feasible=True, build_ops=build,
+            query_ops=propose + verify,
         )

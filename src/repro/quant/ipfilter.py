@@ -13,9 +13,10 @@ the deterministic quantization error bound) reaches the recall anchor
 ``z``-sigma estimator deviations, and pairs inside the ``(cs, s)`` gap
 stay optional exactly as the ``c``-approximate guarantee allows.
 
-The filter proposes; it never answers.  The engine feeds its survivor
-block to a verify-capable backend (see ``quantized_filter_plan``) which
-evaluates exact inner products on the survivors only.
+The filter only proposes.  The ``ip_filter`` backend
+(:mod:`repro.quant.backend`) hands each chunk's survivor block to the
+shared filter-then-verify pipeline, which evaluates exact inner products
+on the survivors only.
 """
 
 from __future__ import annotations

@@ -46,11 +46,12 @@ from repro.errors import ReproError
 
 #: Bumped when persisted layouts change incompatibly (2: one fused
 #: ``LSHIndex`` replaced the per-table and sign-only LSH indexes; 3: the
-#: ``set_scan`` postings gained their head bitmaps).
-FORMAT_VERSION = 3
+#: ``set_scan`` postings gained their head bitmaps; 4: ``ip_filter``
+#: verifies its own survivors, and Plan stages lost their ``kind``).
+FORMAT_VERSION = 4
 
 #: Directory-format version, independent of the single-file one.
-DIR_FORMAT_VERSION = 3
+DIR_FORMAT_VERSION = 4
 
 #: Arrays at or above this many bytes become raw sidecar files; smaller
 #: ones stay inline in the pickled shell (matches the shared-memory

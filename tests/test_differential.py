@@ -68,7 +68,7 @@ ROWS = {
     "quantized": ("ip", ("join", "topk"), True),
     "lsh": ("ip", ("join", "topk", "self"), False),
     "sketch": ("ip", ("join", "self"), False),
-    "quantized_filter_plan": ("ip", ("join", "topk"), False),
+    "ip_filter": ("ip", ("join", "topk"), False),
     "norm_prefix_lsh_plan": ("ip", ("join", "topk"), False),
     "set_scan": ("jaccard", ("join", "topk", "self"), True),
     "minhash_lsh": ("jaccard", ("join", "topk", "self"), False),
@@ -78,6 +78,16 @@ ROWS = {
 def _cells(measure):
     return [(name, variant) for name, (m, variants, _) in ROWS.items()
             if m == measure for variant in variants]
+
+
+def test_every_capability_cell_has_a_row():
+    """Every registered backend runs here in every cell it claims."""
+    for (measure, variant), names in engine.capability_matrix().items():
+        for name in names:
+            assert name in ROWS, name
+            row_measure, variants, _ = ROWS[name]
+            assert row_measure == measure and variant in variants, (
+                name, measure, variant)
 
 
 @pytest.fixture(scope="module")
@@ -247,8 +257,6 @@ def _sketch_reduction(P, Q, spec, structure):
 
 
 def _backend(name, d):
-    if name == "quantized_filter_plan":
-        return engine.quantized_filter_plan(), {}
     if name == "norm_prefix_lsh_plan":
         tail = dict(family=HyperplaneLSH(d), **LSH_SHAPE)
         return engine.norm_prefix_lsh_plan(0.3, tail_options=tail), {}
@@ -322,8 +330,9 @@ def _check_cell(name, P, Q, spec, pools, reference, scores, equal):
     exact = ROWS[name][2]
     runs = _run_modes(name, P, Q, spec, pools)
     serial = runs["serial"]
-    # Rows with no naive reference (the Plans, minhash_lsh) must at least
-    # answer something, or the soundness checks would be vacuous.
+    # Rows with no naive reference (ip_filter, the Plan, minhash_lsh)
+    # must at least answer something, or the soundness checks would be
+    # vacuous.
     expected = _reported(serial, spec) if reference is None else reference
     assert _nonempty(expected), "vacuous cell: empty reference answers"
     for mode, result in runs.items():

@@ -15,10 +15,15 @@ matrix at a different worker count; the default is 2.
 """
 
 import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.core import (
     JoinSpec,
@@ -288,6 +293,37 @@ class TestWorkerPoolLifecycle:
             )
         assert pool.closed  # abandoned, not left half-dead
         assert repro_segments() == before
+
+    def test_fork_workers_share_the_parent_resource_tracker(self):
+        """A pool that forks before the parent made any segment (its first
+        call is too small for the arena) must not leave each worker its
+        own resource tracker, which at exit would try to unlink segments
+        the parent already unlinked and warn about each."""
+        script = textwrap.dedent("""
+            import numpy as np
+            from repro.core import JoinSpec, close_pools
+            from repro.engine import join
+
+            rng = np.random.default_rng(0)
+            spec = JoinSpec(s=0.5, c=1.0)
+            for n, d in ((20, 4), (20000, 16)):
+                P = rng.standard_normal((n, d))
+                join(P, P[:64], spec, backend="brute_force", n_workers=2,
+                     pool="process")
+            close_pools()
+        """)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )
+        before = repro_segments()
+        child = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path), timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        assert repro_segments() == before
+        assert "resource_tracker" not in child.stderr, child.stderr
 
     def test_segments_freed_after_clean_calls(self):
         P = np.random.default_rng(0).normal(size=(256, 64))

@@ -7,13 +7,11 @@ What must hold once ``quantized`` and ``ip_filter`` enter the engine:
 * the execution knobs compose: ``n_workers`` (both pool kinds),
   ``sharded_join``, explicit Plans, and the shared arena all treat the
   new structures like any other backend's;
-* the filter-stage Plan IR is validated (a filter cannot be last, must
-  feed an all-queries backend stage, cannot answer a join alone) and the
-  ``ip_filter -> quantized`` plan achieves near-perfect recall while
-  verifying a fraction of the pair space;
-* the planner prices the compact tier: ``ip_filter`` alone is
-  infeasible, the hybrid appears for gapped specs, and a memory budget
-  steers ``backend="auto"`` to ``quantized``.
+* ``ip_filter`` (sketch-filter proposals, verified exactly) achieves
+  near-perfect recall while verifying a fraction of the pair space;
+* the planner prices the compact tier: ``ip_filter`` is feasible for
+  gapped specs only, and a memory budget steers ``backend="auto"`` to
+  ``quantized``.
 """
 
 import math
@@ -24,15 +22,7 @@ import pytest
 
 from repro.core import JoinSpec
 from repro.core.arena import SharedArena, freeze, thaw
-from repro.engine import (
-    Plan,
-    Stage,
-    get_backend,
-    join,
-    plan_join,
-    quantized_filter_plan,
-    sharded_join,
-)
+from repro.engine import get_backend, join, plan_join, sharded_join
 from repro.engine.planner import default_model
 from repro.errors import ParameterError
 
@@ -150,10 +140,9 @@ class TestCompactTierComposition:
     def test_filter_plan_parallel_identical_to_serial(self, planted, pool):
         P, Q = planted
         spec = JoinSpec(s=0.85, c=0.7, signed=True)
-        the_plan = quantized_filter_plan()
-        serial = join(P, Q, spec, backend=the_plan, seed=7, n_workers=1)
+        serial = join(P, Q, spec, backend="ip_filter", seed=7, n_workers=1)
         par = join(
-            P, Q, spec, backend=the_plan, seed=7,
+            P, Q, spec, backend="ip_filter", seed=7,
             n_workers=TEST_WORKERS, pool=pool, block=16,
         )
         assert par.matches == serial.matches
@@ -190,12 +179,8 @@ class TestFilterPlan:
         n, m = P.shape[0], Q.shape[0]
         spec = JoinSpec(s=0.85, c=0.7, signed=True)
         brute = join(P, Q, spec, backend="brute_force")
-        filt = join(
-            P, Q, spec,
-            backend=quantized_filter_plan(filter_options={"n_dims": 64}),
-            seed=7,
-        )
-        assert filt.backend == "ip_filter+quantized"
+        filt = join(P, Q, spec, backend="ip_filter", n_dims=64, seed=7)
+        assert filt.backend == "ip_filter"
         assert filt.error_bound is not None and filt.error_bound > 0.0
         truth = {q for q, p in enumerate(brute.matches) if p is not None}
         got = {q for q, p in enumerate(filt.matches) if p is not None}
@@ -213,57 +198,20 @@ class TestFilterPlan:
         P, Q = planted
         spec = JoinSpec(s=0.85, c=0.7, signed=True)
         result = join(
-            P, Q, spec,
-            backend=quantized_filter_plan(
-                filter_options={"n_dims": 64, "bits": 1, "z": 4.0},
-                verify_options={"accumulate": "auto"},
-            ),
+            P, Q, spec, backend="ip_filter", n_dims=64, bits=1, z=4.0,
             seed=3,
         )
-        assert result.backend == "ip_filter+quantized"
-
-    def test_filter_cannot_answer_alone(self, planted):
-        P, Q = planted
-        spec = JoinSpec(s=0.85, c=0.7, signed=True)
-        with pytest.raises(ParameterError, match="cannot answer"):
-            join(P, Q, spec, backend="ip_filter")
-
-    def test_plan_validation(self):
-        with pytest.raises(ParameterError, match="cannot be last"):
-            Plan(stages=(Stage(backend="ip_filter", kind="filter"),))
-        with pytest.raises(ParameterError, match="consumes its proposals"):
-            Plan(stages=(
-                Stage(backend="ip_filter", kind="filter"),
-                Stage(backend="quantized", queries="unanswered"),
-            ))
-        with pytest.raises(ParameterError, match="kind"):
-            Stage(backend="ip_filter", kind="sieve")
-        with pytest.raises(ParameterError, match="queries='all'"):
-            Stage(backend="ip_filter", kind="filter", queries="unanswered")
-        with pytest.raises(ParameterError, match="kind"):
-            # a filter backend inside a kind="backend" stage of a
-            # multi-stage plan is a mismatch the engine must reject
-            join(
-                np.eye(4), np.eye(4),
-                JoinSpec(s=0.5, c=0.8, signed=True),
-                backend=Plan(stages=(
-                    Stage(backend="ip_filter"),
-                    Stage(backend="quantized", queries="unanswered"),
-                )),
-            )
+        assert result.backend == "ip_filter"
 
     def test_filter_option_validation(self, planted):
         P, Q = planted
         spec = JoinSpec(s=0.85, c=0.7, signed=True)
-        for bad in (
-            {"filter_options": {"n_dims": 0}},
-            {"filter_options": {"bits": 4}},
-            {"filter_options": {"z": 0.0}},
-        ):
+        # A negative scan_block walked no sketch tile: no survivors, so
+        # the 1-bit filter answered nothing without an error.
+        for bad in ({"n_dims": 0}, {"bits": 4}, {"z": 0.0},
+                    {"scan_block": 0}, {"bits": 1, "scan_block": -1}):
             with pytest.raises(ParameterError):
-                join(
-                    P, Q, spec, backend=quantized_filter_plan(**bad), seed=0
-                )
+                join(P, Q, spec, backend="ip_filter", seed=0, **bad)
 
     def test_direct_proposals_option(self, instance):
         P, Q = instance
@@ -293,28 +241,19 @@ class TestFilterPlan:
 
 
 class TestPlannerCompactTier:
-    def test_ip_filter_standalone_infeasible(self):
+    def test_ip_filter_feasible_for_gap_specs(self):
         spec = JoinSpec(s=0.85, c=0.7, signed=True)
         ranked = plan_join(10000, 1000, 64, spec)
-        by_name = {e.backend: e for e in ranked.plans}
-        assert not by_name["ip_filter"].feasible
-        assert "Plan" in by_name["ip_filter"].reason
+        entries = [p for p in ranked.plans if p.backend == "ip_filter"]
+        assert len(entries) == 1 and entries[0].feasible
+        assert len(entries[0].stage_estimates) == 1
 
-    def test_hybrid_candidate_for_gap_specs(self):
-        spec = JoinSpec(s=0.85, c=0.7, signed=True)
-        ranked = plan_join(10000, 1000, 64, spec)
-        hybrids = [
-            p for p in ranked.plans if p.backend == "ip_filter+quantized"
-        ]
-        assert len(hybrids) == 1 and hybrids[0].feasible
-        assert len(hybrids[0].stage_estimates) == 2
-
-    def test_no_hybrid_for_exact_specs(self):
+    def test_ip_filter_infeasible_for_exact_specs(self):
         spec = JoinSpec(s=0.85, c=1.0, signed=True)
         ranked = plan_join(10000, 1000, 64, spec)
-        assert not any(
-            p.backend == "ip_filter+quantized" for p in ranked.plans
-        )
+        by_name = {p.backend: p for p in ranked.plans}
+        assert not by_name["ip_filter"].feasible
+        assert "gap" in by_name["ip_filter"].reason
 
     def test_memory_budget_steers_auto_to_quantized(self):
         n, m, d = 200000, 2000, 64

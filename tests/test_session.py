@@ -172,20 +172,12 @@ class TestSessionReuse:
     def test_hybrid_deferred_stages_reprepare_per_query(self, instance, spec):
         plan = norm_prefix_lsh_plan(prefix_fraction=0.25)
         with open_session(instance.P, spec, backend=plan, seed=5) as session:
-            opened = session.metrics.counter("session.stage_prepares").value
-            deferred0 = session.metrics.counter(
-                "session.deferred_prepares"
-            ).value
             session.query(instance.Q)
             session.query(instance.Q)
-            # Eager prepares never re-run; only deferred stages (those
-            # consuming per-query state) may prepare inside queries.
+            # Every stage prepares once, at open; no query re-prepares.
             assert session.metrics.counter(
                 "session.stage_prepares"
-            ).value == opened
-            assert session.metrics.counter(
-                "session.deferred_prepares"
-            ).value >= deferred0
+            ).value == len(plan.stages)
 
     def test_pool_pins_once_and_segments_stable(self, instance, spec):
         before = repro_segments()
@@ -513,6 +505,24 @@ class TestSaveOpenPath:
         manifest["format_version"] = 2
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(PersistenceError, match="directory format version 2"):
+            open_path(index_dir)
+
+    def test_version_3_directory_refused(self, instance, spec, tmp_path):
+        """A session saved before ``ip_filter`` verified its own
+        survivors (format 3, when it ran as a filter stage feeding a
+        re-prepared ``quantized`` stage) fails on its manifest version
+        instead of unpickling stages and a filter structure whose fields
+        changed."""
+        index_dir = tmp_path / "index"
+        with open_session(
+            instance.P, spec, backend="ip_filter", seed=3
+        ) as session:
+            session.save(index_dir)
+        manifest_path = index_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 3
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(PersistenceError, match="directory format version 3"):
             open_path(index_dir)
 
     def test_set_scan_head_bitmaps_are_memmapped(self, tmp_path):
