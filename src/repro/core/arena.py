@@ -17,13 +17,22 @@ module moves every large array exactly once into POSIX shared memory
   pennies on the wire.  ``resolve()`` maps the segment (cached per
   process) and returns a **read-only** ndarray view — no copy, and no
   way for a worker to corrupt shared state.
+* :func:`detour_dumps` / :func:`detour_loads` — the one array detour.
+  A plain ndarray (not a subclass, no object fields) of at least
+  ``ARENA_MIN_BYTES`` leaves the pickle through the ``persistent_id``
+  hook: dumping hands it to a ``place(arr) -> token`` callback, loading
+  maps each token back with ``resolve(token) -> arr``.  Every detour in
+  the library calls this pair with its own store: :func:`freeze` /
+  :func:`thaw` (arena descriptors), :func:`clone_shell` (a list),
+  :func:`collect_arrays` (an identity-keyed dict) and the directory
+  format of :mod:`repro.utils.persistence` (sidecar files).
 * :func:`freeze` / :func:`thaw` — pickle an arbitrary object graph (a
-  built index, a sketch structure, a bare matrix) with every ndarray at
-  or above ``ARENA_MIN_BYTES`` swapped for an :class:`ArenaRef` via the
-  pickle ``persistent_id`` hook.  The byte payload that crosses the
-  process boundary is just the object *shell*; workers reconstruct
-  views.  This is fully generic: any payload that pickles today is
-  zero-copy tomorrow, including backends registered by third parties.
+  built index, a sketch structure, a bare matrix) with every detoured
+  array swapped for an :class:`ArenaRef`.  The byte payload that
+  crosses the process boundary is just the object *shell*; workers
+  reconstruct views.  This is fully generic: any payload that pickles
+  today is zero-copy tomorrow, including backends registered by third
+  parties.
 
 Lifecycle and leak-safety contract:
 
@@ -51,14 +60,15 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from io import BytesIO
 from multiprocessing import shared_memory
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
 from repro.errors import ParameterError
 
-#: Arrays smaller than this pickle inline; a descriptor plus a segment
-#: attachment costs more than copying a few KB.
+#: The detour's size floor, for pools and disk alike: smaller arrays
+#: pickle inline, where a descriptor plus a segment attachment (or a
+#: sidecar file) costs more than copying a few KB.
 ARENA_MIN_BYTES = 4096
 
 #: Default slab size.  Slabs grow to fit oversized arrays, so this only
@@ -265,156 +275,127 @@ def detach_all() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Arena-aware pickling
+# The array detour: one pickler pair for pools, threads and disk
 
-_PERSISTENT_TAG = "repro-arena-ref"
+#: The detour's persistent-id tag.  Directory-format shells store it, so
+#: it is part of the on-disk format; arena tokens never reach disk.
+_DETOUR_TAG = "repro-sidecar-array"
 
 
-class _ArenaPickler(pickle.Pickler):
-    """Pickler that detours large ndarrays through a :class:`SharedArena`.
+class _DetourPickler(pickle.Pickler):
+    """Pickler that hands every detoured array to ``place(arr) -> token``.
 
-    ``lookup`` arenas are consulted for an existing placement first (by
-    array identity) before copying into the primary arena — this is how
-    a persistent pool's long-lived arena deduplicates ``P`` across calls
-    while per-call scratch arenas hold everything ephemeral.
+    The one rule: a plain ``np.ndarray`` (no subclass, no object fields)
+    of at least ``ARENA_MIN_BYTES`` leaves the pickle; everything else,
+    memmap subclasses and object arrays included, stays in the shell.
     """
 
-    def __init__(
-        self,
-        file,
-        arena: SharedArena,
-        threshold: int,
-        lookup: Tuple[SharedArena, ...] = (),
-    ):
+    def __init__(self, file, place: Callable[[np.ndarray], Any]):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._arena = arena
-        self._threshold = threshold
-        self._lookup = lookup
+        self._place = place
 
     def persistent_id(self, obj):
         if (
             type(obj) is np.ndarray
-            and obj.nbytes >= self._threshold
-            and obj.dtype != object
+            and not obj.dtype.hasobject
+            and obj.nbytes >= ARENA_MIN_BYTES
         ):
-            for prior in self._lookup:
-                hit = prior._placed.get(id(obj))
-                if hit is not None:
-                    return (_PERSISTENT_TAG, hit[0])
-            return (_PERSISTENT_TAG, self._arena.place(obj))
+            return (_DETOUR_TAG, self._place(obj))
         return None
 
 
-class _ArenaUnpickler(pickle.Unpickler):
+class _DetourUnpickler(pickle.Unpickler):
+    """Unpickler that maps every detour token back with ``resolve``."""
+
+    def __init__(self, file, resolve: Callable[[Any], np.ndarray]):
+        super().__init__(file)
+        self._resolve = resolve
+
     def persistent_load(self, pid):
-        tag, ref = pid
-        if tag != _PERSISTENT_TAG:
-            raise pickle.UnpicklingError(f"unknown persistent id tag {tag!r}")
-        return ref.resolve()
+        if not (isinstance(pid, tuple) and len(pid) == 2
+                and pid[0] == _DETOUR_TAG):
+            raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
+        return self._resolve(pid[1])
+
+
+def detour_dumps(obj: Any, place: Callable[[np.ndarray], Any]) -> bytes:
+    """Pickle ``obj`` with every detoured array replaced by
+    ``place(arr)``'s token: the *shell* of the object graph."""
+    buffer = BytesIO()
+    _DetourPickler(buffer, place).dump(obj)
+    return buffer.getvalue()
+
+
+def detour_loads(shell: bytes, resolve: Callable[[Any], np.ndarray]) -> Any:
+    """Rebuild a :func:`detour_dumps` shell, each token becoming
+    ``resolve(token)``."""
+    return _DetourUnpickler(BytesIO(shell), resolve).load()
 
 
 def freeze(
     obj: Any,
     arena: SharedArena,
-    threshold: int = ARENA_MIN_BYTES,
     lookup: Tuple[SharedArena, ...] = (),
 ) -> bytes:
-    """Serialize ``obj`` with its big arrays placed in ``arena``.
+    """Serialize ``obj`` with its detoured arrays placed in ``arena``.
 
     The returned bytes hold only the object shell plus
     :class:`ArenaRef` descriptors; :func:`thaw` in any process mapping
     the same segments reconstructs the object with zero array copies.
     Arrays already placed in a ``lookup`` arena are referenced there
-    instead of re-copied.
+    instead of re-copied — how a persistent pool's long-lived arena
+    deduplicates ``P`` across calls while per-call scratch arenas hold
+    everything ephemeral.
     """
-    buffer = BytesIO()
-    _ArenaPickler(buffer, arena, threshold, lookup).dump(obj)
-    return buffer.getvalue()
+
+    def place(arr: np.ndarray) -> ArenaRef:
+        for prior in lookup:
+            hit = prior._placed.get(id(arr))
+            if hit is not None:
+                return hit[0]
+        return arena.place(arr)
+
+    return detour_dumps(obj, place)
 
 
 def thaw(payload: bytes) -> Any:
     """Reconstruct an object frozen by :func:`freeze` (views, not copies)."""
-    return _ArenaUnpickler(BytesIO(payload)).load()
+    return detour_loads(payload, ArenaRef.resolve)
 
 
-# ---------------------------------------------------------------------------
-# In-process shell cloning (the thread pool's analogue of freeze/thaw)
-
-class _ShellPickler(pickle.Pickler):
-    def __init__(self, file, arrays: List[np.ndarray], threshold: int):
-        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._arrays = arrays
-        self._threshold = threshold
-
-    def persistent_id(self, obj):
-        if type(obj) is np.ndarray and obj.nbytes >= self._threshold:
-            self._arrays.append(obj)
-            return (_PERSISTENT_TAG, len(self._arrays) - 1)
-        return None
-
-
-class _ShellUnpickler(pickle.Unpickler):
-    def __init__(self, file, arrays: List[np.ndarray]):
-        super().__init__(file)
-        self._arrays = arrays
-
-    def persistent_load(self, pid):
-        tag, idx = pid
-        if tag != _PERSISTENT_TAG:
-            raise pickle.UnpicklingError(f"unknown persistent id tag {tag!r}")
-        return self._arrays[idx]
-
-
-def clone_shell(obj: Any, threshold: int = ARENA_MIN_BYTES) -> Any:
-    """Deep-copy the object *shell*, sharing large arrays by reference.
+def clone_shell(obj: Any) -> Any:
+    """Deep-copy the object *shell*, sharing detoured arrays by reference.
 
     The thread-pool analogue of :func:`freeze`/:func:`thaw`: each worker
     thread needs its own copy of every small mutable attribute (the LSH
     index's :class:`QueryStats`, scratch dicts) so concurrent chunks
     don't race, while the big read-mostly arrays — projections, CSR
     tables, ``P`` itself — stay shared so nothing is copied per chunk.
-    Implemented as a pickle round-trip with large ndarrays detoured
-    through a side list by identity, so it is generic over any payload
-    the process pool could ship.
     """
     arrays: List[np.ndarray] = []
-    buffer = BytesIO()
-    _ShellPickler(buffer, arrays, threshold).dump(obj)
-    buffer.seek(0)
-    return _ShellUnpickler(buffer, arrays).load()
+
+    def place(arr: np.ndarray) -> int:
+        arrays.append(arr)
+        return len(arrays) - 1
+
+    return detour_loads(detour_dumps(obj, place), arrays.__getitem__)
 
 
-def collect_arrays(obj: Any, threshold: int = ARENA_MIN_BYTES) -> List[np.ndarray]:
-    """Enumerate the large ndarrays reachable from ``obj``'s pickle graph.
+def collect_arrays(obj: Any) -> List[np.ndarray]:
+    """The arrays :func:`freeze` would detour out of ``obj``, each
+    distinct one (by identity) once, in first-encounter order.
 
-    The same traversal :func:`freeze` and :func:`clone_shell` use, but
-    collecting instead of detouring: each distinct (by identity) plain
-    ``np.ndarray`` of at least ``threshold`` bytes is returned once, in
-    first-encounter order, and its bytes are never serialized — the walk
-    costs a shell pickle, not an array copy.  This is how a session pins
-    a built structure's arrays into a pool's persistent arena, and how
-    :func:`repro.engine.protocol.persistable_arrays` implements its
-    default when a structure declares no explicit ``arrays()`` hook.
+    The walk costs a shell pickle, not an array copy.  This is how a
+    session finds what to pin into a pool's persistent arena.
     """
-    found: List[np.ndarray] = []
-    seen: set = set()
+    found: Dict[int, np.ndarray] = {}
 
-    class _Collector(pickle.Pickler):
-        def persistent_id(self, target):
-            if (
-                type(target) is np.ndarray
-                and target.nbytes >= threshold
-                and target.dtype != object
-            ):
-                key = id(target)
-                if key not in seen:
-                    seen.add(key)
-                    found.append(target)
-                return (_PERSISTENT_TAG, key)
-            return None
+    def place(arr: np.ndarray) -> int:
+        found.setdefault(id(arr), arr)
+        return id(arr)
 
-    _Collector(BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
-    return found
+    detour_dumps(obj, place)
+    return list(found.values())
 
 
 def repro_segments() -> List[str]:

@@ -149,10 +149,6 @@ class SetPostings:
             # Distinct powers of two sum to their OR.
             self.words = rows @ self.masks
 
-    def arrays(self) -> List[np.ndarray]:
-        m = self.matrix
-        return [m.indptr, m.indices, m.data, self.sizes, self.masks, self.words]
-
     def walk(self, Q: SetCollection, need: np.ndarray):
         """The members each query walks: ``(walked, words, bound)``.
 
@@ -357,10 +353,6 @@ class MinHashSetIndex:
         key_order = np.argsort(fused, kind="stable")
         self.fused_keys = fused[key_order]
         self.fused_rows = key_order // self.n_tables
-
-    def arrays(self) -> List[np.ndarray]:
-        return [self.fused_keys, self.fused_rows, self.codes,
-                self.tables.order_keys, self.sizes]
 
     def candidates(
         self, q_keys: np.ndarray, q_sizes: np.ndarray, threshold: float

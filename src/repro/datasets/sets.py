@@ -115,14 +115,11 @@ class SetCollection:
             f"nnz={self.indices.size})"
         )
 
-    # -- persistence / arena hooks --------------------------------------
-    def arrays(self):
-        """The backing ndarrays (for arena pinning and persistence)."""
-        return [self.indptr, self.indices]
-
+    # -- pickling --------------------------------------------------------
     def __reduce__(self):
-        # Plain ndarray fields: arena freeze() walks this pickle and
-        # detours the arrays through shared-memory segment descriptors.
+        # Plain ndarray fields: the array detour of repro.core.arena
+        # takes them out of the pickle (to the shared-memory arena or to
+        # sidecar files), and pool pinning finds them by the same walk.
         return (SetCollection, (self.indptr, self.indices, self.universe))
 
     # -- conversions -----------------------------------------------------

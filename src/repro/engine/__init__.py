@@ -28,12 +28,7 @@ from repro.engine.plan import (
     sketch_fallback_plan,
 )
 from repro.engine.planner import CostModel, JoinPlan, PlanEstimate, plan_join
-from repro.engine.protocol import (
-    ChunkResult,
-    CostEstimate,
-    JoinBackend,
-    persistable_arrays,
-)
+from repro.engine.protocol import ChunkResult, CostEstimate, JoinBackend
 from repro.engine.session import (
     DEFAULT_EXPECTED_QUERIES,
     DEFAULT_QUERY_BATCH_HINT,
@@ -94,7 +89,6 @@ __all__ = [
     "ShardedSession",
     "DEFAULT_EXPECTED_QUERIES",
     "DEFAULT_QUERY_BATCH_HINT",
-    "persistable_arrays",
     "sharded_join",
     "shard_bounds",
     "Plan",

@@ -64,7 +64,6 @@ class CostModel:
     """
 
     gemm_op: float = 1.0
-    gemv_op: float = 4.0
     hash_op: float = 2.0
     candidate_op: float = 8.0
     row_op: float = 200.0

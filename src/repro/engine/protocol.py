@@ -26,14 +26,14 @@ executor's job (:func:`repro.core.executor.map_query_chunks`), which the
 engine drives identically for every backend.
 
 Built structures additionally participate in the session machinery
-through :func:`persistable_arrays`: the large ndarrays a structure
-carries are what a :class:`~repro.engine.session.JoinSession` pins into
-a worker pool's shared-memory arena (so repeated queries never re-copy
-them) and what the directory persistence format
-(:mod:`repro.utils.persistence`) writes as raw memmappable sidecars.  A
-structure may declare them explicitly with an ``arrays()`` method;
-otherwise the generic pickle-graph walk finds every array the executor
-would ship anyway.
+through the array detour of :mod:`repro.core.arena`: the arrays a
+process pool's freeze would ship (found by
+:func:`~repro.core.arena.collect_arrays`) are what a
+:class:`~repro.engine.session.JoinSession` pins into the pool's
+shared-memory arena, so repeated queries never re-copy them, and what
+the directory persistence format (:mod:`repro.utils.persistence`)
+writes as raw memmappable sidecars.  A structure needs no hook for
+either: any payload that pickles takes part.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
-import numpy as np
-
-from repro.core.arena import ARENA_MIN_BYTES, collect_arrays
 from repro.core.problems import JoinSpec, QueryStats
 
 
@@ -118,29 +115,6 @@ class ChunkResult:
             return cls(answers, evaluated, generated, stats, **fields)
         return cls([lst[0] if lst else None for lst in answers], evaluated,
                    generated, stats, topk=answers, **fields)
-
-
-def persistable_arrays(
-    structure, threshold: int = ARENA_MIN_BYTES
-) -> List[np.ndarray]:
-    """The large ndarrays a built structure carries, deduped by identity.
-
-    Structures that know their own layout declare it with an
-    ``arrays()`` method returning the arrays worth sharing/persisting
-    (see :class:`repro.quant.backend.QuantizedStructure`); anything else
-    falls back to :func:`repro.core.arena.collect_arrays`, the same
-    pickle-graph walk the zero-copy executor's freeze path uses — so by
-    construction it finds exactly the arrays a process pool would ship.
-    Arrays below ``threshold`` bytes are skipped either way (they travel
-    inline for less than a segment costs).
-    """
-    if hasattr(structure, "arrays"):
-        return [
-            arr
-            for arr in structure.arrays()
-            if isinstance(arr, np.ndarray) and arr.nbytes >= threshold
-        ]
-    return collect_arrays(structure, threshold=threshold)
 
 
 class JoinBackend(ABC):

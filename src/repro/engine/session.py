@@ -52,9 +52,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Union
 
-import numpy as np
-
-from repro.core.arena import ARENA_MIN_BYTES
+from repro.core.arena import collect_arrays
 from repro.core.executor import (
     POOL_KINDS,
     QuerySource,
@@ -78,7 +76,6 @@ from repro.engine.execute import (
 from repro.engine.measures import get_measure
 from repro.engine.plan import Plan
 from repro.engine.planner import CostModel, plan_join
-from repro.engine.protocol import persistable_arrays
 from repro.errors import ParameterError
 from repro.obs import MetricsRegistry, Tracer, observe
 from repro.obs.planner_log import PlannerRecord, current_log
@@ -398,42 +395,15 @@ class JoinSession:
         )
         self._own_pool = True
         if self._pool.kind == "process":
-            for arr in self._session_arrays():
+            # Every array repeated queries would otherwise re-freeze: those
+            # of P, of each stage's point-partition copy and of each built
+            # structure, each once.
+            for arr in collect_arrays([self.P] + [
+                part for prep in self._prepared
+                for part in (prep.P_stage, prep.payload)
+            ]):
                 self._pool.share(arr)
                 self.metrics.counter("session.pool_pins").inc()
-
-    def _session_arrays(self) -> List[np.ndarray]:
-        """Every large array repeated queries would otherwise re-freeze:
-        ``P``, each stage's point-partition copy, and the built
-        structures' arrays (deduped by identity)."""
-        seen = set()
-        arrays: List[np.ndarray] = []
-
-        def add(arr):
-            if (
-                type(arr) is np.ndarray
-                and arr.nbytes >= ARENA_MIN_BYTES
-                and arr.dtype != object
-                and id(arr) not in seen
-            ):
-                seen.add(id(arr))
-                arrays.append(arr)
-
-        def add_collection(obj):
-            # Non-dense collections (CSR SetCollection) expose their
-            # backing ndarrays through arrays(); pin those instead.
-            if hasattr(obj, "arrays"):
-                for arr in obj.arrays():
-                    add(arr)
-            else:
-                add(obj)
-
-        add_collection(self.P)
-        for prep in self._prepared:
-            add_collection(prep.P_stage)
-            for arr in persistable_arrays(prep.payload):
-                add(arr)
-        return arrays
 
     def _executor_for_call(self) -> Optional[WorkerPool]:
         if self.n_workers <= 1:
@@ -931,7 +901,6 @@ class JoinSession:
         pool: str = "process",
         executor: Optional[WorkerPool] = None,
         blas_threads: Optional[int] = None,
-        expected_queries: Optional[int] = None,
         trace_sample_rate: float = 0.0,
         trace_sample_cap: Optional[int] = None,
         trace_sample_seed: Optional[int] = None,
@@ -941,10 +910,7 @@ class JoinSession:
             backend=state.requested, seed=state.seed,
             n_workers=n_workers, block=state.block,
             pool=pool, executor=executor, blas_threads=blas_threads,
-            expected_queries=(
-                expected_queries if expected_queries is not None
-                else state.expected_queries
-            ),
+            expected_queries=state.expected_queries,
             query_batch_hint=state.query_batch_hint,
             trace_sample_rate=trace_sample_rate,
             trace_sample_cap=trace_sample_cap,
@@ -1046,7 +1012,6 @@ def open_path(
     pool: str = "process",
     executor: Optional[WorkerPool] = None,
     blas_threads: Optional[int] = None,
-    expected_queries: Optional[int] = None,
     mmap: bool = True,
     trace_sample_rate: float = 0.0,
     trace_sample_cap: Optional[int] = None,
@@ -1060,13 +1025,14 @@ def open_path(
     serving processes opening the same path share one page cache.
     Execution knobs (``n_workers``, ``pool``, ...) are per-open, not
     persisted, so the same saved index can serve serial in one process
-    and on 8 workers in another.
+    and on 8 workers in another.  The plan is the saved one, and so is
+    its ``expected_queries`` hint.
     """
     state = load_structure_dir(path, expected_type="SessionState", mmap=mmap)
     return JoinSession._from_state(
         state,
         n_workers=n_workers, pool=pool, executor=executor,
-        blas_threads=blas_threads, expected_queries=expected_queries,
+        blas_threads=blas_threads,
         trace_sample_rate=trace_sample_rate,
         trace_sample_cap=trace_sample_cap,
         trace_sample_seed=trace_sample_seed,

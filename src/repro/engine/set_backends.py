@@ -75,9 +75,6 @@ class SetScanStructure:
             self.postings = SetPostings(_as_sets(P, "P"))
         return self
 
-    def arrays(self):
-        return [] if self.postings is None else self.postings.arrays()
-
 
 class SetScanBackend(JoinBackend):
     """Exact postings-scan Jaccard join; the reference for every variant."""
@@ -157,11 +154,6 @@ class MinHashStructure:
                 seed=self.seed,
             )
         return self
-
-    def arrays(self):
-        """The fused bucket arrays and the MinHash order keys, so pools
-        pin the index instead of pickling it into every call."""
-        return [] if self.index is None else self.index.arrays()
 
 
 class MinHashLSHBackend(JoinBackend):

@@ -20,7 +20,7 @@ other backend structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -93,15 +93,6 @@ class QuantizedStructure:
         if self.proposals is None and self.data is None:
             self.data = quantize_rows(P)
         return self
-
-    def arrays(self) -> List[np.ndarray]:
-        """The built index's large arrays, for session pinning and the
-        directory persistence format (see
-        :func:`repro.engine.protocol.persistable_arrays`)."""
-        if self.data is None:
-            return []
-        return [self.data.codes, self.data.scales,
-                self.data.norms, self.data.eps]
 
 
 class QuantizedBackend(JoinBackend):
@@ -218,18 +209,6 @@ class FilterStructure:
                 seed=self.seed,
             )
         return self
-
-    def arrays(self) -> List[np.ndarray]:
-        """The built filter's large arrays (projection, norms, sketches)."""
-        if self.filter is None:
-            return []
-        arrs = [self.filter.G, self.filter.norms]
-        if self.filter.sketch is not None:
-            arrs += [self.filter.sketch.codes, self.filter.sketch.scales,
-                     self.filter.sketch.norms, self.filter.sketch.eps]
-        if self.filter.sign_bits is not None:
-            arrs.append(self.filter.sign_bits)
-        return arrs
 
 
 class IPFilterBackend(JoinBackend):

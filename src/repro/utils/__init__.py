@@ -1,6 +1,5 @@
 """Shared low-level utilities: RNG plumbing, validation, bit manipulation."""
 
-from repro.utils.persistence import load_structure, save_structure
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.validation import (
     check_approximation_factor,
@@ -15,8 +14,6 @@ from repro.utils.validation import (
 __all__ = [
     "ensure_rng",
     "spawn_rngs",
-    "save_structure",
-    "load_structure",
     "check_approximation_factor",
     "check_binary",
     "check_matrix",

@@ -2,68 +2,57 @@
 
 Index construction is the expensive step of every data structure in this
 library; persistence lets a user build once and query across processes.
-Two formats, both versioned so incompatible loads fail loudly
-(:class:`PersistenceError`) instead of strangely:
+A structure is saved as a versioned directory
+(:func:`save_structure_dir` / :func:`load_structure_dir`), so an
+incompatible load fails loudly (:class:`PersistenceError`) instead of
+strangely:
 
-* **Single file** (:func:`save_structure` / :func:`load_structure`) —
-  pickle with a magic/version header.  Compact and universal, but the
-  whole object (arrays included) is deserialized into fresh memory on
-  every load.
-* **Directory** (:func:`save_structure_dir` / :func:`load_structure_dir`)
-  — a ``manifest.json`` (format version, object type, array table), a
-  ``shell.pkl`` holding the object graph with every large array detoured
-  to a raw sidecar file under ``arrays/``, and those sidecars loaded via
-  ``np.memmap`` so a service opening a saved index maps the pages
-  instead of copying them: N processes serving the same index share one
-  page cache, and load time is independent of index size.  Sidecar
-  views come back as plain read-only ``np.ndarray`` objects (memmap
-  based), so downstream machinery that type-checks arrays — the
-  shared-memory arena's freeze detour in particular — treats them
-  exactly like in-memory arrays.
+* ``manifest.json`` — magic, format version, object type, array table;
+* ``shell.pkl`` — the object graph, pickled by the array detour of
+  :mod:`repro.core.arena` (the rule the shared-memory arena uses: every
+  plain ndarray of at least ``ARENA_MIN_BYTES`` leaves the pickle);
+* ``arrays/0000.bin`` ... — one raw sidecar file per detoured array.
 
-Both writers are **atomic**: content goes to ``<path>.tmp`` first, is
-fsynced, and is renamed over the destination in one step — a crash
-mid-save can never leave a truncated file under the real name.  Loaders
-verify sizes and translate every decode failure into
+Sidecars load via ``np.memmap``, so a service opening a saved index maps
+the pages instead of copying them: N processes serving the same index
+share one page cache, and load time is independent of index size.
+Sidecar views come back as plain read-only ``np.ndarray`` objects
+(memmap based), so the arena's freeze detour treats them exactly like
+in-memory arrays.
+
+The writer is **atomic**: the tree is assembled under ``<path>.tmp``,
+fsynced, and renamed over the destination in one step — a crash mid-save
+can never leave a truncated structure under the real name.  The loader
+verifies sizes and translates every decode failure into
 :class:`PersistenceError`, so a file truncated by some *other* writer
 still fails with a typed error rather than a bare pickle exception.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import mmap as mmaplib
 import os
 import pickle
 import shutil
 from pathlib import Path
-from typing import Any, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.arena import detour_dumps, detour_loads
 from repro.errors import ReproError
 
 #: Bumped when persisted layouts change incompatibly (2: one fused
 #: ``LSHIndex`` replaced the per-table and sign-only LSH indexes; 3: the
 #: ``set_scan`` postings gained their head bitmaps; 4: ``ip_filter``
 #: verifies its own survivors, and Plan stages lost their ``kind``).
-FORMAT_VERSION = 4
-
-#: Directory-format version, independent of the single-file one.
 DIR_FORMAT_VERSION = 4
 
-#: Arrays at or above this many bytes become raw sidecar files; smaller
-#: ones stay inline in the pickled shell (matches the shared-memory
-#: arena's placement threshold).
-PERSIST_MIN_BYTES = 4096
-
-_MAGIC = b"repro-structure"
 _DIR_MAGIC = "repro-structure-dir"
 _MANIFEST = "manifest.json"
 _SHELL = "shell.pkl"
 _ARRAY_DIR = "arrays"
-_ARRAY_TAG = "repro-sidecar-array"
 
 #: Exceptions a corrupt/truncated pickle stream can raise while decoding.
 _DECODE_ERRORS = (
@@ -95,73 +84,11 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def save_structure(obj, path) -> None:
-    """Serialize a built structure (index, sketch, engine) to ``path``.
-
-    Atomic: bytes land in ``<path>.tmp`` and are renamed over ``path``
-    only after an fsync, so a crash mid-save leaves either the old file
-    or the new one — never a truncated hybrid.
-    """
-    path = Path(path)
-    payload = {
-        "magic": _MAGIC,
-        "format_version": FORMAT_VERSION,
-        "type": type(obj).__name__,
-        "object": obj,
-    }
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        _fsync_file(handle)
-    os.replace(tmp, path)
-    _fsync_dir(path.parent)
-
-
-def load_structure(path, expected_type: str = None):
-    """Load a structure saved by :func:`save_structure`.
-
-    Args:
-        path: file to read.
-        expected_type: optional class-name check (e.g. ``"LSHIndex"``)
-            so callers fail fast on the wrong file.
-
-    Raises :class:`PersistenceError` on missing, truncated, corrupt, or
-    version-incompatible files.  Note the standard pickle caveat: only
-    load files you trust.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise PersistenceError(f"no structure file at {path}")
-    try:
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-    except _DECODE_ERRORS as exc:
-        raise PersistenceError(f"corrupt structure file {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("magic") != _MAGIC:
-        raise PersistenceError(f"{path} is not a repro structure file")
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise PersistenceError(
-            f"{path} uses format version {payload.get('format_version')}, "
-            f"this library reads version {FORMAT_VERSION}"
-        )
-    if expected_type is not None and payload.get("type") != expected_type:
-        raise PersistenceError(
-            f"{path} holds a {payload.get('type')}, expected {expected_type}"
-        )
-    return payload["object"]
-
-
 # ---------------------------------------------------------------------------
 # Directory format: manifest + shell pickle + raw array sidecars
 
 
-def save_structure_dir(
-    obj,
-    path,
-    *,
-    threshold: int = PERSIST_MIN_BYTES,
-    overwrite: bool = True,
-) -> Path:
+def save_structure_dir(obj, path, *, overwrite: bool = True) -> Path:
     """Save a structure as a versioned directory with raw array sidecars.
 
     Layout::
@@ -171,11 +98,12 @@ def save_structure_dir(
           shell.pkl         the object graph, large arrays detoured
           arrays/0000.bin   raw C-order bytes of each detoured array
 
-    Every ndarray of at least ``threshold`` bytes is written once (deduped
-    by object identity, like the shared-memory arena) as a raw sidecar and
-    replaced in the pickle stream by a ``(tag, index)`` reference, so
-    :func:`load_structure_dir` can reconstruct it as a ``np.memmap`` view
-    instead of copying bytes through the pickle machinery.
+    Every array the detour of :mod:`repro.core.arena` takes out of the
+    pickle is written once (deduped by object identity, like the
+    shared-memory arena) as a raw sidecar and replaced in the shell by
+    its sidecar index, so :func:`load_structure_dir` can reconstruct it
+    as a ``np.memmap`` view instead of copying bytes through the pickle
+    machinery.
 
     Atomic: the whole tree is assembled under ``<path>.tmp`` (files and
     directories fsynced) and renamed into place in one step.  With
@@ -191,34 +119,30 @@ def save_structure_dir(
     array_dir.mkdir(parents=True)
 
     entries: List[dict] = []
-    seen: dict = {}
-    keepalive: List[np.ndarray] = []
+    # id(arr) -> (sidecar index, arr): holding the array keeps a freed
+    # temporary's id from aliasing a later array.
+    written: Dict[int, Tuple[int, np.ndarray]] = {}
 
-    class _SidecarPickler(pickle.Pickler):
-        def persistent_id(self, target):
-            if type(target) is np.ndarray and target.nbytes >= threshold:
-                index = seen.get(id(target))
-                if index is None:
-                    index = len(entries)
-                    seen[id(target)] = index
-                    keepalive.append(target)
-                    contiguous = np.ascontiguousarray(target)
-                    name = f"{_ARRAY_DIR}/{index:04d}.bin"
-                    with open(tmp / name, "wb") as handle:
-                        contiguous.tofile(handle)
-                        _fsync_file(handle)
-                    entries.append({
-                        "file": name,
-                        "dtype": contiguous.dtype.str,
-                        "shape": list(contiguous.shape),
-                        "nbytes": int(contiguous.nbytes),
-                    })
-                return (_ARRAY_TAG, index)
-            return None
+    def place(arr: np.ndarray) -> int:
+        hit = written.get(id(arr))
+        if hit is not None:
+            return hit[0]
+        index = len(entries)
+        written[id(arr)] = (index, arr)
+        contiguous = np.ascontiguousarray(arr)
+        name = f"{_ARRAY_DIR}/{index:04d}.bin"
+        with open(tmp / name, "wb") as handle:
+            contiguous.tofile(handle)
+            _fsync_file(handle)
+        entries.append({
+            "file": name,
+            "dtype": contiguous.dtype.str,
+            "shape": list(contiguous.shape),
+            "nbytes": int(contiguous.nbytes),
+        })
+        return index
 
-    buffer = io.BytesIO()
-    _SidecarPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
-    shell = buffer.getvalue()
+    shell = detour_dumps(obj, place)
     with open(tmp / _SHELL, "wb") as handle:
         handle.write(shell)
         _fsync_file(handle)
@@ -354,22 +278,14 @@ def load_structure_dir(
             f"{expected_shell}"
         )
 
-    class _SidecarUnpickler(pickle.Unpickler):
-        def persistent_load(self, pid):
-            if (
-                isinstance(pid, tuple)
-                and len(pid) == 2
-                and pid[0] == _ARRAY_TAG
-                and isinstance(pid[1], int)
-                and 0 <= pid[1] < len(arrays)
-            ):
-                return arrays[pid[1]]
-            raise PersistenceError(
-                f"unknown persistent reference {pid!r} in {path}"
-            )
+    def resolve(index) -> np.ndarray:
+        if isinstance(index, int) and 0 <= index < len(arrays):
+            return arrays[index]
+        raise PersistenceError(
+            f"unknown persistent reference {index!r} in {path}"
+        )
 
     try:
-        with open(shell_path, "rb") as handle:
-            return _SidecarUnpickler(handle).load()
+        return detour_loads(shell_path.read_bytes(), resolve)
     except _DECODE_ERRORS as exc:
         raise PersistenceError(f"corrupt shell pickle in {path}: {exc}") from exc

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro import engine
-from repro.core.arena import ARENA_MIN_BYTES, repro_segments
+from repro.core.arena import collect_arrays, repro_segments
 from repro.core.problems import JoinSpec
 from repro.core.set_join import HEAD_BITS, MinHashSetIndex, SetPostings
 from repro.datasets import SetCollection, ov_jaccard_gadget, planted_jaccard_sets
@@ -384,10 +384,9 @@ def test_minhash_process_session_pins_index_and_cleans_up(sets):
     session = engine.open(P, spec, backend="minhash_lsh", seed=3,
                           n_workers=2, pool="process", block=16)
     try:
-        index_arrays = session._prepared[0].payload.arrays()
+        index_arrays = collect_arrays(session._prepared[0].payload)
         assert len(index_arrays) >= 4
-        big = {id(a) for a in P.arrays() + index_arrays
-               if a.nbytes >= ARENA_MIN_BYTES}
+        big = {id(a) for a in collect_arrays(P) + index_arrays}
         assert session.metrics.counter("session.pool_pins").value == len(big)
         for _ in range(2):
             result = session.query(Q)

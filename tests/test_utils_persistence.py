@@ -1,16 +1,18 @@
+import gc
+import json
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.core.arena import clone_shell, collect_arrays
 from repro.datasets import planted_mips
 from repro.lsh import DataDepALSH, LSHIndex
 from repro.sketches import SketchCMIPS
 from repro.utils.persistence import (
     DIR_FORMAT_VERSION,
-    FORMAT_VERSION,
     PersistenceError,
-    load_structure,
     load_structure_dir,
-    save_structure,
     save_structure_dir,
 )
 
@@ -21,69 +23,14 @@ def instance():
 
 
 class TestRoundTrips:
-    def test_batch_index_roundtrip(self, tmp_path, instance):
-        idx = LSHIndex(
-            DataDepALSH(24, sphere="hyperplane"), n_tables=8,
-            hashes_per_table=6, seed=1,
-        ).build(instance.P)
-        path = tmp_path / "index.repro"
-        save_structure(idx, path)
-        loaded = load_structure(path, expected_type="LSHIndex")
-        q = instance.Q[0]
-        np.testing.assert_array_equal(
-            np.sort(idx.candidates(q)), np.sort(loaded.candidates(q))
-        )
-
     def test_sketch_structure_roundtrip(self, tmp_path, instance):
         structure = SketchCMIPS(instance.P, kappa=3.0, copies=5, seed=2)
-        path = tmp_path / "sketch.repro"
-        save_structure(structure, path)
-        loaded = load_structure(path)
+        loaded = load_structure_dir(
+            save_structure_dir(structure, tmp_path / "sketch"),
+            expected_type="SketchCMIPS",
+        )
         q = instance.Q[0]
         assert structure.query(q).index == loaded.query(q).index
-
-    def test_plain_array_roundtrip(self, tmp_path):
-        save_structure(np.arange(5), tmp_path / "a.repro")
-        np.testing.assert_array_equal(
-            load_structure(tmp_path / "a.repro"), np.arange(5)
-        )
-
-
-class TestFailureModes:
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(PersistenceError, match="no structure file"):
-            load_structure(tmp_path / "absent.repro")
-
-    def test_corrupt_file(self, tmp_path):
-        path = tmp_path / "corrupt.repro"
-        path.write_bytes(b"\x80\x04 garbage")
-        with pytest.raises(PersistenceError):
-            load_structure(path)
-
-    def test_non_repro_pickle(self, tmp_path):
-        import pickle
-        path = tmp_path / "plain.pkl"
-        path.write_bytes(pickle.dumps({"hello": 1}))
-        with pytest.raises(PersistenceError, match="not a repro structure"):
-            load_structure(path)
-
-    def test_type_check(self, tmp_path):
-        save_structure(np.arange(3), tmp_path / "a.repro")
-        with pytest.raises(PersistenceError, match="expected LSHIndex"):
-            load_structure(tmp_path / "a.repro", expected_type="LSHIndex")
-
-    def test_version_check(self, tmp_path):
-        import pickle
-        path = tmp_path / "old.repro"
-        payload = {
-            "magic": b"repro-structure",
-            "format_version": FORMAT_VERSION + 1,
-            "type": "X",
-            "object": 1,
-        }
-        path.write_bytes(pickle.dumps(payload))
-        with pytest.raises(PersistenceError, match="format version"):
-            load_structure(path)
 
 
 class TestDirectoryFormat:
@@ -112,6 +59,10 @@ class TestDirectoryFormat:
         assert isinstance(view.base, np.memmap)
         assert not view.flags.writeable
         np.testing.assert_array_equal(view, big)
+        # A small top-level array stays in the shell: no sidecar.
+        path = save_structure_dir(np.arange(5), tmp_path / "small")
+        assert not list((path / "arrays").glob("*.bin"))
+        np.testing.assert_array_equal(load_structure_dir(path), np.arange(5))
 
     def test_full_copy_load_is_writable(self, tmp_path):
         big = np.arange(4096, dtype=np.float64)
@@ -142,8 +93,13 @@ class TestDirectoryFormat:
             {"a": np.arange(4096, dtype=np.float64)}, tmp_path / "d"
         )
         shell = path / "shell.pkl"
+        size = shell.stat().st_size
         shell.write_bytes(shell.read_bytes()[:-4])
         with pytest.raises(PersistenceError, match="truncated shell"):
+            load_structure_dir(path)
+        # Garbage of the size the manifest records fails to decode.
+        shell.write_bytes(b"\x80\x05garbage".ljust(size, b"\x00"))
+        with pytest.raises(PersistenceError, match="corrupt shell pickle"):
             load_structure_dir(path)
 
     def test_missing_and_corrupt_manifests(self, tmp_path):
@@ -157,9 +113,12 @@ class TestDirectoryFormat:
         (path / "manifest.json").write_text("{not json")
         with pytest.raises(PersistenceError, match="corrupt manifest"):
             load_structure_dir(path)
+        (path / "manifest.json").write_text(json.dumps({"magic": "other"}))
+        with pytest.raises(PersistenceError,
+                           match="not a repro structure directory"):
+            load_structure_dir(path)
 
     def test_version_check(self, tmp_path):
-        import json
         path = save_structure_dir({"a": np.arange(3)}, tmp_path / "d")
         manifest = json.loads((path / "manifest.json").read_text())
         manifest["format_version"] = DIR_FORMAT_VERSION + 1
@@ -189,3 +148,46 @@ class TestDirectoryFormat:
         with pytest.raises(PersistenceError, match="refusing to replace"):
             save_structure_dir({"v": 1}, plain)
         assert (plain / "data.txt").read_text() == "keep me"
+
+
+class TestDetourRule:
+    """The one rule every detour applies: a plain ndarray of at least
+    ``ARENA_MIN_BYTES`` leaves the pickle, anything else stays in it."""
+
+    def test_object_arrays_stay_in_the_shell(self, tmp_path):
+        ragged = np.array([list(range(i % 5)) for i in range(1000)],
+                          dtype=object)
+        assert ragged.nbytes >= 4096
+        path = save_structure_dir({"ragged": ragged}, tmp_path / "d")
+        assert not list((path / "arrays").glob("*.bin"))
+        loaded = load_structure_dir(path)["ragged"]
+        assert loaded.dtype == object
+        assert [list(row) for row in loaded] == [list(row) for row in ragged]
+        clone = clone_shell({"ragged": ragged})["ragged"]
+        assert clone is not ragged
+        assert [list(row) for row in clone] == [list(row) for row in ragged]
+        assert collect_arrays({"ragged": ragged}) == []
+
+    def test_detoured_arrays_die_with_their_last_reference(self, tmp_path):
+        # No detour may hold an array past its call: with the cyclic
+        # collector off, dropping the caller's last reference frees it.
+        gc.disable()
+        try:
+            saved = np.arange(4096, dtype=np.float64)
+            saved_ref = weakref.ref(saved)
+            path = save_structure_dir({"a": saved}, tmp_path / "d")
+            del saved
+            assert saved_ref() is None
+
+            view = load_structure_dir(path)["a"]
+            view_ref = weakref.ref(view)
+            del view
+            assert view_ref() is None
+
+            walked = np.arange(4096, dtype=np.float64)
+            walked_ref = weakref.ref(walked)
+            assert collect_arrays({"a": walked})[0] is walked
+            del walked
+            assert walked_ref() is None
+        finally:
+            gc.enable()
