@@ -43,7 +43,7 @@ from repro.core.executor import (
 from repro.core.problems import JoinResult, JoinSpec, QueryStats
 from repro.core.verify import _answers
 from repro.engine.measures import get_measure
-from repro.engine.plan import Plan, Stage, norm_split_size, stage_point_indices
+from repro.engine.plan import Plan, Stage, norm_split_size, plan_point_indices
 from repro.engine.registry import get_backend
 from repro.lsh.csr import CandidateBlock
 from repro.obs import MetricsRegistry, Tracer
@@ -92,6 +92,7 @@ def prepare_stage(
     P,
     spec: JoinSpec,
     *,
+    point_idx: Optional[np.ndarray],
     seed,
     block: int,
     n_workers: int,
@@ -100,15 +101,16 @@ def prepare_stage(
     """Prepare stage ``index`` of a plan: the one caller of ``backend.prepare``.
 
     Merges the stage's options with ``options`` (engine-level options,
-    which only one-stage plans take), resolves the point partition and
-    the stage seed (``seed + index``), and prepares the payload.  It
-    never builds: a session builds its payloads at open, a one-shot join
-    in the executor (or the trace's ``build`` span).
+    which only one-stage plans take), gathers the stage's points
+    (``point_idx``, its entry of
+    :func:`~repro.engine.plan.plan_point_indices`; ``None`` for all of
+    ``P``), resolves the stage seed (``seed + index``), and prepares the
+    payload.  It never builds: a session builds its payloads at open, a
+    one-shot join in the executor (or the trace's ``build`` span).
     """
     stage = the_plan.stages[index]
     impl = get_backend(stage.backend)
     stage_options = {**stage.options, **options}
-    point_idx = stage_point_indices(stage, P)
     P_stage = P if point_idx is None else P[point_idx]
     stage_seed = seed + index if index and seed is not None else seed
     payload, final_spec = impl.prepare(
@@ -223,11 +225,13 @@ def run_single_stage(
     executor: Optional[WorkerPool],
     blas_threads: Optional[int],
     prep: Optional[PreparedStage] = None,
+    point_idx: Optional[np.ndarray] = None,
 ):
     """Run stage ``index`` of a plan on the query rows ``Q``: THE stage body.
 
     ``prepare`` (reusing a session's built ``prep`` — the span is then
-    marked ``reused`` — or calling :func:`prepare_stage`), then under
+    marked ``reused`` — or calling :func:`prepare_stage` over the points
+    ``point_idx``), then under
     tracing the ``build`` span, then ``run`` (the executor over ``Q``)
     and ``merge`` (chunk results in query order, under the stage's
     final spec).  One-stage
@@ -247,8 +251,8 @@ def run_single_stage(
                 prep_span.attrs["reused"] = True
         else:
             prep = prepare_stage(
-                the_plan, index, P, spec, seed=seed, block=block,
-                n_workers=n_workers, options=options,
+                the_plan, index, P, spec, point_idx=point_idx, seed=seed,
+                block=block, n_workers=n_workers, options=options,
             )
         payload = prep.payload
         if trace and hasattr(payload, "build"):
@@ -308,7 +312,9 @@ def run_stage_plan(
     stage sees.  A stage whose queries are all answered already is a
     no-op: it skips prepare and build but still leaves its span and
     stage record.  ``prepared`` (from a session) lets stages reuse their
-    built payloads.  Returns ``(result, chunks, stage_records)``.
+    built payloads; without it the walk splits ``P`` once
+    (:func:`~repro.engine.plan.plan_point_indices`) and hands each stage
+    its part.  Returns ``(result, chunks, stage_records)``.
     """
     m = Q.shape[0]
     matches: List[Optional[int]] = [None] * m
@@ -321,6 +327,7 @@ def run_stage_plan(
     merged_stats = QueryStats()
     all_chunks = []
     stage_records: List[dict] = []
+    parts = plan_point_indices(the_plan, P) if prepared is None else None
     for i, stage in enumerate(the_plan.stages):
         stage_wall = time.perf_counter()
         if stage.queries == "all":
@@ -352,6 +359,7 @@ def run_stage_plan(
                     trace=trace, tracer=tracer, pool=pool,
                     executor=executor, blas_threads=blas_threads,
                     prep=prepared[i] if prepared is not None else None,
+                    point_idx=parts[i] if parts is not None else None,
                 )
                 newly, extra_eval = _fold_stage_matches(
                     matches, topk, answered, stage_result,

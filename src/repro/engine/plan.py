@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -208,13 +208,23 @@ def norm_partition(P, fraction: float) -> Tuple[np.ndarray, np.ndarray]:
     return np.sort(order[:n_top]), np.sort(order[n_top:])
 
 
-def stage_point_indices(stage: Stage, P) -> Optional[np.ndarray]:
-    """Global data indices this stage's structure is built over.
+def plan_point_indices(the_plan: Plan, P) -> List[Optional[np.ndarray]]:
+    """Global data indices each stage's structure is built over.
 
     ``None`` means the full data set (no gather, no remapping) — the
     one-stage fast path relies on this being exactly the input ``P``.
+    Stages that split ``P`` at the same fraction share one
+    :func:`norm_partition`, so a norm-prefix hybrid sorts ``P`` by norm
+    once per plan walk.
     """
-    if stage.points == "all":
-        return None
-    top, tail = norm_partition(P, stage.fraction)
-    return top if stage.points == "norm_top" else tail
+    splits = {}
+    parts: List[Optional[np.ndarray]] = []
+    for stage in the_plan.stages:
+        if stage.points == "all":
+            parts.append(None)
+            continue
+        if stage.fraction not in splits:
+            splits[stage.fraction] = norm_partition(P, stage.fraction)
+        top, tail = splits[stage.fraction]
+        parts.append(top if stage.points == "norm_top" else tail)
+    return parts

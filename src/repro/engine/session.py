@@ -74,7 +74,7 @@ from repro.engine.execute import (
     run_stage_plan,
 )
 from repro.engine.measures import get_measure
-from repro.engine.plan import Plan
+from repro.engine.plan import Plan, plan_point_indices
 from repro.engine.planner import CostModel, plan_join
 from repro.errors import ParameterError
 from repro.obs import MetricsRegistry, Tracer, observe
@@ -356,9 +356,10 @@ class JoinSession:
     def _prepare_all(self) -> None:
         """Prepare and build every stage once."""
         self._prepared = []
-        for i in range(len(self.the_plan.stages)):
+        parts = plan_point_indices(self.the_plan, self.P)
+        for i, point_idx in enumerate(parts):
             prep = prepare_stage(
-                self.the_plan, i, self.P, self.spec,
+                self.the_plan, i, self.P, self.spec, point_idx=point_idx,
                 seed=self.seed, block=self.block,
                 n_workers=self.n_workers, options=self.options,
             )

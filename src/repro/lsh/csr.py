@@ -16,18 +16,22 @@ whole query block never touches a Python-level per-query loop, and its
 output, a :class:`CandidateBlock`, keeps the same flat layout: one
 ``indptr`` over the block's queries and one array of candidate rows.
 
-Bucket contents come out ascending (``from_keys`` uses a stable argsort
-over ascending row ids), which is what makes the CSR path's candidate
-sets bit-for-bit reproducible and ties in downstream argmax resolution
+One table holds any number of logical tables: ``from_keys`` fuses table
+``t``'s key ``k`` into ``t * bound + k``.  It sorts each table's keys
+once, with a stable argsort over ascending row ids, so bucket contents
+come out ascending, which is what makes the CSR path's candidate sets
+bit-for-bit reproducible and ties in downstream argmax resolution
 deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.errors import ValidationError
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -67,41 +71,51 @@ def budget_blocks(cum: np.ndarray, budget: int):
 
 @dataclass(frozen=True)
 class CSRBucketTable:
-    """One hash table in CSR layout.  Build with :meth:`from_keys`."""
+    """Hash tables in CSR layout.  Build with :meth:`from_keys`."""
 
     keys: np.ndarray     # (n_buckets,) int64, sorted ascending, unique
     offsets: np.ndarray  # (n_buckets + 1,) int64
     indices: np.ndarray  # (n_entries,) int64, grouped by bucket
 
     @classmethod
-    def from_keys(cls, keys: np.ndarray, rows: np.ndarray = None) -> "CSRBucketTable":
-        """Bucket rows by their int64 ``keys`` (one key per entry).
+    def from_keys(cls, keys: np.ndarray,
+                  bound: Optional[int] = None) -> "CSRBucketTable":
+        """Bucket rows by their int64 keys, one table per row of ``keys``.
 
-        ``rows`` supplies the row id stored for each entry; by default
-        entry ``i`` stores row ``i``.  Passing explicit rows lets several
-        logical tables share one physical table (fuse the table number
-        into the key and repeat the row ids per table).  The stable
-        argsort preserves input order inside each bucket, so feed rows
-        ascending per logical table to keep bucket contents ascending.
+        ``keys`` is ``(n,)`` for one table or ``(n_tables, n)``: row ``i``
+        lands in bucket ``keys[t, i]`` of table ``t``.  The tables fuse
+        into one keyed by ``t * bound + key``; every key must lie in
+        ``[0, bound)``, and ``bound`` defaults to one past the largest.
+
+        Each table is one stable argsort, so every bucket lists its rows
+        ascending.  numpy's stable sort of 16-bit keys is a radix sort,
+        several times faster than its int64 merge sort and in the same
+        order, so tables whose keys fit sort as ``uint16``.  When the
+        fused key space is no larger than the number of entries, one
+        ``bincount`` gives every bucket's size; past that, a neighbour
+        mask over the sorted keys does.
         """
-        keys = np.asarray(keys, dtype=np.int64)
-        # Stable => ascending ids per bucket.  numpy's stable sort of
-        # 16-bit keys is a radix sort, several times faster than its
-        # int64 merge sort, and gives the same order.
-        narrow = keys.size and keys.min() >= 0 and keys.max() < 1 << 16
-        order = np.argsort(keys.astype(np.uint16) if narrow else keys, kind="stable")
-        sorted_keys = keys[order]
-        if keys.size == 0:
-            unique = keys
-            offsets = np.zeros(1, dtype=np.int64)
+        tables = np.atleast_2d(np.asarray(keys, dtype=np.int64))
+        if bound is None:
+            if tables.size and tables.min() < 0:
+                raise ValidationError("bucket keys must be non-negative")
+            bound = int(tables.max()) + 1 if tables.size else 0
+        narrow = bound <= 1 << 16
+        order = np.argsort(tables.astype(np.uint16) if narrow else tables,
+                           axis=1, kind="stable")
+        base = np.arange(tables.shape[0], dtype=np.int64)[:, None] * bound
+        space = tables.shape[0] * bound
+        if space <= tables.size:
+            counts = np.bincount((tables + base).ravel(), minlength=space)
+            unique = np.flatnonzero(counts)
+            offsets = np.zeros(unique.size + 1, dtype=np.int64)
+            np.cumsum(counts[unique], out=offsets[1:])
         else:
-            keep = np.empty(sorted_keys.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=keep[1:])
-            unique = sorted_keys[keep]
-            offsets = np.append(np.flatnonzero(keep), keys.size).astype(np.int64)
-        indices = order if rows is None else np.asarray(rows, dtype=np.int64)[order]
-        return cls(keys=unique, offsets=offsets, indices=indices.astype(np.int64))
+            ordered = (np.take_along_axis(tables, order, axis=1) + base).ravel()
+            first = np.flatnonzero(np.diff(ordered, prepend=-1))
+            unique = ordered[first]
+            offsets = np.append(first, ordered.size)
+        return cls(keys=unique, offsets=offsets, indices=order.ravel())
 
     @property
     def n_buckets(self) -> int:

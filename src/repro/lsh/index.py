@@ -129,7 +129,14 @@ class LSHIndex:
         return self._data.shape[0]
 
     def build(self, P) -> "LSHIndex":
-        """Hash every row of ``P`` into every table."""
+        """Hash every row of ``P`` into every table.
+
+        One ``hash_matrix`` call (blocked for the sign families) gives
+        the ``(n, n_tables)`` keys, and :meth:`CSRBucketTable.from_keys
+        <repro.lsh.csr.CSRBucketTable.from_keys>` sorts each table once
+        into the fused table.  The dense offsets, where the fused key
+        space allows them, are the running sum of the bucket sizes.
+        """
         P = check_matrix(P, "P")
         with span("hash", side="data", n_rows=P.shape[0]):
             keys = self._hasher.hash_matrix(P, side="data")
@@ -141,21 +148,17 @@ class LSHIndex:
             )
         self._bound = bound
         self._offsets = (np.arange(self.n_tables, dtype=np.int64) * bound)[:, None]
-        # Table-major flat layout: row ids ascend inside each table, so
-        # the stable bucket sort leaves every bucket's contents ascending.
-        fused = (keys.T + self._offsets).ravel()
-        rows = np.tile(np.arange(P.shape[0], dtype=np.int64), self.n_tables)
-        table = CSRBucketTable.from_keys(fused, rows=rows)
+        table = CSRBucketTable.from_keys(keys.T, bound)
+        sizes = np.diff(table.offsets)
         space = self.n_tables * bound
-        self._dense = (
-            table.offsets[np.searchsorted(table.keys, np.arange(space + 2))]
-            if space <= DENSE_LOOKUP_MAX else None
-        )
+        self._dense = None
+        if space <= DENSE_LOOKUP_MAX:
+            dense = np.zeros(space + 2, dtype=np.int64)
+            dense[table.keys + 1] = sizes
+            self._dense = np.cumsum(dense, out=dense)
         metrics = current_metrics()
         if metrics.enabled:
-            metrics.histogram("lsh.bucket_occupancy").observe_array(
-                np.diff(table.offsets)
-            )
+            metrics.histogram("lsh.bucket_occupancy").observe_array(sizes)
         self._table = table
         self._data = P
         return self

@@ -24,6 +24,7 @@ from repro.lsh import (
     SimpleALSH,
     SymmetricIPSHash,
 )
+from repro.lsh import batch_hash
 from repro.lsh.base import MISS_KEY, AsymmetricLSHFamily
 from repro.lsh.crosspolytope import _ROTATION_CACHE, sample_rotation
 
@@ -101,12 +102,33 @@ FAMILIES = [
 ]
 
 
-@pytest.mark.parametrize("name", FAMILIES)
-def test_hash_matrix_equals_per_row_reference(name):
+#: Families whose hashers are sign projections: blocked GEMM, multiprobe.
+SIGN_FAMILIES = ["hyperplane", "simple_alsh", "sign_alsh", "symmetric"]
+
+#: GEMM rows per block for the blocked inputs: the 40 data rows and 20
+#: query rows of ``_dense_data`` then hash in 14 and 7 blocks of 2 or 3
+#: rows.
+BLOCK_ROWS = 3
+
+
+def _blocked(monkeypatch, hasher, rows):
+    """Shrink the sign hasher's block budget to ``rows`` rows a block."""
+    if rows is not None:
+        width = hasher._projections.shape[0]
+        monkeypatch.setattr(batch_hash, "SIGN_BLOCK_ELEMS", rows * width)
+
+
+@pytest.mark.parametrize("name,block_rows", [
+    *(pytest.param(name, None, id=name) for name in FAMILIES),
+    *(pytest.param(name, BLOCK_ROWS, id=f"{name}-blocked")
+      for name in SIGN_FAMILIES),
+])
+def test_hash_matrix_equals_per_row_reference(name, block_rows, monkeypatch):
     rng = np.random.default_rng(SEED)
     family, (P, Q) = _family_and_data(name, rng)
     hasher = family.sample_batch(np.random.default_rng(SEED + 1), 3, 4)
     assert hasher is not None and hasher.is_native
+    _blocked(monkeypatch, hasher, block_rows)
     for X, side in ((P, "data"), (Q, "query")):
         batch = hasher.hash_matrix(X, side=side)
         rows = hasher.hash_rows(X, side=side)
@@ -115,12 +137,16 @@ def test_hash_matrix_equals_per_row_reference(name):
         assert np.array_equal(batch, rows), f"{name}/{side}"
 
 
-@pytest.mark.parametrize("k", [12, 58])
-def test_sign_pack_exact_at_every_width(k):
+@pytest.mark.parametrize("k,block_rows", [
+    *(pytest.param(k, None, id=str(k)) for k in (12, 58)),
+    *(pytest.param(k, BLOCK_ROWS, id=f"{k}-blocked") for k in (12, 58)),
+])
+def test_sign_pack_exact_at_every_width(k, block_rows, monkeypatch):
     # float64 and int64 bit weights: the matvec pack must equal the
     # scalar Horner reference at each width.
     P, Q = _dense_data(np.random.default_rng(SEED))
     hasher = HyperplaneLSH(D).sample_batch(np.random.default_rng(SEED + 1), k, 2)
+    _blocked(monkeypatch, hasher, block_rows)
     for X, side in ((P, "data"), (Q, "query")):
         assert np.array_equal(hasher.hash_matrix(X, side), hasher.hash_rows(X, side))
 

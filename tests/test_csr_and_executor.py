@@ -34,16 +34,18 @@ from repro.lsh import (
 )
 from repro.lsh import index as index_module
 from repro.lsh.base import MISS_KEY
-from tests.test_batch_hashing import FAMILIES, PerRow, _family_and_data
+from tests.test_batch_hashing import (
+    FAMILIES,
+    SIGN_FAMILIES,
+    PerRow,
+    _family_and_data,
+)
 
 #: The two lookup paths of the fused table: dense offsets, binary search.
 LOOKUP_LIMITS = (index_module.DENSE_LOOKUP_MAX, 0)
 
 STAT_FIELDS = ("queries", "candidates", "unique_candidates",
                "probe_candidates", "probed_buckets")
-
-#: Families whose hashers are sign projections, hence multiprobe.
-SIGN_FAMILIES = ("hyperplane", "simple_alsh", "sign_alsh", "symmetric")
 
 
 def lsh(P, Q, spec, **options):
@@ -124,7 +126,70 @@ class _FixedFamily(AsymmetricLSHFamily):
         return self.hasher
 
 
+def _reference_buckets(keys, bound, dense):
+    """The fused table by the plain algorithm: one stable argsort of all
+    fused ``t * bound + key`` keys, and dense offsets from a
+    ``searchsorted`` of every fused key."""
+    n, n_tables = keys.shape
+    fused = (keys.T + np.arange(n_tables)[:, None] * bound).ravel()
+    order = np.argsort(fused, kind="stable")
+    ordered = fused[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    offsets = np.append(first, fused.size)
+    indices = np.tile(np.arange(n), n_tables)[order]
+    space = n_tables * bound
+    lookup = (offsets[np.searchsorted(ordered[first], np.arange(space + 2))]
+              if dense else None)
+    return ordered[first], offsets, indices, lookup
+
+
+def _gapped_keys():
+    """Two tables whose buckets leave empty keys between full ones."""
+    data = np.array([[9, 2], [0, 2], [5, 7], [0, 0], [9, 7], [5, 2]])
+    return LSHIndex(_FixedFamily(_FixedKeys(data, data)), n_tables=2,
+                    hashes_per_table=1)
+
+
+#: Index builds checked against the plain algorithm: 16 x 12 bits
+#: (uint16 keys, and 80,000 entries over a 65,536-key space: the bincount
+#: sizes), 4 x 20 bits (keys past 2**16 over a sparse space: the
+#: neighbour-mask sizes), no dense offsets, and gapped buckets.
+TABLE_CASES = {
+    "uint16": (lambda: LSHIndex(HyperplaneLSH(16), 16, 12, seed=5), 5000, True),
+    "k20": (lambda: LSHIndex(HyperplaneLSH(16), 4, 20, seed=5), 3000, True),
+    "no_dense": (lambda: LSHIndex(HyperplaneLSH(16), 16, 12, seed=5), 5000, False),
+    "gapped": (_gapped_keys, 6, True),
+}
+
+
 class TestCSRBucketTable:
+    @pytest.mark.parametrize("case", sorted(TABLE_CASES))
+    def test_index_table_matches_reference(self, case, monkeypatch):
+        make, n, dense = TABLE_CASES[case]
+        if not dense:
+            monkeypatch.setattr(index_module, "DENSE_LOOKUP_MAX", 0)
+        index = make()
+        P = random_unit(n, 16, seed=11)
+        keys = index._hasher.hash_matrix(P, side="data")
+        index.build(P)
+        space = index.n_tables * index._bound
+        # Each case takes the sort and the sizing it is named for.
+        assert (index._bound > 1 << 16) == (case == "k20")
+        assert (space <= keys.size) == (case in ("uint16", "no_dense"))
+        want = _reference_buckets(keys, index._bound, dense)
+        table = index._table
+        got = (table.keys, table.offsets, table.indices, index._dense)
+        for field, a, b in zip(("keys", "offsets", "indices", "dense"),
+                               want, got):
+            if a is None:
+                assert b is None, field
+            else:
+                assert b.dtype == np.int64, field
+                np.testing.assert_array_equal(a, b, err_msg=field)
+        assert np.diff(table.offsets).min() > 0
+        if case == "gapped":
+            assert table.keys.tolist() == [0, 5, 9, 10, 12, 17]
+
     def test_roundtrip_groups_rows_by_key(self):
         keys = np.array([5, 3, 5, 5, 3, 9], dtype=np.int64)
         table = CSRBucketTable.from_keys(keys)

@@ -429,6 +429,34 @@ class TestPlanIR:
         assert top.size == 15
         assert np.array_equal(top, np.sort(NormScanIndex(tied).order[:15]))
 
+    def test_two_stage_plan_sorts_by_norm_once(self, instance, spec,
+                                               monkeypatch):
+        """A one-shot join and a session open of a norm-prefix hybrid each
+        split ``P`` by norm once, and hand both stages the halves of
+        :func:`norm_partition`."""
+        import importlib
+
+        from repro.engine import norm_prefix_lsh_plan
+
+        # ``repro.engine.plan`` the attribute is the planning function.
+        plan_module = importlib.import_module("repro.engine.plan")
+        calls = []
+
+        def counted(P):
+            calls.append(P.shape[0])
+            return norm_order(P)
+
+        norm_order = plan_module.norm_order
+        monkeypatch.setattr(plan_module, "norm_order", counted)
+        plan = norm_prefix_lsh_plan(prefix_fraction=0.25)
+        engine.join(instance.P, instance.Q, spec, backend=plan, seed=9)
+        assert calls == [instance.P.shape[0]]
+        with engine.open(instance.P, spec, backend=plan, seed=9) as session:
+            assert len(calls) == 2
+            top, tail = plan_module.norm_partition(instance.P, 0.25)
+            parts = [prep.point_idx for prep in session._prepared]
+        assert np.array_equal(parts[0], top) and np.array_equal(parts[1], tail)
+
     def test_one_stage_plan_bit_equality(self, instance, spec):
         from repro.engine import Plan
 
