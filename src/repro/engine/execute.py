@@ -216,6 +216,7 @@ def run_single_stage(
     spec: JoinSpec,
     *,
     options: dict,
+    point_idx: Optional[np.ndarray],
     seed,
     n_workers: int,
     block: int,
@@ -225,7 +226,6 @@ def run_single_stage(
     executor: Optional[WorkerPool],
     blas_threads: Optional[int],
     prep: Optional[PreparedStage] = None,
-    point_idx: Optional[np.ndarray] = None,
 ):
     """Run stage ``index`` of a plan on the query rows ``Q``: THE stage body.
 
@@ -234,7 +234,9 @@ def run_single_stage(
     ``point_idx``), then under
     tracing the ``build`` span, then ``run`` (the executor over ``Q``)
     and ``merge`` (chunk results in query order, under the stage's
-    final spec).  One-stage
+    final spec).  Every caller states the stage's points: its entry of
+    :func:`~repro.engine.plan.plan_point_indices`, ``None`` for all of
+    ``P``.  One-stage
     plans run this at the root of the trace, the pre-Plan-IR span shape;
     :func:`run_stage_plan` runs it inside each ``stage`` span.
 

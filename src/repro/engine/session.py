@@ -455,7 +455,7 @@ class JoinSession:
             if _one_stage(self.the_plan):
                 result, chunks, _ = run_single_stage(
                     self.the_plan, 0, self.P, Q, self.spec,
-                    options=self.options,
+                    options=self.options, point_idx=None,
                     prep=self._prepared[0] if self._prepared else None,
                     **run,
                 )

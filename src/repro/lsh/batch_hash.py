@@ -233,9 +233,11 @@ class SignProjectionTables(_TransformMixin, ComponentHashTables):
 
     :meth:`hash_matrix` runs the GEMM, the sign and the pack over blocks
     of :data:`SIGN_BLOCK_ELEMS` margins, so hashing ``n`` rows never
-    builds an ``n x n_tables * k`` array; the transform still maps the
-    whole matrix, and the GEMM stays float64, so every key equals the
-    unblocked one.
+    builds an ``n x n_tables * k`` array.  The transform still maps the
+    whole matrix and the GEMM stays float64, but the BLAS may sum a
+    block's dot products in another order than the whole matrix's, so
+    a margin can move by a rounding error; a key can change only where
+    such a margin lies within that error of zero.
     """
 
     def __init__(
@@ -265,9 +267,8 @@ class SignProjectionTables(_TransformMixin, ComponentHashTables):
                 np.float64 if k <= 53 else np.int64
             )
 
-    def _margins(self, X, side) -> np.ndarray:
-        """Raw projection values, ``(n, n_tables, hashes_per_table)``."""
-        T = self._transform(check_matrix(X, "X"), side)
+    def _margins(self, T: np.ndarray) -> np.ndarray:
+        """Projection values of the transformed rows ``T``, ``(n, n_tables, k)``."""
         return (T @ self._projections.T).reshape(
             T.shape[0], self.n_tables, self.hashes_per_table
         )
@@ -284,28 +285,31 @@ class SignProjectionTables(_TransformMixin, ComponentHashTables):
             bits.shape[0], self.n_tables)
 
     def hash_matrix(self, X, side: str = "data") -> np.ndarray:
-        """Fused ``(n, n_tables)`` int64 keys, :data:`SIGN_BLOCK_ELEMS` margins at a time.
+        """Fused ``(n, n_tables)`` int64 keys, hashed in blocks of margins.
 
-        Each block's GEMM writes into one reused buffer, which then holds
-        the block's sign bits as 0/1 floats for the pack.  Past one block
-        the rows split into blocks of equal size, and the keys are
-        written table-major and returned as the transposed view, the
-        layout the index's per-table bucket sort reads.
+        At most :data:`SIGN_BLOCK_ELEMS` margins (every batch-1 query)
+        take one GEMM, sign and pack, as do rank-recoded keys.  Past that
+        the rows split into blocks of equal size; each block's GEMM
+        writes into one reused buffer, which then holds the block's sign
+        bits as 0/1 floats for the pack, and the keys are written
+        table-major and returned as the transposed view, the layout the
+        index's per-table bucket sort reads.
         """
         side = self._check_side(side)
         T = self._transform(check_matrix(X, "X"), side)
-        if self._weights is None:
-            bits = T @ self._projections.T >= 0.0
-            return self._fuse(bits.reshape(
-                -1, self.n_tables, self.hashes_per_table).astype(np.int64), side)
         n, width = T.shape[0], self._projections.shape[0]
-        if n * width <= SIGN_BLOCK_ELEMS:
-            return self._pack(T @ self._projections.T >= 0.0)
-        # Blocks of equal size: a last block of a few rows can take
-        # another BLAS kernel, whose margins differ from the unblocked
-        # GEMM's in the last bit.  With OpenBLAS 0.3.31, equal blocks of
-        # 16 x 12 and 4 x 20 tables reproduce the unblocked margins bit
-        # for bit; a 1-4 row remainder block does not.
+        if self._weights is None or n * width <= SIGN_BLOCK_ELEMS:
+            bits = self._margins(T) >= 0.0
+            if self._weights is None:
+                return self._fuse(bits.astype(np.int64), side)
+            return self._pack(bits)
+        # Blocks of equal size: OpenBLAS (0.3.31) picks its kernel and
+        # thread split by shape.  Equal blocks of 16 x 12 and 4 x 20
+        # tables reproduce the unblocked margins bit for bit, where a
+        # 1-4 row remainder block moves some in the last bit.  Wider
+        # tables move margins at every block size: at k = 23, L = 449
+        # (blocks of 1-128 rows) by up to 4e-15 on unit rows of 32
+        # dims, which flipped no key.
         n_blocks = -(-n // max(1, SIGN_BLOCK_ELEMS // width))
         edges = np.arange(n_blocks + 1) * n // n_blocks
         keys = np.empty((self.n_tables, n), dtype=np.int64)
@@ -329,7 +333,7 @@ class SignProjectionTables(_TransformMixin, ComponentHashTables):
         disagree on (Lv et al.'s query-directed multiprobe), so slot
         ``1 + i`` flips the bit with the ``i``-th smallest ``|margin|``.
         """
-        values = self._margins(X, "query")
+        values = self._margins(self._transform(check_matrix(X, "X"), "query"))
         keys = self._pack(values >= 0.0)[:, :, None]
         order = np.argsort(np.abs(values), axis=2, kind="stable")[:, :, :n_probes]
         flips = keys ^ (np.int64(1) << (self.hashes_per_table - 1 - order))

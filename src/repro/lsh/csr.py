@@ -27,7 +27,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -78,44 +78,35 @@ class CSRBucketTable:
     indices: np.ndarray  # (n_entries,) int64, grouped by bucket
 
     @classmethod
-    def from_keys(cls, keys: np.ndarray,
-                  bound: Optional[int] = None) -> "CSRBucketTable":
+    def from_keys(cls, keys: np.ndarray) -> "CSRBucketTable":
         """Bucket rows by their int64 keys, one table per row of ``keys``.
 
         ``keys`` is ``(n,)`` for one table or ``(n_tables, n)``: row ``i``
-        lands in bucket ``keys[t, i]`` of table ``t``.  The tables fuse
-        into one keyed by ``t * bound + key``; every key must lie in
-        ``[0, bound)``, and ``bound`` defaults to one past the largest.
+        lands in bucket ``keys[t, i]`` of table ``t``.  Keys must be
+        non-negative.  The tables fuse into one keyed by
+        ``t * bound + key``, where ``bound`` is one past the largest key.
 
         Each table is one stable argsort, so every bucket lists its rows
         ascending.  numpy's stable sort of 16-bit keys is a radix sort,
         several times faster than its int64 merge sort and in the same
-        order, so tables whose keys fit sort as ``uint16``.  When the
-        fused key space is no larger than the number of entries, one
-        ``bincount`` gives every bucket's size; past that, a neighbour
-        mask over the sorted keys does.
+        order, so tables whose keys fit sort as ``uint16``.  A bucket
+        starts wherever a table's sorted keys change.
         """
         tables = np.atleast_2d(np.asarray(keys, dtype=np.int64))
-        if bound is None:
-            if tables.size and tables.min() < 0:
-                raise ValidationError("bucket keys must be non-negative")
-            bound = int(tables.max()) + 1 if tables.size else 0
-        narrow = bound <= 1 << 16
-        order = np.argsort(tables.astype(np.uint16) if narrow else tables,
-                           axis=1, kind="stable")
-        base = np.arange(tables.shape[0], dtype=np.int64)[:, None] * bound
-        space = tables.shape[0] * bound
-        if space <= tables.size:
-            counts = np.bincount((tables + base).ravel(), minlength=space)
-            unique = np.flatnonzero(counts)
-            offsets = np.zeros(unique.size + 1, dtype=np.int64)
-            np.cumsum(counts[unique], out=offsets[1:])
-        else:
-            ordered = (np.take_along_axis(tables, order, axis=1) + base).ravel()
-            first = np.flatnonzero(np.diff(ordered, prepend=-1))
-            unique = ordered[first]
-            offsets = np.append(first, ordered.size)
-        return cls(keys=unique, offsets=offsets, indices=order.ravel())
+        n_tables, n = tables.shape
+        if tables.size and tables.min() < 0:
+            raise ValidationError("bucket keys must be non-negative")
+        bound = int(tables.max()) + 1 if tables.size else 0
+        narrow = tables.astype(np.uint16) if bound <= 1 << 16 else tables
+        order = np.argsort(narrow, axis=1, kind="stable")
+        starts = np.arange(n_tables, dtype=np.int64)[:, None] * n
+        ordered = np.take(narrow, order + starts)
+        keep = np.empty(ordered.shape, dtype=bool)
+        keep[:, :1] = True
+        np.not_equal(ordered[:, 1:], ordered[:, :-1], out=keep[:, 1:])
+        first = np.flatnonzero(keep)
+        return cls(keys=ordered.ravel()[first] + first // n * bound,
+                   offsets=np.append(first, ordered.size), indices=order.ravel())
 
     @property
     def n_buckets(self) -> int:

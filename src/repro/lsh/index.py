@@ -148,7 +148,7 @@ class LSHIndex:
             )
         self._bound = bound
         self._offsets = (np.arange(self.n_tables, dtype=np.int64) * bound)[:, None]
-        table = CSRBucketTable.from_keys(keys.T, bound)
+        table = CSRBucketTable.from_keys(keys.T)
         sizes = np.diff(table.offsets)
         space = self.n_tables * bound
         self._dense = None

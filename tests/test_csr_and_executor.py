@@ -20,7 +20,7 @@ from repro.core import (
     verify_candidates,
 )
 from repro.datasets import planted_mips, random_unit
-from repro.errors import ParameterError
+from repro.errors import ParameterError, ValidationError
 from repro.lsh import (
     AsymmetricLSHFamily,
     BatchHashTables,
@@ -151,9 +151,8 @@ def _gapped_keys():
 
 
 #: Index builds checked against the plain algorithm: 16 x 12 bits
-#: (uint16 keys, and 80,000 entries over a 65,536-key space: the bincount
-#: sizes), 4 x 20 bits (keys past 2**16 over a sparse space: the
-#: neighbour-mask sizes), no dense offsets, and gapped buckets.
+#: (uint16 keys: the radix sort), 4 x 20 bits (keys past 2**16: the
+#: int64 sort), no dense offsets, and gapped buckets.
 TABLE_CASES = {
     "uint16": (lambda: LSHIndex(HyperplaneLSH(16), 16, 12, seed=5), 5000, True),
     "k20": (lambda: LSHIndex(HyperplaneLSH(16), 4, 20, seed=5), 3000, True),
@@ -172,10 +171,8 @@ class TestCSRBucketTable:
         P = random_unit(n, 16, seed=11)
         keys = index._hasher.hash_matrix(P, side="data")
         index.build(P)
-        space = index.n_tables * index._bound
-        # Each case takes the sort and the sizing it is named for.
+        # Each case takes the sort it is named for.
         assert (index._bound > 1 << 16) == (case == "k20")
-        assert (space <= keys.size) == (case in ("uint16", "no_dense"))
         want = _reference_buckets(keys, index._bound, dense)
         table = index._table
         got = (table.keys, table.offsets, table.indices, index._dense)
@@ -189,6 +186,13 @@ class TestCSRBucketTable:
         assert np.diff(table.offsets).min() > 0
         if case == "gapped":
             assert table.keys.tolist() == [0, 5, 9, 10, 12, 17]
+
+    def test_negative_keys_rejected(self):
+        # A negative key would wrap in the uint16 sort, or alias into the
+        # previous table's fused range.
+        for keys in ([3, -1], [[3, 0], [1, -1]]):
+            with pytest.raises(ValidationError):
+                CSRBucketTable.from_keys(np.array(keys, dtype=np.int64))
 
     def test_roundtrip_groups_rows_by_key(self):
         keys = np.array([5, 3, 5, 5, 3, 9], dtype=np.int64)
