@@ -55,7 +55,6 @@ from repro.errors import (
     ReproError,
     ValidationError,
 )
-from repro.evaluation import EvaluationRecord, evaluate_joins, evaluation_table
 
 __version__ = "1.0.0"
 
@@ -72,8 +71,5 @@ __all__ = [
     "ParameterError",
     "ConstructionError",
     "CapacityError",
-    "EvaluationRecord",
-    "evaluate_joins",
-    "evaluation_table",
     "__version__",
 ]

@@ -32,9 +32,9 @@ everything, and an ``atexit`` sweep so ``/dev/shm`` never leaks — also
 not on worker crashes, where the broken pool is torn down and its
 segments unlinked before the error propagates.
 
-Streamed query sets arrive one window at a time: :class:`QuerySource`
-re-blocks a chunk stream into ``block``-aligned windows, and the session
-runs each window through :func:`map_query_chunks` as an ordinary batch.
+Streamed query sets arrive one window at a time: the session re-blocks
+a stream into ``block``-aligned windows and runs each window through
+:func:`map_query_chunks` as an ordinary batch.
 
 BLAS oversubscription is handled in both parallel modes: process-pool
 workers pin their BLAS pool to ``cpu_count // n_workers`` threads (via
@@ -69,7 +69,7 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -78,7 +78,6 @@ from repro.core.problems import JoinResult, JoinSpec, QueryStats
 from repro.core.verify import DEFAULT_BLOCK
 from repro.errors import ParameterError
 from repro.utils import blasctl
-from repro.utils.validation import check_matrix
 
 #: Pool kinds map_query_chunks understands.
 POOL_KINDS = ("process", "thread")
@@ -121,178 +120,6 @@ def resolve_workers(n_workers: Union[int, str]) -> int:
     if n_workers < 1:
         raise ParameterError(f"n_workers must be >= 1, got {n_workers}")
     return int(n_workers)
-
-
-# ---------------------------------------------------------------------------
-# Query sources: the input adapter of session.query_stream
-
-
-class QuerySource:
-    """A query set by any name: in-memory array, chunk iterator, or memmap.
-
-    The input adapter of
-    :meth:`~repro.engine.session.JoinSession.query_stream`: whatever
-    the producer hands over, :meth:`blocks` yields fixed-size row
-    windows, and the session answers each window as one ordinary query
-    batch.
-
-    * ``kind="array"`` — a materialized ``(m, d)`` ndarray.  This is also
-      how memmapped files enter (:meth:`from_memmap` maps the file and
-      wraps the read-only view), so the OS pages rows in as windows
-      touch them.
-    * ``kind="stream"`` — an iterator of ``(k_i, d)`` row chunks whose
-      total length need not be known up front.  :meth:`blocks`
-      re-blocks them to the requested window size; the session asks for
-      multiples of the verification ``block``, the alignment parallel
-      chunking already obeys, so a streamed join is bit-identical to
-      the in-memory join over the concatenated rows, for every worker
-      count and pool kind.
-
-    ``chunk_rows`` is a hint for the window size (rounded to a ``block``
-    multiple by the session); ``d`` pins the expected width so a
-    malformed producer fails with a named error, not a GEMM shape
-    mismatch.
-    """
-
-    def __init__(
-        self,
-        kind: str,
-        array: Optional[np.ndarray] = None,
-        chunks: Optional[Iterable] = None,
-        d: Optional[int] = None,
-        chunk_rows: Optional[int] = None,
-    ):
-        if kind not in ("array", "stream"):
-            raise ParameterError(
-                f"QuerySource kind must be 'array' or 'stream', got {kind!r}"
-            )
-        if kind == "array" and array is None:
-            raise ParameterError("array-kind QuerySource needs an array")
-        if kind == "stream" and chunks is None:
-            raise ParameterError("stream-kind QuerySource needs a chunk iterable")
-        if chunk_rows is not None and chunk_rows < 1:
-            raise ParameterError(f"chunk_rows must be >= 1, got {chunk_rows}")
-        self.kind = kind
-        self.array = array
-        self._chunks = chunks
-        self.d = int(d) if d is not None else (
-            int(array.shape[1]) if array is not None else None
-        )
-        self.chunk_rows = chunk_rows
-        self._consumed = False
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def wrap(cls, Q) -> "QuerySource":
-        """Coerce ``Q`` into a source: passthrough, ndarray, or iterable."""
-        if isinstance(Q, QuerySource):
-            return Q
-        if isinstance(Q, np.ndarray):
-            return cls.from_array(Q)
-        if hasattr(Q, "__iter__") or hasattr(Q, "__next__"):
-            return cls.from_chunks(Q)
-        raise ParameterError(
-            f"cannot make a QuerySource from {type(Q).__name__}: expected an "
-            "ndarray, a chunk iterable, or a QuerySource"
-        )
-
-    @classmethod
-    def from_array(cls, Q) -> "QuerySource":
-        """An in-memory (or already-mapped) query matrix."""
-        return cls("array", array=check_matrix(Q, "Q"))
-
-    @classmethod
-    def from_chunks(
-        cls,
-        chunks: Iterable,
-        d: Optional[int] = None,
-        chunk_rows: Optional[int] = None,
-    ) -> "QuerySource":
-        """A stream of ``(k_i, d)`` row chunks (iterator, generator, list)."""
-        return cls("stream", chunks=chunks, d=d, chunk_rows=chunk_rows)
-
-    @classmethod
-    def from_memmap(
-        cls,
-        path,
-        d: int,
-        dtype=np.float64,
-        rows: Optional[int] = None,
-    ) -> "QuerySource":
-        """Map a raw C-order array file of ``d``-wide float rows.
-
-        ``rows`` defaults to the whole file; a file size that is not a
-        multiple of the row stride raises (truncated or mis-described
-        file).  The result is an array-kind source whose rows are paged
-        in by the OS as chunks touch them — out-of-core ``Q`` with no
-        special casing downstream.
-        """
-        dtype = np.dtype(dtype)
-        if d < 1:
-            raise ParameterError(f"d must be >= 1, got {d}")
-        size = os.path.getsize(path)
-        stride = dtype.itemsize * d
-        if rows is None:
-            if size == 0 or size % stride != 0:
-                raise ParameterError(
-                    f"{path} holds {size} bytes, not a multiple of the "
-                    f"{stride}-byte row stride (d={d}, dtype={dtype})"
-                )
-            rows = size // stride
-        elif size < rows * stride:
-            raise ParameterError(
-                f"{path} holds {size} bytes, too small for {rows} rows of "
-                f"{stride} bytes"
-            )
-        mapped = np.memmap(path, dtype=dtype, mode="r", shape=(int(rows), d))
-        source = cls("array", array=mapped.view(np.ndarray))
-        return source
-
-    # -- consumption -----------------------------------------------------
-
-    def blocks(self, rows: int) -> Iterator[np.ndarray]:
-        """Yield validated float64 chunks of exactly ``rows`` rows (last may
-        be short), re-blocking whatever sizes the producer emits.
-
-        Stream sources are single-use: the underlying iterator cannot be
-        rewound, so a second pass raises instead of silently yielding
-        nothing.
-        """
-        if rows < 1:
-            raise ParameterError(f"rows must be >= 1, got {rows}")
-        if self.kind == "array":
-            Q = self.array
-            for start in range(0, Q.shape[0], rows):
-                yield Q[start:start + rows]
-            return
-        if self._consumed:
-            raise ParameterError(
-                "this stream QuerySource was already consumed; streams are "
-                "single-use"
-            )
-        self._consumed = True
-        pending: List[np.ndarray] = []
-        held = 0
-        for raw in self._chunks:
-            chunk = check_matrix(raw, "Q chunk")
-            if self.d is None:
-                self.d = int(chunk.shape[1])
-            elif chunk.shape[1] != self.d:
-                raise ParameterError(
-                    f"Q chunk has {chunk.shape[1]} columns, expected {self.d}"
-                )
-            pending.append(chunk)
-            held += chunk.shape[0]
-            while held >= rows:
-                buffer = np.concatenate(pending, axis=0) if len(pending) > 1 else pending[0]
-                yield np.ascontiguousarray(buffer[:rows])
-                rest = buffer[rows:]
-                pending = [rest] if rest.shape[0] else []
-                held = rest.shape[0]
-        if held:
-            buffer = np.concatenate(pending, axis=0) if len(pending) > 1 else pending[0]
-            yield np.ascontiguousarray(buffer)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +201,9 @@ class WorkerPool:
         self._executor = None
         self._arena: Optional[SharedArena] = None
         self._closed = False
+        #: Called with a plain-data info dict when worker death breaks
+        #: this pool; the session that owns the pool sets it.
+        self.on_crash: Optional[Callable[[dict], None]] = None
 
     # -- lazy resources --------------------------------------------------
 
@@ -469,9 +299,9 @@ class WorkerPool:
     def _abandon(self) -> None:
         """Tear down after a broken pool: don't wait on dead workers.
 
-        Both ``BrokenProcessPool`` handlers in :func:`map_query_chunks`
-        converge here, so this is also where crash listeners (the
-        session's sink, health gauges) hear about worker deaths.
+        The ``BrokenProcessPool`` handler of :func:`map_query_chunks`
+        calls this, so this is also where :attr:`on_crash` (the owning
+        session's crash count and sink) hears about worker deaths.
         """
         if self._closed:
             return
@@ -483,53 +313,17 @@ class WorkerPool:
         if arena is not None:
             arena.close()
         _forget_pool(self)
-        _notify_crash(
-            {"pool_kind": self.kind, "n_workers": self.n_workers}
-        )
+        if self.on_crash is not None:
+            try:
+                self.on_crash({"pool_kind": self.kind, "n_workers": self.n_workers})
+            except Exception:
+                pass  # a failing sink must not mask the original crash
 
     def __enter__(self) -> "WorkerPool":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-#: Crash listeners: callables invoked with a plain-data info dict every
-#: time a pool is abandoned after worker death.  Sessions register one
-#: to emit ``crash`` sink events and bump their health counters; the
-#: count backs the ``worker_crashes`` pool-health field of
-#: :func:`repro.obs.resources.snapshot`.
-_CRASH_LISTENERS: List[Callable[[dict], None]] = []
-_CRASH_COUNT = 0
-
-
-def add_crash_listener(listener: Callable[[dict], None]) -> None:
-    """Register ``listener`` to be called on every pool crash."""
-    _CRASH_LISTENERS.append(listener)
-
-
-def remove_crash_listener(listener: Callable[[dict], None]) -> None:
-    """Unregister a crash listener; missing listeners are ignored."""
-    try:
-        _CRASH_LISTENERS.remove(listener)
-    except ValueError:
-        pass
-
-
-def crash_count() -> int:
-    """Total worker-pool crashes observed in this process."""
-    return _CRASH_COUNT
-
-
-def _notify_crash(info: dict) -> None:
-    global _CRASH_COUNT
-    _CRASH_COUNT += 1
-    info = dict(info, crash_count=_CRASH_COUNT)
-    for listener in list(_CRASH_LISTENERS):
-        try:
-            listener(info)
-        except Exception:
-            pass  # a failing sink must not mask the original crash
 
 
 #: Registry of persistent pools, keyed by (kind, n_workers, context).
@@ -626,10 +420,11 @@ def map_query_chunks(
             with a lazy ``build(P) -> structure``.  Built ONCE in the
             parent; workers receive shared-memory views (process pools)
             or shell clones (thread pools) of the same built structure.
-        P, Q: data and query matrices (already validated by the caller).
-            ``Q`` is in memory: an ndarray, a memmap view or a set
-            collection.  Streams reach the executor one re-blocked
-            window at a time, as ordinary ``Q`` batches
+        P, Q: data and query collections in the measure's own form
+            (already validated by the caller): a float matrix (an
+            ndarray or a memmap view) or a set collection.  A stream
+            reaches the executor one re-blocked window at a time, each
+            window an ordinary ``Q`` batch
             (:meth:`repro.engine.session.JoinSession.query_stream`).
         runner: a **module-level** (hence picklable-by-reference)
             function ``runner(structure, P, Q_chunk, start, args)``

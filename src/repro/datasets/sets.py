@@ -171,6 +171,19 @@ class SetCollection:
         return cls(indptr, indices.astype(np.int64), universe)
 
     @classmethod
+    def concat(cls, parts: Sequence["SetCollection"]) -> "SetCollection":
+        """The rows of ``parts`` in order, as one collection (CSR row
+        concatenation); every part must share one universe."""
+        if len({part.universe for part in parts}) != 1:
+            raise ParameterError("concat needs collections over one universe")
+        indptr, nnz = [np.zeros(1, dtype=np.int64)], 0
+        for part in parts:
+            indptr.append(part.indptr[1:] + nnz)
+            nnz += part.indices.size
+        indices = np.concatenate([part.indices for part in parts])
+        return cls(np.concatenate(indptr), indices, parts[0].universe)
+
+    @classmethod
     def coerce(cls, obj, name: str = "sets") -> "SetCollection":
         """Accept a ``SetCollection``, dense binary matrix, or list of sets."""
         if isinstance(obj, cls):

@@ -32,8 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
+import numpy as np
+
 from repro.core.set_join import verify_set_block
 from repro.core.verify import verify_block
+from repro.datasets.sets import SetCollection
 from repro.errors import ParameterError
 from repro.utils.validation import check_matrix
 
@@ -60,12 +63,13 @@ class MeasureDescriptor:
             for ``ip``, :func:`repro.core.set_join.verify_set_block` for
             ``jaccard``); the one scorer for sharding merges and
             re-verification.
+        concat: ``concat(parts) -> collection`` — join validated
+            collections row-wise, in order (``np.concatenate`` for
+            ``ip``, :meth:`~repro.datasets.sets.SetCollection.concat` for
+            ``jaccard``); ``session.query_stream`` re-blocks its batches
+            into windows with it.
         supports_hybrids: whether the planner's multi-stage hybrid
             shapes are meaningful for this measure.
-        dense_queries: whether streamed query chunks arrive as dense
-            float matrices (``QuerySource`` re-blocking validates them
-            with ``check_matrix``); set measures stream as dense binary
-            windows, which ``validate`` coerces back per window.
     """
 
     name: str
@@ -73,8 +77,8 @@ class MeasureDescriptor:
     validate: Callable
     check_compatible: Callable
     verify_block: Callable
+    concat: Callable
     supports_hybrids: bool = True
-    dense_queries: bool = True
 
 
 _MEASURES: Dict[str, MeasureDescriptor] = {}
@@ -127,16 +131,14 @@ register_measure(MeasureDescriptor(
     validate=_ip_validate,
     check_compatible=_ip_compatible,
     verify_block=verify_block,
+    concat=np.concatenate,
     supports_hybrids=True,
-    dense_queries=True,
 ))
 
 
 # -- Jaccard (set collections; arXiv:1907.02251's BCP measure) ----------
 
 def _jaccard_validate(obj, name: str):
-    from repro.datasets.sets import SetCollection
-
     return SetCollection.coerce(obj, name)
 
 
@@ -153,6 +155,6 @@ register_measure(MeasureDescriptor(
     validate=_jaccard_validate,
     check_compatible=_jaccard_compatible,
     verify_block=verify_set_block,
+    concat=SetCollection.concat,
     supports_hybrids=False,
-    dense_queries=False,
 ))

@@ -22,12 +22,12 @@ lifecycle:
   ``session.query``) and appends one
   :class:`~repro.obs.planner_log.PlannerRecord` tagged with
   ``expected_queries`` and the session reuse count.
-* :meth:`JoinSession.query_stream` consumes a
-  :class:`~repro.core.executor.QuerySource` (chunk iterator or
-  memmapped file) with bounded memory: each re-blocked window is one
-  ordinary query batch through the same dispatch as :meth:`query`, and
-  the windows merge into one result, bit-identical to the in-memory
-  one.
+* :meth:`JoinSession.query_stream` answers a query set too large to
+  hold with bounded memory: one batch in the measure's own form (a
+  matrix, an ``np.memmap`` or a set collection) or an iterable of
+  batches, re-blocked into windows that are each one ordinary query
+  batch through the same dispatch as :meth:`query`.  The windows merge
+  into one result, bit-identical to the in-memory one.
 * :meth:`JoinSession.save` / :func:`open_path` persist the prepared
   session in the directory format of :mod:`repro.utils.persistence`:
   large arrays become raw sidecars and load back as ``np.memmap`` views,
@@ -50,17 +50,13 @@ import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Union
+from typing import Any, Iterator, List, Optional, Union
 
 from repro.core.arena import collect_arrays
 from repro.core.executor import (
     POOL_KINDS,
-    QuerySource,
     WorkerPool,
-    add_crash_listener,
-    crash_count,
     merge_join_chunks,
-    remove_crash_listener,
     resolve_workers,
 )
 from repro.core.problems import JoinResult, JoinSpec
@@ -231,7 +227,6 @@ class JoinSession:
         self._own_sink = False
         self._sink_resource_every = 32
         self._poller: Optional[ResourcePoller] = None
-        self._crash_listener = None
         self._last_stage_records: list = []
         self._last_chunk_walls: list = []
         self._last_record: Optional[PlannerRecord] = None
@@ -394,6 +389,7 @@ class JoinSession:
             self.n_workers, kind=self.pool_kind,
             blas_threads=self.blas_threads,
         )
+        self._pool.on_crash = self._on_crash
         self._own_pool = True
         if self._pool.kind == "process":
             # Every array repeated queries would otherwise re-freeze: those
@@ -574,10 +570,10 @@ class JoinSession:
             self._emit_metrics()
 
     def _pool_health(self) -> dict:
-        rebuilds = self.metrics.counter("session.pool_rebuilds").value
+        counter = self.metrics.counter
         return {
-            "pool_rebuilds": int(rebuilds),
-            "worker_crashes": int(crash_count()),
+            "pool_rebuilds": int(counter("session.pool_rebuilds").value),
+            "worker_crashes": int(counter("session.worker_crashes").value),
         }
 
     def _arena_bytes(self) -> int:
@@ -606,10 +602,11 @@ class JoinSession:
             self._sink.emit("metrics", self.metrics.snapshot())
 
     def _on_crash(self, info: dict) -> None:
-        """Crash listener: called by the executor when a pool breaks."""
-        self.metrics.counter("session.worker_crashes").inc()
+        """Called by the session's own pool when worker death breaks it."""
+        crashes = self.metrics.counter("session.worker_crashes")
+        crashes.inc()
         if self._sink is not None:
-            self._sink.emit("crash", dict(info))
+            self._sink.emit("crash", dict(info, worker_crashes=crashes.value))
 
     def attach_sink(
         self,
@@ -646,8 +643,6 @@ class JoinSession:
             )
             self._own_sink = True
         self._sink_resource_every = int(resource_every)
-        self._crash_listener = self._on_crash
-        add_crash_listener(self._crash_listener)
         self._sink.emit("meta", {
             "n": int(self.P.shape[0]),
             "d": int(self.P.shape[1]),
@@ -665,9 +660,6 @@ class JoinSession:
     def detach_sink(self) -> None:
         """Stop sinking; flush, and close the sink if session-owned."""
         sink, self._sink = self._sink, None
-        if self._crash_listener is not None:
-            remove_crash_listener(self._crash_listener)
-            self._crash_listener = None
         if sink is not None:
             if self._own_sink:
                 sink.close()
@@ -765,17 +757,22 @@ class JoinSession:
         chunk_rows: Optional[int] = None,
         trace: bool = False,
     ) -> JoinResult:
-        """Answer a stream of query chunks with bounded memory.
+        """Answer a query set too large to hold, with bounded memory.
 
-        ``chunks`` is anything :meth:`QuerySource.wrap` accepts — a chunk
-        iterator/generator, an ndarray, or an array-kind source over a
-        memmapped file (:meth:`QuerySource.from_memmap`).  Incoming rows
-        are re-blocked into windows of a multiple of the session
-        ``block`` size (``chunk_rows`` rounds down to one), and each
-        window is answered as one ordinary :meth:`query` batch, so one
-        window is in flight at a time and worker pools parallelize
-        within it.  Block-aligned windows make the merged result
-        **bit-identical** to ``query()`` over the concatenated rows.
+        ``chunks`` is one batch in the measure's own form — anything
+        with a ``shape``: an ndarray, an ``np.memmap`` (map a raw file
+        with ``np.memmap(path, dtype=np.float64, mode="r", shape=(rows,
+        d))``) or a :class:`~repro.datasets.sets.SetCollection` — which
+        is sliced into windows, or any other iterable of batches of any
+        size, which are re-blocked into windows.  Each batch is
+        validated once, like a :meth:`query` batch (a sliced batch one
+        window at a time, so a memmap is never scanned whole).  Windows
+        hold a multiple of the session ``block`` size (``chunk_rows``
+        rounds down to one; default ``8 * block``), and each window is
+        answered as one ordinary :meth:`query` batch, so one window is
+        in flight at a time and worker pools parallelize within it.
+        Block-aligned windows make the merged result **bit-identical**
+        to ``query()`` over the concatenated rows.
 
         The call counts as one query: one planner record and one
         ``session.query_latency_us`` observation for the whole stream,
@@ -791,22 +788,7 @@ class JoinSession:
                 "self-join sessions cannot stream queries: the query set "
                 "is P itself"
             )
-        if not get_measure(self.spec.measure).dense_queries and hasattr(
-            chunks, "to_dense"
-        ):
-            # Set-collection streams re-block as dense 0/1 windows (the
-            # form QuerySource validates); each window is coerced back
-            # to CSR like any query batch, so results match query().
-            sets = chunks
-            step = max(1, chunk_rows if chunk_rows is not None else 8 * self.block)
-            chunks = (
-                sets[lo:lo + step].to_dense()
-                for lo in range(0, sets.shape[0], step)
-            )
-        source = QuerySource.wrap(chunks)
-        rows = chunk_rows if chunk_rows is not None else (
-            source.chunk_rows if source.chunk_rows is not None else 8 * self.block
-        )
+        rows = chunk_rows if chunk_rows is not None else 8 * self.block
         rows = max(self.block, (rows // self.block) * self.block)
         sampled = self._sample(trace)
         traced = trace or sampled
@@ -816,11 +798,10 @@ class JoinSession:
         chunk_walls: List[int] = []
         t0 = time.perf_counter_ns()
         with tracer.span("session.query_stream") as root:
-            for window in source.blocks(rows):
+            for window in self._windows(chunks, rows):
                 self.metrics.counter("session.stream_chunks").inc()
                 part = self._dispatch(
-                    self._validate_batch(window), trace=traced,
-                    root="session.query", record=False,
+                    window, trace=traced, root="session.query", record=False,
                 )
                 parts.append(part)
                 chunk_walls.extend(self._last_chunk_walls)
@@ -860,6 +841,34 @@ class JoinSession:
         self._record(result, stage_records, len(result.matches))
         self._observe_query(result, wall_ns, sampled)
         return result
+
+    def _windows(self, batches, rows: int) -> Iterator[Any]:
+        """Validated windows of ``rows`` rows (the last may be short).
+
+        A batch with a ``shape`` is sliced into windows; any other
+        iterable yields batches of any size, which are validated one by
+        one and joined with the measure's ``concat`` until a window
+        fills.
+        """
+        if hasattr(batches, "shape"):
+            whole = batches
+            batches = (
+                whole[lo:lo + rows] for lo in range(0, whole.shape[0], rows)
+            )
+        concat = get_measure(self.spec.measure).concat
+        pending: list = []
+        held = 0
+        for batch in batches:
+            batch = self._validate_batch(batch)
+            pending.append(batch)
+            held += batch.shape[0]
+            while held >= rows:
+                buffer = concat(pending) if len(pending) > 1 else pending[0]
+                yield buffer[:rows]
+                held -= rows
+                pending = [buffer[rows:]] if held else []
+        if held:
+            yield concat(pending) if len(pending) > 1 else pending[0]
 
     # -- persistence -----------------------------------------------------
 
@@ -962,12 +971,7 @@ class JoinSession:
         self.close()
 
 
-def open_session(
-    P,
-    Q=None,
-    spec: Optional[JoinSpec] = None,
-    **kw,
-) -> JoinSession:
+def open_session(P, spec: JoinSpec, **kw) -> JoinSession:
     """Open a prepared join session over ``P`` (exported as ``engine.open``).
 
     Signature mirrors :func:`repro.engine.join` minus the query set:
@@ -986,22 +990,12 @@ def open_session(
     sampled span trees, latency percentiles, planner records, and
     resource snapshots as rotating JSONL.
 
-    Accepts either ``open(P, spec, ...)`` or the join-shaped
-    ``open(P, None, spec, ...)``.  For self-join sessions pass a spec
-    with ``self_join=True`` (or build it as usual and call
-    ``session.query(None)``).
+    For self-join sessions pass a spec with ``self_join=True`` and call
+    ``session.query(None)``.
     """
-    if spec is None:
-        if not isinstance(Q, JoinSpec):
-            raise ParameterError(
-                "open(P, spec, ...) needs a JoinSpec as its second "
-                "argument (or open(P, None, spec, ...))"
-            )
-        spec = Q
-    elif Q is not None:
+    if not isinstance(spec, JoinSpec):
         raise ParameterError(
-            "open() prepares a session over P only; pass query batches "
-            "to session.query(Q)"
+            "open(P, spec, ...) needs a JoinSpec as its second argument"
         )
     return JoinSession(P, spec, **kw)
 

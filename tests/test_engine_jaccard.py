@@ -200,16 +200,34 @@ class TestParallelAndComposition:
             assert session.query(Q).matches == one_shot.matches
             assert session.query(Q).matches == one_shot.matches
 
-    def test_query_stream_bit_identical(self, workload):
+    def test_query_stream_bit_identical(self, workload, monkeypatch):
+        """Every input kind streams as ``query`` answers: the whole
+        collection, ragged set chunks and ragged dense 0/1 chunks."""
         P, Q = workload
         spec = JoinSpec(s=0.5, measure="jaccard")
+        dense = Q.to_dense()
+        cuts = list(zip([0, 7, 30], [7, 30, len(Q)]))
+        inputs = {
+            "collection": Q,
+            "set chunks": iter([Q[lo:hi] for lo, hi in cuts]),
+            "dense chunks": iter([dense[lo:hi] for lo, hi in cuts]),
+        }
+
+        def densify(self, dtype=np.float64):
+            raise AssertionError("a set stream must not densify")
+
+        monkeypatch.setattr(SetCollection, "to_dense", densify)
         with engine.open(P, spec, backend="set_scan", block=16) as session:
             whole = session.query(Q)
-            streamed = session.query_stream(Q, chunk_rows=16)
+            streams = {
+                kind: session.query_stream(batches, chunk_rows=16)
+                for kind, batches in inputs.items()
+            }
         assert whole.matched_count > 0
-        assert streamed.matches == whole.matches
-        assert (streamed.inner_products_evaluated
-                == whole.inner_products_evaluated)
+        for kind, streamed in streams.items():
+            assert streamed.matches == whole.matches, kind
+            assert (streamed.inner_products_evaluated
+                    == whole.inner_products_evaluated), kind
 
     def test_save_and_reload(self, workload, tmp_path):
         P, Q = workload

@@ -9,14 +9,15 @@ The load-bearing guarantees under test:
   once at open (deferred hybrid stages are the documented per-query
   exception), the owned pool's pinned arena segments stay stable across
   queries, and ``/dev/shm`` is clean after ``close()`` — even after a
-  worker crash mid-query, which the session heals from;
+  worker crash mid-query, which the session heals from and which counts
+  (and reaches a sink) only in the session whose pool broke;
 * ``session.save(path)`` → ``engine.open_path(path)`` round-trips the
   prepared session through the directory format with memmapped arrays,
   and truncated sidecars fail loudly with :class:`PersistenceError`;
-* ``query_stream`` over chunk iterators and memmapped files reproduces
-  the in-memory batch exactly, for both pool kinds; each re-blocked
-  window is one ordinary query batch, so a traced stream holds one
-  ``session.query`` tree per window, the chunk-latency histogram sees
+* ``query_stream`` over chunk iterators and ``np.memmap`` files
+  reproduces the in-memory batch exactly, for both pool kinds; each
+  re-blocked window is one ordinary query batch, so a traced stream holds
+  one ``session.query`` tree per window, the chunk-latency histogram sees
   every window's chunks, and a worker killed between windows fails the
   stream loudly, leaks no segment, and the next query heals;
 * the ``auto`` planner amortizes build cost over ``expected_queries``,
@@ -37,7 +38,6 @@ import pytest
 
 from repro.core import JoinSpec, WorkerPool, map_query_chunks
 from repro.core.arena import repro_segments
-from repro.core.executor import QuerySource
 from repro.datasets import planted_jaccard_sets, planted_mips, random_unit
 from repro.engine import (
     JoinSession,
@@ -244,6 +244,58 @@ class TestSessionReuse:
             session.close()
         assert repro_segments() == before
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"),
+        reason="POSIX shared memory mount required",
+    )
+    def test_each_session_counts_only_its_own_crashes(
+        self, instance, spec, tmp_path
+    ):
+        """A and B have sinks, C has none; A's and C's workers die.
+        Each crash counts, and reaches a sink, in its own session only."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.obs.sink import read_events
+
+        before = repro_segments()
+        sessions = {}
+        try:
+            for name in "ABC":
+                sessions[name] = open_session(
+                    instance.P, spec, backend="brute_force",
+                    n_workers=2, pool="process", block=16,
+                )
+            for name in "AB":
+                sessions[name].attach_sink(str(tmp_path / f"{name}.jsonl"))
+            for session in sessions.values():
+                assert session.query(instance.Q).matched_count > 0
+            for name in "AC":
+                pool = sessions[name]._pool
+                for proc in list(pool._executor._processes.values()):
+                    os.kill(proc.pid, signal.SIGKILL)
+            for name in "AC":
+                with pytest.raises(BrokenProcessPool):
+                    sessions[name].query(instance.Q)
+            sessions["B"].query(instance.Q)
+            counted = {
+                name: s.metrics.counter("session.worker_crashes").value
+                for name, s in sessions.items()
+            }
+            health = {
+                name: s._pool_health()["worker_crashes"]
+                for name, s in sessions.items()
+            }
+            assert counted == health == {"A": 1, "B": 0, "C": 1}
+        finally:
+            for session in sessions.values():
+                session.close()
+        crash_events = {
+            name: read_events(str(tmp_path / f"{name}.jsonl"), kinds=["crash"])
+            for name in "AB"
+        }
+        assert [len(crash_events["A"]), len(crash_events["B"])] == [1, 0]
+        assert repro_segments() == before
+
     def test_caller_managed_executor_left_running(self, instance, spec):
         with WorkerPool(TEST_WORKERS, kind="thread") as pool:
             session = open_session(
@@ -274,7 +326,8 @@ class TestQueryStream:
     def test_stream_from_memmap_file(self, instance, spec, tmp_path):
         qfile = tmp_path / "queries.bin"
         qfile.write_bytes(np.ascontiguousarray(instance.Q).tobytes())
-        source = QuerySource.from_memmap(qfile, d=instance.Q.shape[1])
+        source = np.memmap(qfile, dtype=np.float64, mode="r",
+                           shape=instance.Q.shape)
         with open_session(
             instance.P, spec, backend="lsh", seed=3, block=16, **LSH
         ) as session:
@@ -659,13 +712,8 @@ class TestOpenSurface:
     def test_open_signature_shapes(self, instance, spec):
         with pytest.raises(ParameterError, match="JoinSpec"):
             open_session(instance.P, instance.Q)
-        with pytest.raises(ParameterError, match="session over P only"):
+        with pytest.raises(TypeError):
             open_session(instance.P, instance.Q, spec)
-        session = open_session(instance.P, None, spec, backend="brute_force")
-        try:
-            session.query(instance.Q)
-        finally:
-            session.close()
 
     def test_query_validates_dimension(self, instance, spec):
         with open_session(instance.P, spec, backend="brute_force") as session:

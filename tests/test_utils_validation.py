@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from repro.core import JoinSpec, brute_force_join
+from repro.datasets import planted_mips
 from repro.errors import DomainError, ParameterError, ValidationError
 from repro.utils.validation import (
     check_approximation_factor,
@@ -109,3 +111,33 @@ class TestRequire:
     def test_fail(self):
         with pytest.raises(ValidationError, match="boom"):
             require(False, "boom")
+
+
+@pytest.fixture(scope="module")
+def instance():
+    return planted_mips(200, 12, 24, s=0.85, c=0.4, seed=0)
+
+
+class TestNaNRejection:
+    def test_join_rejects_nan_data(self, instance):
+        P = instance.P.copy()
+        P[0, 0] = np.nan
+        with pytest.raises(Exception, match="NaN|finite"):
+            brute_force_join(P, instance.Q, JoinSpec(s=1.0))
+
+    def test_join_rejects_inf_query(self, instance):
+        Q = instance.Q.copy()
+        Q[0, 0] = np.inf
+        with pytest.raises(Exception, match="NaN|finite"):
+            brute_force_join(instance.P, Q, JoinSpec(s=1.0))
+
+    def test_vector_check_rejects_nan(self):
+        from repro.errors import ValidationError
+        from repro.utils.validation import check_vector
+        with pytest.raises(ValidationError, match="NaN"):
+            check_vector([1.0, np.nan])
+
+    def test_integer_matrices_unaffected(self):
+        from repro.utils.validation import check_matrix
+        out = check_matrix(np.ones((2, 2), dtype=np.int64), dtype=np.int64)
+        assert out.dtype == np.int64
