@@ -62,6 +62,7 @@ import atexit
 import math
 import os
 import time
+import warnings
 from concurrent.futures import (
     FIRST_EXCEPTION,
     ProcessPoolExecutor,
@@ -316,8 +317,13 @@ class WorkerPool:
         if self.on_crash is not None:
             try:
                 self.on_crash({"pool_kind": self.kind, "n_workers": self.n_workers})
-            except Exception:
-                pass  # a failing sink must not mask the original crash
+            except Exception as exc:
+                # A failing sink must not mask the original crash, nor
+                # lose its notice without a trace.
+                warnings.warn(
+                    f"crash notice of a broken {self.kind} pool lost: "
+                    f"on_crash raised {exc!r}", RuntimeWarning, stacklevel=2,
+                )
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.problems import QueryStats
 from repro.core.verify import BlockVerification, _answers
@@ -131,6 +130,10 @@ class SetPostings:
     __slots__ = ("matrix", "sizes", "masks", "words")
 
     def __init__(self, sets: SetCollection):
+        # Imported here, so that only a process that runs the set scan
+        # pays for scipy (tests/test_import_weight.py).
+        from scipy import sparse
+
         # Transposing the 0/1 pattern with 1-byte ones moves a quarter of
         # the data bytes int32 ones would (it pays for the head words);
         # the postings then get the int32 ones the product sums.

@@ -150,7 +150,7 @@ class SetCollection:
         X = np.asarray(X)
         if X.ndim != 2:
             raise ParameterError(f"dense set matrix must be 2-D, got {X.ndim}-D")
-        if X.size and not np.isin(np.unique(X), (0, 1)).all():
+        if not ((X == 0) | (X == 1)).all():
             raise ParameterError("dense set matrix entries must be 0/1")
         rows, cols = np.nonzero(X)
         indptr = np.zeros(X.shape[0] + 1, dtype=np.int64)

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.stats import norm as _normal
-
 from repro.errors import ParameterError
 
 
@@ -99,7 +97,8 @@ def collision_prob_e2lsh(distance: float, w: float) -> float:
         return 1.0
     ratio = w / distance
     term = (2.0 / (math.sqrt(2.0 * math.pi) * ratio)) * (1.0 - math.exp(-(ratio ** 2) / 2.0))
-    return 1.0 - 2.0 * float(_normal.cdf(-ratio)) - term
+    # 2 Phi(-x) = erfc(x / sqrt(2)): the normal tail without scipy.stats.
+    return 1.0 - math.erfc(ratio / math.sqrt(2.0)) - term
 
 
 def _l2alsh_distance_sq(t: float, m: int, u0: float) -> float:

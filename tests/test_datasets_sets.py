@@ -95,8 +95,19 @@ class TestSetCollectionEdgeCases:
             SetCollection.coerce([[0, 1], [2]])
 
     def test_coerce_rejects_non_binary_dense(self):
+        for bad in (0.5, 2, -1, np.nan, np.inf):
+            X = np.zeros((2, 3))
+            X[1, 2] = bad
+            with pytest.raises(ParameterError, match="0/1"):
+                SetCollection.coerce(X)
         with pytest.raises(ParameterError, match="0/1"):
             SetCollection.coerce(np.full((2, 3), 0.5))
+        # Bool and integer 0/1 matrices are sets.
+        X = np.array([[1, 0, 1], [0, 0, 1]])
+        want = SetCollection.from_lists([[0, 2], [2]], universe=3)
+        assert SetCollection.coerce(X) == want
+        assert SetCollection.coerce(X.astype(bool)) == want
+        assert SetCollection.coerce(X.astype(np.int8)) == want
 
     def test_constructor_validation(self):
         with pytest.raises(ParameterError):

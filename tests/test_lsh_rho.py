@@ -18,7 +18,39 @@ from repro.lsh.rho import (
 )
 
 
+#: ``collision_prob_e2lsh(r, w)`` as computed with ``scipy.stats``'s
+#: normal CDF, by distance ``r`` and bucket width ``w`` (1, 2.5, 4).
+E2LSH_PINNED = {
+    0.1: (0.9202115439197135, 0.9680846175678854, 0.9800528859799283),
+    0.5: (0.609548422215397, 0.840423109224089, 0.9002644298996418),
+    1.0: (0.3687463803725072, 0.6824494854221563, 0.8005324324284999),
+    2.0: (0.1954171079994935, 0.442631340646432, 0.609548422215397),
+    3.0: (0.13176300338583544, 0.31447026609400147, 0.4651792519601056),
+    10.0: (0.03986101606563978, 0.09921934257717978, 0.15748278273010147),
+}
+
+#: ``rho_l2alsh_tuned(s, 0.5)``, computed the same way.
+L2ALSH_TUNED_PINNED = {
+    0.1: 0.9701590027783757,
+    0.3: 0.8975784182253492,
+    0.5: 0.800633371282305,
+    0.7: 0.6621517877937485,
+    0.9: 0.4357019125570856,
+}
+
+
 class TestCollisionForms:
+    def test_e2lsh_pinned_values(self):
+        for r, row in E2LSH_PINNED.items():
+            for w, want in zip((1.0, 2.5, 4.0), row):
+                assert collision_prob_e2lsh(r, w) == pytest.approx(
+                    want, rel=0.0, abs=1e-15), (r, w)
+
+    def test_l2alsh_tuned_pinned_values(self):
+        for s, want in L2ALSH_TUNED_PINNED.items():
+            assert rho_l2alsh_tuned(s, 0.5) == pytest.approx(
+                want, rel=1e-12, abs=0.0), s
+
     def test_hyperplane_extremes(self):
         assert collision_prob_hyperplane(1.0) == 1.0
         assert collision_prob_hyperplane(-1.0) == 0.0

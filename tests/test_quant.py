@@ -25,7 +25,7 @@ from repro.quant import (
     quantized_scan_survivors,
     sign_ip_scores,
 )
-from repro.quant.scalar import resolve_accumulate
+from repro.quant.scalar import MAX_CODE, QUANT_BLOCK_ELEMS, resolve_accumulate
 
 
 def _random_rows(rng, n, d, scale=1.0):
@@ -44,7 +44,42 @@ def _awkward_rows(rng, n, d):
     return X
 
 
+def _whole_matrix_quantize(X):
+    """The whole-matrix formula ``quantize_rows`` computes block by block:
+    ``(codes, scales, norms, eps)``."""
+    absmax = np.max(np.abs(X), axis=1)
+    scales = absmax / MAX_CODE
+    safe = np.where(scales > 0.0, scales, 1.0)
+    codes = np.clip(np.rint(X / safe[:, None]), -MAX_CODE, MAX_CODE)
+    codes = np.ascontiguousarray(codes, dtype=np.int8)
+    norms = np.linalg.norm(X, axis=1)
+    eps = 0.5 * scales * math.sqrt(X.shape[1])
+    return codes, scales, norms, eps
+
+
 class TestScalarQuantization:
+    @pytest.mark.parametrize("d", [33, 64])
+    @pytest.mark.parametrize(
+        "blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1), (3, 7)],
+        ids=["1", "block-1", "block", "block+1", "2block+1", "3block+7"],
+    )
+    def test_row_blocks_equal_whole_matrix_formula(self, rng, d, blocks,
+                                                   extra):
+        n = blocks * (QUANT_BLOCK_ELEMS // d) + extra
+        X = rng.standard_normal((n, d))
+        X[-1, 1] = -10.0  # largest |x| is a negative entry
+        if n > 1:
+            X[0] = 0.0  # all-zero row: scale 0, codes 0
+        # numpy's row sums follow the memory layout, so each layout is
+        # checked against the formula over that same layout.
+        for layout in (X, np.asfortranarray(X)):
+            q = quantize_rows(layout)
+            got = (q.codes, q.scales, q.norms, q.eps)
+            for a, b in zip(got, _whole_matrix_quantize(layout)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert q.codes[-1, 1] == -MAX_CODE
+        assert q.codes.flags.c_contiguous
+
     @pytest.mark.parametrize("d", [1, 16, 33, 64])
     def test_roundtrip_error_within_half_scale(self, rng, d):
         X = _random_rows(rng, 20, d)

@@ -296,6 +296,45 @@ class TestSessionReuse:
         assert [len(crash_events["A"]), len(crash_events["B"])] == [1, 0]
         assert repro_segments() == before
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"),
+        reason="POSIX shared memory mount required",
+    )
+    def test_crash_notice_lost_to_a_failing_sink_warns(
+        self, instance, spec, tmp_path
+    ):
+        """A sink that raises on the ``crash`` event neither masks the
+        crash nor loses its notice silently."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.obs.sink import EventSink
+
+        class CrashFailingSink(EventSink):
+            def emit(self, kind, data):
+                if kind == "crash":
+                    raise OSError(28, "No space left on device")
+                super().emit(kind, data)
+
+        before = repro_segments()
+        session = open_session(
+            instance.P, spec, backend="brute_force", n_workers=2,
+            pool="process", block=16,
+        )
+        sink = CrashFailingSink(str(tmp_path / "events.jsonl"))
+        try:
+            session.attach_sink(sink)
+            assert session.query(instance.Q).matched_count > 0
+            for proc in list(session._pool._executor._processes.values()):
+                os.kill(proc.pid, signal.SIGKILL)
+            with pytest.warns(RuntimeWarning, match="crash.*OSError"):
+                with pytest.raises(BrokenProcessPool):
+                    session.query(instance.Q)
+            assert session.metrics.counter("session.worker_crashes").value == 1
+        finally:
+            session.close()
+            sink.close()
+        assert repro_segments() == before
+
     def test_caller_managed_executor_left_running(self, instance, spec):
         with WorkerPool(TEST_WORKERS, kind="thread") as pool:
             session = open_session(
