@@ -524,7 +524,9 @@ def map_query_chunks(
 def _engine_runner(structure, P, Q_chunk, start, args):
     """Chunk runner for the unified engine: dispatch to a named backend.
 
-    ``args`` is ``(backend_name, observe, stage_label)``.  With
+    ``args`` is ``(backend_name, observe, stage_label, spec, block)``:
+    ``spec`` is the stage's final spec and ``block`` its verification
+    block size, both handed to ``run_chunk``.  With
     ``observe`` set, the chunk runs under a fresh tracer + metrics
     registry — in *every*
     execution mode, so a serial join and each parallel worker produce
@@ -542,11 +544,11 @@ def _engine_runner(structure, P, Q_chunk, start, args):
     """
     from repro.engine.registry import get_backend
 
-    backend_name, observe, stage_label = args
+    backend_name, observe, stage_label, spec, block = args
     backend = get_backend(backend_name)
     if not observe:
         t0 = time.perf_counter_ns()
-        result = backend.run_chunk(structure, P, Q_chunk, start)
+        result = backend.run_chunk(structure, P, Q_chunk, start, spec, block)
         result.wall_ns = time.perf_counter_ns() - t0
         return result
 
@@ -561,7 +563,7 @@ def _engine_runner(structure, P, Q_chunk, start, args):
     with activate_obs(tracer, registry):
         with tracer.span("run_chunk", **attrs):
             t0 = time.perf_counter_ns()
-            result = backend.run_chunk(structure, P, Q_chunk, start)
+            result = backend.run_chunk(structure, P, Q_chunk, start, spec, block)
             result.wall_ns = time.perf_counter_ns() - t0
     result.trace = tracer.take()
     result.metrics = registry.snapshot()

@@ -50,10 +50,11 @@ span per stage (each containing that stage's ``prepare``/``run``/
 ``merge``) plus a final top-level ``merge`` — and a metrics registry
 that folds in the merged :class:`~repro.core.problems.QueryStats` plus
 the kernels' GEMM/bucket instruments; both land on the returned
-``JoinResult``.  Independently of tracing, every dispatch appends one
-:class:`~repro.obs.planner_log.PlannerRecord` (predictions for auto
-picks, measured wall time for all, one ``stages`` entry per executed
-stage) to the process-current
+``JoinResult``.  Independently of tracing, inside a
+:func:`~repro.obs.planner_log.use_planner_log` block every dispatch
+appends one :class:`~repro.obs.planner_log.PlannerRecord` (predictions
+for auto picks, measured wall time for all, one ``stages`` entry per
+executed stage) to the installed
 :class:`~repro.obs.planner_log.PlannerLog` for regret analysis and
 cost-model recalibration.
 

@@ -23,13 +23,14 @@ every chunk runs the one candidate -> score -> answer pipeline of
 Each backend declares the spec variants it answers (``variants``) and
 the similarity measures it speaks (``measures``, default ``("ip",)`` —
 all four of these are inner-product backends); the registry crosses the
-two into the ``(measure, variant)`` capability matrix
-(:func:`repro.engine.registry.backends_for`) so the planner only
-assembles plans whose stages can actually serve the request.  The
-Jaccard set-join backends live in :mod:`repro.engine.set_backends`.
+two into the ``(measure, variant)`` capability table, which the engine
+checks once (:func:`repro.engine.registry.capability_gap`) before any
+backend method runs.  The Jaccard set-join backends live in
+:mod:`repro.engine.set_backends`.
 
 The *structures* here are small picklable dataclasses wrapping either a
-built index or the recipe to build one.  The executor calls
+built index or the recipe to build one; the stage's final spec and
+verify block reach ``run_chunk`` as arguments.  The executor calls
 ``payload.build(P)`` once, in the calling process, before any chunk
 runs; workers only ever see the built structure, so any seed (an
 integer or a numpy ``Generator``) gives the same answers at every
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 
 from repro.core.problems import JoinSpec, QueryStats
 from repro.engine.protocol import ChunkResult, CostEstimate, JoinBackend
@@ -53,44 +54,30 @@ DEFAULT_AUTO_TABLES = 16
 DEFAULT_AUTO_BITS = 12
 
 
-def _require_variant(spec: JoinSpec, backend: str, allowed: Tuple[str, ...]):
-    if spec.variant not in allowed:
-        raise ParameterError(
-            f"backend {backend!r} does not answer the {spec.variant!r} "
-            f"variant (supported: {', '.join(allowed)})"
-        )
-
-
 # ---------------------------------------------------------------------------
 # brute_force
 
 
-@dataclass
-class BruteStructure:
-    """No index: the exact scan needs only the spec and a block size."""
-
-    spec: JoinSpec
-    block: int
-
-
 class BruteForceBackend(JoinBackend):
-    """Exact blocked all-pairs scan; the reference answer for every variant."""
+    """Exact blocked all-pairs scan; the reference answer for every variant.
+
+    It builds nothing, so its payload is ``None``.
+    """
 
     name = "brute_force"
     variants = ("join", "topk", "self")
 
-    def prepare(self, P, spec, *, seed=None, block, n_workers=1, **options):
+    def prepare(self, P, spec, *, seed=None, **options):
         if options:
             raise ParameterError(
                 f"brute_force takes no extra options, got {sorted(options)}"
             )
-        return BruteStructure(spec=spec, block=block), spec
+        return None, spec
 
-    def run_chunk(self, structure, P, Q_chunk, start):
+    def run_chunk(self, structure, P, Q_chunk, start, spec, block):
         from repro.core.brute_force import brute_force_chunk
         from repro.core.topk import topk_chunk
 
-        spec, block = structure.spec, structure.block
         if spec.is_topk:
             out = topk_chunk(P, Q_chunk, spec.signed, spec.cs, spec.k, block)
         else:
@@ -119,9 +106,7 @@ class BruteForceBackend(JoinBackend):
 class NormStructure:
     """Norm-sorted prefix-scan index, built lazily."""
 
-    spec: JoinSpec
     scan_block: int
-    block: int
     index: Any = None
 
     def build(self, P):
@@ -138,33 +123,26 @@ class NormPrunedBackend(JoinBackend):
     name = "norm_pruned"
     variants = ("join", "topk")
 
-    def prepare(self, P, spec, *, seed=None, block, n_workers=1,
-                scan_block: int = 256, **options):
+    def prepare(self, P, spec, *, seed=None, scan_block: int = 256,
+                **options):
         if options:
             raise ParameterError(
                 f"norm_pruned takes only scan_block, got {sorted(options)}"
             )
         if scan_block < 1:
             raise ParameterError(f"scan_block must be >= 1, got {scan_block}")
-        _require_variant(spec, self.name, self.variants)
-        return NormStructure(spec=spec, scan_block=scan_block, block=block), spec
+        return NormStructure(scan_block=scan_block), spec
 
-    def run_chunk(self, structure, P, Q_chunk, start):
+    def run_chunk(self, structure, P, Q_chunk, start, spec, block):
         from repro.core.norm_pruning import norm_scan_chunk
 
-        spec = structure.spec
         out = norm_scan_chunk(
             structure.index, Q_chunk, spec.signed, spec.cs,
-            structure.scan_block, structure.block, spec.k,
+            structure.scan_block, block, spec.k,
         )
         return ChunkResult.from_answers(spec, *out)
 
     def estimate_cost(self, n, m, d, spec, model):
-        if spec.variant not in self.variants:
-            return CostEstimate(
-                backend=self.name, feasible=False,
-                reason=f"no {spec.variant} variant",
-            )
         build = model.norm_fixed_build + n * d * model.gemm_op
         build += n * math.log2(max(n, 2)) * model.row_op / 64.0
         query = (
@@ -189,9 +167,7 @@ class LSHStructure:
     shape and seed, which :meth:`build` turns into an index over ``P``.
     """
 
-    spec: JoinSpec
     n_probes: int
-    block: int
     index: Any = None
     family: Any = None
     n_tables: int = 16
@@ -224,8 +200,7 @@ class LSHBackend(JoinBackend):
     name = "lsh"
     variants = ("join", "topk", "self")
 
-    def prepare(self, P, spec, *, seed=None, block, n_workers=1,
-                index=None, family=None,
+    def prepare(self, P, spec, *, seed=None, index=None, family=None,
                 n_tables: Optional[int] = None,
                 hashes_per_table: Optional[int] = None,
                 n_probes: int = 0, **options):
@@ -234,12 +209,10 @@ class LSHBackend(JoinBackend):
                 f"unknown lsh options: {sorted(options)} (valid: index, "
                 f"family, n_tables, hashes_per_table, n_probes)"
             )
-        _require_variant(spec, self.name, self.variants)
         if n_probes and spec.variant != "join":
             raise ParameterError(
                 "multiprobe (n_probes) is only supported for threshold joins"
             )
-        common = dict(spec=spec, n_probes=n_probes, block=block)
         if index is not None:
             shape = (family, n_tables, hashes_per_table)
             if any(v is not None for v in shape):
@@ -247,7 +220,7 @@ class LSHBackend(JoinBackend):
                     "family, n_tables and hashes_per_table shape an index "
                     "to build; a prebuilt index= already has its own"
                 )
-            return LSHStructure(index=index, **common), spec
+            return LSHStructure(n_probes=n_probes, index=index), spec
         tables, bits = 16, 4
         if family is None:
             # No index source given: auto-build a hyperplane index (valid
@@ -263,20 +236,20 @@ class LSHBackend(JoinBackend):
                 n_tables=tables if n_tables is None else n_tables,
                 hashes_per_table=bits if hashes_per_table is None
                 else hashes_per_table,
-                seed=seed, **common,
+                seed=seed, n_probes=n_probes,
             ),
             spec,
         )
 
-    def run_chunk(self, structure, P, Q_chunk, start):
+    def run_chunk(self, structure, P, Q_chunk, start, spec, block):
         from repro.core.lsh_join import lsh_candidates, pipeline_chunk
 
-        spec, index = structure.spec, structure.index
+        index = structure.index
         # A reused index keeps counting: report only this chunk's delta.
         before = index.stats.copy()
         answers, evaluated = pipeline_chunk(
             lsh_candidates(index, Q_chunk, structure.n_probes),
-            P, Q_chunk, spec, structure.block, start,
+            P, Q_chunk, spec, block, start,
         )
         delta = index.stats.diff(before)
         return ChunkResult.from_answers(
@@ -320,8 +293,6 @@ class LSHBackend(JoinBackend):
 class SketchStructure:
     """A Section 4.3 c-MIPS sketch structure, prebuilt or built lazily."""
 
-    spec: JoinSpec
-    block: int
     structure: Any = None
     kappa: float = 4.0
     copies: int = 7
@@ -345,15 +316,14 @@ class SketchBackend(JoinBackend):
     name = "sketch"
     variants = ("join", "self")
 
-    def prepare(self, P, spec, *, seed=None, block, n_workers=1,
-                structure=None, kappa: float = 4.0, copies: int = 7,
-                leaf_size: int = 8, **options):
+    def prepare(self, P, spec, *, seed=None, structure=None,
+                kappa: float = 4.0, copies: int = 7, leaf_size: int = 8,
+                **options):
         if options:
             raise ParameterError(
                 f"unknown sketch options: {sorted(options)} (valid: "
                 f"structure, kappa, copies, leaf_size)"
             )
-        _require_variant(spec, self.name, self.variants)
         if spec.signed:
             raise ParameterError(
                 "the sketch join is unsigned-only (Section 4.3 recovers "
@@ -367,14 +337,13 @@ class SketchBackend(JoinBackend):
             )
         if structure is not None:
             c = structure.approximation_factor
-            payload = SketchStructure(spec=spec, block=block, structure=structure)
+            payload = SketchStructure(structure=structure)
         else:
             from repro.sketches.stable import norm_ratio_bound
 
             c = 1.0 / norm_ratio_bound(P.shape[0], float(kappa))
             payload = SketchStructure(
-                spec=spec, block=block, kappa=kappa, copies=copies,
-                leaf_size=leaf_size, seed=seed,
+                kappa=kappa, copies=copies, leaf_size=leaf_size, seed=seed,
             )
         # The sketch answers with its own approximation factor, not the
         # caller's nominal c; the result spec records what was guaranteed.
@@ -382,17 +351,16 @@ class SketchBackend(JoinBackend):
             s=spec.s, c=min(c, 1.0), signed=False,
             self_join=spec.self_join, match_duplicates=spec.match_duplicates,
         )
-        payload.spec = final
         return payload, final
 
-    def run_chunk(self, structure, P, Q_chunk, start):
+    def run_chunk(self, structure, P, Q_chunk, start, spec, block):
         from repro.core.lsh_join import pipeline_chunk
         from repro.core.sketch_join import sketch_candidates
 
-        spec, sketch = structure.spec, structure.structure
+        sketch = structure.structure
         answers, _ = pipeline_chunk(
             sketch_candidates(sketch, Q_chunk, start, spec.is_self),
-            P, Q_chunk, spec, structure.block, start,
+            P, Q_chunk, spec, block, start,
         )
         # Work is the descent's cost per query; one proposal per query.
         mc = Q_chunk.shape[0]
@@ -401,11 +369,6 @@ class SketchBackend(JoinBackend):
         return ChunkResult.from_answers(spec, answers, per_query * mc, mc, stats)
 
     def estimate_cost(self, n, m, d, spec, model):
-        if spec.variant not in self.variants:
-            return CostEstimate(
-                backend=self.name, feasible=False,
-                reason=f"no {spec.variant} variant",
-            )
         if spec.signed:
             return CostEstimate(
                 backend=self.name, feasible=False,

@@ -54,7 +54,9 @@ class PreparedStage:
     """One plan stage's ready-to-run state.
 
     ``payload`` is what ``backend.prepare`` returned; a session builds
-    it at ``open()`` so queries never pay construction.
+    it at ``open()`` so queries never pay construction.  ``final_spec``
+    is the one copy of the stage's final spec, handed to every
+    ``run_chunk`` call.
     ``P_stage`` is the stage's point subset — kept so partitioned stages
     don't re-slice ``P`` per query, and so the worker-pool arena can pin
     the exact array object the runner will reference.
@@ -94,8 +96,6 @@ def prepare_stage(
     *,
     point_idx: Optional[np.ndarray],
     seed,
-    block: int,
-    n_workers: int,
     options: dict,
 ) -> PreparedStage:
     """Prepare stage ``index`` of a plan: the one caller of ``backend.prepare``.
@@ -114,8 +114,7 @@ def prepare_stage(
     P_stage = P if point_idx is None else P[point_idx]
     stage_seed = seed + index if index and seed is not None else seed
     payload, final_spec = impl.prepare(
-        P_stage, spec, seed=stage_seed, block=block,
-        n_workers=n_workers, **stage_options,
+        P_stage, spec, seed=stage_seed, **stage_options
     )
     return PreparedStage(
         stage=stage, payload=payload, final_spec=final_spec,
@@ -254,7 +253,7 @@ def run_single_stage(
         else:
             prep = prepare_stage(
                 the_plan, index, P, spec, point_idx=point_idx, seed=seed,
-                block=block, n_workers=n_workers, options=options,
+                options=options,
             )
         payload = prep.payload
         if trace and hasattr(payload, "build"):
@@ -272,7 +271,7 @@ def run_single_stage(
     with tracer.span("run") as run_span:
         chunks = map_query_chunks(
             payload, prep.P_stage, Q, _engine_runner,
-            (stage.backend, trace, label),
+            (stage.backend, trace, label, prep.final_spec, block),
             n_workers=n_workers, block=block,
             pool=pool, executor=executor, blas_threads=blas_threads,
         )

@@ -562,7 +562,11 @@ def plan_join(
     the lifetime total.  The default of 1 is exactly the historical
     one-shot ranking.
     """
-    from repro.engine.registry import available_backends, get_backend
+    from repro.engine.registry import (
+        available_backends,
+        capability_gap,
+        get_backend,
+    )
 
     if n < 1 or m < 1 or d < 1:
         raise ParameterError(
@@ -573,21 +577,16 @@ def plan_join(
             f"expected_queries must be >= 1, got {expected_queries}"
         )
     model = model or default_model()
-    # Capability-matrix gate: a backend that does not speak the spec's
-    # measure is priced infeasible without being asked for an estimate
-    # (its estimate_cost was written against a different data kind).
-    # IP-only instances see the exact pre-measure-layer estimates.
+    # A backend outside the spec's capability cell is priced infeasible
+    # with the gate's reason, without being asked for an estimate.
     estimates = []
     for name in available_backends():
-        backend = get_backend(name)
-        if spec.measure not in getattr(backend, "measures", ("ip",)):
-            estimates.append(CostEstimate(
-                backend=name,
-                feasible=False,
-                reason=f"no {spec.measure!r} measure",
-            ))
-        else:
-            estimates.append(backend.estimate_cost(n, m, d, spec, model))
+        gap = capability_gap(name, spec)
+        estimates.append(
+            CostEstimate(backend=name, feasible=False, reason=gap)
+            if gap is not None
+            else get_backend(name).estimate_cost(n, m, d, spec, model)
+        )
     plans = [
         PlanEstimate(
             plan=Plan.single(e.backend),

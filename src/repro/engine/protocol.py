@@ -11,15 +11,24 @@ three-step life cycle:
    spec (the sketch backend substitutes its own ``c = n^{-1/kappa}``),
    and produce a *payload*: a picklable object that either is the built
    structure or knows how to ``build(P)`` one (the executor builds it
-   once, before any worker runs).
+   once, before any worker runs).  The payload holds only what its
+   build makes and the options that shape it; the engine keeps the
+   final spec.
 2. :meth:`JoinBackend.run_chunk` — THE inner loop: answer one contiguous
-   query chunk given its global ``start`` offset, returning a
+   query chunk given its global ``start`` offset, the stage's final
+   spec and the verification block size, returning a
    :class:`ChunkResult`.  Serial execution is the one-chunk special
    case; parallel execution shards chunks across processes.  Both call
    this exact method, which is what makes results bit-identical across
    worker counts.
 3. :meth:`JoinBackend.estimate_cost` — a calibratable operation-count
    estimate used by the planner to implement ``backend="auto"``.
+
+The engine owns the request: a backend's ``measures`` x ``variants``
+row is checked once, by
+:func:`~repro.engine.registry.capability_gap`, before the planner asks
+for an estimate or a session prepares a stage, so no backend method
+re-checks the spec's measure or variant.
 
 Backends never touch process pools or chunking themselves; that is the
 executor's job (:func:`repro.core.executor.map_query_chunks`), which the
@@ -53,8 +62,9 @@ class CostEstimate:
     scaled by a :class:`~repro.engine.planner.CostModel`; they are
     comparable *across* backends under one model, which is all the
     planner needs.  ``feasible = False`` (with ``reason``) marks
-    instances a backend cannot answer — wrong variant, no approximation
-    gap, parameters outside its guarantee.
+    instances a backend cannot answer — a cell outside its capability
+    row (priced by the planner's gate), no approximation gap,
+    parameters outside its guarantee.
     """
 
     backend: str
@@ -124,45 +134,44 @@ class JoinBackend(ABC):
     name: str = ""
 
     #: Problem variants (:attr:`JoinSpec.variant` values) this backend
-    #: answers.  The planner and the Plan IR consult this to decide which
-    #: backends can serve as stages for a given spec.
+    #: answers.
     variants: Tuple[str, ...] = ()
 
     #: Similarity measures (:attr:`JoinSpec.measure` values) this backend
     #: speaks.  The cross product ``measures x variants`` is the
-    #: backend's row of the engine's capability matrix
-    #: (:func:`repro.engine.registry.backends_for`); the default keeps
+    #: backend's row of the engine's capability table, checked by
+    #: :func:`repro.engine.registry.capability_gap`; the default keeps
     #: every pre-measure-layer backend an IP backend without edits.
     measures: Tuple[str, ...] = ("ip",)
 
     @abstractmethod
-    def prepare(
-        self,
-        P,
-        spec: JoinSpec,
-        *,
-        seed=None,
-        block: int,
-        n_workers: int = 1,
-        **options,
-    ) -> Tuple[Any, JoinSpec]:
+    def prepare(self, P, spec: JoinSpec, *, seed=None,
+                **options) -> Tuple[Any, JoinSpec]:
         """Resolve options into ``(payload, final_spec)``.
 
-        ``payload`` is handed to the executor: it must be picklable when
-        ``n_workers > 1`` and either be the ready structure or expose
-        ``build(P) -> structure``, which the executor calls once, in
-        the calling process, before any chunk runs.
+        Called only for a spec inside this backend's capability row.
+        ``payload`` is handed to the executor: it must be picklable and
+        either be the ready structure (``None`` when there is none) or
+        expose ``build(P) -> structure``, which the executor calls once,
+        in the calling process, before any chunk runs.
         ``final_spec`` is the spec the result will carry — usually the
         input spec, but a backend may pin fields it controls (the sketch
         backend sets ``c`` to the structure's approximation factor).
+        The engine hands it back to every :meth:`run_chunk` call.
         """
 
     @abstractmethod
-    def run_chunk(self, structure, P, Q_chunk, start: int) -> ChunkResult:
-        """Answer ``Q_chunk`` (global offset ``start``) with ``structure``."""
+    def run_chunk(self, structure, P, Q_chunk, start: int, spec: JoinSpec,
+                  block: int) -> ChunkResult:
+        """Answer ``Q_chunk`` (global offset ``start``) with ``structure``
+        under the stage's final ``spec``, verifying ``block`` queries at
+        a time."""
 
     @abstractmethod
     def estimate_cost(
         self, n: int, m: int, d: int, spec: JoinSpec, model
     ) -> CostEstimate:
-        """Predicted cost of ``build + run`` on an (n, d) x (m, d) instance."""
+        """Predicted cost of ``build + run`` on an (n, d) x (m, d) instance.
+
+        Asked only about specs inside this backend's capability row.
+        """

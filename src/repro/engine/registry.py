@@ -10,7 +10,7 @@ for the planner's ``backend="auto"`` ranking.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine.protocol import JoinBackend
 from repro.errors import ParameterError
@@ -65,6 +65,23 @@ def backends_for(measure: str, variant: str) -> List[str]:
         if measure in getattr(backend, "measures", ("ip",))
         and variant in getattr(backend, "variants", ())
     ]
+
+
+def capability_gap(name: str, spec) -> Optional[str]:
+    """Why backend ``name`` cannot answer ``spec``, or ``None`` if it can.
+
+    The engine's one check of the capability table, measure first, then
+    variant: :func:`~repro.engine.planner.plan_join` prices a backend
+    with a gap infeasible without asking for its estimate, and a session
+    rejects an explicit name or Plan stage with one before any stage
+    prepares.
+    """
+    backend = get_backend(name)
+    if spec.measure not in getattr(backend, "measures", ("ip",)):
+        return f"does not answer measure {spec.measure!r}"
+    if spec.variant not in getattr(backend, "variants", ()):
+        return f"does not answer the {spec.variant!r} variant"
+    return None
 
 
 def capability_matrix() -> Dict[Tuple[str, str], List[str]]:

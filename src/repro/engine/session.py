@@ -19,9 +19,10 @@ lifecycle:
 * :meth:`JoinSession.query` runs one batch against the prepared
   structures — no re-validation, no re-planning, no re-prepare, no
   array re-copying.  Each call gets its own span tree (root
-  ``session.query``) and appends one
-  :class:`~repro.obs.planner_log.PlannerRecord` tagged with
-  ``expected_queries`` and the session reuse count.
+  ``session.query``) and, when a planner log is installed
+  (:func:`~repro.obs.planner_log.use_planner_log`) or a sink is
+  attached, one :class:`~repro.obs.planner_log.PlannerRecord` tagged
+  with ``expected_queries`` and the session reuse count.
 * :meth:`JoinSession.query_stream` answers a query set too large to
   hold with bounded memory: one batch in the measure's own form (a
   matrix, an ``np.memmap`` or a set collection) or an iterable of
@@ -72,6 +73,7 @@ from repro.engine.execute import (
 from repro.engine.measures import get_measure
 from repro.engine.plan import Plan, plan_point_indices
 from repro.engine.planner import CostModel, plan_join
+from repro.engine.registry import backends_for, capability_gap
 from repro.errors import ParameterError
 from repro.obs import MetricsRegistry, Tracer, observe
 from repro.obs.planner_log import PlannerRecord, current_log
@@ -198,6 +200,11 @@ class JoinSession:
         self.the_plan: Optional[Plan] = None
         self.join_plan = None
         self.best_estimate = None
+        #: What every query after the resolving one reports about the
+        #: plan: the planner span's attributes and each planner record's
+        #: ``predicted`` map, built once per plan.
+        self._planner_attrs: dict = {}
+        self._predicted: dict = {}
         self._prepared: List[PreparedStage] = []
         self._pool: Optional[WorkerPool] = executor
         self._own_pool = False
@@ -234,7 +241,7 @@ class JoinSession:
             self.P = get_measure(spec.measure).validate(P, "P")
             if spec.self_join and self.P.shape[0] < 2:
                 raise ParameterError("self-join needs at least two vectors")
-            self._resolve_plan(self.query_batch_hint, None)
+            self._resolve_plan(self.query_batch_hint)
             self._check_plan_shape()
             self._prepare_all()
             self._ensure_pool()
@@ -255,25 +262,15 @@ class JoinSession:
 
     # -- planning --------------------------------------------------------
 
-    def _check_plan_measures(self) -> None:
-        """Reject explicit backends outside the spec's capability row.
+    def _resolve_plan(self, m: int) -> dict:
+        """Resolve the requested backend into ``the_plan``.
 
-        ``auto`` never needs this (the planner prices foreign-measure
-        backends infeasible); explicit names and Plans would otherwise
-        fail deep inside a kernel fed the wrong collection type.
+        An explicit name or Plan must pass the capability gate
+        (:func:`~repro.engine.registry.capability_gap`) for every stage
+        before anything prepares; ``auto`` needs no check, because the
+        planner prices every backend outside the spec's cell infeasible.
+        Returns the planner-span attributes of this resolving call.
         """
-        from repro.engine.registry import backends_for, get_backend
-
-        for stage in self.the_plan.stages:
-            backend = get_backend(stage.backend)
-            if self.spec.measure not in getattr(backend, "measures", ("ip",)):
-                raise ParameterError(
-                    f"backend {stage.backend!r} does not answer measure "
-                    f"{self.spec.measure!r}; capable backends: "
-                    f"{backends_for(self.spec.measure, self.spec.variant)}"
-                )
-
-    def _resolve_plan(self, m: int, planner_span) -> None:
         backend = self.requested
         if isinstance(backend, Plan):
             if self.options:
@@ -282,11 +279,7 @@ class JoinSession:
                     f"engine-level options {sorted(self.options)}"
                 )
             self.the_plan = backend
-            self._check_plan_measures()
-            if planner_span is not None:
-                planner_span.attrs.update(
-                    picked=self.the_plan.backend, source="explicit"
-                )
+            self._check_capability()
         elif backend == "auto":
             # Caller options bind to one backend's prepare, so the
             # ranking is restricted to single-stage plans when any are
@@ -299,38 +292,39 @@ class JoinSession:
             )
             self.best_estimate = self.join_plan.best_plan
             self.the_plan = self.best_estimate.plan
-            if planner_span is not None:
-                planner_span.attrs.update(
-                    picked=self.the_plan.backend,
-                    ranking=[
-                        (pe.backend, pe.total_ops)
-                        for pe in self.join_plan.feasible_plans
-                    ],
-                )
         else:
             self.the_plan = Plan.single(backend)
-            self._check_plan_measures()
-            if planner_span is not None:
-                planner_span.attrs.update(picked=backend, source="explicit")
+            self._check_capability()
+        self._plan_resolved()
+        if backend == "auto":
+            # The call that plans reports the ranking it made, no source.
+            return dict(picked=self.the_plan.backend,
+                        ranking=self._planner_attrs["ranking"])
+        return self._planner_attrs
 
-    def _emit_planner_attrs(self, planner_span) -> None:
-        """Re-emit the stored planning decision on a per-query span."""
-        if isinstance(self.requested, Plan):
-            planner_span.attrs.update(
-                picked=self.the_plan.backend, source="explicit"
-            )
-        elif self.requested == "auto":
-            attrs = dict(picked=self.the_plan.backend, source="session")
+    def _check_capability(self) -> None:
+        """Reject a stage backend outside the spec's capability cell."""
+        for stage in self.the_plan.stages:
+            gap = capability_gap(stage.backend, self.spec)
+            if gap is not None:
+                raise ParameterError(
+                    f"backend {stage.backend!r} {gap}; capable backends: "
+                    f"{backends_for(self.spec.measure, self.spec.variant)}"
+                )
+
+    def _plan_resolved(self) -> None:
+        """Build once what every query reports about the resolved plan."""
+        attrs = dict(picked=self.the_plan.backend, source="explicit")
+        self._predicted = {}
+        if self.requested == "auto":
+            attrs["source"] = "session"
             if self.join_plan is not None:
                 attrs["ranking"] = [
                     (pe.backend, pe.total_ops)
                     for pe in self.join_plan.feasible_plans
                 ]
-            planner_span.attrs.update(attrs)
-        else:
-            planner_span.attrs.update(
-                picked=self.requested, source="explicit"
-            )
+                self._predicted = dict(attrs["ranking"])
+        self._planner_attrs = attrs
 
     def _check_plan_shape(self) -> None:
         if _one_stage(self.the_plan):
@@ -355,8 +349,7 @@ class JoinSession:
         for i, point_idx in enumerate(parts):
             prep = prepare_stage(
                 self.the_plan, i, self.P, self.spec, point_idx=point_idx,
-                seed=self.seed, block=self.block,
-                n_workers=self.n_workers, options=self.options,
+                seed=self.seed, options=self.options,
             )
             self.metrics.counter("session.stage_prepares").inc()
             if hasattr(prep.payload, "build"):
@@ -437,10 +430,12 @@ class JoinSession:
         obs_ctx = observe(tracer, registry) if trace else nullcontext()
         with obs_ctx, tracer.span(root, **self._root_attrs(Q.shape[0])):
             with tracer.span("planner") as planner_span:
-                if self.the_plan is None:
-                    self._resolve_plan(int(Q.shape[0]), planner_span)
-                elif planner_span is not None:
-                    self._emit_planner_attrs(planner_span)
+                attrs = (
+                    self._resolve_plan(int(Q.shape[0]))
+                    if self.the_plan is None else self._planner_attrs
+                )
+                if planner_span is not None:
+                    planner_span.attrs.update(attrs)
             run = dict(
                 seed=self.seed, n_workers=self.n_workers, block=self.block,
                 trace=trace, tracer=tracer, pool=self.pool_kind,
@@ -506,6 +501,11 @@ class JoinSession:
         )
 
     def _record(self, result: JoinResult, stage_records, m: int) -> None:
+        """Build this call's planner record, if a log or a sink takes it."""
+        log = current_log()
+        if log is None and self._sink is None:
+            self._last_record = None
+            return
         self._last_record = rec = (
             PlannerRecord(
                 n=int(self.P.shape[0]),
@@ -518,10 +518,7 @@ class JoinSession:
                 mode="auto" if self.requested == "auto" else "explicit",
                 picked=result.backend,
                 wall_s=result.wall_s,
-                predicted={
-                    pe.backend: pe.total_ops
-                    for pe in self.join_plan.feasible_plans
-                } if self.join_plan is not None else {},
+                predicted=self._predicted,
                 evaluated=int(result.inner_products_evaluated),
                 generated=int(result.candidates_generated),
                 n_workers=int(self.n_workers),
@@ -530,7 +527,8 @@ class JoinSession:
                 session_reuse=int(self.queries_served),
             )
         )
-        current_log().record(rec)
+        if log is not None:
+            log.record(rec)
 
     # -- serving telemetry -----------------------------------------------
 
@@ -929,6 +927,7 @@ class JoinSession:
             **state.options,
         )
         session.the_plan = state.plan
+        session._plan_resolved()
         session._prepared = list(state.prepared)
         session._check_plan_shape()
         session._eager = True

@@ -24,7 +24,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.problems import JoinSpec
 from repro.core.set_join import (
     DEFAULT_MINHASH_HASHES,
     DEFAULT_MINHASH_PARTITIONS,
@@ -37,7 +36,6 @@ from repro.core.set_join import (
     minhash_join_chunk,
 )
 from repro.datasets.sets import SetCollection
-from repro.engine.backends import _require_variant
 from repro.engine.protocol import ChunkResult, CostEstimate, JoinBackend
 from repro.errors import ParameterError
 
@@ -50,15 +48,6 @@ def _as_sets(obj, name: str) -> SetCollection:
     return SetCollection.coerce(np.asarray(obj), name)
 
 
-def _not_jaccard(name: str, spec: JoinSpec):
-    if spec.measure != "jaccard":
-        return CostEstimate(
-            backend=name, feasible=False,
-            reason=f"no {spec.measure!r} measure (jaccard only)",
-        )
-    return None
-
-
 # ---------------------------------------------------------------------------
 # set_scan
 
@@ -67,7 +56,6 @@ def _not_jaccard(name: str, spec: JoinSpec):
 class SetScanStructure:
     """Inverted postings over ``P``, built lazily (once, in the parent)."""
 
-    spec: JoinSpec
     postings: Any = None
 
     def build(self, P):
@@ -83,16 +71,14 @@ class SetScanBackend(JoinBackend):
     variants = ("join", "topk", "self")
     measures = ("jaccard",)
 
-    def prepare(self, P, spec, *, seed=None, block, n_workers=1, **options):
+    def prepare(self, P, spec, *, seed=None, **options):
         if options:
             raise ParameterError(
                 f"set_scan takes no extra options, got {sorted(options)}"
             )
-        _require_variant(spec, self.name, self.variants)
-        return SetScanStructure(spec=spec), spec
+        return SetScanStructure(), spec
 
-    def run_chunk(self, structure, P, Q_chunk, start):
-        spec = structure.spec
+    def run_chunk(self, structure, P, Q_chunk, start, spec, block):
         postings = structure.postings
         Q_chunk = _as_sets(Q_chunk, "Q")
         if spec.is_topk:
@@ -106,14 +92,6 @@ class SetScanBackend(JoinBackend):
         return ChunkResult.from_answers(spec, *out)
 
     def estimate_cost(self, n, m, d, spec, model):
-        bad = _not_jaccard(self.name, spec)
-        if bad is not None:
-            return bad
-        if spec.variant not in self.variants:
-            return CostEstimate(
-                backend=self.name, feasible=False,
-                reason=f"no {spec.variant} variant",
-            )
         # nnz per row enters as the model's set_mean_size constant; a
         # query touches one posting list per member, each of expected
         # length n * mean_size / universe (at least one entry).
@@ -137,7 +115,6 @@ class SetScanBackend(JoinBackend):
 class MinHashStructure:
     """A size-partitioned MinHash index recipe, built once from its seed."""
 
-    spec: JoinSpec
     n_tables: int = DEFAULT_MINHASH_TABLES
     hashes_per_table: int = DEFAULT_MINHASH_HASHES
     num_part: int = DEFAULT_MINHASH_PARTITIONS
@@ -163,7 +140,7 @@ class MinHashLSHBackend(JoinBackend):
     variants = ("join", "topk", "self")
     measures = ("jaccard",)
 
-    def prepare(self, P, spec, *, seed=None, block, n_workers=1,
+    def prepare(self, P, spec, *, seed=None,
                 n_tables: int = DEFAULT_MINHASH_TABLES,
                 hashes_per_table: int = DEFAULT_MINHASH_HASHES,
                 num_part: int = DEFAULT_MINHASH_PARTITIONS, **options):
@@ -172,16 +149,14 @@ class MinHashLSHBackend(JoinBackend):
                 f"unknown minhash_lsh options: {sorted(options)} (valid: "
                 f"n_tables, hashes_per_table, num_part)"
             )
-        _require_variant(spec, self.name, self.variants)
         seed = 0 if seed is None else seed
         structure = MinHashStructure(
-            spec=spec, n_tables=n_tables, hashes_per_table=hashes_per_table,
+            n_tables=n_tables, hashes_per_table=hashes_per_table,
             num_part=num_part, seed=seed,
         )
         return structure, spec
 
-    def run_chunk(self, structure, P, Q_chunk, start):
-        spec = structure.spec
+    def run_chunk(self, structure, P, Q_chunk, start, spec, block):
         Q_chunk = _as_sets(Q_chunk, "Q")
         out = minhash_join_chunk(
             structure.index, Q_chunk, spec.cs, k=spec.k,
@@ -191,14 +166,6 @@ class MinHashLSHBackend(JoinBackend):
         return ChunkResult.from_answers(spec, *out)
 
     def estimate_cost(self, n, m, d, spec, model):
-        bad = _not_jaccard(self.name, spec)
-        if bad is not None:
-            return bad
-        if spec.variant not in self.variants:
-            return CostEstimate(
-                backend=self.name, feasible=False,
-                reason=f"no {spec.variant} variant",
-            )
         size = model.set_mean_size
         tables = float(DEFAULT_MINHASH_TABLES)
         hashes = float(DEFAULT_MINHASH_HASHES)

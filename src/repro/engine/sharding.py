@@ -182,6 +182,9 @@ class ShardedSession:
         self._closed = False
         self._sink = None
         self._own_sink = False
+        #: The sharded surface's own call count and call latency, which
+        #: stand in for the shards' in :meth:`metrics_snapshot`.
+        self._metrics = MetricsRegistry(enabled=True)
 
     @property
     def n_shards(self) -> int:
@@ -234,6 +237,10 @@ class ShardedSession:
             wall_s=time.perf_counter() - t0,
             error_bound=max(bounds) if bounds else None,
         )
+        self._metrics.counter("session.queries").inc()
+        self._metrics.histogram("session.query_latency_us").observe(
+            result.wall_s * 1e6
+        )
         if trace:
             result.trace = tracer.take()
             result.metrics = MetricsRegistry(enabled=True)
@@ -245,13 +252,18 @@ class ShardedSession:
         """All shards' always-on registries merged into one snapshot.
 
         Counters and latency-histogram buckets sum across shards (the
-        fixed pow2 layouts make every shard mergeable), so
-        ``session.query_latency_us`` quantiles over the snapshot
-        describe the whole sharded surface.
+        fixed pow2 layouts make every shard mergeable), except the
+        per-call ones: ``session.queries`` counts sharded calls and
+        ``session.query_latency_us`` holds each call's whole wall time,
+        so its quantiles describe the sharded surface.
         """
         merged = MetricsRegistry(enabled=True)
         for session in self._sessions:
-            merged.merge_snapshot(session.metrics.snapshot())
+            snap = session.metrics.snapshot()
+            snap["counters"].pop("session.queries", None)
+            snap["histograms"].pop("session.query_latency_us", None)
+            merged.merge_snapshot(snap)
+        merged.merge_snapshot(self._metrics.snapshot())
         return merged.snapshot()
 
     def attach_sink(self, sink, *, max_bytes: int = 64 * 1024 * 1024,

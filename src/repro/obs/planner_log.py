@@ -1,17 +1,18 @@
 """Planner regret tracking: did ``backend="auto"`` pick the fast backend?
 
-Every join dispatched through :func:`repro.engine.join` appends one
-:class:`PlannerRecord` to the process-current :class:`PlannerLog`:
-instance shape, the spec, the backend that ran, measured wall time and
-work counters — and, for ``backend="auto"`` joins, the planner's
-predicted :class:`~repro.engine.protocol.CostEstimate` total per
-feasible backend.  It is always on: one dataclass append into a deque
-of at most 65,536 records.  What it keeps is not free.  A session's
-batch-1 ``lsh`` query retains about 755 B (``tracemalloc`` over 10,000
-queries: the stage-record dict ~336 B, the record ~224 B, its empty
-``predicted`` dict 64 B, plus boxed numbers), so a full log holds about
-47 MiB.  Where the bench samples ``ip_point_lsh``'s memory the log holds
-about 10,000 records, ~7.7 MB.
+Inside a :func:`use_planner_log` block, every join dispatched through
+:func:`repro.engine.join` or a session appends one
+:class:`PlannerRecord` to the installed :class:`PlannerLog`: instance
+shape, the spec, the backend that ran, measured wall time and work
+counters — and, for ``backend="auto"`` joins, the planner's predicted
+:class:`~repro.engine.protocol.CostEstimate` total per feasible
+backend.  There is no default log: with none installed (and no sink
+attached to the session) no record is built.  What a log keeps is not
+free.  A session's batch-1 ``lsh`` query retains about 690 B
+(``tracemalloc`` over 10,000 queries: the stage-record dict ~336 B, the
+record ~224 B, plus boxed numbers; the ``predicted`` map is built once
+per plan and shared), so a full log of 65,536 records holds about
+43 MiB.
 
 Regret needs a measured time for more than one backend on the *same*
 instance, which a single join cannot produce.  The workflow is a sweep
@@ -344,12 +345,12 @@ def format_pick_distribution(log: PlannerLog) -> str:
     return "\n".join(lines)
 
 
-#: The process-current log every engine join records into.
-_GLOBAL = PlannerLog()
-_CURRENT: PlannerLog = _GLOBAL
+#: The log :func:`use_planner_log` installed, if any.
+_CURRENT: Optional[PlannerLog] = None
 
 
-def current_log() -> PlannerLog:
+def current_log() -> Optional[PlannerLog]:
+    """The installed planner log, or ``None`` when none is installed."""
     return _CURRENT
 
 

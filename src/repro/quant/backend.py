@@ -25,8 +25,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.lsh_join import pipeline_chunk
-from repro.core.problems import JoinSpec, QueryStats
-from repro.engine.backends import _require_variant
+from repro.core.problems import QueryStats
 from repro.engine.protocol import ChunkResult, CostEstimate, JoinBackend
 from repro.errors import ParameterError
 from repro.lsh.csr import CandidateBlock, sorted_unique
@@ -82,8 +81,6 @@ class QuantizedStructure:
     arena instead of re-quantizing.
     """
 
-    spec: JoinSpec
-    block: int
     scan_block: int
     accumulate: str
     data: Optional[QuantizedRows] = None
@@ -101,7 +98,7 @@ class QuantizedBackend(JoinBackend):
     name = "quantized"
     variants = ("join", "topk")
 
-    def prepare(self, P, spec, *, seed=None, block, n_workers=1,
+    def prepare(self, P, spec, *, seed=None,
                 scan_block: int = DEFAULT_SCAN_BLOCK,
                 accumulate: str = "auto", proposals=None, **options):
         if options:
@@ -109,7 +106,6 @@ class QuantizedBackend(JoinBackend):
                 "quantized takes only scan_block, accumulate and "
                 f"proposals, got {sorted(options)}"
             )
-        _require_variant(spec, self.name, self.variants)
         if accumulate not in _ACCUMULATE_MODES:
             raise ParameterError(
                 f"accumulate must be one of {_ACCUMULATE_MODES}, "
@@ -124,17 +120,13 @@ class QuantizedBackend(JoinBackend):
         if int(scan_block) < 1:
             raise ParameterError(f"scan_block must be >= 1, got {scan_block}")
         structure = QuantizedStructure(
-            spec=spec,
-            block=block,
-            scan_block=int(scan_block),
-            accumulate=accumulate,
+            scan_block=int(scan_block), accumulate=accumulate,
         )
         if proposals is not None:
             structure.proposals = _proposal_block(proposals, P.shape[0])
         return structure, spec
 
-    def run_chunk(self, structure, P, Q_chunk, start):
-        spec = structure.spec
+    def run_chunk(self, structure, P, Q_chunk, start, spec, block):
         mc = Q_chunk.shape[0]
         max_bound = None
         if structure.proposals is not None:
@@ -157,9 +149,7 @@ class QuantizedBackend(JoinBackend):
                     scan_block=structure.scan_block,
                 )
         generated = int(cands.rows.size)
-        answers, evaluated = pipeline_chunk(
-            cands.slice, P, Q_chunk, spec, structure.block
-        )
+        answers, evaluated = pipeline_chunk(cands.slice, P, Q_chunk, spec, block)
         stats = QueryStats(
             queries=mc, candidates=generated, unique_candidates=generated
         )
@@ -168,11 +158,6 @@ class QuantizedBackend(JoinBackend):
         )
 
     def estimate_cost(self, n, m, d, spec, model):
-        if spec.variant not in self.variants:
-            return CostEstimate(
-                backend=self.name, feasible=False,
-                reason=f"no {spec.variant} variant",
-            )
         build = model.quant_fixed_build + 0.5 * n * d * model.gemm_op
         scan = n * m * d * model.quant_scan_op
         scan *= model.memory_factor(d + 24.0, n)
@@ -191,10 +176,8 @@ class QuantizedBackend(JoinBackend):
 
 @dataclass
 class FilterStructure:
-    """Sketch-filter recipe/build: the sketches plus the verify block size."""
+    """Sketch-filter recipe/build: the sketch options, then the sketches."""
 
-    spec: JoinSpec
-    block: int
     n_dims: int
     bits: int
     z: float
@@ -217,7 +200,7 @@ class IPFilterBackend(JoinBackend):
     name = "ip_filter"
     variants = ("join", "topk")
 
-    def prepare(self, P, spec, *, seed=None, block, n_workers=1,
+    def prepare(self, P, spec, *, seed=None,
                 n_dims: int = DEFAULT_FILTER_DIMS, bits: int = 8,
                 z: float = DEFAULT_FILTER_Z,
                 scan_block: int = DEFAULT_SCAN_BLOCK, **options):
@@ -226,7 +209,6 @@ class IPFilterBackend(JoinBackend):
                 "ip_filter takes only n_dims, bits, z and scan_block, "
                 f"got {sorted(options)}"
             )
-        _require_variant(spec, self.name, self.variants)
         if int(n_dims) < 1:
             raise ParameterError(f"n_dims must be >= 1, got {n_dims}")
         if int(bits) not in FILTER_BIT_WIDTHS:
@@ -238,8 +220,6 @@ class IPFilterBackend(JoinBackend):
         if int(scan_block) < 1:
             raise ParameterError(f"scan_block must be >= 1, got {scan_block}")
         structure = FilterStructure(
-            spec=spec,
-            block=block,
             n_dims=int(n_dims),
             bits=int(bits),
             z=float(z),
@@ -248,8 +228,7 @@ class IPFilterBackend(JoinBackend):
         )
         return structure, spec
 
-    def run_chunk(self, structure, P, Q_chunk, start):
-        spec = structure.spec
+    def run_chunk(self, structure, P, Q_chunk, start, spec, block):
         mc = Q_chunk.shape[0]
         with span("sketch_propose", n_queries=mc):
             # Recall anchors at spec.s: pairs inside the (cs, s) promise
@@ -259,9 +238,7 @@ class IPFilterBackend(JoinBackend):
                 Q_chunk, spec.s, spec.signed,
                 scan_block=structure.scan_block,
             )
-        answers, evaluated = pipeline_chunk(
-            cands.slice, P, Q_chunk, spec, structure.block
-        )
+        answers, evaluated = pipeline_chunk(cands.slice, P, Q_chunk, spec, block)
         stats = QueryStats(
             queries=mc, candidates=generated, unique_candidates=generated
         )
@@ -270,11 +247,6 @@ class IPFilterBackend(JoinBackend):
         )
 
     def estimate_cost(self, n, m, d, spec, model):
-        if spec.variant not in self.variants:
-            return CostEstimate(
-                backend=self.name, feasible=False,
-                reason=f"no {spec.variant} variant",
-            )
         if spec.c >= 1.0:
             return CostEstimate(
                 backend=self.name, feasible=False,

@@ -46,8 +46,10 @@ from repro.errors import ReproError
 #: Bumped when persisted layouts change incompatibly (2: one fused
 #: ``LSHIndex`` replaced the per-table and sign-only LSH indexes; 3: the
 #: ``set_scan`` postings gained their head bitmaps; 4: ``ip_filter``
-#: verifies its own survivors, and Plan stages lost their ``kind``).
-DIR_FORMAT_VERSION = 4
+#: verifies its own survivors, and Plan stages lost their ``kind``;
+#: 5: payloads lost their ``spec`` and ``block``, and brute force's
+#: payload is ``None``).
+DIR_FORMAT_VERSION = 5
 
 _DIR_MAGIC = "repro-structure-dir"
 _MANIFEST = "manifest.json"

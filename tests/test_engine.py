@@ -15,14 +15,17 @@ import pytest
 from repro import engine
 from repro.core import JoinSpec, QueryStats, brute_force_join
 from repro.datasets import planted_mips
+from repro.datasets.sets import SetCollection
 from repro.engine import (
     CostEstimate,
     CostModel,
     available_backends,
+    backends_for,
     get_backend,
     plan_join,
     register,
 )
+from repro.engine.registry import capability_gap
 from repro.errors import ParameterError
 from repro.lsh import DataDepALSH, LSHIndex
 
@@ -210,6 +213,56 @@ class TestRegistry:
 
         with pytest.raises(ParameterError, match="non-empty name"):
             register(Nameless())
+
+
+class TestCapabilityTable:
+    """The engine checks each backend's measures x variants row once:
+    outside it, the planner never asks the backend for an estimate and
+    an explicit pick fails before any backend prepares."""
+
+    @staticmethod
+    def _cell(measure, variant):
+        spec = JoinSpec(s=0.5, c=0.5, measure=measure,
+                        k=2 if variant == "topk" else None,
+                        self_join=variant == "self")
+        if measure == "ip":
+            data = planted_mips(40, 6, 16, s=0.8, c=0.5, seed=0)
+            P, Q = data.P, data.Q
+        else:
+            P = SetCollection.from_lists(
+                [[0, 1, 2], [1, 2, 3], [2, 3, 4], [0, 4]], universe=8)
+            Q = SetCollection.from_lists([[0, 1, 2], [3, 4]], universe=8)
+        return spec, P, None if variant == "self" else Q
+
+    @pytest.mark.parametrize("variant", ["join", "topk", "self"])
+    @pytest.mark.parametrize("measure", ["ip", "jaccard"])
+    @pytest.mark.parametrize("name", available_backends())
+    def test_cell(self, name, measure, variant, monkeypatch):
+        spec, P, Q = self._cell(measure, variant)
+        cls = type(get_backend(name))
+        calls = {"prepare": 0, "estimate_cost": 0}
+        for method in calls:
+            def counted(self, *args, _method=method,
+                        _fn=getattr(cls, method), **kwargs):
+                calls[_method] += 1
+                return _fn(self, *args, **kwargs)
+            monkeypatch.setattr(cls, method, counted)
+        ranked = plan_join(40, 6, 16, spec)
+        (single,) = [p for p in ranked.plans if p.backend == name]
+        if name in backends_for(measure, variant):
+            assert capability_gap(name, spec) is None
+            assert calls["estimate_cost"] >= 1
+            return
+        gap = capability_gap(name, spec)
+        assert gap is not None
+        assert not single.feasible and single.reason == gap
+        assert calls["estimate_cost"] == 0
+        with pytest.raises(ParameterError) as excinfo:
+            engine.join(P, Q, spec, backend=name)
+        message = str(excinfo.value)
+        assert gap in message
+        assert str(backends_for(measure, variant)) in message
+        assert calls["prepare"] == 0
 
 
 class TestOptionValidation:

@@ -411,6 +411,65 @@ class TestPlannerLog:
         # the sketch's c-substitution cannot fragment the grouping).
         assert len({r.key() for r in log}) == 1
 
+    def test_records_only_where_something_reads_them(
+        self, instance, tmp_path, monkeypatch
+    ):
+        import repro.engine.session as session_module
+        from repro.engine import open_session
+        from repro.obs import current_log
+        from repro.obs.sink import iter_events
+
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(PlannerRecord(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(session_module, "PlannerRecord", counted)
+        spec = JoinSpec(s=0.85, c=0.4)
+        assert current_log() is None
+        join(instance.P, instance.Q, spec, backend="auto", seed=1)
+        path = tmp_path / "events.jsonl"
+        with open_session(instance.P, spec, backend="auto", seed=1) as session:
+            for _ in range(3):
+                session.query(instance.Q)
+            assert built == []
+            session.attach_sink(str(path))
+            session.query(instance.Q)
+            assert len(built) == 1
+            session.detach_sink()
+            log = PlannerLog()
+            with use_planner_log(log):
+                session.query(instance.Q)
+        assert len(built) == 2 and log.records == built[1:]
+        planner = [e["data"] for e in iter_events(str(path))
+                   if e["kind"] == "planner"]
+        assert planner == [built[0].to_dict()]
+        assert planner[0]["predicted"] and planner[0]["session_reuse"] == 3
+
+    def test_planner_span_attributes(self, instance):
+        """The planning decision a traced call reports: the resolving
+        call of an auto join its ranking, a session's queries the stored
+        decision with its source."""
+        from repro.engine import open_session
+
+        spec = JoinSpec(s=0.85, c=0.4)
+        planner = join(instance.P, instance.Q, spec, backend="auto", seed=1,
+                       trace=True).trace.child("planner").attrs
+        assert set(planner) == {"picked", "ranking"}
+        with open_session(instance.P, spec, backend="auto", seed=1) as session:
+            ranking = [(pe.backend, pe.total_ops)
+                       for pe in session.join_plan.feasible_plans]
+            for _ in range(2):
+                attrs = session.query(instance.Q, trace=True).trace.child(
+                    "planner").attrs
+                assert attrs == dict(picked=session.the_plan.backend,
+                                     source="session", ranking=ranking)
+        with open_session(instance.P, spec, backend="lsh", seed=1) as session:
+            attrs = session.query(instance.Q, trace=True).trace.child(
+                "planner").attrs
+        assert attrs == dict(picked="lsh", source="explicit")
+
     def test_regret_rows_score_against_fastest(self, instance):
         log = self._sweep(instance)
         rows = log.regret_rows()

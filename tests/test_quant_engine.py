@@ -161,15 +161,15 @@ class TestCompactTierComposition:
         P, Q = instance
         spec = JoinSpec(s=0.5, c=0.8, signed=True)
         impl = get_backend("quantized")
-        payload, final_spec = impl.prepare(P, spec, block=64, n_workers=1)
+        payload, final_spec = impl.prepare(P, spec)
         structure = payload.build(P)
-        direct = impl.run_chunk(structure, P, Q, 0)
+        direct = impl.run_chunk(structure, P, Q, 0, final_spec, 64)
         with SharedArena() as arena:
             blob = freeze(structure, arena)
             thawed = thaw(blob)
             assert np.array_equal(thawed.data.codes, structure.data.codes)
             assert np.array_equal(thawed.data.scales, structure.data.scales)
-            roundtrip = impl.run_chunk(thawed, P, Q, 0)
+            roundtrip = impl.run_chunk(thawed, P, Q, 0, final_spec, 64)
             assert roundtrip.matches == direct.matches
 
 

@@ -458,14 +458,18 @@ class TestSessionServingTelemetry:
 class TestShardedServingTelemetry:
     def test_merged_metrics_snapshot(self, instance, spec):
         P, Q = instance.P, instance.Q
-        with open_sharded(P, spec, 2, backend="lsh", seed=5,
+        with open_sharded(P, spec, 3, backend="lsh", seed=5,
                           **LSH) as sharded:
-            for _ in range(2):
-                sharded.query(Q)
+            walls = [sharded.query(Q).wall_s for _ in range(10)]
             snap = sharded.metrics_snapshot()
-        # Each of the 2 shards served 2 query batches.
-        assert snap["counters"]["session.queries"] == 4
-        assert snap["histograms"]["session.query_latency_us"]["count"] == 4
+        # One count and one whole-call latency per sharded call ...
+        assert snap["counters"]["session.queries"] == 10
+        latency = snap["histograms"]["session.query_latency_us"]
+        assert latency["count"] == 10
+        assert latency["sum"] == pytest.approx(sum(walls) * 1e6)
+        # ... while each shard's stage and chunk walls still merge.
+        assert snap["histograms"]["session.stage_latency_us.lsh"]["count"] == 30
+        assert snap["histograms"]["session.chunk_latency_us"]["count"] == 30
 
     def test_shared_sink_across_shards(self, instance, spec, tmp_path):
         P, Q = instance.P, instance.Q
