@@ -39,7 +39,11 @@ Lifecycle and leak-safety contract:
 * The creating process owns every segment: ``close()`` (also run by a
   ``weakref.finalize``) closes and **unlinks** them, so ``/dev/shm``
   holds nothing after a pool shuts down.  Segments stay registered with
-  the parent's ``resource_tracker``, so even a crashed parent is swept.
+  the parent's ``resource_tracker``, so even a parent killed by SIGKILL
+  is swept: its process-pool workers exit within
+  :data:`~repro.core.executor.PARENT_POLL_S` of its death, which closes
+  the last ends of the tracker's pipe, and the tracker then unlinks
+  every segment the parent left.
 * Attaching processes (workers) never unlink: pool workers inherit the
   parent's resource-tracker fd (a process pool starts the tracker before
   it forks any worker), so Python 3.11's register-on-attach behaviour

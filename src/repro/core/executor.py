@@ -4,25 +4,27 @@ Python's per-query overhead disappears into GEMMs with the blocked
 verification kernel, but one process still drives one core.  This module
 shards a filter-then-verify join over contiguous *query block* ranges
 and fans them out to a persistent worker pool.  One dispatch helper
-(:func:`map_query_chunks`) maps an in-memory ``Q`` in one of three
-execution modes, with identical results:
+(:func:`map_query_chunks`) maps an in-memory ``Q`` over an already
+built structure in one of three execution modes, with identical
+results; the caller picks the mode by the pool it passes:
 
-* **Serial** (``n_workers=1``): build the structure in-process, run one
-  chunk.  Never touches a pool; an explicit ``blas_threads=`` pin is
-  still honored for the duration of the run.
-* **Process pool** (``pool="process"``): the structure is built ONCE in
-  the parent, then its large arrays — together with ``P`` and ``Q`` —
-  are placed in a :class:`~repro.core.arena.SharedArena` (POSIX shared
-  memory) and only tiny (segment, dtype, shape, offset) descriptors
-  cross the process boundary.  Workers reconstruct read-only views; no
-  array is ever pickled per chunk.  This is what fixed the executor
-  losing to serial (0.23x at 4 workers in BENCH_PR5): the old path
-  re-pickled ``P``, the index, and every ``Q`` chunk through the pipe.
-* **Thread pool** (``pool="thread"``): the chunk kernels spend their
-  time inside BLAS GEMMs, which release the GIL — so plain threads
-  parallelize them with literally zero serialization.  Each task gets a
-  :func:`~repro.core.arena.clone_shell` of the structure (own mutable
-  stats, shared arrays) so concurrent chunks don't race.
+* **Serial** (``executor=None``): run one chunk in the calling process.
+  Never touches a pool; an explicit ``blas_threads=`` pin is still
+  honored for the duration of the run.
+* **Process pool** (a ``"process"`` :class:`WorkerPool`): the
+  structure's large arrays — together with ``P`` and ``Q`` — are placed
+  in a :class:`~repro.core.arena.SharedArena` (POSIX shared memory) and
+  only tiny (segment, dtype, shape, offset) descriptors cross the
+  process boundary.  Workers reconstruct read-only views; no array is
+  ever pickled per chunk.  This is what fixed the executor losing to
+  serial (0.23x at 4 workers in BENCH_PR5): the old path re-pickled
+  ``P``, the index, and every ``Q`` chunk through the pipe.
+* **Thread pool** (a ``"thread"`` :class:`WorkerPool`): the chunk
+  kernels spend their time inside BLAS GEMMs, which release the GIL —
+  so plain threads parallelize them with literally zero serialization.
+  Each task gets a :func:`~repro.core.arena.clone_shell` of the
+  structure (own mutable stats, shared arrays) so concurrent chunks
+  don't race.
 
 Pools are **persistent**: :func:`get_pool` keeps one pool per
 ``(kind, n_workers, context)`` alive across calls (workers warm, arena
@@ -30,7 +32,9 @@ dedup making repeated joins over the same ``P`` ship it once), with an
 explicit ``close()``/context-manager lifecycle, ``close_pools()`` for
 everything, and an ``atexit`` sweep so ``/dev/shm`` never leaks — also
 not on worker crashes, where the broken pool is torn down and its
-segments unlinked before the error propagates.
+segments unlinked before the error propagates, nor when the parent is
+killed outright: each process-pool worker exits once its parent is gone,
+so the parent's resource tracker can sweep what it left.
 
 Streamed query sets arrive one window at a time: the session re-blocks
 a stream into ``block``-aligned windows and runs each window through
@@ -61,6 +65,7 @@ from __future__ import annotations
 import atexit
 import math
 import os
+import threading
 import time
 import warnings
 from concurrent.futures import (
@@ -76,15 +81,17 @@ import numpy as np
 
 from repro.core.arena import SharedArena, clone_shell, freeze, thaw
 from repro.core.problems import JoinResult, JoinSpec, QueryStats
-from repro.core.verify import DEFAULT_BLOCK
 from repro.errors import ParameterError
 from repro.utils import blasctl
 
-#: Pool kinds map_query_chunks understands.
+#: Pool kinds a :class:`WorkerPool` runs.
 POOL_KINDS = ("process", "thread")
 
 #: Environment variable capping ``n_workers="auto"``.
 MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
+
+#: Seconds between a process-pool worker's checks that its parent lives.
+PARENT_POLL_S = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +134,28 @@ def resolve_workers(n_workers: Union[int, str]) -> int:
 # Worker-side task functions (module-level: pickled by reference)
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Exit this worker once ``parent`` is no longer its parent.
+
+    A parent killed outright (SIGKILL, the OOM killer) runs no shutdown,
+    so its idle workers would wait on their call queue forever, holding
+    the resource tracker's pipe open and with it every shared-memory
+    segment the parent left.  Re-parenting is how the worker learns of
+    the death; ``PR_SET_PDEATHSIG`` would fire when the *thread* that
+    forked it exits, and a pool forks from whichever thread submits.
+    """
+    while os.getppid() == parent:
+        time.sleep(PARENT_POLL_S)
+    os._exit(1)
+
+
 def _process_worker_init(blas_threads: int) -> None:
-    """Pool initializer: pin this worker's BLAS pool to its fair share."""
+    """Pool initializer: pin this worker's BLAS pool to its fair share,
+    and exit the worker once the process that started it is gone."""
+    threading.Thread(
+        target=_exit_with_parent, args=(os.getppid(),), daemon=True,
+        name="repro-parent-watch",
+    ).start()
     if blas_threads >= 1:
         blasctl.set_blas_threads(blas_threads)
 
@@ -408,24 +435,23 @@ def _collect_ordered(futures: List) -> List[Any]:
 
 
 def map_query_chunks(
-    payload,
+    structure,
     P,
     Q,
     runner: Callable,
     args: tuple,
-    n_workers: Union[int, str] = 1,
-    block: int = DEFAULT_BLOCK,
-    pool: str = "process",
+    *,
+    block: int,
     executor: Optional[WorkerPool] = None,
     blas_threads: Optional[int] = None,
 ) -> List[Any]:
     """THE shared shard-and-run helper behind every parallel join path.
 
     Args:
-        payload: either a built structure or an engine structure
-            with a lazy ``build(P) -> structure``.  Built ONCE in the
-            parent; workers receive shared-memory views (process pools)
-            or shell clones (thread pools) of the same built structure.
+        structure: the built structure the runner reads (``None`` when
+            there is none), built by the caller; workers receive
+            shared-memory views (process pools) or shell clones (thread
+            pools) of it.
         P, Q: data and query collections in the measure's own form
             (already validated by the caller): a float matrix (an
             ndarray or a memmap view) or a set collection.  A stream
@@ -439,37 +465,22 @@ def map_query_chunks(
             paths run this exact function, which is what makes
             ``n_workers=1`` and ``n_workers=k`` results identical.
         args: extra picklable arguments forwarded to ``runner``.
-        n_workers: worker count or ``"auto"`` (cpu_count capped by
-            ``REPRO_MAX_WORKERS``); ``1`` runs one chunk in-process and
-            never touches a pool.
         block: chunk boundaries align to multiples of this (the
-            verification block size), so worker-count changes never
-            change per-block call sequences.
-        pool: ``"process"`` (shared-memory arena + persistent process
-            pool) or ``"thread"`` (GIL released inside BLAS; zero
-            serialization).
-        executor: a caller-managed :class:`WorkerPool` to run on
-            (its kind/worker count take precedence); default is the
-            persistent registry pool from :func:`get_pool`.
-        blas_threads: BLAS threads per worker; default
-            ``cpu_count // n_workers`` (min 1).
+            verification block size, ``>= 1``), so worker-count changes
+            never change per-block call sequences.
+        executor: the :class:`WorkerPool` to run on; its kind and worker
+            count decide the chunking.  ``None`` runs one chunk in the
+            calling process and never touches a pool.  The caller picks
+            the pool once per call (a session's own pool, a caller's
+            pool or :func:`get_pool`'s).
+        blas_threads: the BLAS thread pin of a call run in the calling
+            process (``None`` leaves BLAS as it is); pool workers use
+            their pool's own :attr:`WorkerPool.blas_threads`.
 
     Returns:
         The per-chunk runner results, in query (chunk) order.
     """
-    # Validate every execution option BEFORE building the structure:
-    # an index build can cost minutes, and a typo'd pool kind must fail
-    # in milliseconds — on the serial path too, where ``pool`` is
-    # otherwise unused.
-    workers = resolve_workers(n_workers)
-    if block < 1:
-        raise ParameterError(f"block must be >= 1, got {block}")
-    if executor is None and pool not in POOL_KINDS:
-        raise ParameterError(
-            f"pool must be one of {POOL_KINDS}, got {pool!r}"
-        )
-    structure = payload.build(P) if hasattr(payload, "build") else payload
-    if workers == 1:
+    if executor is None:
         if blas_threads is None:
             return [runner(structure, P, Q, 0, args)]
         # Serial path honors the pin too: callers asking for a fixed BLAS
@@ -478,14 +489,10 @@ def map_query_chunks(
             blasctl.worker_blas_threads(1, blas_threads)
         ):
             return [runner(structure, P, Q, 0, args)]
-    if executor is not None:
-        wp = executor
-    else:
-        wp = get_pool(workers, kind=pool, blas_threads=blas_threads)
-    bounds = _chunk_bounds(Q.shape[0], block, wp.n_workers)
+    bounds = _chunk_bounds(Q.shape[0], block, executor.n_workers)
 
-    if wp.kind == "thread":
-        ex = wp._ensure_executor()
+    if executor.kind == "thread":
+        ex = executor._ensure_executor()
         futures = [
             ex.submit(_run_thread_chunk, structure, P, Q, start, end, runner, args)
             for start, end in bounds
@@ -493,7 +500,7 @@ def map_query_chunks(
         # Pin the process-global BLAS pool to the per-worker share for
         # the duration of the call: k threads x (cores/k) BLAS threads
         # instead of k x cores.
-        with blasctl.blas_threads(wp.blas_threads):
+        with blasctl.blas_threads(executor.blas_threads):
             return _collect_ordered(futures)
 
     # Process pool: freeze (structure, P, Q) into shared memory once per
@@ -501,8 +508,8 @@ def map_query_chunks(
     # The per-call scratch arena is unlinked as soon as the call
     # completes; arrays pre-placed via WorkerPool.share() live in the
     # pool's persistent arena and are referenced, not re-copied.
-    ex = wp._ensure_executor()
-    lookup = (wp._arena,) if wp._arena is not None else ()
+    ex = executor._ensure_executor()
+    lookup = (executor._arena,) if executor._arena is not None else ()
     scratch = SharedArena()
     try:
         blob = freeze((structure, P, Q), scratch, lookup=lookup)
@@ -515,7 +522,7 @@ def map_query_chunks(
         # A worker died (OOM kill, segfault, hard exit).  Tear the pool
         # down without waiting on dead processes and unlink every
         # segment — /dev/shm must not leak even on the crash path.
-        wp._abandon()
+        executor._abandon()
         raise
     finally:
         scratch.close()

@@ -7,9 +7,9 @@ subquadratic for every ``kappa > 2``, with no fast matrix multiplication,
 which is exactly the point the paper makes against [29].
 
 :func:`sketch_candidates` is the sketch join's candidate generator: each
-query block goes through one batched c-MIPS descent
-(``SketchCMIPS.query_batch`` — stacked GEMMs instead of per-query
-GEMVs), and its one proposal per query becomes a
+query block goes through one batched recovery descent
+(``PrefixRecoveryIndex.query_batch`` — stacked GEMMs instead of
+per-query GEMVs), and its one proposal per query becomes a
 :class:`~repro.lsh.csr.CandidateBlock`.  A self join masks each query's
 identical pair *inside* the descent (``exclude=``), so the descent
 itself proposes the best *other* vector.  The block then runs through
@@ -39,8 +39,10 @@ def sketch_candidates(structure: SketchCMIPS, Q_chunk, start: int,
         exclude = (np.arange(start + q0, start + q1, dtype=np.int64)
                    if exclude_self else None)
         with span("sketch_propose", n_queries=q1 - q0):
-            indices = structure.query_batch(Q_chunk[q0:q1],
-                                            exclude=exclude).indices
+            # The recovery descent alone: the join reads only the
+            # proposed indices, never the structure's norm estimates.
+            indices, _ = structure.recovery.query_batch(Q_chunk[q0:q1],
+                                                        exclude=exclude)
         found = indices >= 0
         indptr = np.zeros(indices.size + 1, dtype=np.int64)
         np.cumsum(found, out=indptr[1:])

@@ -215,4 +215,8 @@ def join(
         model=model, pool=pool, executor=executor,
         blas_threads=blas_threads, **options,
     )
-    return session._dispatch(Q, trace=trace, root="engine.join")
+    result, stage_records, _ = session._dispatch(
+        Q, trace=trace, root="engine.join"
+    )
+    session._record(result, stage_records)
+    return result

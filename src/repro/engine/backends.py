@@ -30,9 +30,10 @@ backend method runs.  The Jaccard set-join backends live in
 
 The *structures* here are small picklable dataclasses wrapping either a
 built index or the recipe to build one; the stage's final spec and
-verify block reach ``run_chunk`` as arguments.  The executor calls
-``payload.build(P)`` once, in the calling process, before any chunk
-runs; workers only ever see the built structure, so any seed (an
+verify block reach ``run_chunk`` as arguments.  The engine calls
+``payload.build(P)`` once, in the calling process, right after
+``prepare`` (:func:`~repro.engine.execute.prepare_stage`); the executor
+and its workers only ever see the built structure, so any seed (an
 integer or a numpy ``Generator``) gives the same answers at every
 worker count.
 """

@@ -4,26 +4,27 @@ One-shot joins and long-lived sessions (:mod:`repro.engine.session`)
 drive the same three functions; they differ only in where a stage's
 prepared structure comes from.
 
-* :func:`prepare_stage` is the one caller of ``backend.prepare``: it
-  merges stage options and resolves the point partition and the stage
-  seed.  It never builds.
-* :func:`run_single_stage` is THE stage body: prepare (or reuse), the
-  trace's ``build`` span, ``run`` through the executor, ``merge``.
-  A one-stage plan is this one call.
+* :func:`prepare_stage` is the one caller of ``backend.prepare`` and
+  the one place a payload is built: it merges stage options, resolves
+  the point partition and the stage seed, prepares, and builds under a
+  ``build`` span of the context-current tracer.
+* :func:`run_single_stage` is THE stage body: prepare (or reuse), ``run``
+  through the executor, ``merge``.  A one-stage plan is this one call.
 * :func:`run_stage_plan` walks a multi-stage plan, one
   :func:`run_single_stage` call per stage inside its ``stage`` span,
   and folds each stage's answers into the global result.
 
 A one-shot ``engine.join()`` passes no :class:`PreparedStage` objects:
-every stage prepares inline inside its span, and the executor builds
-the payload.  A session prepares and builds every stage once at
-``open()`` and passes the results back in on each query; stages then
-reuse the built payloads (and the point-partition copies).
+every stage prepares and builds inline inside its ``prepare`` span.  A
+session prepares and builds every stage once at ``open()`` and passes
+the results back in on each query; stages then reuse the built payloads
+(and the point-partition copies), and their ``prepare`` spans are marked
+``reused``.
 
-Determinism: reuse never changes results, because prepare/build are
-idempotent for every backend (structures build lazily and cache), and
-the executor contract (:func:`repro.core.executor.map_query_chunks`)
-already guarantees chunking cannot.
+Determinism: reuse never changes results, because a structure is built
+once, before any chunk runs, and only read after, and the executor
+contract (:func:`repro.core.executor.map_query_chunks`) already
+guarantees chunking cannot.
 """
 
 from __future__ import annotations
@@ -46,15 +47,15 @@ from repro.engine.measures import get_measure
 from repro.engine.plan import Plan, Stage, norm_split_size, plan_point_indices
 from repro.engine.registry import get_backend
 from repro.lsh.csr import CandidateBlock
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Tracer, span
 
 
 @dataclass
 class PreparedStage:
     """One plan stage's ready-to-run state.
 
-    ``payload`` is what ``backend.prepare`` returned; a session builds
-    it at ``open()`` so queries never pay construction.  ``final_spec``
+    ``payload`` is the built structure (``None`` when the backend builds
+    nothing), so running the stage never pays construction.  ``final_spec``
     is the one copy of the stage's final spec, handed to every
     ``run_chunk`` call.
     ``P_stage`` is the stage's point subset — kept so partitioned stages
@@ -98,15 +99,16 @@ def prepare_stage(
     seed,
     options: dict,
 ) -> PreparedStage:
-    """Prepare stage ``index`` of a plan: the one caller of ``backend.prepare``.
+    """Prepare and build stage ``index`` of a plan: the one build site.
 
     Merges the stage's options with ``options`` (engine-level options,
     which only one-stage plans take), gathers the stage's points
     (``point_idx``, its entry of
     :func:`~repro.engine.plan.plan_point_indices`; ``None`` for all of
-    ``P``), resolves the stage seed (``seed + index``), and prepares the
-    payload.  It never builds: a session builds its payloads at open, a
-    one-shot join in the executor (or the trace's ``build`` span).
+    ``P``), resolves the stage seed (``seed + index``), calls
+    ``backend.prepare`` and builds the payload it returns over those
+    points.  The build runs in a ``build`` span of the context-current
+    tracer, so a traced call sees it under its ``prepare`` span.
     """
     stage = the_plan.stages[index]
     impl = get_backend(stage.backend)
@@ -116,6 +118,9 @@ def prepare_stage(
     payload, final_spec = impl.prepare(
         P_stage, spec, seed=stage_seed, **stage_options
     )
+    if hasattr(payload, "build"):
+        with span("build"):
+            payload = payload.build(P_stage)
     return PreparedStage(
         stage=stage, payload=payload, final_spec=final_spec,
         point_idx=point_idx, P_stage=P_stage, seed=stage_seed,
@@ -217,11 +222,9 @@ def run_single_stage(
     options: dict,
     point_idx: Optional[np.ndarray],
     seed,
-    n_workers: int,
     block: int,
     trace: bool,
     tracer: Tracer,
-    pool: str,
     executor: Optional[WorkerPool],
     blas_threads: Optional[int],
     prep: Optional[PreparedStage] = None,
@@ -230,14 +233,15 @@ def run_single_stage(
 
     ``prepare`` (reusing a session's built ``prep`` — the span is then
     marked ``reused`` — or calling :func:`prepare_stage` over the points
-    ``point_idx``), then under
-    tracing the ``build`` span, then ``run`` (the executor over ``Q``)
-    and ``merge`` (chunk results in query order, under the stage's
-    final spec).  Every caller states the stage's points: its entry of
+    ``point_idx``, which builds inside the span), then ``run`` (the
+    executor over ``Q`` on ``executor``, the pool the caller chose;
+    ``None`` runs in this process) and ``merge`` (chunk results in query
+    order, under the stage's final spec).  Every caller states the
+    stage's points: its entry of
     :func:`~repro.engine.plan.plan_point_indices`, ``None`` for all of
-    ``P``.  One-stage
-    plans run this at the root of the trace, the pre-Plan-IR span shape;
-    :func:`run_stage_plan` runs it inside each ``stage`` span.
+    ``P``.  One-stage plans run this at the root of the trace, the
+    pre-Plan-IR span shape; :func:`run_stage_plan` runs it inside each
+    ``stage`` span.
 
     Returns ``(result, chunks, point_idx)``: the merged stage result,
     the raw chunk results, and the global indices of the stage's points
@@ -247,33 +251,21 @@ def run_single_stage(
     """
     stage = the_plan.stages[index]
     with tracer.span("prepare", backend=stage.backend) as prep_span:
-        if prep is not None:
-            if prep_span is not None:
-                prep_span.attrs["reused"] = True
-        else:
+        if prep is None:
             prep = prepare_stage(
                 the_plan, index, P, spec, point_idx=point_idx, seed=seed,
                 options=options,
             )
-        payload = prep.payload
-        if trace and hasattr(payload, "build"):
-            # The zero-copy executor builds in the parent for every
-            # worker count, so the trace can always price construction
-            # here (engine builds are idempotent; workers receive the
-            # built structure, not a recipe).  For a session's prebuilt
-            # payload this is a cached no-op and the span shows ~0s —
-            # exactly the amortization the session exists to buy.
-            with tracer.span("build"):
-                payload = payload.build(prep.P_stage)
+        elif prep_span is not None:
+            prep_span.attrs["reused"] = True
     # The stage label rides on multi-stage chunk spans only, so detached
     # chunk trees stay attributable; one-stage joins omit it.
     label = "" if _one_stage(the_plan) else (stage.label or stage.backend)
     with tracer.span("run") as run_span:
         chunks = map_query_chunks(
-            payload, prep.P_stage, Q, _engine_runner,
+            prep.payload, prep.P_stage, Q, _engine_runner,
             (stage.backend, trace, label, prep.final_spec, block),
-            n_workers=n_workers, block=block,
-            pool=pool, executor=executor, blas_threads=blas_threads,
+            block=block, executor=executor, blas_threads=blas_threads,
         )
     if run_span is not None:
         run_span.children.extend(c.trace for c in chunks if c.trace)
@@ -295,11 +287,9 @@ def run_stage_plan(
     spec: JoinSpec,
     *,
     seed,
-    n_workers: int,
     block: int,
     trace: bool,
     tracer: Tracer,
-    pool: str,
     executor: Optional[WorkerPool],
     blas_threads: Optional[int],
     prepared: Optional[Sequence[PreparedStage]] = None,
@@ -356,8 +346,7 @@ def run_stage_plan(
             if q_idx.size:
                 stage_result, chunks, point_idx = run_single_stage(
                     the_plan, i, P, Q[q_idx], spec, options={},
-                    seed=seed, n_workers=n_workers, block=block,
-                    trace=trace, tracer=tracer, pool=pool,
+                    seed=seed, block=block, trace=trace, tracer=tracer,
                     executor=executor, blas_threads=blas_threads,
                     prep=prepared[i] if prepared is not None else None,
                     point_idx=parts[i] if parts is not None else None,

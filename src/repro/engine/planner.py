@@ -174,8 +174,9 @@ class CostModel:
         """Re-price a backend estimate for parallel execution.
 
         Query work divides by the predicted speedup — build work does
-        not: since the zero-copy executor builds once in the parent,
-        construction is serial regardless of worker count.  Each worker
+        not: the engine builds each structure once, in the parent,
+        before any worker runs, so construction is serial regardless of
+        worker count.  Each worker
         also pays a fixed dispatch overhead, which is what lets the
         planner conclude that a small join is cheaper serial.
         """

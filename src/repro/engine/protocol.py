@@ -10,10 +10,10 @@ three-step life cycle:
 1. :meth:`JoinBackend.prepare` — validate options, resolve the final
    spec (the sketch backend substitutes its own ``c = n^{-1/kappa}``),
    and produce a *payload*: a picklable object that either is the built
-   structure or knows how to ``build(P)`` one (the executor builds it
-   once, before any worker runs).  The payload holds only what its
-   build makes and the options that shape it; the engine keeps the
-   final spec.
+   structure or knows how to ``build(P)`` one (the engine builds it
+   once, in :func:`~repro.engine.execute.prepare_stage`, before any
+   chunk runs).  The payload holds only what its build makes and the
+   options that shape it; the engine keeps the final spec.
 2. :meth:`JoinBackend.run_chunk` — THE inner loop: answer one contiguous
    query chunk given its global ``start`` offset, the stage's final
    spec and the verification block size, returning a
@@ -150,10 +150,12 @@ class JoinBackend(ABC):
         """Resolve options into ``(payload, final_spec)``.
 
         Called only for a spec inside this backend's capability row.
-        ``payload`` is handed to the executor: it must be picklable and
-        either be the ready structure (``None`` when there is none) or
-        expose ``build(P) -> structure``, which the executor calls once,
-        in the calling process, before any chunk runs.
+        ``payload`` must be picklable and either be the ready structure
+        (``None`` when there is none) or expose ``build(P) ->
+        structure``, which the engine calls once, in the calling
+        process, right after ``prepare``
+        (:func:`~repro.engine.execute.prepare_stage`); the executor and
+        every :meth:`run_chunk` get the built structure.
         ``final_spec`` is the spec the result will carry — usually the
         input spec, but a backend may pin fields it controls (the sketch
         backend sets ``c`` to the structure's approximation factor).

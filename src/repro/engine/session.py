@@ -57,6 +57,7 @@ from repro.core.arena import collect_arrays
 from repro.core.executor import (
     POOL_KINDS,
     WorkerPool,
+    get_pool,
     merge_join_chunks,
     resolve_workers,
 )
@@ -234,15 +235,11 @@ class JoinSession:
         self._own_sink = False
         self._sink_resource_every = 32
         self._poller: Optional[ResourcePoller] = None
-        self._last_stage_records: list = []
-        self._last_chunk_walls: list = []
-        self._last_record: Optional[PlannerRecord] = None
         if _eager:
             self.P = get_measure(spec.measure).validate(P, "P")
             if spec.self_join and self.P.shape[0] < 2:
                 raise ParameterError("self-join needs at least two vectors")
             self._resolve_plan(self.query_batch_hint)
-            self._check_plan_shape()
             self._prepare_all()
             self._ensure_pool()
 
@@ -313,7 +310,9 @@ class JoinSession:
                 )
 
     def _plan_resolved(self) -> None:
-        """Build once what every query reports about the resolved plan."""
+        """Check the resolved plan's shape, and build once what every
+        query reports about it."""
+        self._check_plan_shape()
         attrs = dict(picked=self.the_plan.backend, source="explicit")
         self._predicted = {}
         if self.requested == "auto":
@@ -343,18 +342,15 @@ class JoinSession:
     # -- preparation and pooling -----------------------------------------
 
     def _prepare_all(self) -> None:
-        """Prepare and build every stage once."""
+        """Prepare and build every stage once (:func:`prepare_stage`)."""
         self._prepared = []
         parts = plan_point_indices(self.the_plan, self.P)
         for i, point_idx in enumerate(parts):
-            prep = prepare_stage(
+            self._prepared.append(prepare_stage(
                 self.the_plan, i, self.P, self.spec, point_idx=point_idx,
                 seed=self.seed, options=self.options,
-            )
+            ))
             self.metrics.counter("session.stage_prepares").inc()
-            if hasattr(prep.payload, "build"):
-                prep.payload = prep.payload.build(prep.P_stage)
-            self._prepared.append(prep)
 
     def _ensure_pool(self) -> None:
         """(Re)create the owned worker pool and pin the session's arrays.
@@ -396,34 +392,39 @@ class JoinSession:
                 self.metrics.counter("session.pool_pins").inc()
 
     def _executor_for_call(self) -> Optional[WorkerPool]:
+        """The pool this call runs on, chosen once per call.
+
+        ``None`` when the call is serial; the session's own pool or the
+        caller's; otherwise (a one-shot join) the persistent registry
+        pool of this worker count, kind and BLAS pin.
+        """
         if self.n_workers <= 1:
             return None
-        return self._pool
+        if self._pool is not None:
+            return self._pool
+        return get_pool(
+            self.n_workers, self.pool_kind, blas_threads=self.blas_threads
+        )
 
     # -- the dispatch every query flavor shares --------------------------
 
-    def _dispatch(
-        self,
-        Q,
-        *,
-        trace: bool,
-        root: str,
-        record: bool = True,
-    ) -> JoinResult:
+    def _dispatch(self, Q, *, trace: bool, root: str):
         """Plan (if lazy), walk the stages, finalize: THE dispatch path.
 
         For the ``engine.join()`` shim (lazy, ``root="engine.join"``)
         this reproduces the historical one-shot behavior bit for bit —
-        same spans, same results, same planner record.  For session
-        queries it reuses the prepared stages and tags the record with
-        the session's amortization fields.
+        same spans, same results.  For session queries it reuses the
+        prepared stages.  Returns ``(result, stage_records,
+        chunk_walls)``: the call's per-stage records (for the planner
+        record and the stage histograms) and its chunks' worker-side
+        wall times in ns (for the chunk histogram).
         """
         if self._closed:
             raise ParameterError("session is closed")
+        wall_start = time.perf_counter()
         self._ensure_pool()
         tracer = Tracer(enabled=trace)
         registry = MetricsRegistry(enabled=trace)
-        wall_start = time.perf_counter()
         # Activating the tracer/registry as process-current lets
         # kernel-level instrumentation inside prepare/build attach to
         # this query's tree.
@@ -437,8 +438,7 @@ class JoinSession:
                 if planner_span is not None:
                     planner_span.attrs.update(attrs)
             run = dict(
-                seed=self.seed, n_workers=self.n_workers, block=self.block,
-                trace=trace, tracer=tracer, pool=self.pool_kind,
+                seed=self.seed, block=self.block, trace=trace, tracer=tracer,
                 executor=self._executor_for_call(),
                 blas_threads=self.blas_threads,
             )
@@ -451,7 +451,6 @@ class JoinSession:
                     **run,
                 )
             else:
-                self._check_plan_shape()
                 result, chunks, stage_records = run_stage_plan(
                     self.the_plan, self.P, Q, self.spec,
                     prepared=self._prepared or None, **run,
@@ -480,14 +479,7 @@ class JoinSession:
             fold_stats_metrics(registry, result)
             result.trace = tracer.take()
             result.metrics = registry
-        # Stash the per-stage records and worker-side chunk walls for the
-        # query surface's latency histograms (plain assignments — this
-        # path is also the one-shot join shim and must stay lean).
-        self._last_stage_records = stage_records
-        self._last_chunk_walls = [c.wall_ns for c in chunks]
-        if record:
-            self._record(result, stage_records, len(result.matches))
-        return result
+        return result, stage_records, [c.wall_ns for c in chunks]
 
     def _root_attrs(self, m: int) -> dict:
         """Attributes of a query's root span (``m`` query rows)."""
@@ -500,58 +492,64 @@ class JoinSession:
             n_workers=int(self.n_workers),
         )
 
-    def _record(self, result: JoinResult, stage_records, m: int) -> None:
-        """Build this call's planner record, if a log or a sink takes it."""
+    def _record(
+        self, result: JoinResult, stage_records
+    ) -> Optional[PlannerRecord]:
+        """This call's planner record, if a log or a sink takes it.
+
+        The record goes to the installed log here; the caller hands it
+        to the sink.
+        """
         log = current_log()
         if log is None and self._sink is None:
-            self._last_record = None
-            return
-        self._last_record = rec = (
-            PlannerRecord(
-                n=int(self.P.shape[0]),
-                m=int(m),
-                d=int(self.P.shape[1]),
-                s=float(self.spec.s),
-                c=float(self.spec.c),
-                signed=bool(self.spec.signed),
-                variant=self.spec.variant,
-                mode="auto" if self.requested == "auto" else "explicit",
-                picked=result.backend,
-                wall_s=result.wall_s,
-                predicted=self._predicted,
-                evaluated=int(result.inner_products_evaluated),
-                generated=int(result.candidates_generated),
-                n_workers=int(self.n_workers),
-                stages=stage_records,
-                expected_queries=int(self.expected_queries),
-                session_reuse=int(self.queries_served),
-            )
+            return None
+        rec = PlannerRecord(
+            n=int(self.P.shape[0]),
+            m=len(result.matches),
+            d=int(self.P.shape[1]),
+            s=float(self.spec.s),
+            c=float(self.spec.c),
+            signed=bool(self.spec.signed),
+            variant=self.spec.variant,
+            mode="auto" if self.requested == "auto" else "explicit",
+            picked=result.backend,
+            wall_s=result.wall_s,
+            predicted=self._predicted,
+            evaluated=int(result.inner_products_evaluated),
+            generated=int(result.candidates_generated),
+            n_workers=int(self.n_workers),
+            stages=stage_records,
+            expected_queries=int(self.expected_queries),
+            session_reuse=int(self.queries_served),
         )
         if log is not None:
             log.record(rec)
+        return rec
 
     # -- serving telemetry -----------------------------------------------
 
     def _observe_query(
-        self, result: JoinResult, wall_ns: int, sampled: bool
+        self, result: JoinResult, stage_records, chunk_walls, sampled: bool
     ) -> None:
-        """Per-call accounting and telemetry: the served-query count,
-        latency histograms, sampled spans, sink.
+        """Per-call accounting and telemetry: the planner record, the
+        served-query count, latency histograms, sampled spans, sink.
 
-        Runs after every :meth:`query` / :meth:`query_stream` — cheap
-        enough (a few histogram observes) that it is unconditional;
-        everything sink-shaped is gated on an attached sink.
+        Runs after every :meth:`query` / :meth:`query_stream` with the
+        call's stage records and chunk wall times — cheap enough (a few
+        histogram observes) that it is unconditional; everything
+        sink-shaped is gated on an attached sink.
         """
+        record = self._record(result, stage_records)
         self.queries_served += 1
         metrics = self.metrics
         metrics.counter("session.queries").inc()
-        metrics.histogram("session.query_latency_us").observe(wall_ns / 1000.0)
-        for rec in self._last_stage_records:
+        metrics.histogram("session.query_latency_us").observe(result.wall_s * 1e6)
+        for rec in stage_records:
             metrics.histogram(
                 f"session.stage_latency_us.{rec['backend']}"
             ).observe(rec["wall_s"] * 1e6)
         chunk_hist = metrics.histogram("session.chunk_latency_us")
-        for w in self._last_chunk_walls:
+        for w in chunk_walls:
             if w:
                 chunk_hist.observe(w / 1000.0)
         if sampled:
@@ -561,8 +559,8 @@ class JoinSession:
             return
         if sampled and result.trace is not None:
             sink.emit("span", result.trace.to_dict())
-        if self._last_record is not None:
-            sink.emit("planner", self._last_record.to_dict())
+        if record is not None:
+            sink.emit("planner", record.to_dict())
         if self.queries_served % self._sink_resource_every == 0:
             self._emit_resource()
             self._emit_metrics()
@@ -720,11 +718,10 @@ class JoinSession:
                 )
             Q = self._validate_batch(Q)
         sampled = self._sample(trace)
-        t0 = time.perf_counter_ns()
-        result = self._dispatch(
+        result, stage_records, chunk_walls = self._dispatch(
             Q, trace=trace or sampled, root="session.query"
         )
-        self._observe_query(result, time.perf_counter_ns() - t0, sampled)
+        self._observe_query(result, stage_records, chunk_walls, sampled)
         return result
 
     def _validate_batch(self, Q):
@@ -794,19 +791,19 @@ class JoinSession:
         parts: List[JoinResult] = []
         stage_records: List[dict] = []
         chunk_walls: List[int] = []
-        t0 = time.perf_counter_ns()
+        t0 = time.perf_counter()
         with tracer.span("session.query_stream") as root:
             for window in self._windows(chunks, rows):
                 self.metrics.counter("session.stream_chunks").inc()
-                part = self._dispatch(
-                    window, trace=traced, root="session.query", record=False,
+                part, part_stages, part_walls = self._dispatch(
+                    window, trace=traced, root="session.query",
                 )
                 parts.append(part)
-                chunk_walls.extend(self._last_chunk_walls)
+                chunk_walls.extend(part_walls)
                 if not stage_records:
-                    stage_records = [dict(r) for r in self._last_stage_records]
+                    stage_records = part_stages
                 else:
-                    for total, rec in zip(stage_records, self._last_stage_records):
+                    for total, rec in zip(stage_records, part_stages):
                         for key in ("m", "wall_s", "evaluated", "generated", "answered"):
                             total[key] += rec[key]
                 if root is not None:
@@ -827,17 +824,13 @@ class JoinSession:
         bounds = [p.error_bound for p in parts if p.error_bound is not None]
         if bounds:
             result.error_bound = max(bounds)
-        wall_ns = time.perf_counter_ns() - t0
-        result.wall_s = wall_ns / 1e9
+        result.wall_s = time.perf_counter() - t0
         if traced:
             result.trace = tracer.take()
             result.metrics = MetricsRegistry(enabled=True)
             for p in parts:
                 result.metrics.merge_snapshot(p.metrics.snapshot())
-        self._last_stage_records = stage_records
-        self._last_chunk_walls = chunk_walls
-        self._record(result, stage_records, len(result.matches))
-        self._observe_query(result, wall_ns, sampled)
+        self._observe_query(result, stage_records, chunk_walls, sampled)
         return result
 
     def _windows(self, batches, rows: int) -> Iterator[Any]:
@@ -929,7 +922,6 @@ class JoinSession:
         session.the_plan = state.plan
         session._plan_resolved()
         session._prepared = list(state.prepared)
-        session._check_plan_shape()
         session._eager = True
         session._ensure_pool()
         return session

@@ -77,7 +77,12 @@ class BatchHashTables(abc.ABC):
 
     @abc.abstractmethod
     def hash_matrix(self, X, side: str = "data") -> np.ndarray:
-        """Fused ``(n, n_tables)`` int64 bucket keys for every row of ``X``."""
+        """Fused ``(n, n_tables)`` int64 bucket keys for every row of ``X``.
+
+        ``X`` must be finite: :class:`~repro.lsh.index.LSHIndex` checks
+        its input once, at ``build`` and ``candidates_batch``, and the
+        kernels hash it without a second scan.
+        """
 
     @abc.abstractmethod
     def hash_rows(self, X, side: str = "data") -> np.ndarray:

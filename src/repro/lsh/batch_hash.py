@@ -209,7 +209,13 @@ class _TransformMixin:
         self._data_transform = data_transform
         self._query_transform = query_transform
 
-    def _transform(self, X: np.ndarray, side: str) -> np.ndarray:
+    def _transform(self, X, side: str) -> np.ndarray:
+        """``X`` as float64 rows, mapped by ``side``'s transform.
+
+        ``X`` is not scanned for NaN or inf again: the kernels hash what
+        :class:`~repro.lsh.index.LSHIndex` validated at its entry point.
+        """
+        X = np.asarray(X, dtype=np.float64)
         fn = self._data_transform if side == "data" else self._query_transform
         if fn is None:
             return X
@@ -296,7 +302,7 @@ class SignProjectionTables(_TransformMixin, ComponentHashTables):
         index's per-table bucket sort reads.
         """
         side = self._check_side(side)
-        T = self._transform(check_matrix(X, "X"), side)
+        T = self._transform(X, side)
         n, width = T.shape[0], self._projections.shape[0]
         if self._weights is None or n * width <= SIGN_BLOCK_ELEMS:
             bits = self._margins(T) >= 0.0
@@ -333,7 +339,7 @@ class SignProjectionTables(_TransformMixin, ComponentHashTables):
         disagree on (Lv et al.'s query-directed multiprobe), so slot
         ``1 + i`` flips the bit with the ``i``-th smallest ``|margin|``.
         """
-        values = self._margins(self._transform(check_matrix(X, "X"), "query"))
+        values = self._margins(self._transform(X, "query"))
         keys = self._pack(values >= 0.0)[:, :, None]
         order = np.argsort(np.abs(values), axis=2, kind="stable")[:, :, :n_probes]
         flips = keys ^ (np.int64(1) << (self.hashes_per_table - 1 - order))
@@ -378,7 +384,7 @@ class CrossPolytopeTables(_TransformMixin, ComponentHashTables):
         self._set_transforms(data_transform, query_transform)
 
     def _components(self, X, side):
-        T = self._transform(check_matrix(X, "X"), side)
+        T = self._transform(X, side)
         n = T.shape[0]
         count = self.n_tables * self.hashes_per_table
         dim = self._rotations.shape[1]
@@ -448,7 +454,7 @@ class E2LSHTables(_TransformMixin, ComponentHashTables):
         self._set_transforms(data_transform, query_transform)
 
     def _components(self, X, side):
-        T = self._transform(check_matrix(X, "X"), side)
+        T = self._transform(X, side)
         values = T @ self._directions.T + self._offsets[None, :]
         comps = np.floor(values / self._width).astype(np.int64)
         return comps.reshape(T.shape[0], self.n_tables, self.hashes_per_table)

@@ -40,10 +40,7 @@ def _prom_name(prefix: str, name: str) -> str:
 
 def _payload_quantiles(payload: dict, qs: Sequence[float]) -> Dict[str, float]:
     """Quantile estimates for one histogram snapshot payload."""
-    h = Histogram(payload["bounds"])
-    h.counts = list(payload["counts"])
-    h.count = payload["count"]
-    h.sum = payload["sum"]
+    h = Histogram.from_payload(payload)
     return {f"{q:g}": h.quantile(q) for q in qs}
 
 

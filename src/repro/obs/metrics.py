@@ -77,6 +77,16 @@ class Histogram:
         self.count = 0
         self.sum = 0
 
+    @classmethod
+    def from_payload(cls, payload: dict) -> "Histogram":
+        """The histogram of one :meth:`MetricsRegistry.snapshot` payload
+        (``bounds``, ``counts``, ``count``, ``sum``)."""
+        h = cls(payload["bounds"])
+        h.counts = list(payload["counts"])
+        h.count = payload["count"]
+        h.sum = payload["sum"]
+        return h
+
     def observe(self, value) -> None:
         self.counts[self._bucket(value)] += 1
         self.count += 1

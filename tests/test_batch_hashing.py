@@ -24,6 +24,7 @@ from repro.lsh import (
     SimpleALSH,
     SymmetricIPSHash,
 )
+from repro.errors import ValidationError
 from repro.lsh import batch_hash
 from repro.lsh.base import MISS_KEY, AsymmetricLSHFamily
 from repro.lsh.crosspolytope import _ROTATION_CACHE, sample_rotation
@@ -171,6 +172,31 @@ def test_batch_index_matches_generic_index(name):
     # scalar path agrees with the batched path on the same index
     for j in range(Q.shape[0]):
         assert np.array_equal(batch_index.candidates(Q[j]), batch_cands[j])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("native", [True, False], ids=["native", "generic"])
+@pytest.mark.parametrize("name", ["hyperplane", "crosspolytope", "e2lsh"])
+def test_index_entry_points_reject_non_finite_rows(name, native, bad):
+    """``LSHIndex`` checks each input once, at ``build`` and at
+    ``candidates_batch``; the hasher kernels do not scan it again, so
+    those two checks alone must reject NaN and inf."""
+    family, (P, Q) = _family_and_data(name, np.random.default_rng(SEED))
+    index = LSHIndex(family if native else PerRow(family), n_tables=2,
+                     hashes_per_table=3, seed=7)
+    assert index.uses_batch_hashing == native
+    P_bad, Q_bad = P.copy(), Q.copy()
+    P_bad[5, 2] = Q_bad[3, 0] = bad
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        index.build(P_bad)
+    assert not index.is_built
+    index.build(P)
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        index.candidates_batch(Q_bad)
+    if name == "hyperplane" and native:
+        with pytest.raises(ValidationError, match="NaN or infinite"):
+            index.candidates_batch(Q_bad, n_probes=1)
+    assert index.stats.queries == 0
 
 
 def test_generic_hasher_marks_itself_non_native():

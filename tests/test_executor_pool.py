@@ -14,7 +14,9 @@ The CI parallel leg sets ``REPRO_TEST_WORKERS`` to run the equivalence
 matrix at a different worker count; the default is 2.
 """
 
+import json
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -288,8 +290,7 @@ class TestWorkerPoolLifecycle:
         pool = WorkerPool(2, kind="process")
         with pytest.raises(BrokenProcessPool):
             map_query_chunks(
-                None, P, Q, _crash_runner, (), n_workers=2, block=4,
-                executor=pool,
+                None, P, Q, _crash_runner, (), block=4, executor=pool,
             )
         assert pool.closed  # abandoned, not left half-dead
         assert repro_segments() == before
@@ -325,14 +326,83 @@ class TestWorkerPoolLifecycle:
         assert repro_segments() == before
         assert "resource_tracker" not in child.stderr, child.stderr
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="reads process states from /proc"
+    )
+    def test_workers_exit_and_segments_go_when_the_parent_is_killed(
+        self, tmp_path
+    ):
+        """A parent killed by SIGKILL runs no shutdown: its workers must
+        notice and exit, so that the resource tracker sees its pipe close
+        and unlinks the segments the parent left."""
+        script = textwrap.dedent("""
+            import json, os, signal
+            import numpy as np
+            from repro.core import JoinSpec
+            from repro.core.arena import repro_segments
+            from repro.engine import open_session
+
+            P = np.random.default_rng(0).standard_normal((2000, 16))
+            session = open_session(
+                P, JoinSpec(s=0.5, c=1.0), backend="brute_force",
+                n_workers=2, pool="process", block=8)
+            session.query(P[:64])
+            prefix = f"repro_arena_{os.getpid()}_"
+            print(json.dumps({
+                "prefix": prefix,
+                "workers": sorted(session._pool._executor._processes),
+                "segments": [s for s in repro_segments()
+                             if s.startswith(prefix)],
+            }), flush=True)
+            os.kill(os.getpid(), signal.SIGKILL)
+        """)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )
+        out, err = tmp_path / "child.json", tmp_path / "child.err"
+        with open(out, "w") as stdout, open(err, "w") as stderr:
+            child = subprocess.Popen(
+                [sys.executable, "-c", script], stdout=stdout, stderr=stderr,
+                env=dict(os.environ, PYTHONPATH=path),
+            )
+            try:
+                code = child.wait(timeout=300)
+            except subprocess.TimeoutExpired:
+                child.kill()
+                raise
+        assert code == -signal.SIGKILL, err.read_text()
+        state = json.loads(out.read_text())
+        assert len(state["workers"]) == 2 and state["segments"]
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as f:
+                    return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except OSError:
+                return False
+
+        def left():
+            alive = [pid for pid in state["workers"] if running(pid)]
+            return alive, [s for s in repro_segments()
+                           if s.startswith(state["prefix"])]
+
+        try:
+            deadline = time.monotonic() + 30.0
+            while any(left()) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert left() == ([], [])
+        finally:
+            for pid in left()[0]:
+                os.kill(pid, signal.SIGKILL)
+
     def test_segments_freed_after_clean_calls(self):
         P = np.random.default_rng(0).normal(size=(256, 64))
         Q = np.random.default_rng(1).normal(size=(16, 64))
         before = repro_segments()
         with WorkerPool(2, kind="process") as pool:
             chunks = map_query_chunks(
-                None, P, Q, _sum_runner, (), n_workers=2, block=8,
-                executor=pool,
+                None, P, Q, _sum_runner, (), block=8, executor=pool,
             )
             assert [c[0] for c in chunks] == [0, 8]
         assert repro_segments() == before
@@ -350,8 +420,7 @@ class TestChunkOrdering:
         Q = np.arange(48, dtype=np.float64).reshape(12, 4)
         with WorkerPool(3, kind=kind) as pool:
             chunks = map_query_chunks(
-                None, P, Q, _slow_first_runner, (), n_workers=3, block=4,
-                executor=pool,
+                None, P, Q, _slow_first_runner, (), block=4, executor=pool,
             )
         assert [c[0] for c in chunks] == [0, 4, 8]
         expected = [float(Q[s:s + 4].sum()) for s in (0, 4, 8)]

@@ -156,6 +156,22 @@ class TestMetricsUnit:
         whole.histogram("h").observe_array(np.arange(30))
         assert merged.snapshot() == whole.snapshot()
 
+    def test_histogram_from_payload_round_trips(self):
+        reg = MetricsRegistry()
+        original = reg.histogram("h", bounds=(1.0, 4.0, 16.0))
+        original.observe_array(np.array([0.5, 2.0, 3.0, 9.0, 40.0]))
+        payload = json.loads(json.dumps(reg.snapshot()))["histograms"]["h"]
+        rebuilt = Histogram.from_payload(payload)
+        assert rebuilt.bounds == original.bounds
+        assert rebuilt.counts == original.counts == [1, 2, 1, 1]
+        assert (rebuilt.count, rebuilt.sum) == (original.count, original.sum)
+        assert rebuilt.quantiles((0.5, 0.95)) == original.quantiles((0.5, 0.95))
+        rebuilt.observe(2.0)  # a rebuilt histogram owns its counts
+        assert payload["counts"] == [1, 2, 1, 1]
+        again = MetricsRegistry()
+        again.merge_snapshot({"histograms": {"h": payload}})
+        assert again.snapshot()["histograms"]["h"] == payload
+
     def test_mismatched_histogram_bounds_refuse_to_merge(self):
         reg = MetricsRegistry()
         reg.histogram("h", bounds=(1.0, 2.0))
@@ -292,10 +308,9 @@ class TestParallelStitching:
         assert results[0].matches == results[1].matches == results[2].matches
         snaps = [r.metrics.snapshot() for r in results]
         # Build-phase instruments are recorded where the build runs
-        # under observation (the parent, serially); parallel workers
-        # build inside the unobserved pool initializer, each producing
-        # an identical structure.  Everything shipped via chunks — all
-        # counters, and the verify histograms — is bit-identical.
+        # under observation: the parent, once, before any worker runs.
+        # Everything shipped via chunks — all counters, and the verify
+        # histograms — is bit-identical.
         for snap in snaps[1:]:
             assert snap["counters"] == snaps[0]["counters"]
             for name, payload in snap["histograms"].items():

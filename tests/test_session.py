@@ -36,7 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.core import JoinSpec, WorkerPool, map_query_chunks
+from repro.core import JoinSpec, WorkerPool, get_pool, map_query_chunks
 from repro.core.arena import repro_segments
 from repro.datasets import planted_jaccard_sets, planted_mips, random_unit
 from repro.engine import (
@@ -233,7 +233,7 @@ class TestSessionReuse:
             with pytest.raises(BrokenProcessPool):
                 map_query_chunks(
                     None, instance.P, instance.Q, _crash_runner, (),
-                    n_workers=2, block=16, executor=session._pool,
+                    block=16, executor=session._pool,
                 )
             assert session._pool.closed
             assert _key(session.query(instance.Q)) == _key(expected)
@@ -344,6 +344,94 @@ class TestSessionReuse:
             session.query(instance.Q)
             session.close()
             assert not pool.closed  # the caller owns its lifecycle
+
+
+@pytest.fixture
+def working_builds(monkeypatch):
+    """Count the structure builds that do work, by structure class."""
+    from repro.engine.backends import LSHStructure, NormStructure
+
+    counts = {}
+    for cls in (LSHStructure, NormStructure):
+        def build(self, P, _real=cls.build, _name=cls.__name__):
+            if self.index is None:
+                counts[_name] = counts.get(_name, 0) + 1
+            return _real(self, P)
+
+        monkeypatch.setattr(cls, "build", build)
+    return counts
+
+
+@pytest.fixture(scope="module")
+def two_stage():
+    """A norm-prefix hybrid whose both stages answer queries."""
+    P, Q = random_unit(400, 16, seed=3), random_unit(40, 16, seed=4)
+    return P, Q, JoinSpec(s=0.7, c=0.9), norm_prefix_lsh_plan(0.25)
+
+
+class TestDecidedOnce:
+    """A stage's structure builds in one place (``prepare_stage``), and a
+    call's pool is chosen once, by the session."""
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_one_shot_join_builds_once(self, instance, spec, working_builds,
+                                       trace):
+        join(instance.P, instance.Q, spec, backend="lsh", seed=3,
+             trace=trace, **LSH)
+        assert working_builds == {"LSHStructure": 1}
+
+    def test_one_shot_hybrid_builds_each_stage_once(self, two_stage,
+                                                    working_builds):
+        P, Q, spec, plan = two_stage
+        result = join(P, Q, spec, backend=plan, seed=5, trace=True)
+        answered = [stage.attrs["answered"] for stage in
+                    result.trace.find("stage")]
+        assert all(answered) and len(answered) == 2
+        assert working_builds == {"NormStructure": 1, "LSHStructure": 1}
+
+    def test_open_builds_once_and_queries_build_nothing(self, two_stage,
+                                                        working_builds):
+        P, Q, spec, plan = two_stage
+        with open_session(P, spec, backend=plan, seed=5, block=16) as session:
+            assert working_builds == {"NormStructure": 1, "LSHStructure": 1}
+            session.query(Q)
+            session.query(Q, trace=True)
+            session.query_stream(iter([Q[:16], Q[16:]]), chunk_rows=16)
+        assert working_builds == {"NormStructure": 1, "LSHStructure": 1}
+
+    def test_traced_session_query_reuses_without_building(self, two_stage):
+        P, Q, spec, plan = two_stage
+        one_shot = join(P, Q, spec, backend=plan, seed=5, trace=True).trace
+        with open_session(P, spec, backend=plan, seed=5) as session:
+            served = session.query(Q, trace=True).trace
+        for stage in one_shot.find("stage"):
+            prepare = stage.child("prepare")
+            assert "reused" not in prepare.attrs
+            assert [c.name for c in prepare.children] == ["build"]
+        for stage in served.find("stage"):
+            prepare = stage.child("prepare")
+            assert prepare.attrs["reused"] is True
+            assert prepare.children == []
+
+    @pytest.mark.parametrize("kind", ["process", "thread"])
+    def test_one_shot_join_runs_on_the_registry_pool(
+        self, instance, spec, monkeypatch, kind
+    ):
+        import repro.engine.execute as execute
+
+        pools = []
+        real_map = execute.map_query_chunks
+
+        def spy(*args, **kwargs):
+            pools.append(kwargs["executor"])
+            return real_map(*args, **kwargs)
+
+        monkeypatch.setattr(execute, "map_query_chunks", spy)
+        join(instance.P, instance.Q, spec, backend="brute_force",
+             n_workers=2, pool=kind, blas_threads=1, block=16)
+        join(instance.P, instance.Q, spec, backend="brute_force",
+             pool=kind, blas_threads=1)
+        assert pools == [get_pool(2, kind, blas_threads=1), None]
 
 
 class TestQueryStream:

@@ -51,14 +51,6 @@ from repro.obs.sink import read_events  # noqa: E402
 QUANTILES = (0.5, 0.95, 0.99)
 
 
-def _payload_histogram(payload: dict) -> Histogram:
-    h = Histogram(payload["bounds"])
-    h.counts = list(payload["counts"])
-    h.count = payload["count"]
-    h.sum = payload["sum"]
-    return h
-
-
 def percentile_rows(events: List[dict]) -> List[Dict[str, Any]]:
     """p50/p95/p99 per histogram from the last ``metrics`` snapshot."""
     snaps = [e["data"] for e in events if e.get("kind") == "metrics"]
@@ -66,7 +58,7 @@ def percentile_rows(events: List[dict]) -> List[Dict[str, Any]]:
         return []
     rows = []
     for name, payload in sorted(snaps[-1].get("histograms", {}).items()):
-        h = _payload_histogram(payload)
+        h = Histogram.from_payload(payload)
         rows.append({
             "name": name,
             "count": h.count,
